@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from .dpoly import DPoly
 from .partitions import Partition
 from .permutations import Permutation
@@ -57,18 +59,42 @@ class AlgebraContext:
         return float(self.d**power)
 
 
-def mul_generators(sigma: Permutation, rho: Permutation) -> tuple[int, Permutation]:
-    """Product of two generators as (power of d, resulting permutation)."""
-    if sigma.degree != rho.degree:
-        raise ValueError(f"degree mismatch: {sigma.degree} != {rho.degree}")
-    n = sigma.degree
-    if sigma.fixes_last() or rho.fixes_last():
-        return 0, sigma * rho
-    a, _b = sigma.classify()
-    p, q = rho.classify()
-    left = Permutation.transposition(n, sigma(q), n)
-    right = Permutation.transposition(n, p, n)
-    return (1 if a == q else 0), left * sigma * rho * right
+def mul_generators(sigma, rho):
+    """Product of two generators as (power of d, resulting permutation).
+
+    Called with two ``Permutation``s it returns ``(int, Permutation)``.
+    Called with integer arrays of 0-based one-line images whose shapes
+    ``(..., n)`` broadcast, it returns the arrays ``(power, images)`` of
+    shapes ``(...)`` and ``(..., n)``: one product per broadcast position,
+    so a whole row of a product table is a single call.
+    """
+    single = isinstance(sigma, Permutation) and isinstance(rho, Permutation)
+    if single:
+        sigma, rho = np.array(sigma.images) - 1, np.array(rho.images) - 1
+    sigma, rho = np.asarray(sigma), np.asarray(rho)
+    if sigma.shape[-1] != rho.shape[-1]:
+        raise ValueError(f"degree mismatch: {sigma.shape[-1]} != {rho.shape[-1]}")
+    n = sigma.shape[-1]
+    last = n - 1
+    sigma, rho = np.broadcast_arrays(sigma, rho)
+    # (a, b) = classify(sigma) and (p, q) = classify(rho), 0-based.
+    q = rho[..., last]
+    neither_fixes = (sigma[..., last] != last) & (q != last)
+    a = np.argmax(sigma == last, axis=-1)
+    power = (neither_fixes & (a == q)).astype(np.intp)
+    # Where a factor fixes n, both transpositions below are (n n) = identity.
+    p = np.where(neither_fixes, np.argmax(rho == last, axis=-1), last)[..., None]
+    x = np.take_along_axis(sigma, q[..., None], axis=-1)
+    x = np.where(neither_fixes[..., None], x, last)
+    # rho (p n) sends p to rho(n) = q and fixes n.
+    points = np.arange(n)
+    rho = np.where(points == p, q[..., None], np.where(points == last, last, rho))
+    product = np.take_along_axis(sigma, rho, axis=-1)
+    # (sigma(q) n) sigma rho (p n): exchange the values sigma(q) and n.
+    product = np.where(product == x, last, np.where(product == last, x, product))
+    if single:
+        return int(power), Permutation((product + 1).tolist())
+    return power, product
 
 
 class AlgebraElement:
@@ -143,10 +169,15 @@ class AlgebraElement:
         if isinstance(other, (int, float, DPoly)):
             return self.scale(other)
         self._check(other)
+        right = list(other.terms.items())
+        right_images = np.array([rho.images for rho, _c in right],
+                                dtype=np.intp).reshape(len(right), self.ctx.n) - 1
         terms: dict[Permutation, object] = {}
         for sigma, c1 in self.terms.items():
-            for rho, c2 in other.terms.items():
-                power, result = mul_generators(sigma, rho)
+            powers, images = mul_generators(np.array(sigma.images) - 1, right_images)
+            for (_rho, c2), power, row in zip(right, powers.tolist(),
+                                              (images + 1).tolist()):
+                result = Permutation(row)
                 coeff = c1 * c2 * self.ctx.d_power(power)
                 terms[result] = terms.get(result, 0) + coeff
         return AlgebraElement(self.ctx, terms)

@@ -18,7 +18,7 @@ from .irreps import (algebra_dimension_formula, all_irreps, rank_of_q,
 from .oracle import (element_operator, identity_operator, matrix_operators_E,
                      perm_operator, span_dimension, transposed_perm_operator)
 from .partitions import Partition, partitions_of
-from .permutations import Permutation
+from .permutations import Permutation, image_array, lehmer_rank
 from .yor import irrep as sym_irrep
 from .yor import multiplicity_in_V
 
@@ -58,7 +58,7 @@ class CheckReport:
 
 def _report(check: str, params: dict, residual: float, tol: float,
             details: str = "") -> CheckReport:
-    return CheckReport(check, params, residual < tol, float(residual), details)
+    return CheckReport(check, params, bool(residual < tol), float(residual), details)
 
 
 # -- multiplication law ---------------------------------------------------
@@ -66,14 +66,17 @@ def _report(check: str, params: dict, residual: float, tol: float,
 
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Every generator pair: the abstract product equals the operator product."""
-    ops = {s: transposed_perm_operator(s, d, n, cap) for s in Permutation.all(n)}
+    perms = list(Permutation.all(n))
+    images = image_array(n)
+    ops = [transposed_perm_operator(s, d, n, cap) for s in perms]
     worst, culprit = 0.0, ""
-    for sigma, left in ops.items():
-        for rho, right in ops.items():
-            power, result = mul_generators(sigma, rho)
-            residual = (left @ right).distance((d**power) * ops[result])
+    for s, left in enumerate(ops):
+        powers, products = mul_generators(images[s], images)
+        for r, (power, index) in enumerate(
+                zip(powers.tolist(), lehmer_rank(products).tolist())):
+            residual = (left @ ops[r]).distance((d**power) * ops[index])
             if residual > worst:
-                worst, culprit = residual, f"{sigma} * {rho}"
+                worst, culprit = residual, f"{perms[s]} * {perms[r]}"
     return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL,
                    f"worst pair {culprit}" if worst else "")
 
@@ -236,56 +239,37 @@ def check_spectra(n: int, d: int) -> CheckReport:
 
 
 def check_irreps(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """Homomorphism property of every irrep, plus kind-specific claims."""
-    worst = 0.0
-    details = []
+    """Homomorphism property of every irrep, plus kind-specific claims.
+
+    Each irrep's generator images are stacked in ``Permutation.all``
+    order.  One ``mul_generators`` call per left factor sigma gives the
+    products W(sigma) W(rho) = d^power W(tau) for every rho, and one
+    batched matmul compares both sides of the whole row.
+    """
     perms = list(Permutation.all(n))
-    for rep in all_irreps(n, d):
-        for sigma in perms:
-            for rho in perms:
-                power, result = mul_generators(sigma, rho)
-                residual = np.abs(
-                    rep.image(sigma) @ rep.image(rho)
-                    - (d**power) * rep.image(result)
-                ).max()
-                worst = max(worst, residual)
-        if rep.kind == "S":
-            exact = all(
-                not rep.image(s).any() for s in perms if not s.fixes_last())
-            if not exact:
-                return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                                   f"kind-S block {rep.label} not exactly zero on M")
+    images = image_array(n)
+    transposed = images[:, -1] != n - 1
+    reps = all_irreps(n, d)
+    stacks = [np.stack([rep.image(p) for p in perms]) for rep in reps]
+    for rep, stack in zip(reps, stacks):
+        if rep.kind == "S" and stack[transposed].any():
+            return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
+                               f"kind-S block {rep.label} not exactly zero on M")
         if rep.kind == "M" and n >= 3:
             expected = rank_of_q(rep.label, d, n)
             if rep.dimension != expected:
                 return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
                                    f"dimension {rep.dimension} != rank {expected}")
-        details.append(f"{rep.kind}:{rep.label}(dim {rep.dimension})")
-    return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details))
-
-
-def verify_irrep_against_oracle(rep, d: int, n: int,
-                                cap: int | None = None) -> CheckReport:
-    """Generator-pair consistency plus dimension or annihilation claims."""
-    perms = list(Permutation.all(n))
     worst = 0.0
-    for sigma in perms:
-        for rho in perms:
-            power, result = mul_generators(sigma, rho)
-            worst = max(worst, np.abs(
-                rep.image(sigma) @ rep.image(rho)
-                - (d**power) * rep.image(result)).max())
-    passed = worst < HOM_TOL
-    details = ""
-    if rep.kind == "M" and n >= 3:
-        expected = rank_of_q(rep.label, d, n)
-        if rep.dimension != expected:
-            passed, details = False, f"dimension {rep.dimension} != rank Q = {expected}"
-    if rep.kind == "S":
-        if any(rep.image(s).any() for s in perms if not s.fixes_last()):
-            passed, details = False, "transposed generators not annihilated"
-    return CheckReport(
-        f"irrep_{rep.kind}_{rep.label}", {"n": n, "d": d}, passed, float(worst), details)
+    for s, sigma in enumerate(images):
+        powers, products = mul_generators(sigma, images)
+        scale = (d**powers)[:, None, None]
+        index = lehmer_rank(products)
+        for stack in stacks:
+            residual = np.abs(stack[s] @ stack - scale * stack[index]).max()
+            worst = max(worst, residual)
+    details = [f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in reps]
+    return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details))
 
 
 # -- dimensions --------------------------------------------------------------

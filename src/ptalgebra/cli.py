@@ -23,7 +23,7 @@ from .induced import spectral_q
 from .irreps import irrep_M_e, irrep_M_f, irrep_S, n2_special_case, structure_report
 from .oracle import CAP_ENV_VAR
 from .partitions import Partition
-from .permutations import Permutation
+from .permutations import Permutation, image_array, lehmer_rank
 
 
 def _perm_label(perm: Permutation) -> str:
@@ -51,22 +51,23 @@ def _cell_text(coeff, perm: Permutation) -> str:
 def build_mul_table(n: int, d: int | None) -> dict:
     """The full generator product table as a JSON-ready record."""
     ctx = AlgebraContext(n, d)
-    perms = sorted(Permutation.all(n))
+    images = image_array(n)
+    order = [",".join(str(j) for j in row) for row in (images + 1).tolist()]
+    coeffs = []
+    for power in (0, 1):
+        coeff = ctx.d_power(power)
+        coeffs.append(list(coeff.coeffs) if isinstance(coeff, DPoly) else coeff)
     entries = []
-    for sigma in perms:
-        row = []
-        for rho in perms:
-            power, result = mul_generators(sigma, rho)
-            coeff = ctx.d_power(power)
-            row.append({
-                "coeff": list(coeff.coeffs) if isinstance(coeff, DPoly) else coeff,
-                "perm": result.one_line_string(),
-            })
-        entries.append(row)
+    for sigma in images:
+        powers, products = mul_generators(sigma, images)
+        entries.append([
+            {"coeff": coeffs[power], "perm": order[index]}
+            for power, index in zip(powers.tolist(), lehmer_rank(products).tolist())
+        ])
     return {
         "n": n,
         "d": "symbolic" if d is None else d,
-        "order": [p.one_line_string() for p in perms],
+        "order": order,
         "entries": entries,
     }
 
@@ -100,6 +101,28 @@ def _emit_csv(headers: list[str], rows: list[list[str]]):
     click.echo(buffer.getvalue().rstrip("\n"))
 
 
+class PartitionType(click.ParamType):
+    """A partition written ``"3,1"``; malformed text is a usage error."""
+
+    name = "partition"
+
+    def convert(self, value, param, ctx):
+        try:
+            return Partition.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+N_RANGE = click.IntRange(min=2)
+D_RANGE = click.IntRange(min=1)
+
+
+def _require_n2_split(n: int, d: int):
+    """At n = 2 the algebra splits into its M and S blocks only for d >= 2."""
+    if n == 2 and d < 2:
+        raise click.BadParameter("n = 2 needs d >= 2", param_hint="'--d'")
+
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
     default="text", show_default=True, help="Output format.")
@@ -114,8 +137,8 @@ def main():
 
 
 @main.command("mul-table")
-@click.option("--n", type=int, required=True, help="Number of tensor factors.")
-@click.option("--d", type=int, default=None, help="Local dimension (numeric).")
+@click.option("--n", type=N_RANGE, required=True, help="Number of tensor factors.")
+@click.option("--d", type=D_RANGE, default=None, help="Local dimension (numeric).")
 @click.option("--symbolic", is_flag=True, help="Keep d as an indeterminate.")
 @format_option
 def cmd_mul_table(n: int, d: int | None, symbolic: bool, fmt: str):
@@ -168,31 +191,39 @@ def cmd_spectrum(n: int, d: int, alpha: str, fmt: str):
 
 
 @main.command("irrep")
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
+@click.option("--n", type=N_RANGE, required=True)
+@click.option("--d", type=D_RANGE, required=True)
 @click.option("--kind", type=click.Choice(["m", "s"]), required=True)
-@click.option("--alpha", type=str, default=None, help="Kind-M label (of n-2).")
-@click.option("--nu", type=str, default=None, help="Kind-S label (of n-1).")
+@click.option("--alpha", type=PartitionType(), default=None,
+              help="Kind-M label (of n-2).")
+@click.option("--nu", type=PartitionType(), default=None,
+              help="Kind-S label (of n-1).")
 @click.option("--basis", type=click.Choice(["f", "e"]), default="f",
               show_default=True, help="Kind-M basis.")
 @format_option
-def cmd_irrep(n: int, d: int, kind: str, alpha: str | None, nu: str | None,
-              basis: str, fmt: str):
+def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
+              nu: Partition | None, basis: str, fmt: str):
     """Serialize one irreducible representation of the algebra."""
     if factorial(n) > 720:
         raise click.UsageError("n too large to list all generator images")
     if n == 2:
+        _require_n2_split(n, d)
         _report, irreps = n2_special_case(d)
         rep = irreps[0 if kind == "m" else 1]
-    elif kind == "m":
-        if alpha is None:
-            raise click.UsageError("kind m needs --alpha")
-        label = Partition.parse(alpha)
-        rep = irrep_M_f(label, d, n) if basis == "f" else irrep_M_e(label, d, n)
     else:
-        if nu is None:
-            raise click.UsageError("kind s needs --nu")
-        rep = irrep_S(Partition.parse(nu), d, n)
+        option, label = ("alpha", alpha) if kind == "m" else ("nu", nu)
+        if label is None:
+            raise click.UsageError(f"kind {kind} needs --{option}")
+        if kind == "s":
+            build = irrep_S
+        else:
+            build = irrep_M_f if basis == "f" else irrep_M_e
+        # The constructors reject a label of the wrong weight, one that
+        # does not fit d, and the e basis where det Q(alpha) = 0.
+        try:
+            rep = build(label, d, n)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint=f"'--{option}'") from exc
     record = rep.to_dict()
     if fmt == "json":
         click.echo(json.dumps(record))
@@ -237,8 +268,8 @@ def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
 
 
 @main.command("verify")
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
+@click.option("--n", type=N_RANGE, required=True)
+@click.option("--d", type=D_RANGE, required=True)
 @click.option("--suite", type=click.Choice(list(SUITES)), default="all",
               show_default=True)
 @click.option("--tol", type=float, default=None,
@@ -250,6 +281,7 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     """Run verification suites; exit code counts the failures."""
     if tol is not None and tol <= 0:
         raise click.UsageError("--tol must be positive")
+    _require_n2_split(n, d)
     reports = run_suite(n, d, suite, cap)
     if tol is not None:
         for report in reports:

@@ -5,13 +5,21 @@ factor acting first.  Every permutation carries the classification
 ``(a, b)`` with ``p(a) = m`` and ``b = p(m)``; ``a = m`` exactly when ``p``
 fixes the last point, in which case ``p`` lies in the natural copy of
 S(m-1) inside S(m).
+
+For whole-group work the same permutations are also held as integer
+arrays of 0-based one-line images, ``images[..., i]`` being the image of
+point ``i``: ``image_array(m)`` stacks all of S(m) in ``Permutation.all``
+order and ``lehmer_rank`` maps any stack back to positions in that order.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import total_ordering
+from functools import cache, total_ordering
+from math import factorial
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 @total_ordering
@@ -181,3 +189,23 @@ class Permutation:
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p∘q with the right factor applied first."""
     return p * q
+
+
+@cache
+def image_array(m: int) -> np.ndarray:
+    """Read-only ``(m!, m)`` array of 0-based images in ``Permutation.all`` order."""
+    out = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    out = out.reshape(factorial(m), m)
+    out.flags.writeable = False
+    return out
+
+
+def lehmer_rank(images: np.ndarray) -> np.ndarray:
+    """Positions in ``Permutation.all`` order of a stack ``(..., m)`` of
+    0-based images, from their Lehmer codes (lexicographic rank)."""
+    images = np.asarray(images)
+    m = images.shape[-1]
+    # Lehmer digit i counts the later points j > i with a smaller image.
+    i, j = np.triu_indices(m, 1)
+    weights = np.array([factorial(m - 1 - k) for k in i], dtype=np.intp)
+    return (images[..., i] > images[..., j]) @ weights

@@ -132,10 +132,6 @@ def irrep(label: Partition) -> SymmetricGroupIrrep:
     return SymmetricGroupIrrep(label)
 
 
-def image(table: SymmetricGroupIrrep, p: Permutation) -> np.ndarray:
-    return table.image(p)
-
-
 def character(alpha: Partition, p: Permutation) -> float:
     if alpha.weight != p.degree:
         raise ValueError(f"weight {alpha.weight} != degree {p.degree}")

@@ -2,12 +2,11 @@ import json
 
 import pytest
 
-from ptalgebra.checks import (CheckReport, check_adjoint_transport,
+from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_dimensions, check_irreps,
                               check_matrix_operators, check_mul_rule,
                               check_reduced_matrix_units, check_spectra,
-                              check_u_structure, check_unit_of_m, run_suite,
-                              verify_irrep_against_oracle)
+                              check_u_structure, check_unit_of_m, run_suite)
 from ptalgebra.irreps import all_irreps
 from ptalgebra.partitions import Partition
 
@@ -29,11 +28,14 @@ def test_u_structure_same_and_cross_labels():
     assert check_u_structure(Partition([1, 1]), Partition([1, 1]), 4, 3).passed
 
 
-def test_verify_each_irrep_against_oracle():
+def test_check_irreps_covers_every_block():
     for n, d in [(3, 2), (4, 2), (3, 3)]:
-        for rep in all_irreps(n, d):
-            report = verify_irrep_against_oracle(rep, d, n)
-            assert report.passed, report
+        report = check_irreps(n, d)
+        assert report.passed is True, report
+        assert report.max_residual < HOM_TOL
+        assert report.details == "; ".join(
+            f"{rep.kind}:{rep.label}(dim {rep.dimension})"
+            for rep in all_irreps(n, d))
 
 
 def test_run_suite_all_green():
@@ -71,3 +73,19 @@ def test_associativity_invariant_grid(n, d):
 
     report = check_associativity(n, d, triples=200)
     assert report.passed and report.max_residual < 1e-9
+
+
+def test_check_irreps_reports_a_broken_image(monkeypatch):
+    import ptalgebra.checks as checks
+
+    def broken(n, d):
+        reps = all_irreps(n, d)
+        rep = reps[0]
+        image_fn = rep._image_fn
+        rep._image_fn = lambda sigma: (
+            image_fn(sigma) * 1.5 if sigma.is_identity() else image_fn(sigma))
+        return reps
+
+    monkeypatch.setattr(checks, "all_irreps", broken)
+    report = check_irreps(4, 2)
+    assert report.passed is False and report.max_residual > 0.1

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import goldens
+from ptalgebra.checks import CheckReport
 from ptalgebra.cli import build_mul_table, main
 from ptalgebra.dpoly import DPoly
 from ptalgebra.permutations import Permutation
@@ -53,6 +56,14 @@ def test_mul_table_fixed_d_evaluates():
         for cell_s, cell_f in zip(row_s, row_f):
             assert DPoly(cell_s["coeff"])(2) == cell_f["coeff"]
             assert cell_s["perm"] == cell_f["perm"]
+
+
+def test_mul_table_n5_symbolic_json_bytes_are_pinned():
+    result = run("mul-table", "--n", "5", "--symbolic", "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == (
+        "6d2acaec2174139cef65a13f0e34392fd88f4beac5715c54c266f066f88d4c8d")
 
 
 def test_mul_table_text_contains_cells():
@@ -182,3 +193,28 @@ def test_csv_formats():
     assert len(lines) == 3
     result = run("structure", "--n", "3", "--d", "2", "--format", "csv")
     assert result.output.splitlines()[0] == "kind,label,size"
+
+
+@pytest.mark.parametrize("suite", ["all", "irreps", "spectra"])
+def test_verify_json_parses_and_round_trips(suite):
+    result = run("verify", "--n", "3", "--d", "2", "--suite", suite,
+                 "--format", "json")
+    assert result.exit_code == 0, result.output
+    records = json.loads(result.output)
+    assert records
+    for record in records:
+        report = CheckReport.from_dict(record)
+        assert report.passed is True
+        assert report.to_dict() == record
+
+
+@pytest.mark.parametrize("args, option", [
+    (("mul-table", "--n", "1", "--d", "2"), "'--n'"),
+    (("mul-table", "--n", "2", "--d", "0"), "'--d'"),
+    (("verify", "--n", "2", "--d", "1"), "'--d'"),
+    (("irrep", "--n", "3", "--d", "2", "--kind", "m", "--alpha", "2"), "'--alpha'"),
+])
+def test_invalid_input_is_a_usage_error(args, option):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"Invalid value for {option}" in result.output
