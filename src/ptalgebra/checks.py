@@ -15,8 +15,9 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
 from .irreps import (algebra_dimension_formula, all_irreps, rank_of_q,
                      structure_report, unit_of_M)
-from .oracle import (element_operator, identity_operator, matrix_operators_E,
-                     perm_operator, span_dimension, transposed_perm_operator)
+from .oracle import (SizeCapError, element_operator, identity_operator,
+                     matrix_operators_E, perm_operator, span_dimension,
+                     transposed_perm_operator)
 from .partitions import Partition, partitions_of
 from .permutations import Permutation, image_array, lehmer_rank
 from .yor import irrep as sym_irrep
@@ -292,7 +293,7 @@ def check_dimensions(n: int, d: int, with_oracle: bool = True,
             group = {s: perm_operator(s, d, n, cap) for s in Permutation.all(n)}
             ops = [transposed_perm_operator(s, d, n, cap)
                    for s in Permutation.all(n)]
-        except ValueError:
+        except SizeCapError:
             details += "; oracle skipped (size cap)"
         else:
             measured_t = span_dimension(ops)
@@ -443,6 +444,8 @@ def check_adjoint_transport(n: int, d: int, seed: int = 1,
 
 
 SUITES = ("all", "mul", "spectra", "irreps", "dims", "appc")
+# Suites that cannot run without the oracle; "dims" skips it above the cap.
+ORACLE_SUITES = ("all", "mul", "appc")
 
 
 def run_suite(n: int, d: int, suite: str = "all",

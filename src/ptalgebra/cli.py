@@ -2,7 +2,8 @@
 
 Output formats: text (human), json (machine, round-trips), csv (flat).
 The oracle size cap defaults to d^n <= 4096 and can be overridden with
---cap or the PTALGEBRA_CAP environment variable.
+--cap or the PTALGEBRA_CAP environment variable; a command that needs the
+oracle above the cap is a usage error, not a failed check.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import click
 import numpy as np
 
 from .algebra import AlgebraContext, mul_generators
-from .checks import SUITES, run_suite
+from .checks import ORACLE_SUITES, SUITES, run_suite
 from .dpoly import DPoly
 from .induced import spectral_q
 from .irreps import irrep_M_e, irrep_M_f, irrep_S, n2_special_case, structure_report
-from .oracle import CAP_ENV_VAR
+from .oracle import CAP_ENV_VAR, size_cap
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
 
@@ -123,11 +124,31 @@ def _require_n2_split(n: int, d: int):
         raise click.BadParameter("n = 2 needs d >= 2", param_hint="'--d'")
 
 
+def _resolve_cap(cap: int | None) -> int:
+    """The --cap value, else $PTALGEBRA_CAP, else the default."""
+    if cap is not None:
+        return cap
+    try:
+        return size_cap()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
+def _oracle_cap(n: int, d: int, cap: int | None) -> int:
+    """The effective cap for a command that needs the oracle at d^n."""
+    cap = _resolve_cap(cap)
+    if d**n > cap:
+        raise click.UsageError(
+            f"d^n = {d**n} exceeds the oracle size cap {cap}; "
+            f"raise it with --cap or ${CAP_ENV_VAR}")
+    return cap
+
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
     default="text", show_default=True, help="Output format.")
 cap_option = click.option(
-    "--cap", type=int, default=None,
+    "--cap", type=click.IntRange(min=1), default=None,
     help=f"Oracle size cap on d^n (default 4096 or ${CAP_ENV_VAR}).")
 
 
@@ -164,14 +185,18 @@ def cmd_mul_table(n: int, d: int | None, symbolic: bool, fmt: str):
 
 
 @main.command("spectrum")
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--alpha", type=str, required=True,
+@click.option("--n", type=N_RANGE, required=True)
+@click.option("--d", type=D_RANGE, required=True)
+@click.option("--alpha", type=PartitionType(), required=True,
               help="Partition of n-2, e.g. '2,1'.")
 @format_option
-def cmd_spectrum(n: int, d: int, alpha: str, fmt: str):
+def cmd_spectrum(n: int, d: int, alpha: Partition, fmt: str):
     """Q(alpha): matrix, closed-form eigenvalues, rank, vanishing label."""
-    record = spectral_q(Partition.parse(alpha), d, n).to_dict()
+    if alpha.weight != n - 2:
+        raise click.BadParameter(
+            f"{alpha} has weight {alpha.weight}, not n - 2 = {n - 2}",
+            param_hint="'--alpha'")
+    record = spectral_q(alpha, d, n).to_dict()
     if fmt == "json":
         click.echo(json.dumps(record))
         return
@@ -243,14 +268,17 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
 
 
 @main.command("structure")
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
+@click.option("--n", type=N_RANGE, required=True)
+@click.option("--d", type=D_RANGE, required=True)
 @click.option("--oracle", is_flag=True,
               help="Also measure the span dimension on (C^d)^n.")
 @cap_option
 @format_option
 def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
     """Block structure: kind-M ranks, kind-S dimensions, total dimension."""
+    _require_n2_split(n, d)
+    if oracle:
+        cap = _oracle_cap(n, d, cap)
     report = structure_report(n, d, with_oracle=oracle, cap=cap)
     record = report.to_dict()
     if fmt == "json":
@@ -282,6 +310,10 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     if tol is not None and tol <= 0:
         raise click.UsageError("--tol must be positive")
     _require_n2_split(n, d)
+    if suite in ORACLE_SUITES:
+        cap = _oracle_cap(n, d, cap)
+    elif suite == "dims":  # skips the oracle above the cap
+        cap = _resolve_cap(cap)
     reports = run_suite(n, d, suite, cap)
     if tol is not None:
         for report in reports:

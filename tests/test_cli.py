@@ -218,3 +218,54 @@ def test_invalid_input_is_a_usage_error(args, option):
     result = run(*args)
     assert result.exit_code == 2
     assert f"Invalid value for {option}" in result.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (("structure", "--n", "2", "--d", "1"), "'--d'"),
+    (("structure", "--n", "1", "--d", "2"), "'--n'"),
+    (("spectrum", "--n", "4", "--d", "2", "--alpha", "3"), "'--alpha'"),
+    (("spectrum", "--n", "2", "--d", "2", "--alpha", "1"), "'--alpha'"),
+    (("spectrum", "--n", "3", "--d", "0", "--alpha", "1"), "'--d'"),
+    (("spectrum", "--n", "4", "--d", "2", "--alpha", "x"), "'--alpha'"),
+    (("verify", "--n", "3", "--d", "2", "--cap", "0"), "'--cap'"),
+])
+def test_invalid_spectrum_and_structure_input_is_a_usage_error(args, option):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"Invalid value for {option}" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--n", "5", "--d", "2", "--suite", "mul", "--cap", "16"),
+    ("verify", "--n", "3", "--d", "2", "--suite", "appc", "--cap", "4"),
+    ("verify", "--n", "3", "--d", "2", "--suite", "all", "--cap", "7"),
+    ("structure", "--n", "3", "--d", "2", "--oracle", "--cap", "4"),
+])
+def test_oracle_above_the_cap_is_a_usage_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert "size cap" in result.output and "PTALGEBRA_CAP" in result.output
+
+
+def test_cap_from_the_environment(monkeypatch):
+    monkeypatch.setenv("PTALGEBRA_CAP", "16")
+    result = run("verify", "--n", "5", "--d", "2", "--suite", "mul")
+    assert result.exit_code == 2 and "size cap 16" in result.output
+    # an explicit --cap overrides the environment
+    assert run("verify", "--n", "2", "--d", "2", "--suite", "mul",
+               "--cap", "4").exit_code == 0
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("PTALGEBRA_CAP", raw)
+        for args in (("verify", "--n", "3", "--d", "2", "--suite", "dims"),
+                     ("structure", "--n", "3", "--d", "2", "--oracle")):
+            result = run(*args)
+            assert result.exit_code == 2
+            assert "is not a positive integer" in result.output
+
+
+def test_dims_suite_skips_the_oracle_above_the_cap():
+    result = run("verify", "--n", "3", "--d", "2", "--suite", "dims",
+                 "--cap", "4", "--format", "json")
+    assert result.exit_code == 0
+    [report] = json.loads(result.output)
+    assert report["passed"] and "oracle skipped (size cap)" in report["details"]

@@ -1,14 +1,21 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
-from ptalgebra.oracle import (element_operator, gram_matrix, identity_operator,
+from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, SizeCapError,
+                              element_operator, gram_matrix, identity_operator,
                               matrix_operators_E, partial_transpose_last,
                               perm_operator, span_dimension,
                               transposed_perm_operator)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
-from ptalgebra.yor import multiplicity_in_V
+from ptalgebra.yor import SymmetricGroupIrrep, multiplicity_in_V
 
 
 def test_identity_operator():
@@ -207,3 +214,120 @@ def test_E_composition_and_independence_equivalence():
     for alpha, family in families.items():
         norm = (family[(1, 1)].adjoint() @ family[(1, 1)]).trace()
         assert norm == pytest.approx(multiplicity_in_V(alpha, d), abs=1e-9)
+
+
+# -- storage: dense up to DENSE_MAX_DIM, CSR above -------------------------
+
+
+def _reference_operators(sigma, d):
+    """W(sigma) and its partial transpose, entry by entry from the definition.
+
+    W(sigma) sends e_{i_1}..e_{i_n} to e_{i_{s^{-1}(1)}}..e_{i_{s^{-1}(n)}};
+    the partial transpose swaps the last digit of the row and column index.
+    """
+    n = sigma.degree
+    dim = d**n
+    inv = sigma.inverse()
+
+    def index(digits):
+        return sum(x * d ** (n - 1 - k) for k, x in enumerate(digits))
+
+    plain = np.zeros((dim, dim))
+    transposed = np.zeros((dim, dim))
+    for col in itertools.product(range(d), repeat=n):
+        row = tuple(col[inv(k) - 1] for k in range(1, n + 1))
+        plain[index(row), index(col)] = 1.0
+        transposed[index(row[:-1] + col[-1:]), index(col[:-1] + row[-1:])] = 1.0
+    return plain, transposed
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 5), (4, 4)])
+def test_generators_match_reference_on_both_storages(n, d):
+    dense_side = d**n <= DENSE_MAX_DIM
+    for sigma in Permutation.all(n):
+        plain, transposed = _reference_operators(sigma, d)
+        op = perm_operator(sigma, d)
+        op_t = transposed_perm_operator(sigma, d)
+        assert isinstance(op.matrix, np.ndarray) == dense_side
+        assert isinstance(op_t.matrix, np.ndarray) == dense_side
+        assert np.array_equal(op.dense(), plain)
+        assert np.array_equal(op_t.dense(), transposed)
+        assert np.array_equal(partial_transpose_last(op).dense(), transposed)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
+def test_gram_counts_cycles_on_both_storages(n, d):
+    # tr(W(s)^T W(r)) = d^{cycles(s^-1 r)}, and the partial transpose keeps it
+    perms = list(Permutation.all(n))
+    expected = np.array([[d ** (s.inverse() * r).cycle_count() for r in perms]
+                         for s in perms], dtype=float)
+    for build in (perm_operator, transposed_perm_operator):
+        assert np.array_equal(gram_matrix([build(p, d) for p in perms]), expected)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
+def test_cached_generator_is_not_changed_by_arithmetic(n, d):
+    sigma = Permutation.from_cycles(n, [(1, n)])
+    op = transposed_perm_operator(sigma, d)
+    before = op.dense()
+    results = [op + op, op - op, 2.0 * op, op @ op, op.adjoint(), sum([op, op]),
+               partial_transpose_last(op), element_operator(
+                   AlgebraElement.generator(AlgebraContext(n, d), sigma))]
+    copy = op.dense()
+    copy[:] = 7.0
+    assert np.array_equal(results[3].dense(), d * before)
+    again = transposed_perm_operator(sigma, d)
+    assert again is op
+    assert np.array_equal(again.dense(), before)
+    if isinstance(op.matrix, np.ndarray):
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5.0
+
+
+def test_size_cap_is_checked_before_the_cache():
+    sigma = Permutation.from_cycles(3, [(1, 2)])
+    perm_operator(sigma, 2)
+    transposed_perm_operator(sigma, 2)
+    with pytest.raises(SizeCapError, match="cap 4"):
+        perm_operator(sigma, 2, cap=4)
+    with pytest.raises(SizeCapError, match="cap 4"):
+        transposed_perm_operator(sigma, 2, cap=4)
+
+
+def test_invalid_cap_environment_is_rejected(monkeypatch):
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv(CAP_ENV_VAR, raw)
+        with pytest.raises(ValueError, match="not a positive integer"):
+            perm_operator(Permutation.identity(2), 2)
+    monkeypatch.setenv(CAP_ENV_VAR, "4")
+    with pytest.raises(SizeCapError):
+        perm_operator(Permutation.identity(3), 2)
+
+
+def test_matrix_operators_E_matches_per_entry_reference():
+    # the seed's loop, inverting g and looking up its image for every (i, j, g)
+    d = 2
+    group = {g: perm_operator(g, d) for g in Permutation.all(3)}
+    for alpha in partitions_of(3):
+        phi = SymmetricGroupIrrep(alpha)
+        scale = phi.dim / len(group)
+        family = matrix_operators_E(group, alpha)
+        for (i, j), op in family.items():
+            acc = None
+            for g, image in group.items():
+                term = (scale * phi.image(g.inverse())[j - 1, i - 1]) * image
+                acc = term if acc is None else acc + term
+            assert np.array_equal(op.dense(), acc.dense())
+
+
+def test_dense_side_never_imports_scipy_sparse():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ptalgebra.cli\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "from ptalgebra.checks import run_suite\n"
+            "assert all(r.passed for r in run_suite(3, 2, 'all'))\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
