@@ -239,7 +239,7 @@ def check_spectra(n: int, d: int) -> CheckReport:
 # -- irreps ----------------------------------------------------------------
 
 
-def check_irreps(n: int, d: int, cap: int | None = None) -> CheckReport:
+def check_irreps(n: int, d: int) -> CheckReport:
     """Homomorphism property of every irrep, plus kind-specific claims.
 
     Each irrep's generator images are stacked in ``Permutation.all``
@@ -461,7 +461,7 @@ def run_suite(n: int, d: int, suite: str = "all",
     if want("spectra") and n >= 3:
         reports.append(check_spectra(n, d))
     if want("irreps"):
-        reports.append(check_irreps(n, d, cap))
+        reports.append(check_irreps(n, d))
     if want("dims"):
         reports.append(check_dimensions(n, d, cap=cap))
     if want("appc") and n >= 3:

@@ -301,7 +301,8 @@ def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
 @click.option("--suite", type=click.Choice(list(SUITES)), default="all",
               show_default=True)
 @click.option("--tol", type=float, default=None,
-              help="Override the pass threshold on residuals.")
+              help="Also fail any check whose residual is not below this; "
+                   "it can only tighten, never pass a failed check.")
 @cap_option
 @format_option
 def cmd_verify(n: int, d: int, suite: str, tol: float | None,
@@ -317,7 +318,7 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     reports = run_suite(n, d, suite, cap)
     if tol is not None:
         for report in reports:
-            report.passed = report.max_residual < tol
+            report.passed = report.passed and report.max_residual < tol
     failures = sum(not r.passed for r in reports)
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in reports]))

@@ -7,14 +7,17 @@ For alpha a partition of n-2, the block matrix
 encodes the structure constants of the group-averaged generators of the
 main ideal.  Its eigenvalues are d plus the content of the box added to
 alpha (one eigenvalue per way of adding a box, with the dimension of the
-grown label as multiplicity), and the reducing matrix Z is d-independent:
-its columns are read off rank-one projectors of the induced representation.
+grown label as multiplicity), and the reducing matrix Z is d-independent.
+Branching from S(n-2) to S(n-1) is multiplicity-free, so each block of Z
+is the unique intertwiner from the grown irrep into the induced
+representation; in Young's orthogonal form it is written down directly
+from the grown irrep's images of the coset representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -23,8 +26,11 @@ from .partitions import Partition, add_box
 from .permutations import Permutation
 from .yor import SymmetricGroupIrrep, irrep, transposition_character_frobenius
 
-PROJECTOR_DIAG_TOL = 1e-9
 NULL_EIGENVALUE_TOL = 1e-7
+# Exact zeros of Z come out of products of Young matrices as rounding noise
+# (below 5e-17 for n <= 9), while its smallest nonzero entry is 3.7e-4 at
+# n = 9; the block sign rule reads the first entry above this threshold.
+Z_ZERO_TOL = 1e-9
 
 
 class InducedRep:
@@ -67,25 +73,33 @@ class InducedRep:
         return out
 
 
-def _q_entry_perm(alpha_rep: SymmetricGroupIrrep, n: int, a: int, b: int):
-    """The S(n-2) element (a n-1)(ab)(b n-1) appearing in Q's (a,b) block."""
-    m = n - 1
+def coset_image(phi: SymmetricGroupIrrep, c: int, middle: Permutation,
+                a: int, q: int) -> np.ndarray:
+    """phi[(c m) middle (a q)(q m)] with m = middle.degree.
+
+    The word fixes m, so phi (an irrep of S(m-1)) sees its restriction.
+    With middle the identity and c = a it is the (a, q) block of Q(alpha);
+    irrep_M_e reads its generator blocks from the same word.
+    """
+    m = middle.degree
     tau = (
-        Permutation.transposition(m, a, m)
-        * Permutation.transposition(m, a, b)
-        * Permutation.transposition(m, b, m)
+        Permutation.transposition(m, c, m)
+        * middle
+        * Permutation.transposition(m, a, q)
+        * Permutation.transposition(m, q, m)
     )
-    return alpha_rep.image(tau.restrict(n - 2))
+    return phi.image(tau.restrict(m - 1))
 
 
 def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:
     """Q(alpha) at numeric d."""
     phi = irrep(alpha)
     w = phi.dim
+    identity = Permutation.identity(n - 1)
     out = np.zeros(((n - 1) * w, (n - 1) * w))
     for a in range(1, n):
         for b in range(1, n):
-            block = _q_entry_perm(phi, n, a, b)
+            block = coset_image(phi, a, identity, a, b)
             if a == b:
                 block = d * block
             out[(a - 1) * w:a * w, (b - 1) * w:b * w] = block
@@ -96,11 +110,12 @@ def q_matrix_poly(alpha: Partition, n: int) -> np.ndarray:
     """Q(alpha) as a matrix of polynomials in d (object dtype)."""
     phi = irrep(alpha)
     w = phi.dim
+    identity = Permutation.identity(n - 1)
     size = (n - 1) * w
     out = np.empty((size, size), dtype=object)
     for a in range(1, n):
         for b in range(1, n):
-            block = _q_entry_perm(phi, n, a, b)
+            block = coset_image(phi, a, identity, a, b)
             for i in range(w):
                 for j in range(w):
                     value = block[i, j]
@@ -151,53 +166,41 @@ def z_matrix(alpha: Partition, n: int) -> tuple[np.ndarray, list[tuple[Partition
     """Orthogonal matrix reducing the induced representation.
 
     Columns are grouped by grown label nu (in added-box order) and indexed
-    (nu, j) with j = 1..dim(nu).  Within a block the columns are read from
-    the group-averaged operators E_{j1} of nu inside the induced rep, all
-    from one reference column of the rank-one projector E_{11} (the first
-    diagonal entry above 1e-9, scanned row-major); this keeps the block
-    phases coherent so the reduction reproduces the irrep matrices exactly,
-    not just up to signs.  The block sign is fixed by making the first
-    nonzero entry of the leading column positive.
+    (nu, j) with j = 1..dim(nu); rows are (a, i) as in InducedRep.  With
+    m = n-1 and R the rows of psi_nu whose tableaux hold m in the added
+    box (alpha's tableaux, in alpha's order), the nu block is
+
+        Z[(a, i), (nu, j)] = sqrt(dim nu / (m dim alpha)) psi_nu((a m))[R_i, j].
+
+    Why: restricting nu to S(m-1) contains alpha once, on the rows R, so by
+    Frobenius reciprocity there is exactly one intertwiner from nu into
+    the induced representation up to scale, and v -> (P_R psi_nu((a m)) v)_a
+    is one (P_R keeps the rows R).  Its Gram matrix commutes with psi_nu,
+    hence is the scalar m dim alpha / dim nu by a trace count.  So
+    Z^T InducedRep.matrix(sigma) Z is exactly the block sum of
+    psi_nu(sigma).  The block sign is fixed by making the first nonzero
+    entry of the leading column positive.
 
     Returns (Z, column labels).  Z does not depend on d.
     """
-    rep = InducedRep(alpha, n)
+    if alpha.weight != n - 2:
+        raise ValueError(f"alpha must have weight {n - 2}")
     m = n - 1
-    group = list(Permutation.all(m))
-    images = {g: rep.matrix(g) for g in group}
-    columns: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     labels: list[tuple[Partition, int]] = []
-    for nu, _row, _extends in rep.decomposition:
+    for nu, row, _extends in add_box(alpha):
         psi = irrep(nu)
-        scale = psi.dim / factorial(m)
-        projector = sum(
-            scale * psi.image(g.inverse())[0, 0] * images[g] for g in group
-        )
-        ref = _reference_index(projector)
-        norm = sqrt(projector[ref, ref])
-        block = []
-        for j in range(1, psi.dim + 1):
-            averaged = sum(
-                scale * psi.image(g.inverse())[0, j - 1] * images[g] for g in group
-            )
-            block.append(averaged[:, ref] / norm)
-        lead = block[0]
-        first = np.flatnonzero(np.abs(lead) > PROJECTOR_DIAG_TOL)[0]
-        if lead[first] < 0:
-            block = [-col for col in block]
-        columns.extend(block)
+        rows = [t for t, tab in enumerate(psi.tableaux) if tab[row - 1][-1] == m]
+        scale = sqrt(psi.dim / (m * len(rows)))
+        block = scale * np.vstack([
+            psi.image(Permutation.transposition(m, a, m))[rows] for a in range(1, m + 1)
+        ])
+        lead = block[:, 0]
+        if lead[np.flatnonzero(np.abs(lead) > Z_ZERO_TOL)[0]] < 0:
+            block = -block
+        blocks.append(block)
         labels.extend((nu, j) for j in range(1, psi.dim + 1))
-    return np.column_stack(columns), labels
-
-
-def _reference_index(projector: np.ndarray) -> int:
-    for t in range(projector.shape[0]):
-        if projector[t, t] > PROJECTOR_DIAG_TOL:
-            return t
-    raise ArithmeticError(
-        "rank-one projector with no positive diagonal entry; "
-        "the projector construction is broken"
-    )
+    return np.hstack(blocks), labels
 
 
 @dataclass

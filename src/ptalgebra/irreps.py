@@ -16,7 +16,8 @@ from math import sqrt
 import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, u_element
-from .induced import InducedRep, SpectralQ, spectral_q, zero_condition
+from .induced import (InducedRep, SpectralQ, coset_image, spectral_q,
+                      zero_condition)
 from .partitions import Partition, partitions_of
 from .permutations import Permutation
 from .yor import irrep as sym_irrep
@@ -45,14 +46,6 @@ class AlgebraIrrep:
             cached = self._image_fn(sigma)
             self._images[sigma] = cached
         return cached
-
-    def image_element(self, elem: AlgebraElement) -> np.ndarray:
-        if elem.ctx.symbolic or elem.ctx.n != self.n or elem.ctx.d != self.d:
-            raise ValueError("element context does not match this irrep")
-        total = np.zeros((self.dimension, self.dimension))
-        for perm, coeff in elem.terms.items():
-            total += coeff * self.image(perm)
-        return total
 
     def __repr__(self) -> str:
         tag = f", basis={self.basis_tag}" if self.basis_tag else ""
@@ -175,15 +168,6 @@ def irrep_M_e(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
     dimension = rep.block_dim
     m = n - 1
 
-    def entry_perm(c: int, middle: Permutation, a: int, q: int) -> np.ndarray:
-        tau = (
-            Permutation.transposition(m, c, m)
-            * middle
-            * Permutation.transposition(m, a, q)
-            * Permutation.transposition(m, q, m)
-        )
-        return phi.image(tau.restrict(n - 2))
-
     def image_fn(sigma: Permutation) -> np.ndarray:
         if sigma.fixes_last():
             return rep.matrix(sigma.restrict(m))
@@ -191,7 +175,7 @@ def irrep_M_e(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
         sigma_hat = (sigma * Permutation.transposition(n, a, n)).restrict(m)
         out = np.zeros((dimension, dimension))
         for q in range(1, m + 1):
-            block = entry_perm(b, sigma_hat, a, q)
+            block = coset_image(phi, b, sigma_hat, a, q)
             if a == q:
                 block = d * block
             out[(b - 1) * w:b * w, (q - 1) * w:q * w] = block
@@ -219,14 +203,13 @@ def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
     return AlgebraIrrep("S", nu, n, d, psi.dim, None, image_fn)
 
 
-def all_irreps(n: int, d: int, basis: str = "f") -> list[AlgebraIrrep]:
-    """Every irrep of the algebra at (n, d), M blocks first."""
+def all_irreps(n: int, d: int) -> list[AlgebraIrrep]:
+    """Every irrep of the algebra at (n, d), M blocks first (reduced basis)."""
     if n == 2:
         _report, irreps = n2_special_case(d)
         return irreps
-    make_m = irrep_M_f if basis == "f" else irrep_M_e
     out = [
-        make_m(alpha, d, n)
+        irrep_M_f(alpha, d, n)
         for alpha in partitions_of(n - 2)
         if alpha.height <= d
     ]

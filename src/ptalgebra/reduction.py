@@ -24,19 +24,12 @@ class ReducedBasis:
     rank: int
     eigenvalues: np.ndarray          # descending by magnitude of survival; nulls last
     z: np.ndarray                    # columns are eigenvectors, survivors first
-    surviving: list[int]             # indices into eigenvalues/z columns, 0-based
     y: dict[tuple[int, int], object]  # all (s, r) pairs, 1-based indices
     f: dict[tuple[int, int], object]  # surviving pairs only
 
-    def y_element(self, s: int, r: int):
-        return self.y[(s, r)]
 
-    def f_element(self, s: int, r: int):
-        return self.f[(s, r)]
-
-
-def xa_reduce(generators: dict[tuple[int, int], object], a_matrix: np.ndarray,
-              null_tol: float | None = None) -> ReducedBasis:
+def xa_reduce(generators: dict[tuple[int, int], object],
+              a_matrix: np.ndarray) -> ReducedBasis:
     """Reduce a family with x_ij x_kl = A_jk x_il to matrix units.
 
     ``generators`` maps 1-based (i, j) pairs to elements.  A must be
@@ -56,7 +49,7 @@ def xa_reduce(generators: dict[tuple[int, int], object], a_matrix: np.ndarray,
     eigenvalues, z = np.linalg.eigh(a_matrix)
 
     scale = max(np.abs(eigenvalues).max(), 1.0)
-    tol = null_tol if null_tol is not None else 1e-7 * scale
+    tol = 1e-7 * scale
     nulls = np.abs(eigenvalues) < tol
     if (eigenvalues < -tol).any():
         raise ValueError(
@@ -94,7 +87,6 @@ def xa_reduce(generators: dict[tuple[int, int], object], a_matrix: np.ndarray,
         rank=rank,
         eigenvalues=eigenvalues,
         z=z,
-        surviving=list(range(rank)),
         y=y,
         f=f,
     )

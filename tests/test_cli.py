@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldens
+from ptalgebra import cli
 from ptalgebra.checks import CheckReport
 from ptalgebra.cli import build_mul_table, main
 from ptalgebra.dpoly import DPoly
@@ -168,7 +169,7 @@ def test_verify_command_passes_and_exit_codes():
     assert result.exit_code == 0
     reports = json.loads(result.output)
     assert all(r["passed"] for r in reports)
-    # impossible tolerance forces failures, counted in the exit code
+    # a loose tolerance keeps passing checks passing
     result = run("verify", "--n", "3", "--d", "2", "--suite", "dims",
                  "--tol", "1e300")
     assert result.exit_code == 0
@@ -177,6 +178,17 @@ def test_verify_command_passes_and_exit_codes():
     result = run("verify", "--n", "3", "--d", "2", "--suite", "irreps",
                  "--tol", "1e-300")
     assert result.exit_code > 0
+
+
+def test_verify_tol_cannot_pass_a_failed_check(monkeypatch):
+    # structural checks report residual 1.0 when they fail; a tolerance
+    # above it must not turn the FAIL into a PASS
+    failed = CheckReport("dimensions", {"n": 3, "d": 2}, False, 1.0, "broken")
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [failed])
+    result = run("verify", "--n", "3", "--d", "2", "--suite", "dims",
+                 "--tol", "2")
+    assert result.exit_code == 1
+    assert "[FAIL] dimensions" in result.output
 
 
 def test_verify_text_output():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goldens import q_n3, q_n4_id, q_n4_sgn, z_n3
+from reference_z import reference_z_matrix
 from ptalgebra.dpoly import DPoly
 from ptalgebra.induced import (InducedRep, SpectralQ, eigenvalues_closed_form,
                                q_matrix, q_matrix_poly, q_via_induced,
@@ -64,6 +65,26 @@ def test_q_poly_golden():
     for d in (2, 3, 7):
         evaluated = np.array([[c(d) for c in row] for row in poly_sgn])
         assert np.array_equal(evaluated, q_matrix(Partition([1, 1]), d, 4))
+
+
+def test_q_blocks_are_the_coset_word():
+    # Q's (a, b) block is phi[(a m)(a b)(b m)] (times d on the diagonal),
+    # read bit for bit from the cached images of phi
+    for n in (3, 4, 5, 6):
+        m = n - 1
+        for alpha in partitions_of(n - 2):
+            phi = irrep(alpha)
+            w = phi.dim
+            q = q_matrix(alpha, 3, n)
+            for a in range(1, n):
+                for b in range(1, n):
+                    tau = (Permutation.transposition(m, a, m)
+                           * Permutation.transposition(m, a, b)
+                           * Permutation.transposition(m, b, m))
+                    block = phi.image(tau.restrict(m - 1))
+                    expected = 3 * block if a == b else block
+                    assert np.array_equal(
+                        q[(a - 1) * w:a * w, (b - 1) * w:b * w], expected)
 
 
 def test_q_is_symmetric():
@@ -213,3 +234,31 @@ def test_spectral_q_record_and_roundtrip():
     assert back.theta == record.theta
     assert np.abs(back.matrix - record.matrix).max() < 1e-15
     assert back.eigenpairs == record.eigenpairs
+
+
+@pytest.mark.parametrize("alpha,n", [
+    (alpha, n) for n in range(2, 7) for alpha in partitions_of(n - 2)
+] + [(Partition([3, 2]), 7), (Partition([2, 2, 1]), 7)], ids=str)
+def test_z_matches_the_projector_reference(alpha, n):
+    z, labels = z_matrix(alpha, n)
+    z_ref, labels_ref = reference_z_matrix(alpha, n)
+    assert labels == labels_ref
+    assert np.abs(z - z_ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", partitions_of(6), ids=str)
+def test_z_diagonalizes_q_at_n8(alpha):
+    # beyond the reference's reach: (n-1)! = 5040 terms per column
+    n = 8
+    z, labels = z_matrix(alpha, n)
+    assert [nu for nu, j in labels if j == 1] == [nu for nu, _r, _e in add_box(alpha)]
+    assert np.abs(z.T @ z - np.eye(z.shape[0])).max() < 1e-12
+    for d in (2, 3):
+        lam_of = dict((nu, l) for nu, l, _m in eigenvalues_closed_form(alpha, d, n))
+        diag = np.array([lam_of[nu] for nu, _j in labels])
+        assert np.abs(z.T @ q_matrix(alpha, d, n) @ z - np.diag(diag)).max() < 1e-10
+
+
+def test_z_rejects_a_wrong_weight():
+    with pytest.raises(ValueError):
+        z_matrix(Partition([2]), 5)
