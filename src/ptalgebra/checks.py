@@ -1,11 +1,15 @@
 """Verification suites: every abstract-layer claim against the oracle.
 
 Each check returns a report record {check, params, passed, max_residual,
-details}; the CLI turns failures into a nonzero exit code.
+tol, details}; the CLI turns failures into a nonzero exit code.  A check
+that fails names its worst block (generator pair, u label, left factor)
+in ``details``.  Checks build operator families with the oracle's stacks
+and never branch on how the oracle stores them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +19,8 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
 from .irreps import (algebra_dimension_formula, all_irreps, rank_of_q,
                      structure_report, unit_of_M)
-from .oracle import (SizeCapError, element_operator, identity_operator,
+from .oracle import (OperatorStack, SizeCapError, element_operator,
+                     generator_stack, gram_matrix, identity_operator,
                      matrix_operators_E, perm_operator, span_dimension,
                      transposed_perm_operator)
 from .partitions import Partition, partitions_of
@@ -25,17 +30,22 @@ from .yor import multiplicity_in_V
 
 HOM_TOL = 1e-8
 ORACLE_TOL = 1e-10
+ASSOCIATIVITY_TOL = 1e-9
 SPECTRA_TOL = 1e-8
 APPC_TOL = 1e-9
 
 
 @dataclass
 class CheckReport:
+    """One check's verdict: ``passed`` is ``max_residual < tol``, except
+    where ``tol`` is None (an exact structural comparison)."""
+
     check: str
     params: dict
     passed: bool
     max_residual: float
     details: str = ""
+    tol: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -43,6 +53,7 @@ class CheckReport:
             "params": self.params,
             "passed": self.passed,
             "max_residual": self.max_residual,
+            "tol": self.tol,
             "details": self.details,
         }
 
@@ -54,32 +65,48 @@ class CheckReport:
             passed=data["passed"],
             max_residual=data["max_residual"],
             details=data["details"],
+            tol=data["tol"],
         )
 
 
 def _report(check: str, params: dict, residual: float, tol: float,
-            details: str = "") -> CheckReport:
-    return CheckReport(check, params, bool(residual < tol), float(residual), details)
+            details: str = "", culprit: str = "") -> CheckReport:
+    """A report judged by residual < tol; a failure names its worst block."""
+    passed = bool(residual < tol)
+    if not passed and culprit:
+        details = f"worst at {culprit}" + (f"; {details}" if details else "")
+    return CheckReport(check, params, passed, float(residual), details, tol)
+
+
+def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The largest residual and its position."""
+    where = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return float(residuals[where]), tuple(int(k) for k in where)
 
 
 # -- multiplication law ---------------------------------------------------
 
 
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """Every generator pair: the abstract product equals the operator product."""
+    """Every generator pair: the abstract product equals the operator product.
+
+    One row per left factor sigma: ``mul_generators`` gives
+    W(sigma) W(rho) = d^power W(tau) for every rho, and the generator
+    stack checks the whole row with one product and one gather.
+    """
     perms = list(Permutation.all(n))
     images = image_array(n)
-    ops = [transposed_perm_operator(s, d, n, cap) for s in perms]
-    worst, culprit = 0.0, ""
-    for s, left in enumerate(ops):
-        powers, products = mul_generators(images[s], images)
-        for r, (power, index) in enumerate(
-                zip(powers.tolist(), lehmer_rank(products).tolist())):
-            residual = (left @ ops[r]).distance((d**power) * ops[index])
-            if residual > worst:
-                worst, culprit = residual, f"{perms[s]} * {perms[r]}"
+    family = generator_stack(n, d, transposed=True, cap=cap)
+
+    def rows():
+        for sigma, image in zip(perms, images):
+            powers, products = mul_generators(image, images)
+            yield (transposed_perm_operator(sigma, d, n, cap),
+                   lehmer_rank(products)[:, None], (d**powers)[:, None])
+
+    worst, (s, r) = _worst(family.action_residuals(rows()))
     return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL,
-                   f"worst pair {culprit}" if worst else "")
+                   culprit=f"{perms[s]} * {perms[r]}")
 
 
 def check_associativity(n: int, d: int, triples: int = 200,
@@ -95,7 +122,38 @@ def check_associativity(n: int, d: int, triples: int = 200,
         left = element_operator((x * y) * z, cap)
         right = element_operator(x * (y * z), cap)
         worst = max(worst, left.distance(right))
-    return _report("associativity", {"n": n, "d": d, "triples": triples}, worst, 1e-9)
+    return _report("associativity", {"n": n, "d": d, "triples": triples}, worst,
+                   ASSOCIATIVITY_TOL)
+
+
+def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):
+    """The u operators of alpha and their labels (a, b, i, j), 1-based, in
+    lexicographic order: label (a, b, i, j) is block
+    ((a-1)(n-1) + b-1) w^2 + (i-1) w + j-1."""
+    m, w = ctx.n - 1, alpha.hook_dimension()
+    labels = list(itertools.product(range(1, m + 1), range(1, m + 1),
+                                    range(1, w + 1), range(1, w + 1)))
+    ops = [element_operator(u_element(alpha, *label, ctx), cap) for label in labels]
+    return OperatorStack.of(ops), labels
+
+
+def _left_action(sigma: Permutation, p: int, d: int
+                 ) -> tuple[int, float, Permutation]:
+    """(target, scale, tau) with W(sigma) u_ij^pq = scale sum_k phi_ki(tau)
+    u_kj^{target q}, for sigma in S(n) and tau in S(n-2)."""
+    n = sigma.degree
+    m = n - 1
+    if sigma.fixes_last():
+        sig = sigma.restrict(m)
+        target = sig(p)
+        tau = (Permutation.transposition(m, target, m) * sig
+               * Permutation.transposition(m, p, m))
+        return target, 1.0, tau.restrict(n - 2)
+    a, b = sigma.classify()
+    sigma_hat = (sigma * Permutation.transposition(n, a, n)).restrict(m)
+    tau = (Permutation.transposition(m, b, m) * sigma_hat
+           * Permutation.transposition(m, a, p) * Permutation.transposition(m, p, m))
+    return b, float(d) if a == p else 1.0, tau.restrict(n - 2)
 
 
 def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
@@ -104,99 +162,91 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
 
     Checks, through the oracle, the structure constants
     u_ij^ab(alpha) u_kl^pq(beta) = delta_ab Q_jk^bp(alpha) u_il^aq(alpha)
-    and the left-action rules for transposed and untransposed generators.
+    (one row per left u) and the left-action rules for transposed and
+    untransposed generators (one row per left sigma), each row a linear
+    combination of the u family itself.
     """
     ctx = AlgebraContext(n, d)
-    w_a, w_b = alpha.hook_dimension(), beta.hook_dimension()
-    m = n - 1
-    q_alpha = q_matrix(alpha, d, n)
-    u_ops_a = {}
-    u_ops_b = {}
-    for a in range(1, n):
-        for b in range(1, n):
-            for i in range(1, w_a + 1):
-                for j in range(1, w_a + 1):
-                    u_ops_a[(a, b, i, j)] = element_operator(
-                        u_element(alpha, a, b, i, j, ctx), cap)
-            for i in range(1, w_b + 1):
-                for j in range(1, w_b + 1):
-                    u_ops_b[(a, b, i, j)] = element_operator(
-                        u_element(beta, a, b, i, j, ctx), cap)
-
-    worst, culprit = 0.0, ""
+    m, w = n - 1, alpha.hook_dimension()
     same = alpha == beta
-    for (a, b, i, j), left in u_ops_a.items():
-        for (p, q, k, l), right in u_ops_b.items():
-            product = left @ right
-            if not same:
-                residual = product.max_abs()
+    u_a, labels_a = _u_stack(alpha, ctx, cap)
+    u_b, labels_b = (u_a, labels_a) if same else _u_stack(beta, ctx, cap)
+    # 0-based label columns of the right-hand family
+    p, q, k, l = np.array(labels_b).T - 1
+
+    def key(a, b, i, j):
+        return ((a * m + b) * w + i) * w + j
+
+    def product_rows():
+        q_alpha = q_matrix(alpha, d, n)
+        for s, (a, b, i, j) in enumerate(labels_a):
+            if same:
+                index = key(a - 1, q, i - 1, l)[:, None]
+                weights = q_alpha[(b - 1) * w + j - 1, p * w + k][:, None]
             else:
-                coeff = q_alpha[(b - 1) * w_a + (j - 1), (p - 1) * w_a + (k - 1)]
-                residual = product.distance(coeff * u_ops_a[(a, q, i, l)])
-            if residual > worst:
-                worst = residual
-                culprit = f"u^{a}{b}_{i}{j} * u^{p}{q}_{k}{l}"
+                index, weights = np.zeros((len(u_b), 0), int), np.zeros((len(u_b), 0))
+            yield u_a.op(s), index, weights
+
+    products = u_b.action_residuals(product_rows())
+    worst, (s, r) = _worst(products)
+    culprit = "u^{}{}_{}{} * u^{}{}_{}{}".format(*labels_a[s], *labels_b[r])
 
     if same:
+        perms = list(Permutation.all(n))
         phi = sym_irrep(alpha)
-        for sigma in Permutation.all(n):
-            if sigma.fixes_last():
-                sig = sigma.restrict(m)
-                for (p, q, i, j), right in u_ops_a.items():
-                    target = sig(p)
-                    tau = (Permutation.transposition(m, target, m) * sig
-                           * Permutation.transposition(m, p, m)).restrict(n - 2)
-                    acc = sum(
-                        phi.image(tau)[k - 1, i - 1] * u_ops_a[(target, q, k, j)]
-                        for k in range(1, w_a + 1)
-                    )
-                    residual = (transposed_perm_operator(sigma, d, n, cap) @ right
-                                ).distance(acc)
-                    worst = max(worst, residual)
-            else:
-                a, b = sigma.classify()
-                sigma_hat = (sigma * Permutation.transposition(n, a, n)).restrict(m)
-                for (p, q, i, j), right in u_ops_a.items():
-                    tau = (Permutation.transposition(m, b, m) * sigma_hat
-                           * Permutation.transposition(m, a, p)
-                           * Permutation.transposition(m, p, m)).restrict(n - 2)
-                    scale = float(d) if a == p else 1.0
-                    acc = sum(
-                        scale * phi.image(tau)[k - 1, i - 1] * u_ops_a[(b, q, k, j)]
-                        for k in range(1, w_a + 1)
-                    )
-                    residual = (transposed_perm_operator(sigma, d, n, cap) @ right
-                                ).distance(acc)
-                    worst = max(worst, residual)
+
+        def action_rows():
+            for sigma in perms:
+                terms = [_left_action(sigma, label, d) for label in range(1, n)]
+                targets, scales, taus = zip(*terms)
+                images = np.array([phi.image(tau) for tau in taus])
+                target = np.array(targets)[p] - 1
+                index = key(target[:, None], q[:, None], np.arange(w), l[:, None])
+                weights = np.array(scales)[p, None] * images[p, :, k]
+                yield transposed_perm_operator(sigma, d, n, cap), index, weights
+
+        actions = u_a.action_residuals(action_rows())
+        worst_action, (g, r) = _worst(actions)
+        if worst_action > worst:
+            worst = worst_action
+            culprit = "{} * u^{}{}_{}{}".format(perms[g], *labels_a[r])
 
     return _report(
         "u_structure",
         {"alpha": str(alpha), "beta": str(beta), "n": n, "d": d},
-        worst, HOM_TOL,
-        f"first violation near {culprit}" if worst >= HOM_TOL else "",
+        worst, HOM_TOL, culprit=culprit,
     )
 
 
 def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """e^2 = e, em = me = m on the main ideal, and M annihilates S."""
+    """e^2 = e, em = me = m on the main ideal, and M annihilates S(1 - e).
+
+    The generator stack gives e W(sigma) and W(sigma) e for every sigma at
+    once; one row per sigma in M checks W(sigma) s (1 - e) = 0 for every
+    generator s of S.
+    """
+    perms = list(Permutation.all(n))
     e_op = element_operator(unit_of_M(n, d), cap)
-    ident = identity_operator(n, d, cap)
-    worst = (e_op @ e_op).distance(e_op)
-    complement = ident - e_op
-    s_gens = []
-    for sigma in Permutation.all(n):
-        op = transposed_perm_operator(sigma, d, n, cap)
-        if sigma.fixes_last():
-            s_gens.append(op @ complement)
-        else:
-            worst = max(worst, (e_op @ op).distance(op), (op @ e_op).distance(op))
-    for sigma in Permutation.all(n):
-        if sigma.fixes_last():
-            continue
-        m_op = transposed_perm_operator(sigma, d, n, cap)
-        for s_gen in s_gens:
-            worst = max(worst, (m_op @ s_gen).max_abs())
-    return _report("unit_of_M", {"n": n, "d": d}, worst, HOM_TOL)
+    family = generator_stack(n, d, transposed=True, cap=cap)
+    fixes_last = image_array(n)[:, -1] == n - 1
+    in_m, in_s = np.flatnonzero(~fixes_last), np.flatnonzero(fixes_last)
+    worst, culprit = (e_op @ e_op).distance(e_op), "e * e"
+    for residuals, name in (
+            (family.left_mul(e_op).residuals(family), "e * {}"),
+            (family.right_mul(e_op).residuals(family), "{} * e")):
+        value, (g,) = _worst(residuals[in_m])
+        if value > worst:
+            worst, culprit = value, name.format(perms[in_m[g]])
+    complement = identity_operator(n, d, cap) - e_op
+    s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
+    empty = np.zeros((len(in_s), 0))
+    annihilated = s_part.action_residuals(
+        (transposed_perm_operator(perms[g], d, n, cap), empty.astype(int), empty)
+        for g in in_m)
+    value, (g, r) = _worst(annihilated)
+    if value > worst:
+        worst, culprit = value, f"{perms[in_m[g]]} * {perms[in_s[r]]}(1 - e)"
+    return _report("unit_of_M", {"n": n, "d": d}, worst, HOM_TOL, culprit=culprit)
 
 
 # -- spectra ---------------------------------------------------------------
@@ -255,12 +305,14 @@ def check_irreps(n: int, d: int) -> CheckReport:
     for rep, stack in zip(reps, stacks):
         if rep.kind == "S" and stack[transposed].any():
             return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                               f"kind-S block {rep.label} not exactly zero on M")
+                               f"kind-S block {rep.label} not exactly zero on M",
+                               HOM_TOL)
         if rep.kind == "M" and n >= 3:
             expected = rank_of_q(rep.label, d, n)
             if rep.dimension != expected:
                 return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                                   f"dimension {rep.dimension} != rank {expected}")
+                                   f"dimension {rep.dimension} != rank {expected}",
+                                   HOM_TOL)
     worst = 0.0
     for s, sigma in enumerate(images):
         powers, products = mul_generators(sigma, images)
@@ -290,20 +342,20 @@ def check_dimensions(n: int, d: int, with_oracle: bool = True,
     details = f"blocks {report.dim_M}+{report.dim_S} = formula {expected}"
     if with_oracle:
         try:
-            group = {s: perm_operator(s, d, n, cap) for s in Permutation.all(n)}
-            ops = [transposed_perm_operator(s, d, n, cap)
-                   for s in Permutation.all(n)]
+            plain = generator_stack(n, d, cap=cap)
+            transposed = generator_stack(n, d, transposed=True, cap=cap)
         except SizeCapError:
             details += "; oracle skipped (size cap)"
         else:
-            measured_t = span_dimension(ops)
-            plain = span_dimension(list(group.values()))
-            averaged = [op for mu in partitions_of(n)
-                        for op in matrix_operators_E(group, mu).values()]
+            group = list(Permutation.all(n))
+            measured_t = span_dimension(transposed)
+            plain_dim = span_dimension(plain)
+            averaged = OperatorStack.concat(
+                [matrix_operators_E(plain, mu, group) for mu in partitions_of(n)])
             e_span = span_dimension(averaged)
-            passed = (passed and measured_t == expected and plain == expected
+            passed = (passed and measured_t == expected and plain_dim == expected
                       and e_span == expected)
-            details += (f"; oracle transposed {measured_t}, plain {plain}, "
+            details += (f"; oracle transposed {measured_t}, plain {plain_dim}, "
                         f"averaged families {e_span}")
     return CheckReport("dimensions", {"n": n, "d": d}, passed,
                        0.0 if passed else 1.0, details)
@@ -317,65 +369,73 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
 
     Exercises the four claims: recovery of D(g) from the family, the
     orthogonality/multiplicity relation, the composition rule, and column
-    covariance.
+    covariance.  The families E^alpha are stacks of w^2 operators E_ij,
+    block (i-1) w + j-1; each claim is one product or one combination per
+    row.
     """
     m = n - 2
     if m < 1:
         raise ValueError("needs n >= 3")
-    group = {g: perm_operator(g.embed(n), d, n, cap) for g in Permutation.all(m)}
-    worst = 0.0
-    families = {}
-    for alpha in partitions_of(m):
-        families[alpha] = matrix_operators_E(group, alpha)
+    group = list(Permutation.all(m))
+    ranks = lehmer_rank(np.array([g.embed(n).images for g in group]) - 1)
+    images = generator_stack(n, d, cap=cap).combine(
+        ranks[:, None], np.ones((len(group), 1)))
+    alphas = list(partitions_of(m))
+    families = [matrix_operators_E(images, alpha, group) for alpha in alphas]
+    phis = [sym_irrep(alpha) for alpha in alphas]
+    # (alpha, i, j) of every block of the concatenated families, 1-based
+    labels = [(alpha, i, j) for alpha, phi in zip(alphas, phis)
+              for i in range(1, phi.dim + 1) for j in range(1, phi.dim + 1)]
 
-    # (I) D(g) = sum phi_ij(g) E_ij
-    for g, op in group.items():
-        acc = None
-        for alpha, family in families.items():
-            phi = sym_irrep(alpha)
-            mat = phi.image(g)
-            for (i, j), e_op in family.items():
-                term = mat[i - 1, j - 1] * e_op
-                acc = term if acc is None else acc + term
-        worst = max(worst, op.distance(acc))
+    def e_name(label):
+        alpha, i, j = label
+        return f"E^{alpha}_{i}{j}"
+
+    # (I) D(g) = sum phi_ij(g) E_ij, over every family at once
+    everything = OperatorStack.concat(families)
+    weights = np.array([np.concatenate([phi.image(g).ravel() for phi in phis])
+                        for g in group])
+    recovered = everything.combine(np.arange(len(labels)), weights)
+    worst, (g,) = _worst(recovered.residuals(images))
+    culprit = f"D({group[g]}) = sum phi_ij(g) E_ij"
 
     # (II) orthogonality with the multiplicity as norm; here D restricted to
     # S(n-2) contains each alpha with multiplicity d^2 * (its multiplicity
     # in the action on n-2 factors).
-    flat = [(alpha, ij, op) for alpha, family in families.items()
-            for ij, op in family.items()]
-    for idx, (alpha, (i, j), left) in enumerate(flat):
-        k_alpha = (d * d * multiplicity_in_V(alpha, d)
-                   if alpha.height <= d else 0)
-        for beta, (k, l), right in flat:
-            inner = (left.adjoint() @ right).trace()
-            expected = float(k_alpha) if (alpha == beta and (i, j) == (k, l)) else 0.0
-            worst = max(worst, abs(inner - expected))
+    norms = [float(d * d * multiplicity_in_V(alpha, d)) if alpha.height <= d
+             else 0.0 for alpha, _i, _j in labels]
+    value, (r, c) = _worst(np.abs(gram_matrix(everything) - np.diag(norms)))
+    if value > worst:
+        worst, culprit = value, f"<{e_name(labels[r])}, {e_name(labels[c])}>"
 
-    # (III) composition rule within a family
-    for alpha, family in families.items():
-        w = sym_irrep(alpha).dim
-        for (i, j), left in family.items():
-            for (k, l), right in family.items():
-                expected = family[(i, l)] if j == k else None
-                product = left @ right
-                residual = (product.distance(expected) if expected is not None
-                            else product.max_abs())
-                worst = max(worst, residual)
+    for alpha, phi, family in zip(alphas, phis, families):
+        w = phi.dim
+        i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
 
-    # (IV) covariance: D(h) E_ij = sum_k phi_ki(h) E_kj
-    for alpha, family in families.items():
-        phi = sym_irrep(alpha)
-        for h, h_op in group.items():
-            mat = phi.image(h)
-            for (i, j), e_op in family.items():
-                acc = None
-                for k in range(1, phi.dim + 1):
-                    term = mat[k - 1, i - 1] * family[(k, j)]
-                    acc = term if acc is None else acc + term
-                worst = max(worst, (h_op @ e_op).distance(acc))
+        def composition_rows():
+            # E_ij E_kl = delta_jk E_il
+            for s in range(w * w):
+                hit = (i == j[s])[:, None]
+                yield family.op(s), (i[s] * w + j)[:, None] * hit, hit * 1.0
 
-    return _report("matrix_operators", {"n": n, "d": d}, worst, APPC_TOL)
+        def covariance_rows():
+            # D(h) E_ij = sum_k phi_ki(h) E_kj
+            for h in group:
+                index = np.arange(w)[None, :] * w + j[:, None]
+                yield (perm_operator(h.embed(n), d, n, cap), index,
+                       phi.image(h)[:, i].T)
+
+        value, (s, r) = _worst(family.action_residuals(composition_rows()))
+        if value > worst:
+            worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
+                                     f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
+        value, (h, r) = _worst(family.action_residuals(covariance_rows()))
+        if value > worst:
+            worst, culprit = value, (f"D({group[h]}) "
+                                     f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
+
+    return _report("matrix_operators", {"n": n, "d": d}, worst, APPC_TOL,
+                   culprit=culprit)
 
 
 def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckReport:

@@ -319,18 +319,23 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     if tol is not None:
         for report in reports:
             report.passed = report.passed and report.max_residual < tol
+            # an exact comparison (tol None) reads 0 or 1, which no tol changes
+            if report.tol is not None:
+                report.tol = min(report.tol, tol)
     failures = sum(not r.passed for r in reports)
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in reports]))
     elif fmt == "csv":
-        _emit_csv(["check", "passed", "max_residual", "details"],
-                  [[r.check, str(r.passed), f"{r.max_residual:.3e}", r.details]
+        _emit_csv(["check", "passed", "max_residual", "tol", "details"],
+                  [[r.check, str(r.passed), f"{r.max_residual:.3e}",
+                    "" if r.tol is None else f"{r.tol:g}", r.details]
                    for r in reports])
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             click.echo(f"[{status}] {r.check} {r.params} "
                        f"residual {r.max_residual:.3e}"
+                       + ("" if r.tol is None else f" tol {r.tol:g}")
                        + (f" ({r.details})" if r.details else ""))
         click.echo(f"{len(reports) - failures}/{len(reports)} checks passed")
     sys.exit(failures)

@@ -307,10 +307,9 @@ def structure_report(n: int, d: int, with_oracle: bool = False,
 
 
 def _measure_span(n: int, d: int, cap: int | None) -> int:
-    from .oracle import span_dimension, transposed_perm_operator
+    from .oracle import generator_stack, span_dimension
 
-    ops = [transposed_perm_operator(s, d, n, cap) for s in Permutation.all(n)]
-    return span_dimension(ops)
+    return span_dimension(generator_stack(n, d, transposed=True, cap=cap))
 
 
 def n2_special_case(d: int) -> tuple[StructureReport, list[AlgebraIrrep]]:

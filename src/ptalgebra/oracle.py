@@ -9,11 +9,30 @@ is a float64 numpy array: at that size a product costs less than the
 bookkeeping of a sparse one.  Above it operators are scipy CSR matrices,
 because a dense product costs D^3 and the n! dense generators of
 (n, d) = (7, 2) alone would take 660 MB; with 64 the largest dense family
-is the 720 generators of (6, 2), 24 MB.  ``TensorOp`` hides the choice, and
-``scipy.sparse`` is imported only when a CSR operator is built.  Each
-generator operator W(sigma) and its partial transpose is built once per
-(sigma, d) and then shared (dense ones read-only); the size cap (default
-d^n <= 4096) is checked on every call, before the cache is consulted.
+is the 720 generators of (6, 2), 24 MB.  ``TensorOp`` (one operator) and
+``OperatorStack`` (a family) hide the choice, and ``scipy.sparse`` is
+imported only when a CSR operator is built.  The size cap (default
+d^n <= 4096) is checked on every call, before any cache is consulted.
+
+An ``OperatorStack`` holds K operators as one ``(K, D, D)`` array on the
+dense side and as the D x K*D CSR block row [B_1 | ... | B_K] above it.
+Its operations are whole-family ones: A B_k (and B_k A) for every k in
+one product, linear combinations sum_i C[j, i] B_i (a gather and a scale
+when C is monomial, as in d^p W(tau)), per-block residuals
+max |X_k - Y_k|, and the Gram matrix.  ``action_residuals`` fuses them
+for claims of the form "A B_k = sum_i C[k, i] B_i for every k", one
+call per left factor A; it reuses two dense buffers for all rows because
+a fresh (K, D, D) array per row costs more than the work in it.
+The checks of the composition law, of the u structure constants and left
+actions, of the unit of M, and of the averaged matrix operators
+(``matrix_operators_E``, behind the dimension and appendix checks) all
+run on stacks, so ``checks`` never branches on the storage.
+
+``generator_stack`` gives W(sigma), or its partial transposes, for all of
+S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
+side that read-only stack is the generator cache: ``perm_operator`` and
+``transposed_perm_operator`` return cached ``TensorOp`` views into it.
+On the CSR side each generator is built once per (sigma, d) on its own.
 
 Basis vectors are flattened big-endian: factor 1 is the most significant
 digit, so the partial transpose acts on the least significant one.
@@ -30,7 +49,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .partitions import Partition
-from .permutations import Permutation
+from .permutations import Permutation, image_array
 from .yor import SymmetricGroupIrrep
 
 if TYPE_CHECKING:
@@ -39,8 +58,10 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 4096
 CAP_ENV_VAR = "PTALGEBRA_CAP"
 DENSE_MAX_DIM = 64
-# Both generator families of S(6), so every dense (n, d) stays cached whole.
+# CSR generators: both families of S(6), so every (n, d) stays cached whole.
 GENERATOR_CACHE_SIZE = 2 * 720
+# Generator stacks, plain and transposed: dense at most 24 MB each ((6, 2)).
+FAMILY_CACHE_SIZE = 8
 
 
 class SizeCapError(ValueError):
@@ -142,6 +163,180 @@ class TensorOp:
             raise ValueError("operator shape mismatch")
 
 
+class OperatorStack:
+    """K operators B_1..B_K on (C^d)^{tensor n}, held as one array.
+
+    ``data`` is a float64 ``(K, D, D)`` ndarray when D = d^n <= DENSE_MAX_DIM
+    and the D x K*D CSR block row [B_1 | ... | B_K] above, so one product
+    or one gather covers the whole family.  Methods return new stacks and
+    never write to ``data``.
+    """
+
+    def __init__(self, n: int, d: int, data):
+        self.n, self.d, self.data = n, d, data
+        self.dim = d**n
+        self.size = (data.shape[0] if isinstance(data, np.ndarray)
+                     else data.shape[1] // self.dim)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _new(self, data) -> "OperatorStack":
+        if not isinstance(data, np.ndarray):
+            data = data.tocsr()
+        return OperatorStack(self.n, self.d, data)
+
+    @staticmethod
+    def of(ops: list[TensorOp]) -> "OperatorStack":
+        """The stack of the given operators, in order (copied)."""
+        first = ops[0]
+        if isinstance(first.matrix, np.ndarray):
+            data = np.stack([op.matrix for op in ops])
+        else:
+            data = _sparse().hstack([op.matrix for op in ops], format="csr")
+        return OperatorStack(first.n, first.d, data)
+
+    @staticmethod
+    def concat(stacks: list["OperatorStack"]) -> "OperatorStack":
+        first = stacks[0]
+        if isinstance(first.data, np.ndarray):
+            data = np.concatenate([s.data for s in stacks])
+        else:
+            data = _sparse().hstack([s.data for s in stacks], format="csr")
+        return OperatorStack(first.n, first.d, data)
+
+    def op(self, k: int) -> TensorOp:
+        """B_k as a TensorOp; on the dense side a view, read-only if the stack is."""
+        if isinstance(self.data, np.ndarray):
+            return TensorOp(self.n, self.d, self.data[k])
+        return TensorOp(self.n, self.d,
+                        self.data[:, k * self.dim:(k + 1) * self.dim].tocsr())
+
+    def left_mul(self, a: TensorOp) -> "OperatorStack":
+        """A B_k for every k."""
+        if isinstance(self.data, np.ndarray):
+            return self._new(np.matmul(a.matrix, self.data))
+        return self._new(a.matrix @ self.data)
+
+    def right_mul(self, a: TensorOp) -> "OperatorStack":
+        """B_k A for every k."""
+        if isinstance(self.data, np.ndarray):
+            return self._new(np.matmul(self.data, a.matrix))
+        sp = _sparse()
+        return self._new(self.data @ sp.kron(sp.identity(self.size), a.matrix,
+                                             format="csr"))
+
+    def combine(self, index, weights) -> "OperatorStack":
+        """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]].
+
+        ``weights`` is ``(J, m)``: row j lists the coefficients of C_j, and
+        ``index`` their blocks, either per row ``(J, m)`` or
+        shared by every row ``(m,)``.  Terms are added in t order.  The
+        gather-and-scale d^p W(tau) is the case m = 1; a dense coefficient
+        matrix C is ``combine(arange(K), C)``.
+        """
+        index, weights = np.asarray(index), np.asarray(weights, dtype=float)
+        if isinstance(self.data, np.ndarray):
+            out = np.zeros((weights.shape[0],) + self.data.shape[1:])
+            _accumulate(out, self.data, index, weights, np.empty_like(out))
+            return self._new(out)
+        return self._new(self.data @ self._combination(index, weights))
+
+    def residuals(self, other: "OperatorStack | None" = None) -> np.ndarray:
+        """max |X_k - Y_k| for every block k (against zero without ``other``)."""
+        if other is None:
+            diff = self.data.copy()
+        else:
+            diff = self.data - other.data
+        return self._block_max(diff)
+
+    def action_residuals(self, rows) -> np.ndarray:
+        """Residuals of left actions on the stack, one row per action.
+
+        ``rows`` yields ``(a, index, weights)``: an operator A and a claim
+        A B_k = sum_t weights[k, t] B[index[k, t]] for every k, in the form
+        of ``combine``.  Returns the ``(R, K)`` array of
+        max |A B_k - sum_t weights[k, t] B[index[k, t]]|.  On the dense
+        side every row reuses the same two ``(K, D, D)`` buffers, because a
+        fresh array of that size per row costs more than the work in it.
+        """
+        out = []
+        if isinstance(self.data, np.ndarray):
+            product, scratch = np.empty_like(self.data), np.empty_like(self.data)
+            for a, index, weights in rows:
+                np.matmul(a.matrix, self.data, out=product)
+                _accumulate(product, self.data, np.asarray(index),
+                            np.asarray(weights, dtype=float), scratch,
+                            subtract=True)
+                out.append(self._block_max(product))
+        else:
+            for a, index, weights in rows:
+                out.append(self._block_max(
+                    a.matrix @ self.data - self.data @ self._combination(
+                        np.asarray(index), np.asarray(weights, dtype=float))))
+        return np.array(out).reshape(len(out), self.size)
+
+    def gram(self) -> np.ndarray:
+        """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k)."""
+        if isinstance(self.data, np.ndarray):
+            flat = self.data.reshape(self.size, self.dim * self.dim)
+            return flat @ flat.T
+        # G = V^T V, where V has one row per position (r, c) that some block
+        # occupies and one column per block, built by sorting the entries of
+        # the block row by position: no array of size D^2 is ever made.
+        dim, data = self.dim, self.data
+        block, col = np.divmod(data.indices, dim)
+        row = np.repeat(np.arange(dim, dtype=np.int64), np.diff(data.indptr))
+        position = row * dim + col
+        order = np.argsort(position)
+        position = position[order]
+        starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
+        v = _sparse().csr_matrix(
+            (data.data[order], block[order], np.r_[starts, position.size]),
+            shape=(starts.size, self.size))
+        return (v.T @ v).toarray()
+
+    def _combination(self, index: np.ndarray, weights: np.ndarray):
+        """The K*D x J*D CSR matrix that maps the block row to
+        [C_1 | ... | C_J] by right multiplication (see ``combine``)."""
+        dim = self.dim
+        index = np.broadcast_to(index, weights.shape)
+        row, term = np.nonzero(weights)
+        shift = np.arange(dim)
+        return _sparse().csr_matrix(
+            (np.repeat(weights[row, term], dim),
+             ((index[row, term][:, None] * dim + shift).ravel(),
+              (row[:, None] * dim + shift).ravel())),
+            shape=(self.size * dim, weights.shape[0] * dim))
+
+    def _block_max(self, diff) -> np.ndarray:
+        """max |entry| of every block of a difference the stack may overwrite."""
+        if isinstance(diff, np.ndarray):
+            np.abs(diff, out=diff)
+            return diff.reshape(len(diff), -1).max(axis=1, initial=0.0)
+        diff = diff.tocsr()
+        out = np.zeros(diff.shape[1] // self.dim)
+        np.maximum.at(out, diff.indices // self.dim, np.abs(diff.data))
+        return out
+
+
+def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
+                weights: np.ndarray, scratch: np.ndarray, subtract: bool = False):
+    """Add (or subtract) sum_t weights[j, t] data[index[.., t]] into out[j],
+    one term t at a time, through ``scratch``."""
+    for t in range(weights.shape[1]):
+        scale = weights[:, t, None, None]
+        if index.ndim == 1:
+            np.multiply(scale, data[index[t]], out=scratch)
+        else:
+            np.take(data, index[:, t], axis=0, out=scratch)
+            scratch *= scale
+        if subtract:
+            out -= scratch
+        else:
+            out += scratch
+
+
 def _from_entries(n: int, d: int, rows: np.ndarray, cols: np.ndarray,
                   values: np.ndarray) -> TensorOp:
     """Store the operator with the given nonzero entries in the format for d^n."""
@@ -160,39 +355,80 @@ def _transpose_last_indices(rows: np.ndarray, cols: np.ndarray,
     return rows - r_low + c_low, cols - c_low + r_low
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
-    """W(sigma), or its partial transpose, built from its d^n unit entries."""
-    n = sigma.degree
+def _generator_entries(images: np.ndarray, d: int,
+                       transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the d^n unit entries of W(sigma), or of its
+    partial transpose, for each row sigma of a ``(K, n)`` array of 0-based
+    images: two ``(K, d^n)`` arrays."""
+    count, n = images.shape
     dim = d**n
     # Indices in the type CSR stores: int64 temporaries interleaved with the
     # stored arrays fragment the heap, about 12 MB of extra peak memory for
     # the 720 generators of (n, d) = (6, 4).
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    index = np.int32 if count * dim <= np.iinfo(np.int32).max else np.int64
     cols = np.arange(dim, dtype=index)
     digits = np.empty((n, dim), dtype=index)
     rest = cols
     for k in range(n - 1, -1, -1):
         digits[k] = rest % d
         rest = rest // d
-    inv = sigma.inverse()
-    rows = np.zeros(dim, dtype=index)
-    for k in range(1, n + 1):
-        rows = rows * d + digits[inv(k) - 1]
+    inverse = np.argsort(images, axis=1)  # 0-based sigma^-1
+    rows = np.zeros((count, dim), dtype=index)
+    for k in range(n):
+        rows = rows * d + digits[inverse[:, k]]
+    cols = np.broadcast_to(cols, rows.shape)
     if transposed:
         rows, cols = _transpose_last_indices(rows, cols, d)
-    op = _from_entries(n, d, rows, cols, np.ones(dim))
-    if isinstance(op.matrix, np.ndarray):
-        op.matrix.flags.writeable = False
-    return op
+    return rows, cols
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _family(n: int, d: int, transposed: bool
+            ) -> tuple["OperatorStack", dict[Permutation, TensorOp]]:
+    """All of W(S(n)), or all their partial transposes, in ``Permutation.all``
+    order, and on the dense side the read-only ``TensorOp`` view of each
+    block by sigma, cached with the stack so that the two never part."""
+    dim = d**n
+    rows, cols = _generator_entries(image_array(n), d, transposed)
+    count = rows.shape[0]
+    if not _is_dense(dim):
+        offset = np.arange(count, dtype=rows.dtype)[:, None] * dim
+        data = _sparse().csr_matrix(
+            (np.ones(rows.size), (rows.ravel(), (cols + offset).ravel())),
+            shape=(dim, count * dim))
+        return OperatorStack(n, d, data), {}
+    data = np.zeros((count, dim, dim))
+    data[np.arange(count)[:, None], rows, cols] = 1.0
+    data.flags.writeable = False
+    stack = OperatorStack(n, d, data)
+    return stack, {sigma: stack.op(k) for k, sigma in enumerate(Permutation.all(n))}
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _sparse_generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
+    """W(sigma), or its partial transpose, built from its d^n unit entries."""
+    rows, cols = _generator_entries(np.asarray(sigma.images)[None, :] - 1, d,
+                                    transposed)
+    return _from_entries(sigma.degree, d, rows[0], cols[0], np.ones(rows.shape[1]))
+
+
+def _generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
+    n = sigma.degree
+    if _is_dense(d**n):
+        return _family(n, d, transposed)[1][sigma]
+    return _sparse_generator(sigma, d, transposed)
 
 
 def _check_generator(sigma: Permutation, d: int, n: int | None, cap: int | None):
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if n is not None and sigma.degree != n:
         raise ValueError("degree mismatch")
-    _check_cap(d**sigma.degree, cap)
+    _check_family(sigma.degree, d, cap)
+
+
+def _check_family(n: int, d: int, cap: int | None):
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    _check_cap(d**n, cap)
 
 
 def perm_operator(sigma: Permutation, d: int, n: int | None = None,
@@ -219,6 +455,14 @@ def transposed_perm_operator(sigma: Permutation, d: int, n: int | None = None,
     """The partial transpose of ``perm_operator(sigma, d)`` on the last factor."""
     _check_generator(sigma, d, n, cap)
     return _generator(sigma, d, True)
+
+
+def generator_stack(n: int, d: int, transposed: bool = False,
+                    cap: int | None = None) -> "OperatorStack":
+    """W(sigma), or its partial transpose, for every sigma in S(n), in
+    ``Permutation.all`` order.  Shared and cached: never write to it."""
+    _check_family(n, d, cap)
+    return _family(n, d, transposed)[0]
 
 
 def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
@@ -251,20 +495,16 @@ def identity_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
 RANK_RTOL = 1e-8
 
 
-def gram_matrix(ops: list[TensorOp]) -> np.ndarray:
+def gram_matrix(ops: list[TensorOp] | OperatorStack) -> np.ndarray:
     """Hilbert-Schmidt Gram matrix <A,B> = tr(A^dagger B)."""
+    if isinstance(ops, OperatorStack):
+        return ops.gram()
     if not ops:
         return np.zeros((0, 0))
-    dim = ops[0].dim
-    if isinstance(ops[0].matrix, np.ndarray):
-        stacked = np.stack([op.matrix.reshape(dim * dim) for op in ops])
-        return (stacked.conj() @ stacked.T).real
-    sp = _sparse()
-    stacked = sp.vstack([op.matrix.conj().reshape(1, dim * dim) for op in ops]).tocsr()
-    return np.asarray((stacked @ stacked.conj().T).todense()).real
+    return OperatorStack.of(ops).gram()
 
 
-def span_dimension(ops: list[TensorOp]) -> int:
+def span_dimension(ops: list[TensorOp] | OperatorStack) -> int:
     """Numerical rank of the Gram matrix, relative threshold 1e-8."""
     gram = gram_matrix(ops)
     if gram.size == 0:
@@ -277,26 +517,35 @@ def span_dimension(ops: list[TensorOp]) -> int:
 
 
 def matrix_operators_E(
-    rep_images: dict[Permutation, TensorOp | np.ndarray],
+    rep_images: OperatorStack | dict[Permutation, TensorOp | np.ndarray],
     alpha: Partition,
-) -> dict[tuple[int, int], TensorOp | np.ndarray]:
+    group: list[Permutation] | None = None,
+) -> OperatorStack | dict[tuple[int, int], TensorOp | np.ndarray]:
     """Group-averaged matrix operators of an irrep inside a representation D.
 
     E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g).  The zero family is the
-    legitimate outcome when alpha does not occur in D.
+    legitimate outcome when alpha does not occur in D.  Given a stack whose
+    block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww;
+    given a mapping g -> D(g), a dict keyed (i, j) of the same kind of
+    values.  Either way each E_ij adds its terms in group order.
     """
-    group = list(rep_images)
+    if not isinstance(rep_images, OperatorStack):
+        group = list(rep_images)
     phi = SymmetricGroupIrrep(alpha)
-    inverse_images = [phi.image(g.inverse()) for g in group]
     w = phi.dim
-    scale = w / len(group)
-    out = {}
-    for i in range(1, w + 1):
-        for j in range(1, w + 1):
-            acc = None
-            for g, image in zip(group, inverse_images):
-                coeff = scale * image[j - 1, i - 1]
-                term = coeff * rep_images[g]
-                acc = term if acc is None else acc + term
-            out[(i, j)] = acc
-    return out
+    inverse_images = np.stack([phi.image(g.inverse()) for g in group])
+    # weights[(i, j), g] = (w/|G|) phi_ji(g^-1)
+    weights = (w / len(group)) * inverse_images.transpose(2, 1, 0).reshape(
+        w * w, len(group))
+    index = np.arange(len(group))
+    if isinstance(rep_images, OperatorStack):
+        return rep_images.combine(index, weights)
+    keys = [(i, j) for i in range(1, w + 1) for j in range(1, w + 1)]
+    images = list(rep_images.values())
+    if isinstance(images[0], TensorOp):
+        family = OperatorStack.of(images).combine(index, weights)
+        return {key: family.op(k) for k, key in enumerate(keys)}
+    stacked = np.stack(images)
+    out = np.zeros((w * w,) + stacked.shape[1:])
+    _accumulate(out, stacked, index, weights, np.empty_like(out))
+    return dict(zip(keys, out))

@@ -89,3 +89,114 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
     monkeypatch.setattr(checks, "all_irreps", broken)
     report = check_irreps(4, 2)
     assert report.passed is False and report.max_residual > 0.1
+
+
+# -- larger suites, exact where the oracle is exact ---------------------------
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3)])
+def test_run_suite_all_passes_with_exact_zeros(n, d):
+    reports = run_suite(n, d, "all")
+    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+    residual = {r.check: r.max_residual for r in reports}
+    for check in ("mul_rule", "associativity", "adjoint_transport", "dimensions"):
+        assert residual[check] == 0.0, check
+
+
+# -- tolerances ----------------------------------------------------------------
+
+
+def test_reports_carry_their_tolerance():
+    from ptalgebra import checks
+
+    expected = {"mul_rule": checks.ORACLE_TOL,
+                "associativity": checks.ASSOCIATIVITY_TOL,
+                "adjoint_transport": checks.ORACLE_TOL,
+                "spectra": checks.SPECTRA_TOL, "irreps": HOM_TOL,
+                "dimensions": None, "matrix_operators": checks.APPC_TOL,
+                "reduced_matrix_units": HOM_TOL, "u_structure": HOM_TOL,
+                "unit_of_M": HOM_TOL}
+    reports = run_suite(3, 2, "all")
+    assert {r.check: r.tol for r in reports} == expected
+    for report in reports:
+        record = report.to_dict()
+        assert record["tol"] == expected[report.check]
+        assert CheckReport.from_dict(json.loads(json.dumps(record))) == report
+
+
+# -- planted defects: a failure names its worst block --------------------------
+
+
+def _perturb(build, target):
+    """``build`` with the operator of ``target`` scaled by 1.5."""
+    def perturbed(sigma, *args, **kwargs):
+        op = build(sigma, *args, **kwargs)
+        return 1.5 * op if sigma == target else op
+    return perturbed
+
+
+def test_mul_rule_names_the_planted_pair(monkeypatch):
+    import ptalgebra.checks as checks
+    from ptalgebra.permutations import Permutation
+
+    planted = Permutation.from_cycles(3, [(1, 3)])
+    monkeypatch.setattr(checks, "transposed_perm_operator",
+                        _perturb(checks.transposed_perm_operator, planted))
+    report = check_mul_rule(3, 2)
+    assert report.passed is False and report.max_residual >= 0.5
+    assert report.details.startswith(f"worst at {planted} * ")
+
+
+def test_u_structure_names_the_planted_left_action(monkeypatch):
+    import ptalgebra.checks as checks
+    from ptalgebra.permutations import Permutation
+
+    planted = Permutation.from_cycles(4, [(2, 4, 3)])
+    monkeypatch.setattr(checks, "transposed_perm_operator",
+                        _perturb(checks.transposed_perm_operator, planted))
+    report = check_u_structure(Partition([2]), Partition([2]), 4, 2)
+    assert report.passed is False
+    # the products of the u family are untouched; only the action row fails
+    assert report.details.startswith(f"worst at {planted} * u^")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
+    # W(sigma) + e R keeps e m = m but breaks m e = m, and W(sigma) + R e
+    # the other way round, so the culprit names the product that fails
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.irreps import unit_of_M
+    from ptalgebra.oracle import (OperatorStack, TensorOp, element_operator,
+                                  generator_stack)
+    from ptalgebra.permutations import Permutation
+
+    n, d = 4, 2
+    perms = list(Permutation.all(n))
+    planted = Permutation.from_cycles(n, [(1, 4)])
+    e_op = element_operator(unit_of_M(n, d))
+    noise = TensorOp(n, d, np.random.default_rng(0).standard_normal((d**n, d**n)))
+    family = generator_stack(n, d, transposed=True)
+    ops = [family.op(k) for k in range(len(family))]
+    k = perms.index(planted)
+    ops[k] = ops[k] + 0.5 * ((e_op @ noise) if side == "right" else (noise @ e_op))
+    monkeypatch.setattr(checks, "generator_stack",
+                        lambda *args, **kwargs: OperatorStack.of(ops))
+    report = check_unit_of_m(n, d)
+    assert report.passed is False
+    expected = f"{planted} * e" if side == "right" else f"e * {planted}"
+    assert report.details == f"worst at {expected}"
+
+
+def test_matrix_operators_names_the_planted_generator(monkeypatch):
+    import ptalgebra.checks as checks
+    from ptalgebra.permutations import Permutation
+
+    n, d = 4, 2
+    planted = Permutation.from_cycles(n - 2, [(1, 2)])
+    monkeypatch.setattr(checks, "perm_operator",
+                        _perturb(checks.perm_operator, planted.embed(n)))
+    report = check_matrix_operators(n, d)
+    assert report.passed is False
+    assert report.details.startswith(f"worst at D({planted}) E^"), report.details

@@ -281,3 +281,30 @@ def test_dims_suite_skips_the_oracle_above_the_cap():
     assert result.exit_code == 0
     [report] = json.loads(result.output)
     assert report["passed"] and "oracle skipped (size cap)" in report["details"]
+
+
+def test_verify_reports_the_tolerance_in_every_format():
+    records = json.loads(run("verify", "--n", "3", "--d", "2", "--suite", "all",
+                             "--format", "json").output)
+    tols = {r["check"]: r["tol"] for r in records}
+    assert tols["mul_rule"] == 1e-10 and tols["u_structure"] == 1e-8
+    assert tols["dimensions"] is None
+    lines = run("verify", "--n", "3", "--d", "2", "--suite", "mul",
+                "--format", "csv").output.splitlines()
+    assert lines[0] == "check,passed,max_residual,tol,details"
+    assert lines[1] == "mul_rule,True,0.000e+00,1e-10,"
+    text = run("verify", "--n", "3", "--d", "2", "--suite", "all").output
+    assert "[PASS] mul_rule {'n': 3, 'd': 2} residual 0.000e+00 tol 1e-10\n" in text
+    assert "residual 0.000e+00 (blocks" in text  # dimensions: no tolerance
+
+
+def test_verify_tol_reports_the_smaller_threshold():
+    def tols(tol):
+        records = json.loads(run("verify", "--n", "3", "--d", "2", "--suite", "all",
+                                 "--tol", tol, "--format", "json").output)
+        return {r["check"]: r["tol"] for r in records}
+
+    tight, loose = tols("1e-12"), tols("1")
+    assert tight["mul_rule"] == 1e-12 and tight["irreps"] == 1e-12
+    assert loose["mul_rule"] == 1e-10 and loose["irreps"] == 1e-8
+    assert tight["dimensions"] is None and loose["dimensions"] is None
