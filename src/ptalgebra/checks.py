@@ -111,19 +111,24 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
 
 def check_associativity(n: int, d: int, triples: int = 200,
                         seed: int = 0, cap: int | None = None) -> CheckReport:
-    """Random generator triples associate after mapping through the oracle."""
-    rng = np.random.default_rng(seed)
-    perms = list(Permutation.all(n))
-    ctx = AlgebraContext(n, d)
-    worst = 0.0
-    for _ in range(triples):
-        x, y, z = (AlgebraElement.generator(ctx, perms[rng.integers(len(perms))])
-                   for _ in range(3))
-        left = element_operator((x * y) * z, cap)
-        right = element_operator(x * (y * z), cap)
-        worst = max(worst, left.distance(right))
+    """Random generator triples associate after mapping through the oracle.
+
+    Four ``mul_generators`` calls on the stacked triples give both
+    bracketings, (xy)z = d^p W(tau_L) and x(yz) = d^p' W(tau_R); each side
+    is then one gather of the generator stack.
+    """
+    images = image_array(n)
+    picks = np.random.default_rng(seed).integers(len(images), size=(triples, 3))
+    x, y, z = (images[picks[:, k]] for k in range(3))
+    (p_xy, xy), (p_yz, yz) = mul_generators(x, y), mul_generators(y, z)
+    (p_l, tau_l), (p_r, tau_r) = mul_generators(xy, z), mul_generators(x, yz)
+    family = generator_stack(n, d, transposed=True, cap=cap)
+    left = family.combine(lehmer_rank(tau_l)[:, None], (d ** (p_xy + p_l))[:, None])
+    right = family.combine(lehmer_rank(tau_r)[:, None], (d ** (p_yz + p_r))[:, None])
+    worst, (t,) = _worst(left.residuals(right))
+    culprit = " * ".join(str(Permutation((images[k] + 1).tolist())) for k in picks[t])
     return _report("associativity", {"n": n, "d": d, "triples": triples}, worst,
-                   ASSOCIATIVITY_TOL)
+                   ASSOCIATIVITY_TOL, culprit=culprit)
 
 
 def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):

@@ -3,17 +3,19 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import goldens
 from ptalgebra.algebra import mul_generators
 from ptalgebra.checks import (check_matrix_operators,
                               check_reduced_matrix_units)
-from ptalgebra.cli import build_mul_table
+from ptalgebra.cli import main
 from ptalgebra.dpoly import DPoly
 from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                                q_matrix_poly, z_matrix, zero_condition)
@@ -45,7 +47,8 @@ def _perm_of(code):
 def test_criterion_1_multiplication_table():
     with criterion(1, "symbolic 6x6 product table"):
         start = time.perf_counter()
-        table = build_mul_table(3, None)
+        table = json.loads(CliRunner().invoke(
+            main, ["mul-table", "--n", "3", "--symbolic", "--format", "json"]).output)
         order = [Permutation.parse(s) for s in table["order"]]
         cells = {}
         for i, sigma in enumerate(order):

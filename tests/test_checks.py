@@ -147,6 +147,32 @@ def test_mul_rule_names_the_planted_pair(monkeypatch):
     assert report.details.startswith(f"worst at {planted} * ")
 
 
+def test_associativity_names_a_planted_non_associative_triple(monkeypatch):
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.permutations import Permutation
+
+    # a law that treats (1 2 4) as a right identity is not associative
+    real = checks.mul_generators
+    planted = np.array(Permutation.from_cycles(4, [(1, 2, 4)]).images) - 1
+
+    def broken(sigma, rho):
+        power, product = real(sigma, rho)
+        hit = (np.asarray(rho) == planted).all(axis=-1)
+        return (np.where(hit, 0, power),
+                np.where(hit[..., None], sigma, product))
+
+    monkeypatch.setattr(checks, "mul_generators", broken)
+    report = checks.check_associativity(4, 2)
+    assert report.passed is False and report.max_residual >= 1
+    x, y, z = (np.array(Permutation.parse(text, 4).images) - 1
+               for text in report.details.removeprefix("worst at ").split(" * "))
+    left = broken(broken(x, y)[1], z)[1]
+    right = broken(x, broken(y, z)[1])[1]
+    assert not np.array_equal(left, right)
+
+
 def test_u_structure_names_the_planted_left_action(monkeypatch):
     import ptalgebra.checks as checks
     from ptalgebra.permutations import Permutation

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldens
+from reference_law import reference_mul_generators
 from ptalgebra import cli
 from ptalgebra.checks import CheckReport
 from ptalgebra.cli import build_mul_table, main
@@ -51,8 +52,10 @@ def test_mul_table_n2():
 
 
 def test_mul_table_fixed_d_evaluates():
-    symbolic = build_mul_table(3, None)
-    fixed = build_mul_table(3, 2)
+    symbolic = json.loads(run("mul-table", "--n", "3", "--symbolic",
+                              "--format", "json").output)
+    fixed = json.loads(run("mul-table", "--n", "3", "--d", "2",
+                           "--format", "json").output)
     for row_s, row_f in zip(symbolic["entries"], fixed["entries"]):
         for cell_s, cell_f in zip(row_s, row_f):
             assert DPoly(cell_s["coeff"])(2) == cell_f["coeff"]
@@ -65,6 +68,53 @@ def test_mul_table_n5_symbolic_json_bytes_are_pinned():
     digest = hashlib.sha256(result.output.encode()).hexdigest()
     assert digest == (
         "6d2acaec2174139cef65a13f0e34392fd88f4beac5715c54c266f066f88d4c8d")
+
+
+def _digest(*args):
+    result = run(*args)
+    assert result.exit_code == 0
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+def test_mul_table_n6_json_bytes_are_pinned():
+    # the bytes of the per-cell dict builder that the integer table replaced
+    assert _digest("mul-table", "--n", "6", "--d", "2", "--format", "json") == (
+        "2bb312a217cd84fec2e5fb82ee5c2ff76fdf23fccb883029b9002a2d3f3148ca")
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("--symbolic",),
+     "91450dbecb242bb86215566cb65347f2bd1b174f7f6f61c43b81e25a82d716d6"),
+    (("--symbolic", "--format", "csv"),
+     "11cb60c034b0f281127f3b507791d553f93467e826c795a86ff1c4f732619df5"),
+    (("--d", "3"),
+     "257448a54a114f7a76ec58858e8567020539f12bbef45edc96349053e427ef24"),
+    (("--d", "3", "--format", "csv"),
+     "8e3d46ce6f36bf32b6586237c6367d4ae16153a99d90a8587d4be079ca7b83f6"),
+])
+def test_mul_table_n4_text_and_csv_bytes_are_pinned(args, digest):
+    assert _digest("mul-table", "--n", "4", *args) == digest
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mul_table_cells_follow_the_reference_law(n):
+    perms = list(Permutation.all(n))
+    size = len(perms)
+    position = {perm: k for k, perm in enumerate(perms)}
+    table = build_mul_table(n, 3)
+    assert table["order"] == [p.one_line_string() for p in perms]
+    assert table["coeffs"] == [1.0, 3.0]
+    assert table["cells"].shape == (size, size)
+    # every row up to n = 5, twelve seeded rows at n = 6
+    rows = (range(size) if n <= 5
+            else np.random.default_rng(6).choice(size, 12, replace=False))
+    for i in rows:
+        expected = [reference_mul_generators(perms[i], rho) for rho in perms]
+        assert table["cells"][i].tolist() == [
+            power * size + position[tau] for power, tau in expected]
+    symbolic = build_mul_table(n, None)
+    assert symbolic["coeffs"] == [DPoly([1]), DPoly.d()]
+    assert np.array_equal(symbolic["cells"], table["cells"])
 
 
 def test_mul_table_text_contains_cells():
@@ -189,6 +239,26 @@ def test_verify_tol_cannot_pass_a_failed_check(monkeypatch):
                  "--tol", "2")
     assert result.exit_code == 1
     assert "[FAIL] dimensions" in result.output
+
+
+def test_verify_exits_255_when_a_check_raises(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    result = run("verify", "--n", "3", "--d", "2", "--suite", "dims")
+    assert result.exit_code == cli.CRASH_EXIT == 255
+    assert "Traceback" in result.stderr
+    assert "RuntimeError: planted" in result.stderr
+
+
+def test_verify_failure_count_stops_below_the_crash_code(monkeypatch):
+    # 300 failures must not read as a crash (255) or wrap to 0 (256)
+    failed = CheckReport("dimensions", {"n": 3, "d": 2}, False, 1.0, "broken")
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [failed] * 300)
+    result = run("verify", "--n", "3", "--d", "2", "--suite", "dims")
+    assert result.exit_code == 254
+    assert "0/300 checks passed" in result.output
 
 
 def test_verify_text_output():
