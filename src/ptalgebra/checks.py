@@ -20,7 +20,7 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
 from .irreps import (algebra_dimension_formula, all_irreps, rank_of_q,
                      structure_report, unit_of_M)
 from .oracle import (OperatorStack, SizeCapError, element_operator,
-                     generator_stack, gram_matrix, identity_operator,
+                     element_stack, generator_stack, identity_operator,
                      matrix_operators_E, perm_operator, span_dimension,
                      transposed_perm_operator)
 from .partitions import Partition, partitions_of
@@ -57,17 +57,6 @@ class CheckReport:
             "details": self.details,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "CheckReport":
-        return CheckReport(
-            check=data["check"],
-            params=data["params"],
-            passed=data["passed"],
-            max_residual=data["max_residual"],
-            details=data["details"],
-            tol=data["tol"],
-        )
-
 
 def _report(check: str, params: dict, residual: float, tol: float,
             details: str = "", culprit: str = "") -> CheckReport:
@@ -79,7 +68,9 @@ def _report(check: str, params: dict, residual: float, tol: float,
 
 
 def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """The largest residual and its position."""
+    """The largest residual and its position (0 at the origin when empty)."""
+    if residuals.size == 0:
+        return 0.0, (0,) * residuals.ndim
     where = np.unravel_index(np.argmax(residuals), residuals.shape)
     return float(residuals[where]), tuple(int(k) for k in where)
 
@@ -138,8 +129,17 @@ def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):
     m, w = ctx.n - 1, alpha.hook_dimension()
     labels = list(itertools.product(range(1, m + 1), range(1, m + 1),
                                     range(1, w + 1), range(1, w + 1)))
-    ops = [element_operator(u_element(alpha, *label, ctx), cap) for label in labels]
-    return OperatorStack.of(ops), labels
+    elems = [u_element(alpha, *label, ctx) for label in labels]
+    return element_stack(elems, cap), labels
+
+
+def _unit_rows(family: OperatorStack, w: int):
+    """``action_residuals`` rows of the claim B_ij B_kl = delta_jk B_il for a
+    stack of w^2 blocks, B_ij at block (i-1) w + j-1: one row per left B_ij."""
+    i, j = np.divmod(np.arange(w * w), w)
+    for s in range(w * w):
+        hit = (i == j[s])[:, None]
+        yield family.op(s), (i[s] * w + j)[:, None] * hit, hit * 1.0
 
 
 def _left_action(sigma: Permutation, p: int, d: int
@@ -409,19 +409,13 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     # in the action on n-2 factors).
     norms = [float(d * d * multiplicity_in_V(alpha, d)) if alpha.height <= d
              else 0.0 for alpha, _i, _j in labels]
-    value, (r, c) = _worst(np.abs(gram_matrix(everything) - np.diag(norms)))
+    value, (r, c) = _worst(np.abs(everything.gram() - np.diag(norms)))
     if value > worst:
         worst, culprit = value, f"<{e_name(labels[r])}, {e_name(labels[c])}>"
 
     for alpha, phi, family in zip(alphas, phis, families):
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
-
-        def composition_rows():
-            # E_ij E_kl = delta_jk E_il
-            for s in range(w * w):
-                hit = (i == j[s])[:, None]
-                yield family.op(s), (i[s] * w + j)[:, None] * hit, hit * 1.0
 
         def covariance_rows():
             # D(h) E_ij = sum_k phi_ki(h) E_kj
@@ -430,7 +424,8 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
                 yield (perm_operator(h.embed(n), d, n, cap), index,
                        phi.image(h)[:, i].T)
 
-        value, (s, r) = _worst(family.action_residuals(composition_rows()))
+        # E_ij E_kl = delta_jk E_il
+        value, (s, r) = _worst(family.action_residuals(_unit_rows(family, w)))
         if value > worst:
             worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
@@ -444,64 +439,73 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
 
 
 def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """Matrix units for every main-ideal block, through the oracle."""
+    """Matrix units for every main-ideal block, through the oracle.
+
+    The u family of alpha obeys x_ij x_kl = Q_jk x_il with x_{(a,i),(b,j)} =
+    u_ij^ab, so ``xa_reduce(Q(alpha))`` gives the coefficients of every y and
+    f over it.  The null y are one combination of the u stack, checked to
+    vanish, and the f another, checked to satisfy f_sr f_tu = delta_rt f_su
+    with one ``action_residuals`` row per left f.  A failure names its
+    worst null y label or f pair (1-based).
+    """
     from .reduction import xa_reduce
 
     ctx = AlgebraContext(n, d)
-    worst = 0.0
-    details = []
+    m = n - 1
+    worst, culprit, details = 0.0, "", []
     for alpha in partitions_of(n - 2):
         if alpha.height > d:
-            u_norm = max(
-                element_operator(u_element(alpha, 1, 1, 1, 1, ctx), cap).max_abs(),
-                element_operator(
-                    u_element(alpha, n - 1, n - 1, 1, 1, ctx), cap).max_abs(),
-            )
-            worst = max(worst, u_norm)
-            details.append(f"{alpha}: absent (vanishing family, norm {u_norm:.1e})")
+            corners = element_stack([u_element(alpha, a, a, 1, 1, ctx)
+                                     for a in (1, m)], cap).residuals()
+            value, (k,) = _worst(corners)
+            if value > worst:
+                worst, culprit = value, f"{alpha}: u^{(1, m)[k]}{(1, m)[k]}_11"
+            details.append(f"{alpha}: absent (vanishing family, norm {value:.1e})")
             continue
         w = alpha.hook_dimension()
-        size = (n - 1) * w
-        generators = {}
-        for a in range(1, n):
-            for i in range(1, w + 1):
-                for b in range(1, n):
-                    for j in range(1, w + 1):
-                        generators[((a - 1) * w + i, (b - 1) * w + j)] = (
-                            element_operator(u_element(alpha, a, b, i, j, ctx), cap))
-        reduced = xa_reduce(generators, q_matrix(alpha, d, n))
-        for (s, r), y_op in reduced.y.items():
-            if s > reduced.rank or r > reduced.rank:
-                worst = max(worst, y_op.max_abs())
-        for (s, r), left in reduced.f.items():
-            for (t, u), right in reduced.f.items():
-                product = left @ right
-                expected = reduced.f.get((s, u)) if r == t else None
-                residual = (product.distance(expected) if expected is not None
-                            else product.max_abs())
-                worst = max(worst, residual)
-        details.append(f"{alpha}: rank {reduced.rank}")
+        size = m * w
+        u = _u_stack(alpha, ctx, cap)[0]
+        reduced = xa_reduce(q_matrix(alpha, d, n))
+        # the u block of x_IJ, for I = (a-1) w + i-1 and J = (b-1) w + j-1
+        a, i = np.divmod(np.arange(size), w)
+        block = (((a[:, None] * m + a) * w + i[:, None]) * w + i).ravel()
+        nulls = reduced.null_rows
+        value, (k,) = _worst(u.combine(block, reduced.y[nulls]).residuals())
+        if value > worst:
+            s, r = np.divmod(nulls[k], size)
+            worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
+        units = u.combine(block, reduced.f)
+        rank = reduced.rank
+        value, (left, right) = _worst(units.action_residuals(_unit_rows(units, rank)))
+        if value > worst:
+            (s, r), (t, v) = divmod(left, rank), divmod(right, rank)
+            worst, culprit = value, (f"{alpha}: f_({s + 1},{r + 1}) * "
+                                     f"f_({t + 1},{v + 1})")
+        details.append(f"{alpha}: rank {rank}")
     return _report("reduced_matrix_units", {"n": n, "d": d}, worst, HOM_TOL,
-                   "; ".join(details))
+                   "; ".join(details), culprit=culprit)
 
 
 def check_adjoint_transport(n: int, d: int, seed: int = 1,
                             cap: int | None = None) -> CheckReport:
-    """Oracle image of the adjoint equals the conjugate transpose."""
+    """Oracle image of the adjoint equals the conjugate transpose.
+
+    Twenty random elements and their products with a random generator are
+    one element stack, and their adjoints another.
+    """
     rng = np.random.default_rng(seed)
     perms = list(Permutation.all(n))
     ctx = AlgebraContext(n, d)
-    worst = 0.0
+    elems = []
     for _ in range(20):
         terms = {perms[rng.integers(len(perms))]: float(rng.standard_normal())
                  for _ in range(3)}
         elem = AlgebraElement(ctx, terms)
-        worst = max(worst, element_operator(elem.adjoint(), cap).distance(
-            element_operator(elem, cap).adjoint()))
-        product = elem * AlgebraElement(ctx, {
-            perms[rng.integers(len(perms))]: 1.0})
-        worst = max(worst, element_operator(product.adjoint(), cap).distance(
-            element_operator(product, cap).adjoint()))
+        elems += [elem, elem * AlgebraElement(ctx, {
+            perms[rng.integers(len(perms))]: 1.0})]
+    images = element_stack(elems, cap)
+    adjoints = element_stack([elem.adjoint() for elem in elems], cap)
+    worst = adjoints.residuals(images.adjoint()).max()
     return _report("adjoint_transport", {"n": n, "d": d}, worst, ORACLE_TOL)
 
 

@@ -38,8 +38,9 @@ def _perm_label(perm: Permutation) -> str:
 
 
 def _cell_text(coeff, perm: Permutation) -> str:
-    """A table cell like ``d(23)^t``, ``2(13)^t`` or ``1``; coeff is d^0 or d^1."""
-    coeff = str(coeff) if isinstance(coeff, DPoly) else f"{coeff:g}"
+    """A table cell like ``d(23)^t``, ``2(13)^t`` or ``1``; coeff is d^0 or d^1,
+    so a fixed d prints as the exact integer."""
+    coeff = str(coeff) if isinstance(coeff, DPoly) else str(int(coeff))
     if perm.is_identity():
         return coeff
     return ("" if coeff == "1" else coeff) + _perm_label(perm)

@@ -241,27 +241,6 @@ class SpectralQ:
             "theta": None if self.theta is None else str(self.theta),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "SpectralQ":
-        alpha = Partition.parse(data["alpha"])
-        n, d = data["n"], data["d"]
-        size = (n - 1) * alpha.hook_dimension()
-        z, labels = z_matrix(alpha, n)
-        return SpectralQ(
-            alpha=alpha,
-            d=d,
-            n=n,
-            matrix=np.array(data["matrix"]).reshape(size, size),
-            eigenpairs=[
-                (Partition.parse(e["nu"]), e["lambda"], e["multiplicity"])
-                for e in data["eigenpairs"]
-            ],
-            z=z,
-            z_labels=labels,
-            theta=None if data["theta"] is None else Partition.parse(data["theta"]),
-            rank=data["rank"],
-        )
-
 
 def spectral_q(alpha: Partition, d: int, n: int) -> SpectralQ:
     """Assemble Q, its closed-form spectrum, Z and the rank in one record.

@@ -66,16 +66,6 @@ class AlgebraIrrep:
             },
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "AlgebraIrrep":
-        n, dim = data["n"], data["dimension"]
-        images = {
-            Permutation.parse(name, n): np.array(flat).reshape(dim, dim)
-            for name, flat in data["images"].items()
-        }
-        return AlgebraIrrep(data["kind"], Partition.parse(data["label"]), n,
-                            data["d"], dim, data["basis_tag"], images.__getitem__)
-
 
 def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[Partition]]:
     """Kept column indices of Z, their eigenvalues, and the kept nu labels."""
@@ -246,19 +236,6 @@ class StructureReport:
             "dim_total": self.dim_total,
             "oracle_dim": self.oracle_dim,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "StructureReport":
-        return StructureReport(
-            n=data["n"],
-            d=data["d"],
-            m_blocks=[(Partition.parse(e["alpha"]), e["rank"]) for e in data["m_blocks"]],
-            s_blocks=[(Partition.parse(e["nu"]), e["dim"]) for e in data["s_blocks"]],
-            dim_M=data["dim_M"],
-            dim_S=data["dim_S"],
-            dim_total=data["dim_total"],
-            oracle_dim=data["oracle_dim"],
-        )
 
 
 def algebra_dimension_formula(n: int, d: int) -> int:

@@ -18,21 +18,25 @@ An ``OperatorStack`` holds K operators as one ``(K, D, D)`` array on the
 dense side and as the D x K*D CSR block row [B_1 | ... | B_K] above it.
 Its operations are whole-family ones: A B_k (and B_k A) for every k in
 one product, linear combinations sum_i C[j, i] B_i (a gather and a scale
-when C is monomial, as in d^p W(tau)), per-block residuals
+when C is monomial, as in d^p W(tau)), every B_k^T, per-block residuals
 max |X_k - Y_k|, and the Gram matrix.  ``action_residuals`` fuses them
 for claims of the form "A B_k = sum_i C[k, i] B_i for every k", one
 call per left factor A; it reuses two dense buffers for all rows because
 a fresh (K, D, D) array per row costs more than the work in it.
 The checks of the composition law, of the u structure constants and left
-actions, of the unit of M, and of the averaged matrix operators
-(``matrix_operators_E``, behind the dimension and appendix checks) all
-run on stacks, so ``checks`` never branches on the storage.
+actions, of the unit of M, of the reduced matrix units, and of the
+averaged matrix operators (``matrix_operators_E``, behind the dimension
+and appendix checks) all run on stacks, so ``checks`` never branches on
+the storage.
 
 ``generator_stack`` gives W(sigma), or its partial transposes, for all of
 S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
 side that read-only stack is the generator cache: ``perm_operator`` and
 ``transposed_perm_operator`` return cached ``TensorOp`` views into it.
 On the CSR side each generator is built once per (sigma, d) on its own.
+The images of algebra elements are one ``combine`` of the transposed
+stack: ``element_stack`` maps a list of elements to a stack, and
+``element_operator`` is its one-element case.
 
 Basis vectors are flattened big-endian: factor 1 is the most significant
 digit, so the partial transpose acts on the least significant one.
@@ -49,7 +53,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .partitions import Partition
-from .permutations import Permutation, image_array
+from .permutations import Permutation, image_array, lehmer_rank
 from .yor import SymmetricGroupIrrep
 
 if TYPE_CHECKING:
@@ -187,16 +191,6 @@ class OperatorStack:
         return OperatorStack(self.n, self.d, data)
 
     @staticmethod
-    def of(ops: list[TensorOp]) -> "OperatorStack":
-        """The stack of the given operators, in order (copied)."""
-        first = ops[0]
-        if isinstance(first.matrix, np.ndarray):
-            data = np.stack([op.matrix for op in ops])
-        else:
-            data = _sparse().hstack([op.matrix for op in ops], format="csr")
-        return OperatorStack(first.n, first.d, data)
-
-    @staticmethod
     def concat(stacks: list["OperatorStack"]) -> "OperatorStack":
         first = stacks[0]
         if isinstance(first.data, np.ndarray):
@@ -226,21 +220,43 @@ class OperatorStack:
         return self._new(self.data @ sp.kron(sp.identity(self.size), a.matrix,
                                              format="csr"))
 
+    def adjoint(self) -> "OperatorStack":
+        """B_k^dagger = B_k^T for every k (the entries are real)."""
+        if isinstance(self.data, np.ndarray):
+            return self._new(np.ascontiguousarray(self.data.transpose(0, 2, 1)))
+        coo = self.data.tocoo()
+        block, col = np.divmod(coo.col, self.dim)
+        return self._new(_sparse().csr_matrix(
+            (coo.data, (col, block * self.dim + coo.row)), shape=self.data.shape))
+
     def combine(self, index, weights) -> "OperatorStack":
         """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]].
 
         ``weights`` is ``(J, m)``: row j lists the coefficients of C_j, and
         ``index`` their blocks, either per row ``(J, m)`` or
-        shared by every row ``(m,)``.  Terms are added in t order.  The
+        shared by every row ``(m,)``.  With a per-row index, terms are added
+        in t order on both storages, each term a gather and scale, so C_j is
+        bitwise the sum of its scaled blocks added one at a time.  The
         gather-and-scale d^p W(tau) is the case m = 1; a dense coefficient
-        matrix C is ``combine(arange(K), C)``.
+        matrix C is ``combine(arange(K), C)``, one product on the CSR side.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
         if isinstance(self.data, np.ndarray):
             out = np.zeros((weights.shape[0],) + self.data.shape[1:])
             _accumulate(out, self.data, index, weights, np.empty_like(out))
             return self._new(out)
-        return self._new(self.data @ self._combination(index, weights))
+        if index.ndim == 1:
+            return self._new(self.data @ self._combination(index, weights))
+        # term t gathers block columns of the CSC form, so its cost follows
+        # the output and not the size of the whole family
+        csc, shift = self.data.tocsc(), np.arange(self.dim)
+        out = _sparse().csc_matrix((self.dim, weights.shape[0] * self.dim))
+        for t in range(weights.shape[1]):
+            term = csc[:, (index[:, t, None] * self.dim + shift).ravel()]
+            term.data *= np.repeat(np.repeat(weights[:, t], self.dim),
+                                   np.diff(term.indptr))
+            out = term if t == 0 else out + term
+        return self._new(out)
 
     def residuals(self, other: "OperatorStack | None" = None) -> np.ndarray:
         """max |X_k - Y_k| for every block k (against zero without ``other``)."""
@@ -313,7 +329,7 @@ class OperatorStack:
         """max |entry| of every block of a difference the stack may overwrite."""
         if isinstance(diff, np.ndarray):
             np.abs(diff, out=diff)
-            return diff.reshape(len(diff), -1).max(axis=1, initial=0.0)
+            return diff.reshape(len(diff), self.dim**2).max(axis=1, initial=0.0)
         diff = diff.tocsr()
         out = np.zeros(diff.shape[1] // self.dim)
         np.maximum.at(out, diff.indices // self.dim, np.abs(diff.data))
@@ -465,15 +481,34 @@ def generator_stack(n: int, d: int, transposed: bool = False,
     return _family(n, d, transposed)[0]
 
 
-def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
-    """Oracle image of a formal combination of transposed generators."""
-    ctx = elem.ctx
+def element_stack(elems: list[AlgebraElement], cap: int | None = None
+                  ) -> "OperatorStack":
+    """Oracle images of formal combinations of transposed generators, one
+    block per element, as one ``combine`` of the transposed generator stack.
+
+    Row j of the combination lists the terms of element j in dict order,
+    padded with zero weights on block 0, so on the dense side each block is
+    bitwise the sum of its scaled generators added one at a time.
+    """
+    ctx = elems[0].ctx
     if ctx.symbolic:
         raise ValueError("symbolic elements have no tensor image; fix d first")
-    total = zero_operator(ctx.n, ctx.d, cap)
-    for perm, coeff in elem.terms.items():
-        total = total + coeff * transposed_perm_operator(perm, ctx.d, ctx.n, cap)
-    return total
+    if any(elem.ctx != ctx for elem in elems):
+        raise ValueError("elements of different contexts")
+    width = max(len(elem.terms) for elem in elems)
+    images = np.zeros((len(elems), width, ctx.n), dtype=np.intp)
+    weights = np.zeros((len(elems), width))
+    for j, elem in enumerate(elems):
+        for t, (perm, coeff) in enumerate(elem.terms.items()):
+            images[j, t] = perm.images
+            weights[j, t] = coeff
+    index = lehmer_rank(images - 1)  # a padding row is constant: rank 0
+    return generator_stack(ctx.n, ctx.d, True, cap).combine(index, weights)
+
+
+def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
+    """Oracle image of a formal combination of transposed generators."""
+    return element_stack([elem], cap).op(0)
 
 
 def zero_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
@@ -495,21 +530,9 @@ def identity_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
 RANK_RTOL = 1e-8
 
 
-def gram_matrix(ops: list[TensorOp] | OperatorStack) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix <A,B> = tr(A^dagger B)."""
-    if isinstance(ops, OperatorStack):
-        return ops.gram()
-    if not ops:
-        return np.zeros((0, 0))
-    return OperatorStack.of(ops).gram()
-
-
-def span_dimension(ops: list[TensorOp] | OperatorStack) -> int:
-    """Numerical rank of the Gram matrix, relative threshold 1e-8."""
-    gram = gram_matrix(ops)
-    if gram.size == 0:
-        return 0
-    eigs = np.linalg.eigvalsh(gram)
+def span_dimension(family: OperatorStack) -> int:
+    """Numerical rank of the Gram matrix, relative threshold ``RANK_RTOL``."""
+    eigs = np.linalg.eigvalsh(family.gram())
     top = eigs.max(initial=0.0)
     if top <= 0:
         return 0
@@ -517,17 +540,17 @@ def span_dimension(ops: list[TensorOp] | OperatorStack) -> int:
 
 
 def matrix_operators_E(
-    rep_images: OperatorStack | dict[Permutation, TensorOp | np.ndarray],
+    rep_images: OperatorStack | dict[Permutation, np.ndarray],
     alpha: Partition,
     group: list[Permutation] | None = None,
-) -> OperatorStack | dict[tuple[int, int], TensorOp | np.ndarray]:
+) -> OperatorStack | dict[tuple[int, int], np.ndarray]:
     """Group-averaged matrix operators of an irrep inside a representation D.
 
     E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g).  The zero family is the
     legitimate outcome when alpha does not occur in D.  Given a stack whose
     block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww;
-    given a mapping g -> D(g), a dict keyed (i, j) of the same kind of
-    values.  Either way each E_ij adds its terms in group order.
+    given a mapping g -> D(g) of abstract matrices, a dict of matrices
+    keyed (i, j).  Either way each E_ij adds its terms in group order.
     """
     if not isinstance(rep_images, OperatorStack):
         group = list(rep_images)
@@ -541,11 +564,7 @@ def matrix_operators_E(
     if isinstance(rep_images, OperatorStack):
         return rep_images.combine(index, weights)
     keys = [(i, j) for i in range(1, w + 1) for j in range(1, w + 1)]
-    images = list(rep_images.values())
-    if isinstance(images[0], TensorOp):
-        family = OperatorStack.of(images).combine(index, weights)
-        return {key: family.op(k) for k, key in enumerate(keys)}
-    stacked = np.stack(images)
+    stacked = np.stack(list(rep_images.values()))
     out = np.zeros((w * w,) + stacked.shape[1:])
     _accumulate(out, stacked, index, weights, np.empty_like(out))
     return dict(zip(keys, out))

@@ -1,55 +1,66 @@
 """Reduction of an algebra with multiplication x_ij x_kl = A_jk x_il.
 
-Diagonalizing A = Z diag(lambda_1..lambda_p, 0..0) Z^{-1} and passing to
-y_sr = sum_ij Z_is x_ij (Z^{-1})_rj kills every index touching the null
-space, leaves y_ij y_kl = lambda_j delta_jk y_il on the survivors, and the
+Diagonalizing A = Z diag(lambda_1..lambda_p, 0..0) Z^T and passing to
+y_sr = sum_ij Z_is Z_jr x_ij kills every index touching the null space,
+leaves y_ij y_kl = lambda_j delta_jk y_il on the survivors, and the
 rescaled f_ij = y_ij / sqrt(lambda_i lambda_j) are matrix units.  The
-family may be abstract algebra elements or concrete matrices; anything
-supporting + and scalar * works.
+reduction is linear algebra on A alone: it returns the coefficients of
+every y and f over the family x, and the caller applies them, with
+``OperatorStack.combine`` on the oracle or ``np.tensordot`` on arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
+
+# A is assembled from exact rational data, so any asymmetry above rounding
+# noise means the wrong matrix was passed.
+SYMMETRY_TOL = 1e-10
+# Relative to max(|lambda|, 1): the nonzero eigenvalues of Q(alpha) are the
+# integers d + content, so its rounding noise sits far below the smallest.
+NULL_RTOL = 1e-7
 
 
 @dataclass
 class ReducedBasis:
-    """Output of the reduction: survivors and their matrix-unit rescaling."""
+    """Coefficients of the reduced families over x_ij.
+
+    Every index is 0-based: label (s, r) is row s * size + r of ``y`` (and
+    s * rank + r of ``f``), and x_ij is column i * size + j of both, so
+    y_sr = sum_ij y[s * size + r, i * size + j] x_ij.
+    """
 
     size: int
     rank: int
-    eigenvalues: np.ndarray          # descending by magnitude of survival; nulls last
-    z: np.ndarray                    # columns are eigenvectors, survivors first
-    y: dict[tuple[int, int], object]  # all (s, r) pairs, 1-based indices
-    f: dict[tuple[int, int], object]  # surviving pairs only
+    eigenvalues: np.ndarray  # survivors first, descending; nulls last
+    z: np.ndarray            # columns are eigenvectors, in the same order
+    y: np.ndarray            # (size^2, size^2): y[(s, r), (i, j)] = Z_is Z_jr
+    f: np.ndarray            # (rank^2, size^2): surviving y / sqrt(lambda_s lambda_r)
+
+    @property
+    def null_rows(self) -> np.ndarray:
+        """The rows of ``y`` whose label (s, r) touches the null space."""
+        s, r = np.divmod(np.arange(self.size**2), self.size)
+        return np.flatnonzero((s >= self.rank) | (r >= self.rank))
 
 
-def xa_reduce(generators: dict[tuple[int, int], object],
-              a_matrix: np.ndarray) -> ReducedBasis:
-    """Reduce a family with x_ij x_kl = A_jk x_il to matrix units.
+def xa_reduce(a_matrix: np.ndarray) -> ReducedBasis:
+    """The matrix-unit coefficients of a family with x_ij x_kl = A_jk x_il.
 
-    ``generators`` maps 1-based (i, j) pairs to elements.  A must be
-    diagonalizable with nonnegative nonzero eigenvalues (here it is always
-    real symmetric); a genuinely negative eigenvalue violates the
-    semisimplicity assumptions and raises.
+    A must be real symmetric with nonnegative eigenvalues; a genuinely
+    negative eigenvalue violates the semisimplicity assumptions and raises.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     size = a_matrix.shape[0]
     if a_matrix.shape != (size, size):
         raise ValueError("A must be square")
-    if len(generators) != size * size:
-        raise ValueError(f"expected {size * size} generators, got {len(generators)}")
-
-    if np.abs(a_matrix - a_matrix.T).max() > 1e-10:
+    if np.abs(a_matrix - a_matrix.T).max() > SYMMETRY_TOL:
         raise ValueError("A must be symmetric")
     eigenvalues, z = np.linalg.eigh(a_matrix)
 
-    scale = max(np.abs(eigenvalues).max(), 1.0)
-    tol = 1e-7 * scale
+    tol = NULL_RTOL * max(np.abs(eigenvalues).max(), 1.0)
     nulls = np.abs(eigenvalues) < tol
     if (eigenvalues < -tol).any():
         raise ValueError(
@@ -59,34 +70,13 @@ def xa_reduce(generators: dict[tuple[int, int], object],
 
     # survivors first, null directions last
     order = np.concatenate([np.flatnonzero(~nulls)[::-1], np.flatnonzero(nulls)])
-    eigenvalues = eigenvalues[order]
-    z = z[:, order]
+    eigenvalues, z = eigenvalues[order], z[:, order]
     rank = int((~nulls).sum())
 
-    z_inv = z.T  # orthogonal from eigh
-
-    y: dict[tuple[int, int], object] = {}
-    for s in range(1, size + 1):
-        for r in range(1, size + 1):
-            acc = None
-            for (i, j), x in generators.items():
-                coeff = z[i - 1, s - 1] * z_inv[r - 1, j - 1]
-                if coeff == 0.0:
-                    continue
-                term = coeff * x
-                acc = term if acc is None else acc + term
-            y[(s, r)] = acc
-
-    f = {
-        (s, r): (1.0 / sqrt(eigenvalues[s - 1] * eigenvalues[r - 1])) * y[(s, r)]
-        for s in range(1, rank + 1)
-        for r in range(1, rank + 1)
-    }
-    return ReducedBasis(
-        size=size,
-        rank=rank,
-        eigenvalues=eigenvalues,
-        z=z,
-        y=y,
-        f=f,
-    )
+    square = size * size
+    y = np.einsum("is,jr->srij", z, z).reshape(square, square)
+    root = np.sqrt(eigenvalues[:rank])
+    f = (y.reshape(size, size, square)[:rank, :rank]
+         / np.multiply.outer(root, root)[:, :, None]).reshape(rank * rank, square)
+    return ReducedBasis(size=size, rank=rank, eigenvalues=eigenvalues, z=z,
+                        y=y, f=f)

@@ -21,8 +21,9 @@ from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                                q_matrix_poly, z_matrix, zero_condition)
 from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
                               irrep_M_e, irrep_M_f, rank_of_q, unit_of_M)
-from ptalgebra.oracle import (element_operator, identity_operator,
-                              span_dimension, transposed_perm_operator)
+from ptalgebra.oracle import (element_operator, generator_stack,
+                              identity_operator, span_dimension,
+                              transposed_perm_operator)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
 from ptalgebra.yor import irrep as sym_irrep
@@ -201,9 +202,8 @@ def test_criterion_5_dimension_identities():
                 assert m_total + s_total == algebra_dimension_formula(n, d)
         anchors = {(3, 2): 5, (3, 3): 6, (4, 2): 14, (4, 3): 23, (4, 4): 24}
         for (n, d), expected in anchors.items():
-            ops = [transposed_perm_operator(p, d, n)
-                   for p in Permutation.all(n)]
-            assert span_dimension(ops) == expected
+            family = generator_stack(n, d, transposed=True)
+            assert span_dimension(family) == expected
             assert algebra_dimension_formula(n, d) == expected
 
 

@@ -62,8 +62,9 @@ def test_run_suite_n2():
 
 def test_report_roundtrip():
     report = check_dimensions(3, 2)
-    back = CheckReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert back == report
+    record = json.loads(json.dumps(report.to_dict()))
+    assert record == report.to_dict()
+    assert CheckReport(**record) == report
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -121,7 +122,8 @@ def test_reports_carry_their_tolerance():
     for report in reports:
         record = report.to_dict()
         assert record["tol"] == expected[report.check]
-        assert CheckReport.from_dict(json.loads(json.dumps(record))) == report
+        assert json.loads(json.dumps(record)) == record
+        assert CheckReport(**record) == report
 
 
 # -- planted defects: a failure names its worst block --------------------------
@@ -194,21 +196,20 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
 
     import ptalgebra.checks as checks
     from ptalgebra.irreps import unit_of_M
-    from ptalgebra.oracle import (OperatorStack, TensorOp, element_operator,
-                                  generator_stack)
+    from ptalgebra.oracle import OperatorStack, element_operator, generator_stack
     from ptalgebra.permutations import Permutation
 
     n, d = 4, 2
     perms = list(Permutation.all(n))
     planted = Permutation.from_cycles(n, [(1, 4)])
     e_op = element_operator(unit_of_M(n, d))
-    noise = TensorOp(n, d, np.random.default_rng(0).standard_normal((d**n, d**n)))
-    family = generator_stack(n, d, transposed=True)
-    ops = [family.op(k) for k in range(len(family))]
+    noise = np.random.default_rng(0).standard_normal((d**n, d**n))
+    data = generator_stack(n, d, transposed=True).data.copy()
     k = perms.index(planted)
-    ops[k] = ops[k] + 0.5 * ((e_op @ noise) if side == "right" else (noise @ e_op))
+    data[k] += 0.5 * ((e_op.matrix @ noise) if side == "right"
+                      else (noise @ e_op.matrix))
     monkeypatch.setattr(checks, "generator_stack",
-                        lambda *args, **kwargs: OperatorStack.of(ops))
+                        lambda *args, **kwargs: OperatorStack(n, d, data))
     report = check_unit_of_m(n, d)
     assert report.passed is False
     expected = f"{planted} * e" if side == "right" else f"e * {planted}"
@@ -226,3 +227,79 @@ def test_matrix_operators_names_the_planted_generator(monkeypatch):
     report = check_matrix_operators(n, d)
     assert report.passed is False
     assert report.details.startswith(f"worst at D({planted}) E^"), report.details
+
+
+@pytest.mark.parametrize("direction", ["null", "unit"])
+def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
+    # Adding Z_Is Z_Jr N to every x_IJ = u^ab_ij changes y_sr alone (Z is
+    # orthogonal): a null (s, r) breaks "y_sr = 0", a surviving one breaks
+    # the products of f_sr.  A small N keeps those products linear in N, so
+    # the worst pair is not simply f_sr f_sr.
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.induced import q_matrix
+    from ptalgebra.oracle import OperatorStack
+    from ptalgebra.reduction import xa_reduce
+
+    n, d, alpha = 5, 2, Partition([2, 1])
+    m, w = n - 1, alpha.hook_dimension()
+    reduced = xa_reduce(q_matrix(alpha, d, n))
+    s, r = (reduced.rank, 0) if direction == "null" else (0, 1)
+    noise = 1e-3 * np.random.default_rng(1).standard_normal((d**n, d**n))
+    real = checks._u_stack
+
+    def planted(beta, ctx, cap):
+        stack, labels = real(beta, ctx, cap)
+        if beta != alpha:
+            return stack, labels
+        rows = [(a - 1) * w + i - 1 for a, _b, i, _j in labels]
+        cols = [(b - 1) * w + j - 1 for _a, b, _i, j in labels]
+        scale = reduced.z[rows, s] * reduced.z[cols, r]
+        return OperatorStack(n, d, stack.data + scale[:, None, None] * noise), labels
+
+    monkeypatch.setattr(checks, "_u_stack", planted)
+    report = check_reduced_matrix_units(n, d)
+    assert report.passed is False
+    if direction == "null":
+        assert report.details.startswith(f"worst at {alpha}: y_({s + 1},{r + 1}); ")
+        assert report.max_residual == pytest.approx(np.abs(noise).max())
+        return
+    # the named f pair is one whose product misses by the reported residual
+    culprit = report.details.split("; ")[0]
+    assert culprit.startswith(f"worst at {alpha}: f_(")
+    (s1, r1), (t1, u1) = [tuple(int(x) - 1 for x in part.split(")")[0].split(","))
+                          for part in culprit.split("f_(")[1:]]
+    units = planted(alpha, checks.AlgebraContext(n, d), None)[0]
+    size = m * w
+    a, i = np.divmod(np.arange(size), w)
+    block = (((a[:, None] * m + a) * w + i[:, None]) * w + i).ravel()
+    f = np.tensordot(reduced.f, units.data[block], axes=1)
+    rank = reduced.rank
+    product = f[s1 * rank + r1] @ f[t1 * rank + u1]
+    expected = f[s1 * rank + u1] if r1 == t1 else 0.0
+    assert np.abs(product - expected).max() == pytest.approx(report.max_residual)
+
+
+def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.oracle import OperatorStack
+
+    real, calls = checks.element_stack, []
+
+    def planted(elems, cap=None):
+        # the first stack holds the images, the second their adjoints
+        stack = real(elems, cap)
+        calls.append(len(elems))
+        if len(calls) > 1:
+            return stack
+        data = stack.data.copy()
+        data[3, 0, 1] += 1e-3
+        return OperatorStack(stack.n, stack.d, data)
+
+    monkeypatch.setattr(checks, "element_stack", planted)
+    report = check_adjoint_transport(3, 2)
+    assert calls == [40, 40]
+    assert report.passed is False and report.max_residual == pytest.approx(1e-3)

@@ -62,6 +62,16 @@ def test_mul_table_fixed_d_evaluates():
             assert cell_s["perm"] == cell_f["perm"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_mul_table_prints_large_d_exactly(fmt):
+    # d (23)^t (23)^t = d (23)^t, and d = 1234567 needs all seven digits
+    result = run("mul-table", "--n", "3", "--d", "1234567", "--format", fmt)
+    assert result.exit_code == 0
+    row = next(line for line in result.output.splitlines()
+               if line.lstrip().startswith("(23)^t"))
+    assert "1234567(23)^t" in row and "e+06" not in result.output
+
+
 def test_mul_table_n5_symbolic_json_bytes_are_pinned():
     result = run("mul-table", "--n", "5", "--symbolic", "--format", "json")
     assert result.exit_code == 0
@@ -285,9 +295,10 @@ def test_verify_json_parses_and_round_trips(suite):
     records = json.loads(result.output)
     assert records
     for record in records:
-        report = CheckReport.from_dict(record)
+        report = CheckReport(**record)
         assert report.passed is True
         assert report.to_dict() == record
+        assert json.loads(json.dumps(report.to_dict())) == record
 
 
 @pytest.mark.parametrize("args, option", [

@@ -6,8 +6,8 @@ import pytest
 from goldens import q_n3, q_n4_id, q_n4_sgn, z_n3
 from reference_z import reference_z_matrix
 from ptalgebra.dpoly import DPoly
-from ptalgebra.induced import (InducedRep, SpectralQ, eigenvalues_closed_form,
-                               q_matrix, q_matrix_poly, q_via_induced,
+from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
+                               q_matrix_poly, q_via_induced,
                                spectral_q, z_matrix, zero_condition)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation
@@ -228,12 +228,15 @@ def test_spectral_q_record_and_roundtrip():
     assert record.theta == Partition([1, 1, 1])
     assert record.block_dim == 3
     data = json.loads(json.dumps(record.to_dict()))
-    back = SpectralQ.from_dict(data)
-    assert back.alpha == record.alpha
-    assert back.rank == record.rank
-    assert back.theta == record.theta
-    assert np.abs(back.matrix - record.matrix).max() < 1e-15
-    assert back.eigenpairs == record.eigenpairs
+    assert data == record.to_dict()
+    assert Partition.parse(data["alpha"]) == record.alpha
+    assert data["rank"] == record.rank
+    assert Partition.parse(data["theta"]) == record.theta
+    size = record.block_dim
+    assert np.abs(np.array(data["matrix"]).reshape(size, size)
+                  - record.matrix).max() < 1e-15
+    assert [(Partition.parse(e["nu"]), e["lambda"], e["multiplicity"])
+            for e in data["eigenpairs"]] == record.eigenpairs
 
 
 @pytest.mark.parametrize("alpha,n", [

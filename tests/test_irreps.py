@@ -6,11 +6,10 @@ import pytest
 import goldens
 from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
 from ptalgebra.induced import eigenvalues_closed_form, zero_condition
-from ptalgebra.irreps import (AlgebraIrrep, StructureReport,
-                              algebra_dimension_formula, all_irreps,
+from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
                               irrep_M_e, irrep_M_f, irrep_S, n2_special_case,
                               rank_of_q, structure_report, unit_of_M)
-from ptalgebra.oracle import (element_operator, identity_operator,
+from ptalgebra.oracle import (OperatorStack, element_operator, identity_operator,
                               span_dimension, transposed_perm_operator)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation
@@ -267,8 +266,16 @@ def test_structure_report_examples():
 
 def test_structure_report_roundtrip():
     report = structure_report(4, 2, with_oracle=True)
-    back = StructureReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert back == report
+    record = json.loads(json.dumps(report.to_dict()))
+    assert record == report.to_dict()
+    assert (record["n"], record["d"]) == (report.n, report.d)
+    assert [(Partition.parse(e["alpha"]), e["rank"])
+            for e in record["m_blocks"]] == report.m_blocks
+    assert [(Partition.parse(e["nu"]), e["dim"])
+            for e in record["s_blocks"]] == report.s_blocks
+    assert (record["dim_M"], record["dim_S"], record["dim_total"],
+            record["oracle_dim"]) == (report.dim_M, report.dim_S,
+                                      report.dim_total, report.oracle_dim)
 
 
 def test_rank_of_q_examples():
@@ -307,7 +314,8 @@ def test_n2_oracle_split():
     s_part = ident - m_unit
     assert (swap_op @ s_part).max_abs() < 1e-12
     assert (m_unit @ m_unit).distance(m_unit) < 1e-12
-    assert span_dimension([swap_op, s_part]) == 2
+    pair = np.stack([swap_op.matrix, s_part.matrix])
+    assert span_dimension(OperatorStack(2, d, pair)) == 2
 
 
 # -- the unit of the main ideal ---------------------------------------------------
@@ -334,9 +342,9 @@ def test_unit_of_m_spans_s_complement():
     n, d = 3, 2
     e_op = element_operator(unit_of_M(n, d))
     complement = identity_operator(n, d) - e_op
-    s_gens = [transposed_perm_operator(p, d) @ complement
-              for p in Permutation.all(n) if p.fixes_last()]
-    assert span_dimension(s_gens) == structure_report(n, d).dim_S
+    s_gens = np.stack([(transposed_perm_operator(p, d) @ complement).matrix
+                       for p in Permutation.all(n) if p.fixes_last()])
+    assert span_dimension(OperatorStack(n, d, s_gens)) == structure_report(n, d).dim_S
 
 
 def test_unit_of_m_matches_q_inverse_route():
@@ -371,7 +379,10 @@ def test_irrep_to_dict_shape():
 
 def test_irrep_json_roundtrip():
     rep = irrep_M_f(Partition([1]), 3, 3)
-    back = AlgebraIrrep.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert (back.kind, back.label, back.dimension) == ("M", rep.label, 2)
+    record = json.loads(json.dumps(rep.to_dict()))
+    assert record == rep.to_dict()
+    assert (record["kind"], Partition.parse(record["label"]),
+            record["dimension"]) == ("M", rep.label, 2)
     for sigma in Permutation.all(3):
-        assert np.abs(back.image(sigma) - rep.image(sigma)).max() < 1e-15
+        image = np.array(record["images"][sigma.cycle_string()]).reshape(2, 2)
+        assert np.abs(image - rep.image(sigma)).max() < 1e-15

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
-from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, SizeCapError,
-                              element_operator, gram_matrix, identity_operator,
+from ptalgebra.algebra import (AlgebraContext, AlgebraElement, mul_generators,
+                               u_element)
+from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, OperatorStack,
+                              SizeCapError, element_operator, element_stack,
+                              generator_stack, identity_operator,
                               matrix_operators_E, partial_transpose_last,
                               perm_operator, span_dimension,
-                              transposed_perm_operator)
+                              transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
 from ptalgebra.yor import SymmetricGroupIrrep, multiplicity_in_V
@@ -102,30 +104,24 @@ def test_composition_rule_master(n, d):
 
 
 def test_span_dimension_examples():
-    ops2 = [transposed_perm_operator(p, 2) for p in Permutation.all(3)]
-    assert span_dimension(ops2) == 5
+    assert span_dimension(generator_stack(3, 2, transposed=True)) == 5
     for d in (3, 4):
-        ops = [transposed_perm_operator(p, d) for p in Permutation.all(3)]
-        assert span_dimension(ops) == 6
-    ops42 = [transposed_perm_operator(p, 2) for p in Permutation.all(4)]
-    assert span_dimension(ops42) == 14
-    assert span_dimension([]) == 0
+        assert span_dimension(generator_stack(3, d, transposed=True)) == 6
+    assert span_dimension(generator_stack(4, 2, transposed=True)) == 14
+    assert span_dimension(OperatorStack(3, 2, np.zeros((0, 8, 8)))) == 0
 
 
 def test_span_dimension_matches_partition_formula():
     for n, d in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2)]:
         expected = sum(mu.hook_dimension() ** 2
                        for mu in partitions_of(n) if mu.height <= d)
-        transposed = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
-        plain = [perm_operator(p, d) for p in Permutation.all(n)]
-        assert span_dimension(transposed) == expected
-        assert span_dimension(plain) == expected
+        assert span_dimension(generator_stack(n, d, transposed=True)) == expected
+        assert span_dimension(generator_stack(n, d)) == expected
 
 
 def test_gram_matrix_positive_semidefinite():
     for n, d in [(3, 2), (4, 2)]:
-        ops = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
-        eigs = np.linalg.eigvalsh(gram_matrix(ops))
+        eigs = np.linalg.eigvalsh(generator_stack(n, d, transposed=True).gram())
         assert eigs.min() > -1e-9
 
 
@@ -160,6 +156,29 @@ def test_adjoint_transport():
         element_operator(x).adjoint()) < 1e-12
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 5)])
+def test_element_images_are_the_summed_generators_bitwise(n, d):
+    # each block is the scaled generators added in term order, one TensorOp
+    # at a time, to the last bit, on the dense side and on the CSR side
+    ctx = AlgebraContext(n, d)
+    perms = list(Permutation.all(n))
+    rng = np.random.default_rng(n)
+    elems = [AlgebraElement(ctx, {perms[k]: rng.standard_normal()
+                                  for k in rng.integers(len(perms), size=size)})
+             for size in (1, 4, 9, 2)]
+    elems.append(u_element(partitions_of(n - 2)[0], 1, n - 1, 1, 1, ctx))
+    # every generator, against Permutation.all order: the diagonal entries
+    # of constant basis tensors then sum n! terms in term order
+    elems.append(AlgebraElement(ctx, {p: rng.standard_normal() for p in perms[::-1]}))
+    stack = element_stack(elems)
+    for k, elem in enumerate(elems):
+        total = zero_operator(n, d)
+        for perm, coeff in elem.terms.items():
+            total = total + coeff * transposed_perm_operator(perm, d)
+        assert np.array_equal(stack.op(k).dense(), total.dense()), k
+        assert np.array_equal(element_operator(elem).dense(), total.dense()), k
+
+
 def test_symbolic_element_has_no_image():
     with pytest.raises(ValueError):
         element_operator(AlgebraElement.one(AlgebraContext(3, None)))
@@ -181,38 +200,41 @@ def test_E_regular_representation_projector():
 
 
 def test_E_antisymmetric_multiplicity_on_two_qubits():
-    group = {g: perm_operator(g, 2) for g in Permutation.all(2)}
-    family = matrix_operators_E(group, Partition([1, 1]))
-    e11 = family[(1, 1)]
+    group = list(Permutation.all(2))
+    family = matrix_operators_E(generator_stack(2, 2), Partition([1, 1]), group)
+    e11 = family.op(0)
     assert (e11.adjoint() @ e11).trace() == pytest.approx(1.0)
 
 
 def test_E_vanishing_family_when_not_contained():
-    group = {g: perm_operator(g, 2) for g in Permutation.all(3)}
-    family = matrix_operators_E(group, Partition([1, 1, 1]))
-    for op in family.values():
-        assert op.max_abs() < 1e-12
+    group = list(Permutation.all(3))
+    family = matrix_operators_E(generator_stack(3, 2), Partition([1, 1, 1]), group)
+    assert family.residuals().max() < 1e-12
 
 
 def test_E_composition_and_independence_equivalence():
     # E_ij E_kl = delta_jk E_il, and the E family spans exactly what D spans
     d = 2
-    group = {g: perm_operator(g, d) for g in Permutation.all(3)}
-    families = {alpha: matrix_operators_E(group, alpha)
+    group = list(Permutation.all(3))
+    plain = generator_stack(3, d)
+    families = {alpha: matrix_operators_E(plain, alpha, group)
                 for alpha in partitions_of(3)}
     for alpha, family in families.items():
-        for (i, j), left in family.items():
-            for (k, l), right in family.items():
-                product = left @ right
+        w = alpha.hook_dimension()
+        for left in range(w * w):
+            i, j = divmod(left, w)
+            for right in range(w * w):
+                k, l = divmod(right, w)
+                product = family.op(left) @ family.op(right)
                 if j == k:
-                    assert product.distance(family[(i, l)]) < 1e-10
+                    assert product.distance(family.op(i * w + l)) < 1e-10
                 else:
                     assert product.max_abs() < 1e-10
-    all_e = [op for family in families.values() for op in family.values()]
-    assert span_dimension(all_e) == span_dimension(list(group.values()))
+    all_e = OperatorStack.concat(list(families.values()))
+    assert span_dimension(all_e) == span_dimension(plain)
     # multiplicities through the Hilbert-Schmidt norm
     for alpha, family in families.items():
-        norm = (family[(1, 1)].adjoint() @ family[(1, 1)]).trace()
+        norm = (family.op(0).adjoint() @ family.op(0)).trace()
         assert norm == pytest.approx(multiplicity_in_V(alpha, d), abs=1e-9)
 
 
@@ -261,8 +283,8 @@ def test_gram_counts_cycles_on_both_storages(n, d):
     perms = list(Permutation.all(n))
     expected = np.array([[d ** (s.inverse() * r).cycle_count() for r in perms]
                          for s in perms], dtype=float)
-    for build in (perm_operator, transposed_perm_operator):
-        assert np.array_equal(gram_matrix([build(p, d) for p in perms]), expected)
+    for transposed in (False, True):
+        assert np.array_equal(generator_stack(n, d, transposed).gram(), expected)
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
@@ -311,13 +333,14 @@ def test_matrix_operators_E_matches_per_entry_reference():
     for alpha in partitions_of(3):
         phi = SymmetricGroupIrrep(alpha)
         scale = phi.dim / len(group)
-        family = matrix_operators_E(group, alpha)
-        for (i, j), op in family.items():
+        family = matrix_operators_E(generator_stack(3, d), alpha, list(group))
+        for k in range(phi.dim**2):
+            i, j = divmod(k, phi.dim)
             acc = None
             for g, image in group.items():
-                term = (scale * phi.image(g.inverse())[j - 1, i - 1]) * image
+                term = (scale * phi.image(g.inverse())[j, i]) * image
                 acc = term if acc is None else acc + term
-            assert np.array_equal(op.dense(), acc.dense())
+            assert np.array_equal(family.op(k).dense(), acc.dense())
 
 
 def test_dense_side_never_imports_scipy_sparse():

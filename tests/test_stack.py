@@ -10,7 +10,7 @@ import pytest
 
 from ptalgebra.algebra import AlgebraContext, AlgebraElement
 from ptalgebra.oracle import (DENSE_MAX_DIM, OperatorStack, SizeCapError,
-                              element_operator, generator_stack, gram_matrix,
+                              element_operator, generator_stack,
                               matrix_operators_E, perm_operator,
                               transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import partitions_of
@@ -111,7 +111,15 @@ def test_residuals_and_gram_match_per_pair(n, d):
     assert np.array_equal(product.residuals(), [(a @ op).max_abs() for op in ops])
     gram = np.array([[(x.adjoint() @ y).trace() for y in ops] for x in ops])
     assert np.array_equal(family.gram(), gram)
-    assert np.array_equal(gram_matrix(family), gram)
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_adjoint_matches_per_pair(n, d):
+    # A W(sigma) is not symmetric, so each block must be transposed in place
+    a = _integer_operator(n, d, seed=5)
+    ops = [a @ perm_operator(p, d) for p in Permutation.all(n)]
+    _assert_blocks(generator_stack(n, d).left_mul(a).adjoint(),
+                   [op.adjoint() for op in ops])
 
 
 @pytest.mark.parametrize("n,d", SIZES)
@@ -135,9 +143,17 @@ def test_action_residuals_match_per_pair(n, d):
 
 @pytest.mark.parametrize("n,d", SIZES)
 def test_of_and_concat_keep_the_order(n, d):
+    # stacks made of the first two and of the remaining generators, from
+    # their storage: (K, D, D) on the dense side, the block row above it
     ops = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
-    first, rest = OperatorStack.of(ops[:2]), OperatorStack.of(ops[2:])
-    _assert_blocks(OperatorStack.concat([first, rest]), ops)
+    data, cut = generator_stack(n, d, transposed=True).data, 2 * d**n
+    if isinstance(data, np.ndarray):
+        first, rest = data[:2], data[2:]
+    else:
+        first, rest = data[:, :cut], data[:, cut:]
+    parts = [OperatorStack(n, d, first), OperatorStack(n, d, rest)]
+    assert [len(part) for part in parts] == [2, len(ops) - 2]
+    _assert_blocks(OperatorStack.concat(parts), ops)
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 5)])
