@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import traceback
-from math import factorial
+from math import factorial, isfinite
 
 import click
 import numpy as np
@@ -304,8 +304,8 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
                cap: int | None, fmt: str):
     """Run verification suites; the exit code counts the failures, capped
     at 254.  255: a check raised (traceback on stderr); 2: a usage error."""
-    if tol is not None and tol <= 0:
-        raise click.UsageError("--tol must be positive")
+    if tol is not None and not (isfinite(tol) and tol > 0):
+        raise click.UsageError("--tol must be positive and finite")
     _require_n2_split(n, d)
     if suite in ORACLE_SUITES:
         cap = _oracle_cap(n, d, cap)

@@ -24,13 +24,17 @@ import numpy as np
 from .dpoly import DPoly
 from .partitions import Partition, add_box
 from .permutations import Permutation
-from .yor import SymmetricGroupIrrep, irrep, transposition_character_frobenius
+from .yor import irrep, transposition_character_frobenius
 
 NULL_EIGENVALUE_TOL = 1e-7
 # Exact zeros of Z come out of products of Young matrices as rounding noise
 # (below 5e-17 for n <= 9), while its smallest nonzero entry is 3.7e-4 at
 # n = 9; the block sign rule reads the first entry above this threshold.
 Z_ZERO_TOL = 1e-9
+# Entries of Q are products of Young matrices: for n <= 8 the integer ones
+# come out within 6e-17 of their value and the others at least 0.02 from
+# any integer, so q_matrix_poly stores entries within this as integers.
+INTEGER_SNAP_TOL = 1e-12
 
 
 class InducedRep:
@@ -73,55 +77,39 @@ class InducedRep:
         return out
 
 
-def coset_image(phi: SymmetricGroupIrrep, c: int, middle: Permutation,
-                a: int, q: int) -> np.ndarray:
-    """phi[(c m) middle (a q)(q m)] with m = middle.degree.
-
-    The word fixes m, so phi (an irrep of S(m-1)) sees its restriction.
-    With middle the identity and c = a it is the (a, q) block of Q(alpha);
-    irrep_M_e reads its generator blocks from the same word.
-    """
-    m = middle.degree
-    tau = (
-        Permutation.transposition(m, c, m)
-        * middle
-        * Permutation.transposition(m, a, q)
-        * Permutation.transposition(m, q, m)
-    )
-    return phi.image(tau.restrict(m - 1))
-
-
 def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:
-    """Q(alpha) at numeric d."""
+    """Q(alpha) at numeric d.
+
+    With m = n-1 the (a, b) block is phi[(a m)(a b)(b m)]; the word fixes
+    m, so phi (an irrep of S(m-1)) sees its restriction.  For a = b the
+    word is the identity, so the diagonal blocks are exactly d I.
+    """
     phi = irrep(alpha)
     w = phi.dim
-    identity = Permutation.identity(n - 1)
-    out = np.zeros(((n - 1) * w, (n - 1) * w))
-    for a in range(1, n):
-        for b in range(1, n):
-            block = coset_image(phi, a, identity, a, b)
-            if a == b:
-                block = d * block
-            out[(a - 1) * w:a * w, (b - 1) * w:b * w] = block
+    m = n - 1
+    out = d * np.eye(m * w)
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            if a != b:
+                tau = (Permutation.transposition(m, a, m)
+                       * Permutation.transposition(m, a, b)
+                       * Permutation.transposition(m, b, m))
+                block = phi.image(tau.restrict(m - 1))
+                out[(a - 1) * w:a * w, (b - 1) * w:b * w] = block
     return out
 
 
 def q_matrix_poly(alpha: Partition, n: int) -> np.ndarray:
-    """Q(alpha) as a matrix of polynomials in d (object dtype)."""
-    phi = irrep(alpha)
-    w = phi.dim
-    identity = Permutation.identity(n - 1)
-    size = (n - 1) * w
-    out = np.empty((size, size), dtype=object)
-    for a in range(1, n):
-        for b in range(1, n):
-            block = coset_image(phi, a, identity, a, b)
-            for i in range(w):
-                for j in range(w):
-                    value = block[i, j]
-                    value = int(round(value)) if abs(value - round(value)) < 1e-12 else value
-                    poly = DPoly((0, value)) if a == b else DPoly((value,))
-                    out[(a - 1) * w + i, (b - 1) * w + j] = poly
+    """Q(alpha) as a matrix of polynomials in d (object dtype): the entries
+    of Q at d = 0, snapped to integers where they are, plus d on the diagonal."""
+    at_zero = q_matrix(alpha, 0, n)
+    out = np.empty(at_zero.shape, dtype=object)
+    for index, value in np.ndenumerate(at_zero):
+        snapped = round(value)
+        out[index] = DPoly((int(snapped) if abs(value - snapped) < INTEGER_SNAP_TOL
+                            else value,))
+    for k in range(len(out)):
+        out[k, k] = out[k, k] + DPoly.d()
     return out
 
 

@@ -1,51 +1,78 @@
 """All irreducible representations of the transposed-operator algebra.
 
-Kind M irreps live in the main ideal and are labelled by partitions of
-n-2 fitting in d rows; their dimension is the rank of Q(alpha), which
+The algebra is generated by S(n-1) and the single contraction
+V' = W((n-1 n))^{t_n}, so each irrep is given by two things: the image
+rho(tau) of every tau in S(n-1), and the image of V'.  Kind M irreps
+live in the main ideal and are labelled by partitions alpha of n-2
+fitting in d rows; S(n-1) acts through the representation induced from
+alpha, less the block theta on which Q(alpha) vanishes, and V' acts
+through Q(alpha).  Their dimension is the rank of Q(alpha), which
 loses dim(theta) compared with the induced representation exactly when
 some eigenvalue vanishes.  Kind S irreps are labelled by partitions of
 n-1 with height strictly below d; they restrict irreducibly to S(n-1)
-and kill every generator that moves the last point.
+and V', hence every generator that moves the last point, acts as zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import partial
 
 import numpy as np
 
 from .algebra import AlgebraContext, AlgebraElement, u_element
-from .induced import (InducedRep, SpectralQ, coset_image, spectral_q,
-                      zero_condition)
+from .induced import InducedRep, SpectralQ, q_matrix, spectral_q, zero_condition
 from .partitions import Partition, partitions_of
 from .permutations import Permutation
-from .yor import irrep as sym_irrep
+from .yor import SymmetricGroupIrrep, irrep as sym_irrep
+
+# Entries of the pseudo-inverse of Q(alpha) below this are rounding noise
+# of exact zeros (at most 7.2e-17, the smallest true entry 2.4e-4, for
+# n <= 7 and d <= 8); unit_of_M builds no u element for them.
+UNIT_COEFF_CUTOFF = 1e-15
 
 
 class AlgebraIrrep:
-    """A matrix representation of the algebra, defined on its generators."""
+    """A matrix representation of the algebra, given on its generators.
+
+    ``rho`` maps tau in S(n-1) to its image and ``contraction`` is the
+    image of V' = W((n-1 n))^{t_n}.  A generator W(sigma) with sigma
+    fixing n is rho(sigma restricted to S(n-1)).  Otherwise let
+    (a, b) = sigma.classify() and sigma_hat = sigma (a n), which fixes n.
+    Then
+
+        W(sigma)^{t_n} = W(sigma_hat) W((a n-1)) V' W((a n-1)),
+
+    because (a n) = (a n-1)(n-1 n)(a n-1), and the partial transpose on
+    the last factor commutes with multiplying, on either side, by an
+    operator A (x) 1 that acts on the first n-1 factors only.  So the image
+    is rho(sigma_hat) T[a] with T[a] = rho((a n-1)) V' rho((a n-1)), and
+    the n-1 matrices T[a] are computed once, here.
+    """
 
     def __init__(self, kind: str, label: Partition, n: int, d: int,
-                 dimension: int, basis_tag: str | None, image_fn):
+                 basis_tag: str | None, rho, contraction: np.ndarray):
         self.kind = kind
         self.label = label
         self.n = n
         self.d = d
-        self.dimension = dimension
+        self.dimension = contraction.shape[0]
         self.basis_tag = basis_tag
-        self._image_fn = image_fn
-        self._images: dict[Permutation, np.ndarray] = {}
+        self.rho = rho
+        self.contraction = contraction
+        swaps = [rho(Permutation.transposition(n - 1, a, n - 1)) for a in range(1, n)]
+        self._transposition_images = [s @ contraction @ s for s in swaps]
 
     def image(self, sigma: Permutation) -> np.ndarray:
-        """Image of the generator W(sigma); memoized."""
-        if sigma.degree != self.n:
-            raise ValueError(f"degree {sigma.degree} != n = {self.n}")
-        cached = self._images.get(sigma)
-        if cached is None:
-            cached = self._image_fn(sigma)
-            self._images[sigma] = cached
-        return cached
+        """Image of the generator W(sigma), transposed when sigma moves n."""
+        n = self.n
+        if sigma.degree != n:
+            raise ValueError(f"degree {sigma.degree} != n = {n}")
+        if sigma.fixes_last():
+            return self.rho(sigma.restrict(n - 1))
+        a, _b = sigma.classify()
+        sigma_hat = sigma * Permutation.transposition(n, a, n)
+        return self.rho(sigma_hat.restrict(n - 1)) @ self._transposition_images[a - 1]
 
     def __repr__(self) -> str:
         tag = f", basis={self.basis_tag}" if self.basis_tag else ""
@@ -81,15 +108,7 @@ def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[P
     return kept_cols, kept_lams, kept_nus
 
 
-def irrep_M_f(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
-    """Kind-M irrep in the reduced matrix basis.
-
-    The transposed transposition (a n) acts as sqrt(Lambda) Za^T Za
-    sqrt(Lambda), with Za the a-th block row of Z restricted to the
-    non-null columns; S(n-1) acts block diagonally through its irreps.
-    A general generator factors as sigma = sigma_hat (a n) with
-    sigma_hat in S(n-1).
-    """
+def _check_m_label(alpha: Partition, d: int, n: int) -> None:
     if n < 3:
         raise ValueError("n >= 3 required; use n2_special_case for n = 2")
     if alpha.weight != n - 2:
@@ -98,54 +117,47 @@ def irrep_M_f(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
         raise ValueError(
             f"no such block: alpha of height {alpha.height} needs d >= {alpha.height}"
         )
+
+
+def _direct_sum(reps: list[SymmetricGroupIrrep], tau: Permutation) -> np.ndarray:
+    """The block-diagonal matrix of the images of tau under reps."""
+    blocks = [psi.image(tau) for psi in reps]
+    out = np.zeros((sum(map(len, blocks)),) * 2)
+    pos = 0
+    for block in blocks:
+        out[pos:pos + len(block), pos:pos + len(block)] = block
+        pos += len(block)
+    return out
+
+
+def irrep_M_f(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
+    """Kind-M irrep in the reduced matrix basis.
+
+    S(n-1) acts block diagonally through the irreps psi_nu of the kept
+    grown labels, and V' as sqrt(Lambda) Z_{n-1}^T Z_{n-1} sqrt(Lambda),
+    with Z_{n-1} the last block row of Z restricted to the non-null
+    columns.
+    """
+    _check_m_label(alpha, d, n)
     spectral = spectral_q(alpha, d, n)
     kept_cols, kept_lams, kept_nus = _theta_filtered(spectral)
     w = alpha.hook_dimension()
-    z_kept = spectral.z[:, kept_cols]
+    last_row = spectral.z[-w:, kept_cols]
     sqrt_lam = np.sqrt(kept_lams)
-    dimension = len(kept_cols)
-    assert dimension == spectral.rank
-
-    psi_reps = [sym_irrep(nu) for nu in kept_nus]
-
-    def image_sn1(sigma: Permutation) -> np.ndarray:
-        reduced = sigma.restrict(n - 1)
-        out = np.zeros((dimension, dimension))
-        pos = 0
-        for psi in psi_reps:
-            out[pos:pos + psi.dim, pos:pos + psi.dim] = psi.image(reduced)
-            pos += psi.dim
-        return out
-
-    def image_an(a: int) -> np.ndarray:
-        block_rows = z_kept[(a - 1) * w:a * w, :]
-        return (sqrt_lam[:, None] * (block_rows.T @ block_rows)) * sqrt_lam[None, :]
-
-    def image_fn(sigma: Permutation) -> np.ndarray:
-        if sigma.fixes_last():
-            return image_sn1(sigma)
-        a, _b = sigma.classify()
-        sigma_hat = sigma * Permutation.transposition(n, a, n)
-        return image_sn1(sigma_hat) @ image_an(a)
-
-    return AlgebraIrrep("M", alpha, n, d, dimension, "f", image_fn)
+    contraction = (sqrt_lam[:, None] * (last_row.T @ last_row)) * sqrt_lam[None, :]
+    assert len(kept_cols) == spectral.rank
+    rho = partial(_direct_sum, [sym_irrep(nu) for nu in kept_nus])
+    return AlgebraIrrep("M", alpha, n, d, "f", rho, contraction)
 
 
 def irrep_M_e(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
     """Kind-M irrep in the group-averaged basis; needs det Q(alpha) != 0.
 
-    Images are written directly through the inducing irrep: the basis is
-    indexed by (coset a, inner i), S(n-1) acts by the induced representation,
-    and a transposed generator with labels (a, b) occupies block row b only.
+    The basis is indexed by (coset a, inner i): S(n-1) acts by the
+    induced representation, and V' maps everything into block row n-1,
+    where it acts as the last block row of Q(alpha).
     """
-    if n < 3:
-        raise ValueError("n >= 3 required; use n2_special_case for n = 2")
-    if alpha.weight != n - 2:
-        raise ValueError(f"alpha must have weight {n - 2}")
-    if d < alpha.height:
-        raise ValueError(
-            f"no such block: alpha of height {alpha.height} needs d >= {alpha.height}"
-        )
+    _check_m_label(alpha, d, n)
     theta = zero_condition(alpha, d)
     if theta is not None:
         raise ValueError(
@@ -153,29 +165,14 @@ def irrep_M_e(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
             "use the reduced-basis construction irrep_M_f instead"
         )
     rep = InducedRep(alpha, n)
-    phi = rep.phi
-    w = rep.w
-    dimension = rep.block_dim
-    m = n - 1
-
-    def image_fn(sigma: Permutation) -> np.ndarray:
-        if sigma.fixes_last():
-            return rep.matrix(sigma.restrict(m))
-        a, b = sigma.classify()
-        sigma_hat = (sigma * Permutation.transposition(n, a, n)).restrict(m)
-        out = np.zeros((dimension, dimension))
-        for q in range(1, m + 1):
-            block = coset_image(phi, b, sigma_hat, a, q)
-            if a == q:
-                block = d * block
-            out[(b - 1) * w:b * w, (q - 1) * w:q * w] = block
-        return out
-
-    return AlgebraIrrep("M", alpha, n, d, dimension, "e", image_fn)
+    q = q_matrix(alpha, d, n)
+    contraction = np.zeros_like(q)
+    contraction[-rep.w:] = q[-rep.w:]
+    return AlgebraIrrep("M", alpha, n, d, "e", rep.matrix, contraction)
 
 
 def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
-    """Semi-trivial irrep: S(n-1) acts irreducibly, the main ideal by zero."""
+    """Semi-trivial irrep: S(n-1) acts irreducibly, V' by zero."""
     if nu.weight != n - 1:
         raise ValueError(f"nu must have weight {n - 1}")
     if nu.height >= d:
@@ -183,14 +180,7 @@ def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
             f"no such block: height {nu.height} >= d = {d} (strict bound)"
         )
     psi = sym_irrep(nu)
-    zero = np.zeros((psi.dim, psi.dim))
-
-    def image_fn(sigma: Permutation) -> np.ndarray:
-        if sigma.fixes_last():
-            return psi.image(sigma.restrict(n - 1))
-        return zero
-
-    return AlgebraIrrep("S", nu, n, d, psi.dim, None, image_fn)
+    return AlgebraIrrep("S", nu, n, d, None, psi.image, np.zeros((psi.dim, psi.dim)))
 
 
 def all_irreps(n: int, d: int) -> list[AlgebraIrrep]:
@@ -292,23 +282,15 @@ def _measure_span(n: int, d: int, cap: int | None) -> int:
 def n2_special_case(d: int) -> tuple[StructureReport, list[AlgebraIrrep]]:
     """n = 2: a commutative two-dimensional algebra, two one-dim irreps.
 
-    The single transposed generator is an essential projector of weight d;
-    it acts as d in the M irrep and as 0 in the S irrep.
+    V' = W((1 2))^{t_2} is an essential projector of weight d; it acts as
+    d in the M irrep and as 0 in the S irrep, and S(1) acts trivially.
     """
     if d < 2:
         raise ValueError("the n = 2 split needs d >= 2")
-    n = 2
-    swap = Permutation.transposition(2, 1, 2)
-
-    def image_m(sigma: Permutation) -> np.ndarray:
-        return np.array([[float(d)]]) if sigma == swap else np.array([[1.0]])
-
-    def image_s(sigma: Permutation) -> np.ndarray:
-        return np.array([[0.0]]) if sigma == swap else np.array([[1.0]])
-
+    trivial = sym_irrep(Partition((1,))).image
     irreps = [
-        AlgebraIrrep("M", Partition(()), n, d, 1, "f", image_m),
-        AlgebraIrrep("S", Partition((1,)), n, d, 1, None, image_s),
+        AlgebraIrrep("M", Partition(()), 2, d, "f", trivial, np.array([[float(d)]])),
+        AlgebraIrrep("S", Partition((1,)), 2, d, None, trivial, np.array([[0.0]])),
     ]
     report = StructureReport(
         n=2,
@@ -351,7 +333,7 @@ def unit_of_M(n: int, d: int) -> AlgebraElement:
             for ii in range(q_plus.shape[0]):
                 a, i = divmod(ii, w)
                 coeff = q_plus[jj, ii]
-                if abs(coeff) < 1e-15:
+                if abs(coeff) < UNIT_COEFF_CUTOFF:
                     continue
                 u = u_element(alpha, b + 1, a + 1, k + 1, i + 1, ctx)
                 unit_alpha = unit_alpha + coeff * u

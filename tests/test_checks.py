@@ -7,7 +7,7 @@ from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_matrix_operators, check_mul_rule,
                               check_reduced_matrix_units, check_spectra,
                               check_u_structure, check_unit_of_m, run_suite)
-from ptalgebra.irreps import all_irreps
+from ptalgebra.irreps import AlgebraIrrep, all_irreps
 from ptalgebra.partitions import Partition
 
 
@@ -82,9 +82,8 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
     def broken(n, d):
         reps = all_irreps(n, d)
         rep = reps[0]
-        image_fn = rep._image_fn
-        rep._image_fn = lambda sigma: (
-            image_fn(sigma) * 1.5 if sigma.is_identity() else image_fn(sigma))
+        reps[0] = AlgebraIrrep(rep.kind, rep.label, n, d, rep.basis_tag,
+                               rep.rho, 1.5 * rep.contraction)
         return reps
 
     monkeypatch.setattr(checks, "all_irreps", broken)

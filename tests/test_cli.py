@@ -240,6 +240,14 @@ def test_verify_command_passes_and_exit_codes():
     assert result.exit_code > 0
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    result = run("verify", "--n", "3", "--d", "2", "--suite", "mul",
+                 "--tol", tol)
+    assert result.exit_code == 2
+    assert "--tol must be positive and finite" in result.output
+
+
 def test_verify_tol_cannot_pass_a_failed_check(monkeypatch):
     # structural checks report residual 1.0 when they fail; a tolerance
     # above it must not turn the FAIL into a PASS

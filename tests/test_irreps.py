@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import goldens
+from reference_irreps import reference_e_images, reference_f_images
 from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
 from ptalgebra.induced import eigenvalues_closed_form, zero_condition
 from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
@@ -200,6 +201,23 @@ def test_f_and_e_bases_have_equal_traces(n, d):
         for sigma in Permutation.all(n):
             assert np.trace(rep_f.image(sigma)) == pytest.approx(
                 np.trace(rep_e.image(sigma)), abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_images_match_the_explicit_matrix_elements(n):
+    # the kind-M images built from rho and the contraction V' equal the
+    # paper's direct formulas for every generator, in both bases
+    perms = list(Permutation.all(n))
+    for d in range(1, 5):
+        for alpha in partitions_of(n - 2):
+            if alpha.height > d:
+                continue
+            pairs = [(irrep_M_f(alpha, d, n), reference_f_images(alpha, d, n))]
+            if zero_condition(alpha, d) is None:
+                pairs.append((irrep_M_e(alpha, d, n), reference_e_images(alpha, d, n)))
+            for rep, expected in pairs:
+                for sigma, image in zip(perms, expected):
+                    assert np.abs(rep.image(sigma) - image).max() < 1e-12
 
 
 def test_kind_s_annihilates_main_ideal_exactly():

@@ -190,10 +190,10 @@ def test_symbolic_element_has_no_image():
 def test_E_regular_representation_projector():
     # regular representation of S(2): averaging gives a rank-one projector
     group = list(Permutation.all(2))
-    images = {g: np.eye(2)[:, [0, 1] if g.is_identity() else [1, 0]]
-              for g in group}
-    family = matrix_operators_E(images, Partition([2]))
-    e11 = family[(1, 1)]
+    images = np.stack([np.eye(2)[:, [0, 1] if g.is_identity() else [1, 0]]
+                       for g in group])
+    family = matrix_operators_E(OperatorStack(1, 2, images), Partition([2]), group)
+    e11 = family.op(0).dense()
     assert np.abs(e11 - 0.5 * np.ones((2, 2))).max() < 1e-12
     assert np.abs(e11 @ e11 - e11).max() < 1e-12
     assert np.linalg.matrix_rank(e11) == 1
