@@ -15,7 +15,8 @@ generators is again d^0 or d^1 times a generator:
 The formal span is kept purely syntactic: for d < n the generators are
 linearly dependent as operators, and only the tensor oracle may decide
 linear (in)dependence.  Coefficients are floats at fixed d or DPoly in
-symbolic mode.
+symbolic mode.  ``u_terms`` gives every averaged generator u_ij^ab(alpha)
+of the main ideal at once as arrays; ``u_element`` is one of them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .dpoly import DPoly
 from .partitions import Partition
-from .permutations import Permutation
-from .yor import irrep
+from .permutations import Permutation, image_array
+from .yor import averaging_weights
 
 PRUNE_TOL = 1e-12
 
@@ -231,33 +232,41 @@ class AlgebraElement:
         return " + ".join(chunks)
 
 
-def u_element(
-    alpha: Partition, a: int, b: int, i: int, j: int, ctx: AlgebraContext
-) -> AlgebraElement:
-    """Group-averaged generator of the main ideal.
-
-    u_{ij}^{ab}(alpha) = (w/(n-2)!) W(an) sum_{sigma in S(n-2)}
-    phi_{ji}(sigma^{-1}) V[(a n-1) sigma (b n-1)], a formal combination of
-    (n-2)! generators.  Nonzero as a tensor operator exactly when alpha
-    fits in d rows.
-    """
-    n = ctx.n
+def u_terms(alpha: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every u term of alpha as arrays over sigma_s in S(n-2), in
+    ``Permutation.all`` order: u_{ij}^{ab} = sum_s weights[i-1, j-1, s]
+    W(images[a-1, b-1, s]), where ``images`` (shape (n-1, n-1, (n-2)!, n))
+    holds the 0-based images of (a n)(a n-1) sigma_s (b n-1) and ``weights``
+    is ``averaging_weights`` over S(n-2).  The images do not depend on
+    alpha; they are the permutations that move n, each once."""
     if n < 3:
         raise ValueError("u elements need n >= 3; n = 2 has its own treatment")
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
-    if not (1 <= a <= n - 1 and 1 <= b <= n - 1):
+    points, x = np.arange(n), np.arange(n - 1)[:, None]
+
+    def swaps(y):  # row x: the 0-based transposition (x y)
+        return np.where(points == x, y, np.where(points == y, x, points))
+
+    left = np.take_along_axis(swaps(n - 1), swaps(n - 2), axis=1)  # (a n)(a n-1)
+    sigma = np.hstack([image_array(n - 2), np.full((factorial(n - 2), 2), [n - 2, n - 1])])
+    images = left[x[:, :, None, None], sigma[:, swaps(n - 2)].transpose(1, 0, 2)]
+    return images, averaging_weights(alpha, list(Permutation.all(n - 2)))
+
+
+def u_element(alpha: Partition, a: int, b: int, i: int, j: int,
+              ctx: AlgebraContext) -> AlgebraElement:
+    """Group-averaged generator of the main ideal.
+
+    u_{ij}^{ab}(alpha) = (w/(n-2)!) W(an) sum_{sigma in S(n-2)}
+    phi_{ji}(sigma^{-1}) V[(a n-1) sigma (b n-1)], a formal combination of
+    (n-2)! generators: one ``(a, b, i, j)`` slice of ``u_terms``.  Nonzero
+    as a tensor operator exactly when alpha fits in d rows.
+    """
+    images, weights = u_terms(alpha, ctx.n)
+    if not (1 <= a <= ctx.n - 1 and 1 <= b <= ctx.n - 1):
         raise ValueError("labels a, b must lie in 1..n-1")
-    phi = irrep(alpha)
-    if not (1 <= i <= phi.dim and 1 <= j <= phi.dim):
+    if not (1 <= i <= len(weights) and 1 <= j <= len(weights)):
         raise ValueError("matrix indices outside the representation")
-    an = Permutation.transposition(n, a, n)
-    left = Permutation.transposition(n, a, n - 1)
-    right = Permutation.transposition(n, b, n - 1)
-    scale = phi.dim / factorial(n - 2)
-    terms: dict[Permutation, object] = {}
-    for sigma in Permutation.all(n - 2):
-        coeff = scale * phi.image(sigma.inverse())[j - 1, i - 1]
-        key = an * left * sigma.embed(n) * right
-        terms[key] = terms.get(key, 0.0) + coeff
-    return AlgebraElement(ctx, terms)
+    perms = map(Permutation, (images[a - 1, b - 1] + 1).tolist())
+    return AlgebraElement(ctx, dict(zip(perms, weights[i - 1, j - 1].tolist())))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement, mul_generators, u_element
+from .algebra import AlgebraContext, AlgebraElement, mul_generators, u_element, u_terms
 from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
-from .irreps import (algebra_dimension_formula, all_irreps, rank_of_q,
+from .irreps import (algebra_dimension_formula, all_irreps, direct_sum, rank_of_q,
                      structure_report, unit_of_M)
 from .oracle import (OperatorStack, SizeCapError, element_operator,
                      element_stack, generator_stack, identity_operator,
@@ -123,14 +123,17 @@ def check_associativity(n: int, d: int, triples: int = 200,
 
 
 def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):
-    """The u operators of alpha and their labels (a, b, i, j), 1-based, in
-    lexicographic order: label (a, b, i, j) is block
-    ((a-1)(n-1) + b-1) w^2 + (i-1) w + j-1."""
-    m, w = ctx.n - 1, alpha.hook_dimension()
+    """The u operators of alpha, one ``combine`` of the ``u_terms``, and
+    their labels (a, b, i, j), 1-based, in lexicographic order: label
+    (a, b, i, j) is block ((a-1)(n-1) + b-1) w^2 + (i-1) w + j-1."""
+    images, weights = u_terms(alpha, ctx.n)
+    m, w, count = len(images), len(weights), weights.shape[-1]
     labels = list(itertools.product(range(1, m + 1), range(1, m + 1),
                                     range(1, w + 1), range(1, w + 1)))
-    elems = [u_element(alpha, *label, ctx) for label in labels]
-    return element_stack(elems, cap), labels
+    index = np.broadcast_to(lehmer_rank(images)[:, :, None, None], (m, m, w, w, count))
+    return generator_stack(ctx.n, ctx.d, True, cap).combine(
+        index.reshape(-1, count), np.broadcast_to(weights, index.shape).reshape(-1, count)
+    ), labels
 
 
 def _unit_rows(family: OperatorStack, w: int):
@@ -277,15 +280,10 @@ def check_spectra(n: int, d: int) -> CheckReport:
         diag = np.array([lam_by_label[nu] for nu, _j in labels])
         worst = max(worst, np.abs(z.T @ q_num @ z - np.diag(diag)).max())
         rep = InducedRep(alpha, n)
+        psis = [sym_irrep(nu) for nu, _row, _e in rep.decomposition]
         for sigma in Permutation.all(n - 1):
             reduced = z.T @ rep.matrix(sigma) @ z
-            expected = np.zeros_like(reduced)
-            pos = 0
-            for nu, _row, _e in rep.decomposition:
-                dim_nu = nu.hook_dimension()
-                expected[pos:pos + dim_nu, pos:pos + dim_nu] = sym_irrep(nu).image(sigma)
-                pos += dim_nu
-            worst = max(worst, np.abs(reduced - expected).max())
+            worst = max(worst, np.abs(reduced - direct_sum(psis, sigma)).max())
         details.append(str(alpha))
     return _report("spectra", {"n": n, "d": d}, worst, SPECTRA_TOL,
                    "alphas " + "; ".join(details))
@@ -407,8 +405,8 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     # (II) orthogonality with the multiplicity as norm; here D restricted to
     # S(n-2) contains each alpha with multiplicity d^2 * (its multiplicity
     # in the action on n-2 factors).
-    norms = [float(d * d * multiplicity_in_V(alpha, d)) if alpha.height <= d
-             else 0.0 for alpha, _i, _j in labels]
+    mults = [multiplicity_in_V(alpha, d) if alpha.height <= d else 0 for alpha in alphas]
+    norms = np.repeat(d * d * np.array(mults, float), [phi.dim**2 for phi in phis])
     value, (r, c) = _worst(np.abs(everything.gram() - np.diag(norms)))
     if value > worst:
         worst, culprit = value, f"<{e_name(labels[r])}, {e_name(labels[c])}>"

@@ -195,7 +195,8 @@ def cmd_spectrum(n: int, d: int, alpha: Partition, fmt: str):
     if fmt == "json":
         click.echo(json.dumps(record))
         return
-    rows = [[str(e["nu"]), f"{e['lambda']:g}", str(e["multiplicity"])]
+    # lambda = d + content is an integer; :g would print 1.23457e+06
+    rows = [[str(e["nu"]), str(round(e["lambda"])), str(e["multiplicity"])]
             for e in record["eigenpairs"]]
     if fmt == "csv":
         _emit_csv(["nu", "lambda", "multiplicity"], rows)

@@ -11,6 +11,7 @@ loses dim(theta) compared with the induced representation exactly when
 some eigenvalue vanishes.  Kind S irreps are labelled by partitions of
 n-1 with height strictly below d; they restrict irreducibly to S(n-1)
 and V', hence every generator that moves the last point, acts as zero.
+The unit of M sums Q(alpha)^+ against the u terms: one einsum per alpha.
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement, u_element
+from .algebra import AlgebraContext, AlgebraElement, u_terms
 from .induced import InducedRep, SpectralQ, q_matrix, spectral_q, zero_condition
 from .partitions import Partition, partitions_of
-from .permutations import Permutation
+from .permutations import Permutation, image_array, lehmer_rank
 from .yor import SymmetricGroupIrrep, irrep as sym_irrep
-
-# Entries of the pseudo-inverse of Q(alpha) below this are rounding noise
-# of exact zeros (at most 7.2e-17, the smallest true entry 2.4e-4, for
-# n <= 7 and d <= 8); unit_of_M builds no u element for them.
-UNIT_COEFF_CUTOFF = 1e-15
 
 
 class AlgebraIrrep:
@@ -96,16 +92,11 @@ class AlgebraIrrep:
 
 def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[Partition]]:
     """Kept column indices of Z, their eigenvalues, and the kept nu labels."""
-    kept_cols, kept_lams = [], []
-    kept_nus: list[Partition] = []
-    for col, (nu, j) in enumerate(spectral.z_labels):
-        if spectral.theta is not None and nu == spectral.theta:
-            continue
-        kept_cols.append(col)
-        kept_lams.append(spectral.eigenvalue_of(nu))
-        if j == 1:
-            kept_nus.append(nu)
-    return kept_cols, kept_lams, kept_nus
+    kept = [(col, nu, j) for col, (nu, j) in enumerate(spectral.z_labels)
+            if nu != spectral.theta]
+    return ([col for col, _nu, _j in kept],
+            [spectral.eigenvalue_of(nu) for _col, nu, _j in kept],
+            [nu for _col, nu, j in kept if j == 1])
 
 
 def _check_m_label(alpha: Partition, d: int, n: int) -> None:
@@ -119,7 +110,7 @@ def _check_m_label(alpha: Partition, d: int, n: int) -> None:
         )
 
 
-def _direct_sum(reps: list[SymmetricGroupIrrep], tau: Permutation) -> np.ndarray:
+def direct_sum(reps: list[SymmetricGroupIrrep], tau: Permutation) -> np.ndarray:
     """The block-diagonal matrix of the images of tau under reps."""
     blocks = [psi.image(tau) for psi in reps]
     out = np.zeros((sum(map(len, blocks)),) * 2)
@@ -146,7 +137,7 @@ def irrep_M_f(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
     sqrt_lam = np.sqrt(kept_lams)
     contraction = (sqrt_lam[:, None] * (last_row.T @ last_row)) * sqrt_lam[None, :]
     assert len(kept_cols) == spectral.rank
-    rho = partial(_direct_sum, [sym_irrep(nu) for nu in kept_nus])
+    rho = partial(direct_sum, [sym_irrep(nu) for nu in kept_nus])
     return AlgebraIrrep("M", alpha, n, d, "f", rho, contraction)
 
 
@@ -313,29 +304,25 @@ def unit_of_M(n: int, d: int) -> AlgebraElement:
     Per label alpha the unit is sum_{J,I} Qplus[J,I] u[J,I] with Qplus the
     (pseudo)inverse of Q(alpha) built from the closed-form eigenvalues and
     the d-independent reducing matrix; the vanishing block, when present,
-    is excluded by its exact label rather than numerically.
+    is excluded by its exact label rather than numerically.  With J = (b, k)
+    and I = (a, i), W(images[b, a, s]) of ``u_terms`` has one einsum of
+    Qplus and the weights as coefficient, summed over alpha.
     """
     if n < 3:
         raise ValueError("n >= 3 required; for n = 2 the unit of M is W(12)/d")
-    ctx = AlgebraContext(n, d)
-    total = AlgebraElement.zero(ctx)
+    ctx, m = AlgebraContext(n, d), n - 1
+    coeffs = 0.0
     for alpha in partitions_of(n - 2):
         if alpha.height > d:
             continue
         spectral = spectral_q(alpha, d, n)
         kept_cols, kept_lams, _nus = _theta_filtered(spectral)
-        z_kept = spectral.z[:, kept_cols]
-        q_plus = z_kept @ np.diag([1.0 / lam for lam in kept_lams]) @ z_kept.T
-        w = alpha.hook_dimension()
-        unit_alpha = AlgebraElement.zero(ctx)
-        for jj in range(q_plus.shape[0]):
-            b, k = divmod(jj, w)
-            for ii in range(q_plus.shape[0]):
-                a, i = divmod(ii, w)
-                coeff = q_plus[jj, ii]
-                if abs(coeff) < UNIT_COEFF_CUTOFF:
-                    continue
-                u = u_element(alpha, b + 1, a + 1, k + 1, i + 1, ctx)
-                unit_alpha = unit_alpha + coeff * u
-        total = total + unit_alpha
-    return total
+        images, weights = u_terms(alpha, n)
+        z = spectral.z[:, kept_cols].reshape(m, len(weights), -1)  # rows (b, k)
+        q_plus = np.einsum("bkc,aic->bkai", z / kept_lams, z)  # Q^+[(b, k), (a, i)]
+        coeffs = coeffs + np.einsum("bkai,kis->bas", q_plus, weights)
+    total = np.zeros(len(image_array(n)))
+    total[lehmer_rank(images)] = coeffs  # the images are alike for every alpha
+    keys = np.flatnonzero(total)
+    perms = map(Permutation, (image_array(n)[keys] + 1).tolist())
+    return AlgebraElement(ctx, dict(zip(perms, total[keys].tolist())))

@@ -54,7 +54,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
-from .yor import SymmetricGroupIrrep
+from .yor import averaging_weights
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -548,10 +548,5 @@ def matrix_operators_E(rep_images: OperatorStack, alpha: Partition,
     block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww,
     each E_ij adding its terms in group order.
     """
-    phi = SymmetricGroupIrrep(alpha)
-    w = phi.dim
-    inverse_images = np.stack([phi.image(g.inverse()) for g in group])
-    # weights[(i, j), g] = (w/|G|) phi_ji(g^-1)
-    weights = (w / len(group)) * inverse_images.transpose(2, 1, 0).reshape(
-        w * w, len(group))
-    return rep_images.combine(np.arange(len(group)), weights)
+    return rep_images.combine(np.arange(len(group)),
+                              averaging_weights(alpha, group).reshape(-1, len(group)))

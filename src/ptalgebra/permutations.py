@@ -79,6 +79,8 @@ class Permutation:
         images = list(range(1, m + 1))
         for cycle in cycles:
             for i, point in enumerate(cycle):
+                if not 1 <= point <= m:
+                    raise ValueError(f"point {point} outside {{1..{m}}}")
                 images[point - 1] = cycle[(i + 1) % len(cycle)]
         return Permutation(images)
 

@@ -132,6 +132,14 @@ def irrep(label: Partition) -> SymmetricGroupIrrep:
     return SymmetricGroupIrrep(label)
 
 
+def averaging_weights(alpha: Partition, group: list[Permutation]) -> np.ndarray:
+    """(w/|G|) phi_ji(g^{-1}) at ``[i, j, g]``: the weights of the averaged
+    matrix operators E_ij = sum_g weights[i, j, g] D(g) and of the u terms."""
+    phi = irrep(alpha)
+    inverse_images = np.stack([phi.image(g.inverse()) for g in group])
+    return (phi.dim / len(group)) * inverse_images.transpose(2, 1, 0)
+
+
 def character(alpha: Partition, p: Permutation) -> float:
     if alpha.weight != p.degree:
         raise ValueError(f"weight {alpha.weight} != degree {p.degree}")

@@ -295,6 +295,15 @@ def test_csv_formats():
     assert result.output.splitlines()[0] == "kind,label,size"
 
 
+def test_spectrum_prints_lambda_as_an_integer():
+    # lambda = d + content: 1234568 and 1234566, not 1.23457e+06
+    result = run("spectrum", "--n", "3", "--d", "1234567", "--alpha", "1",
+                 "--format", "csv")
+    assert result.output.splitlines()[1:] == ["2,1234568,1", '"1,1",1234566,1']
+    text = run("spectrum", "--n", "3", "--d", "1234567", "--alpha", "1").output
+    assert "1234568" in text and "e+06" not in text.split("nu")[1]
+
+
 @pytest.mark.parametrize("suite", ["all", "irreps", "spectra"])
 def test_verify_json_parses_and_round_trips(suite):
     result = run("verify", "--n", "3", "--d", "2", "--suite", suite,

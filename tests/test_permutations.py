@@ -28,6 +28,14 @@ def test_compose_identity_and_inverse():
         3, [(1, 3, 2)]) == Permutation.identity(3)
 
 
+@pytest.mark.parametrize("text,point", [("(1 5)", 5), ("(0 2)", 0), ("(14)", 4)])
+def test_points_outside_the_degree_are_named(text, point):
+    with pytest.raises(ValueError, match=rf"point {point} outside \{{1\.\.3\}}"):
+        Permutation.parse(text, 3)
+    with pytest.raises(ValueError, match=f"point {point} outside"):
+        Permutation.from_cycles(3, [(2, point)])
+
+
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(Permutation.identity(3), Permutation.identity(4))

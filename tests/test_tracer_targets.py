@@ -1,24 +1,36 @@
-"""Every function and method that perfbench/tracer.py wraps still exists.
+"""Every function and method that perfbench/tracer.py wraps still exists,
+and the small oracle workload still calls every layer it is meant to.
 
 The tracer binds its targets by name, so a rename in ``src/`` would only
 show up in the slow perfbench run; installing it once here is quick.
 """
 
+import ast
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
+import pytest
+
+from ptalgebra.cli import main
 from ptalgebra.irreps import AlgebraIrrep
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_every_target(monkeypatch):
+def _tracer_module(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_every_target(monkeypatch):
+    module = _tracer_module(monkeypatch)
     image = vars(AlgebraIrrep)["image"]
     tracer = module.Tracer()
     tracer.install()
@@ -28,3 +40,21 @@ def test_tracer_installs_every_target(monkeypatch):
     finally:
         tracer.uninstall()
     assert vars(AlgebraIrrep)["image"] is image
+
+
+def test_oracle_small_records_every_layer_it_covers(monkeypatch):
+    # COVERAGE in perfbench/tests/test_tracer.py: layer metric -> workloads
+    tree = ast.parse((ROOT / "perfbench" / "tests" / "test_tracer.py").read_text())
+    coverage = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "COVERAGE")
+    module = _tracer_module(monkeypatch)
+    args = ["verify", "--n", "5", "--d", "2", "--suite", "all", "--format", "json"]
+    with module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as exited:  # the number of failed checks
+            tracer.span(module.COMMAND_GROUP, main, args, standalone_mode=False)
+    assert exited.value.code == 0
+    metrics = tracer.metrics()
+    required = [name for name, workloads in coverage.items() if "oracle_small" in workloads]
+    assert "algebra.u_element.calls" in required
+    assert [name for name in required if not metrics[name] > 0] == []
