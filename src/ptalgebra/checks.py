@@ -4,7 +4,10 @@ Each check returns a report record {check, params, passed, max_residual,
 tol, details}; the CLI turns failures into a nonzero exit code.  A check
 that fails names its worst block (generator pair, u label, left factor)
 in ``details``.  Checks build operator families with the oracle's stacks
-and never branch on how the oracle stores them.
+and never branch on how the oracle stores them.  The composition law and
+associativity are checked exactly on the oracle's integer index form of
+the transposed generators instead, so their residuals are integers (0 on
+a pass) judged against the same tolerances.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
 from .irreps import (algebra_dimension_formula, all_irreps, direct_sum, rank_of_q,
                      structure_report, unit_of_M)
 from .oracle import (OperatorStack, SizeCapError, element_operator,
-                     element_stack, generator_stack, identity_operator,
-                     matrix_operators_E, perm_operator, span_dimension,
-                     transposed_perm_operator)
+                     element_stack, generator_index, generator_stack,
+                     identity_operator, matrix_operators_E, perm_operator,
+                     span_dimension, transposed_perm_operator)
 from .partitions import Partition, partitions_of
 from .permutations import Permutation, image_array, lehmer_rank
 from .yor import irrep as sym_irrep
@@ -81,23 +84,25 @@ def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, ...]]:
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Every generator pair: the abstract product equals the operator product.
 
-    One row per left factor sigma: ``mul_generators`` gives
-    W(sigma) W(rho) = d^power W(tau) for every rho, and the generator
-    stack checks the whole row with one product and one gather.
+    For a chunk of left factors sigma, one ``mul_generators`` call gives
+    W(sigma) W(rho) = d^power W(tau) for every rho, and the integer index
+    form of the transposed generators checks all of these exactly, without
+    a float operator.  Only a flagged pair gets its exact max entry
+    difference, so a pass reads 0.
     """
     perms = list(Permutation.all(n))
     images = image_array(n)
-    family = generator_stack(n, d, transposed=True, cap=cap)
-
-    def rows():
-        for sigma, image in zip(perms, images):
-            powers, products = mul_generators(image, images)
-            yield (transposed_perm_operator(sigma, d, n, cap),
-                   lehmer_rank(products)[:, None], (d**powers)[:, None])
-
-    worst, (s, r) = _worst(family.action_residuals(rows()))
-    return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL,
-                   culprit=f"{perms[s]} * {perms[r]}")
+    index = generator_index(n, d, cap)
+    worst, culprit, chunk = 0.0, "", index.law_chunk()
+    for start in range(0, len(perms), chunk):
+        left = np.arange(start, min(start + chunk, len(perms)))
+        powers, products = mul_generators(images[left, None], images)
+        scale, tau = d**powers, lehmer_rank(products)
+        for s, r in zip(*np.nonzero(index.law_mismatches(left, scale, tau))):
+            value = index.law_residual(left[s], r, scale[s, r], tau[s, r])
+            if value > worst:
+                worst, culprit = value, f"{perms[left[s]]} * {perms[r]}"
+    return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL, culprit=culprit)
 
 
 def check_associativity(n: int, d: int, triples: int = 200,
@@ -105,18 +110,18 @@ def check_associativity(n: int, d: int, triples: int = 200,
     """Random generator triples associate after mapping through the oracle.
 
     Four ``mul_generators`` calls on the stacked triples give both
-    bracketings, (xy)z = d^p W(tau_L) and x(yz) = d^p' W(tau_R); each side
-    is then one gather of the generator stack.
+    bracketings, (xy)z = d^p W(tau_L) and x(yz) = d^p' W(tau_R); the index
+    form of the transposed generators compares the two exactly, entry by
+    entry over their D ones each.
     """
     images = image_array(n)
     picks = np.random.default_rng(seed).integers(len(images), size=(triples, 3))
     x, y, z = (images[picks[:, k]] for k in range(3))
     (p_xy, xy), (p_yz, yz) = mul_generators(x, y), mul_generators(y, z)
     (p_l, tau_l), (p_r, tau_r) = mul_generators(xy, z), mul_generators(x, yz)
-    family = generator_stack(n, d, transposed=True, cap=cap)
-    left = family.combine(lehmer_rank(tau_l)[:, None], (d ** (p_xy + p_l))[:, None])
-    right = family.combine(lehmer_rank(tau_r)[:, None], (d ** (p_yz + p_r))[:, None])
-    worst, (t,) = _worst(left.residuals(right))
+    distances = generator_index(n, d, cap).distances(
+        d ** (p_xy + p_l), lehmer_rank(tau_l), d ** (p_yz + p_r), lehmer_rank(tau_r))
+    worst, (t,) = _worst(distances)
     culprit = " * ".join(str(Permutation((images[k] + 1).tolist())) for k in picks[t])
     return _report("associativity", {"n": n, "d": d, "triples": triples}, worst,
                    ASSOCIATIVITY_TOL, culprit=culprit)

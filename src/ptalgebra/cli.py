@@ -46,6 +46,11 @@ def _cell_text(coeff, perm: Permutation) -> str:
     return ("" if coeff == "1" else coeff) + _perm_label(perm)
 
 
+def _number_text(x: float) -> str:
+    """An integral value in full, like ``1234567``; any other with ``:g``."""
+    return str(int(x)) if float(x).is_integer() else f"{x:g}"
+
+
 def build_mul_table(n: int, d: int | None) -> dict:
     """The product table as arrays: ``cells[i, j] = power * n! + k`` records
     W(order[i]) W(order[j]) = coeffs[power] W(order[k]).  Rows are filled in
@@ -196,7 +201,7 @@ def cmd_spectrum(n: int, d: int, alpha: Partition, fmt: str):
         click.echo(json.dumps(record))
         return
     # lambda = d + content is an integer; :g would print 1.23457e+06
-    rows = [[str(e["nu"]), str(round(e["lambda"])), str(e["multiplicity"])]
+    rows = [[str(e["nu"]), _number_text(e["lambda"]), str(e["multiplicity"])]
             for e in record["eigenpairs"]]
     if fmt == "csv":
         _emit_csv(["nu", "lambda", "multiplicity"], rows)
@@ -205,7 +210,7 @@ def cmd_spectrum(n: int, d: int, alpha: Partition, fmt: str):
     click.echo(f"Q(alpha={record['alpha']}) at n={n}, d={d}:")
     matrix = np.array(record["matrix"]).reshape(size, size)
     for row in matrix:
-        click.echo("  " + "  ".join(f"{x:g}" for x in row))
+        click.echo("  " + "  ".join(_number_text(x) for x in row))
     _print_grid(["nu", "lambda", "mult"], rows)
     click.echo(f"rank {record['rank']}"
                + (f", vanishing block {record['theta']}" if record["theta"] else ""))

@@ -23,11 +23,19 @@ max |X_k - Y_k|, and the Gram matrix.  ``action_residuals`` fuses them
 for claims of the form "A B_k = sum_i C[k, i] B_i for every k", one
 call per left factor A; it reuses two dense buffers for all rows because
 a fresh (K, D, D) array per row costs more than the work in it.
-The checks of the composition law, of the u structure constants and left
-actions, of the unit of M, of the reduced matrix units, and of the
-averaged matrix operators (``matrix_operators_E``, behind the dimension
-and appendix checks) all run on stacks, so ``checks`` never branches on
-the storage.
+The checks of the u structure constants and left actions, of the unit of
+M, of the reduced matrix units, and of the averaged matrix operators
+(``matrix_operators_E``, behind the dimension and appendix checks) all run
+on stacks, so ``checks`` never branches on the storage.
+
+``generator_index`` gives the transposed generators as integer index
+lists instead (``GeneratorIndex``): each W(sigma)^{t_n} is a 0/1 matrix
+with D ones and at most d per row or column, stored as the columns of the
+ones in each row and the rows of the ones in each column, padded to d.
+It is built from basis digits like the stacks, never from the
+composition law, and checks the law W(sigma) W(rho) = d^p W(tau) and the
+associativity of sampled triples exactly, in integers and in chunks of
+bounded memory, with no float operator.
 
 ``generator_stack`` gives W(sigma), or its partial transposes, for all of
 S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
@@ -479,6 +487,147 @@ def generator_stack(n: int, d: int, transposed: bool = False,
     ``Permutation.all`` order.  Shared and cached: never write to it."""
     _check_family(n, d, cap)
     return _family(n, d, transposed)[0]
+
+
+# Support entries (pairs times D) that ``GeneratorIndex.law_mismatches``
+# examines per call: under 8 MB of temporaries at d = 2.
+LAW_CHUNK_ENTRIES = 2**18
+
+
+def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``values`` by ``keys`` in each row k of two ``(K, D)`` arrays of
+    indices below D: the ``(d, K, D)`` array whose ``[i, k, g]`` is the i-th
+    value of group g (``pad`` past the last), in the smallest signed type
+    that holds them, and the ``(K, D)`` group sizes."""
+    count, dim = keys.shape
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    line = np.arange(count)[:, None]
+    sizes = np.bincount((keys + line * dim).ravel(),
+                        minlength=count * dim).reshape(count, dim)
+    starts = np.cumsum(sizes, axis=1) - sizes
+    slots = np.full((d, count, dim), pad, dtype=np.min_scalar_type(-dim))
+    slots[np.arange(dim) - np.take_along_axis(starts, keys, axis=1), line, keys] = (
+        np.take_along_axis(values, order, axis=1))
+    return slots, sizes
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorIndex:
+    """The transposed generators W(sigma)^{t_n} of S(n), in ``Permutation.all``
+    order, as integer index lists: no float operator is built.
+
+    Each W(sigma)^{t_n} is a 0/1 matrix with exactly D = d^n ones and at
+    most d in any row or column.  For generator k, ``rows[k]`` and
+    ``cols[k]`` hold the positions of its D ones; ``row_cols[i, k, r]`` is
+    the column of the i-th one in row r and ``col_rows[i, k, c]`` the row of
+    the i-th one in column c, padded with -1 and -2 so that pads never
+    match; ``row_count`` and ``col_count`` count the ones of every row and
+    column.  All of it comes from ``_generator_entries``, that is from basis
+    digits, and never from the composition law it is used to check.
+    """
+
+    d: int
+    rows: np.ndarray
+    cols: np.ndarray
+    row_cols: np.ndarray
+    col_rows: np.ndarray
+    row_count: np.ndarray
+    col_count: np.ndarray
+
+    @classmethod
+    def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray
+                     ) -> "GeneratorIndex":
+        """The index form of the 0/1 matrices with ones at ``(rows[k], cols[k])``."""
+        row_cols, row_count = _slot_lists(rows, cols, d, -1)
+        col_rows, col_count = _slot_lists(cols, rows, d, -2)
+        arrays = (rows, cols, row_cols, col_rows, row_count, col_count)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(d, *arrays)
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def law_chunk(self) -> int:
+        """Left factors per ``law_mismatches`` call within ``LAW_CHUNK_ENTRIES``."""
+        return max(1, LAW_CHUNK_ENTRIES // (len(self) * self.dim))
+
+    def law_mismatches(self, left: np.ndarray, scale: np.ndarray,
+                       target: np.ndarray) -> np.ndarray:
+        """Whether W(left[s]) W(r) != scale[s, r] W(target[s, r]), for every
+        left factor s and every generator r: a bool ``(S, K)`` array.
+
+        Exact integer work.  On each of the D ones (i, j) of W(target) the
+        product entry is the number of shared indices of row i of the left
+        factor and column j of the right one, which must equal the scale.
+        The total of the product, sum_m col_count[left](m) row_count[r](m),
+        must equal scale * D.  Every entry is nonnegative, so together the
+        two conditions are equality.
+        """
+        count, dim = self.rows.shape
+        scale, offset = np.asarray(scale), self.rows.dtype.type(dim)
+        left_rows = self.rows[target] + (np.asarray(left, self.rows.dtype)
+                                         * offset)[:, None, None]
+        right_cols = self.cols[target] + (np.arange(count, dtype=self.rows.dtype)
+                                          * offset)[:, None]
+        right = [slots.ravel().take(right_cols) for slots in self.col_rows]
+        shared = np.zeros(left_rows.shape, dtype=np.min_scalar_type(self.d))
+        for slots in self.row_cols:
+            mine = slots.ravel().take(left_rows)
+            for theirs in right:
+                shared += mine == theirs
+        total = self.col_count[left] @ self.row_count.T
+        return (shared != scale[..., None]).any(axis=-1) | (total != scale * dim)
+
+    def law_residual(self, left: int, right: int, scale, target: int) -> float:
+        """max |W(left) W(right) - scale W(target)|, exact, for a pair that
+        ``law_mismatches`` flags: one sparse product of the row lists of the
+        left factor and the column lists of the right one, the same data
+        that flagged it."""
+        dim, line = self.dim, np.broadcast_to(np.arange(self.dim), (self.d, self.dim))
+
+        def ones(rows, cols):
+            keep = (rows >= 0) & (cols >= 0)
+            return _sparse().csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
+                                        shape=(dim, dim))
+
+        diff = (ones(line, self.row_cols[:, left]) @ ones(self.col_rows[:, right], line)
+                - float(scale) * ones(self.rows[target], self.cols[target]))
+        return float(abs(diff).max())
+
+    def distances(self, scale_a, target_a, scale_b, target_b) -> np.ndarray:
+        """max |scale_a[t] W(target_a[t]) - scale_b[t] W(target_b[t])| for
+        every t, exact, over the two sets of D ones."""
+        scale_a, scale_b = (np.asarray(s, dtype=float) for s in (scale_a, scale_b))
+        shared = self._holds(target_b, target_a)
+        only_b = ~self._holds(target_a, target_b)
+        return np.max([np.where(shared.any(axis=1), np.abs(scale_a - scale_b), 0.0),
+                       np.where(shared.all(axis=1), 0.0, scale_a),
+                       np.where(only_b.any(axis=1), scale_b, 0.0)], axis=0)
+
+    def _holds(self, target: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Whether W(target[t]) has a one at each of the D ones of W(other[t])."""
+        at = self.rows[other] + (np.asarray(target) * self.dim)[:, None]
+        return np.any([slots.ravel().take(at) == self.cols[other]
+                       for slots in self.row_cols], axis=0)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _generator_index(n: int, d: int) -> GeneratorIndex:
+    return GeneratorIndex.from_entries(d, *_generator_entries(image_array(n), d, True))
+
+
+def generator_index(n: int, d: int, cap: int | None = None) -> GeneratorIndex:
+    """The index form of W(sigma)^{t_n} for every sigma in S(n), in
+    ``Permutation.all`` order.  Shared and cached: never write to it."""
+    _check_family(n, d, cap)
+    return _generator_index(n, d)
 
 
 def element_stack(elems: list[AlgebraElement], cap: int | None = None

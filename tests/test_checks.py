@@ -137,12 +137,24 @@ def _perturb(build, target):
 
 
 def test_mul_rule_names_the_planted_pair(monkeypatch):
-    import ptalgebra.checks as checks
-    from ptalgebra.permutations import Permutation
+    import dataclasses
 
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.oracle import generator_index
+    from ptalgebra.permutations import Permutation, lehmer_rank
+
+    # Move a one of W((1 3))^{t_n} in its row lists only: the check reads
+    # those for the left factor, so exactly the pairs (1 3) * rho fail.
     planted = Permutation.from_cycles(3, [(1, 3)])
-    monkeypatch.setattr(checks, "transposed_perm_operator",
-                        _perturb(checks.transposed_perm_operator, planted))
+    real = generator_index(3, 2)
+    k = lehmer_rank(np.array(planted.images) - 1)
+    row_cols = real.row_cols.copy()
+    assert row_cols[0, k, 0] == 0 and 1 not in row_cols[:, k, 0]
+    row_cols[0, k, 0] = 1
+    monkeypatch.setattr(checks, "generator_index", lambda n, d, cap=None:
+                        dataclasses.replace(real, row_cols=row_cols))
     report = check_mul_rule(3, 2)
     assert report.passed is False and report.max_residual >= 0.5
     assert report.details.startswith(f"worst at {planted} * ")

@@ -304,6 +304,15 @@ def test_spectrum_prints_lambda_as_an_integer():
     assert "1234568" in text and "e+06" not in text.split("nu")[1]
 
 
+def test_spectrum_prints_integer_entries_of_q_as_integers():
+    # Q(1) at n = 3 is [[d, 1], [1, d]]; entries that are not integers keep :g
+    text = run("spectrum", "--n", "3", "--d", "1234567", "--alpha", "1").output
+    assert text.splitlines()[1:3] == ["  1234567  1", "  1  1234567"]
+    assert "e+06" not in text
+    text = run("spectrum", "--n", "5", "--d", "2", "--alpha", "2,1").output
+    assert text.splitlines()[1] == "  2  0  -1  0  0.5  -0.866025  1  0"
+
+
 @pytest.mark.parametrize("suite", ["all", "irreps", "spectra"])
 def test_verify_json_parses_and_round_trips(suite):
     result = run("verify", "--n", "3", "--d", "2", "--suite", suite,
