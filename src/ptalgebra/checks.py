@@ -6,8 +6,10 @@ that fails names its worst block (generator pair, u label, left factor)
 in ``details``.  Checks build operator families with the oracle's stacks
 and never branch on how the oracle stores them.  The composition law and
 associativity are checked exactly on the oracle's integer index form of
-the transposed generators instead, so their residuals are integers (0 on
-a pass) judged against the same tolerances.
+the transposed generators instead, not on the stacks, so their residuals
+are integers (0 on a pass) judged against the same tolerances; the
+adjoint check ties that index form to the float generators, as stacked
+and as built one by one.
 """
 
 from __future__ import annotations
@@ -84,24 +86,29 @@ def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, ...]]:
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Every generator pair: the abstract product equals the operator product.
 
-    For a chunk of left factors sigma, one ``mul_generators`` call gives
-    W(sigma) W(rho) = d^power W(tau) for every rho, and the integer index
-    form of the transposed generators checks all of these exactly, without
-    a float operator.  Only a flagged pair gets its exact max entry
-    difference, so a pass reads 0.
+    For a chunk of generator pairs (sigma, rho), one ``mul_generators``
+    call gives W(sigma) W(rho) = d^power W(tau), and the integer index form
+    of the transposed generators checks all of these exactly, without a
+    float operator; ``check_adjoint_transport`` ties that form to the float
+    operators.  Only flagged pairs get their exact max entry difference,
+    so a pass reads 0.
     """
     perms = list(Permutation.all(n))
     images = image_array(n)
     index = generator_index(n, d, cap)
     worst, culprit, chunk = 0.0, "", index.law_chunk()
-    for start in range(0, len(perms), chunk):
-        left = np.arange(start, min(start + chunk, len(perms)))
-        powers, products = mul_generators(images[left, None], images)
+    for start in range(0, len(perms) ** 2, chunk):
+        left, right = np.divmod(np.arange(start, min(start + chunk, len(perms) ** 2)),
+                                len(perms))
+        powers, products = mul_generators(images[left], images[right])
         scale, tau = d**powers, lehmer_rank(products)
-        for s, r in zip(*np.nonzero(index.law_mismatches(left, scale, tau))):
-            value = index.law_residual(left[s], r, scale[s, r], tau[s, r])
+        flagged = np.flatnonzero(index.law_mismatches(left, right, scale, tau))
+        if flagged.size:
+            value, (p,) = _worst(index.law_residuals(
+                left[flagged], right[flagged], scale[flagged], tau[flagged]))
             if value > worst:
-                worst, culprit = value, f"{perms[left[s]]} * {perms[r]}"
+                pair = flagged[p]
+                worst, culprit = value, f"{perms[left[pair]]} * {perms[right[pair]]}"
     return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL, culprit=culprit)
 
 
@@ -491,10 +498,15 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
 
 def check_adjoint_transport(n: int, d: int, seed: int = 1,
                             cap: int | None = None) -> CheckReport:
-    """Oracle image of the adjoint equals the conjugate transpose.
+    """Oracle images of elements: their generators, and the adjoint.
 
-    Twenty random elements and their products with a random generator are
-    one element stack, and their adjoints another.
+    Every W(sigma)^{t_n}, as the block of the transposed generator stack
+    that element images combine and as ``transposed_perm_operator`` builds
+    it, must equal the 0/1 matrix of the index form on which
+    ``check_mul_rule`` checks the composition law; a failure names the
+    generator.  Twenty random elements and their products with a random
+    generator are one element stack, and their adjoints another, whose
+    image must be the conjugate transpose.
     """
     rng = np.random.default_rng(seed)
     perms = list(Permutation.all(n))
@@ -508,8 +520,18 @@ def check_adjoint_transport(n: int, d: int, seed: int = 1,
             perms[rng.integers(len(perms))]: 1.0})]
     images = element_stack(elems, cap)
     adjoints = element_stack([elem.adjoint() for elem in elems], cap)
-    worst = adjoints.residuals(images.adjoint()).max()
-    return _report("adjoint_transport", {"n": n, "d": d}, worst, ORACLE_TOL)
+    worst, culprit = adjoints.residuals(images.adjoint()).max(), ""
+    index = generator_index(n, d, cap)
+    generators = np.maximum(
+        index.stack_residuals(generator_stack(n, d, transposed=True, cap=cap)),
+        [index.stack_residuals(OperatorStack.of(
+            transposed_perm_operator(sigma, d, n, cap)), k)[0]
+         for k, sigma in enumerate(perms)])
+    value, (k,) = _worst(generators)
+    if value > worst:
+        worst, culprit = value, f"W{perms[k]}^t"
+    return _report("adjoint_transport", {"n": n, "d": d}, worst, ORACLE_TOL,
+                   culprit=culprit)
 
 
 # -- suite driver -------------------------------------------------------------

@@ -34,8 +34,12 @@ with D ones and at most d per row or column, stored as the columns of the
 ones in each row and the rows of the ones in each column, padded to d.
 It is built from basis digits like the stacks, never from the
 composition law, and checks the law W(sigma) W(rho) = d^p W(tau) and the
-associativity of sampled triples exactly, in integers and in chunks of
-bounded memory, with no float operator.
+associativity of sampled triples exactly, in integers, with no float
+operator.  The law runs in chunks of generator pairs with at most
+``LAW_CHUNK_ENTRIES`` support entries each, or one pair when D alone is
+larger.  ``GeneratorIndex.stack_residuals`` measures a float stack of
+generators against the index form, so the float operators the other
+checks multiply with stay tied to the form the law is checked on.
 
 ``generator_stack`` gives W(sigma), or its partial transposes, for all of
 S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
@@ -193,6 +197,13 @@ class OperatorStack:
     def __len__(self) -> int:
         return self.size
 
+    @staticmethod
+    def of(op: TensorOp) -> "OperatorStack":
+        """The one-block stack of ``op``, sharing its storage."""
+        matrix = op.matrix
+        return OperatorStack(op.n, op.d, matrix[None] if isinstance(matrix, np.ndarray)
+                             else matrix)
+
     def _new(self, data) -> "OperatorStack":
         if not isinstance(data, np.ndarray):
             data = data.tocsr()
@@ -299,6 +310,30 @@ class OperatorStack:
                     a.matrix @ self.data - self.data @ self._combination(
                         np.asarray(index), np.asarray(weights, dtype=float))))
         return np.array(out).reshape(len(out), self.size)
+
+    def nonzeros(self) -> tuple[np.ndarray, ...]:
+        """(block, row, col, value) of every stored nonzero entry, the
+        indices as int64."""
+        if isinstance(self.data, np.ndarray):
+            where = np.nonzero(self.data)
+            return (*(k.astype(np.int64, copy=False) for k in where), self.data[where])
+        coo = self.data.tocoo()
+        block, col = np.divmod(coo.col.astype(np.int64), self.dim)
+        return block, coo.row.astype(np.int64), col, coo.data
+
+    def holds_ones(self, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Whether every block B_k is exactly the 0/1 matrix with ones at
+        ``(rows[k], cols[k])``, two ``(K, m)`` arrays of distinct positions."""
+        count, width = rows.shape
+        if isinstance(self.data, np.ndarray):
+            values = self.data[np.arange(count)[:, None], rows, cols]
+            stored = np.count_nonzero(self.data.reshape(count, -1), axis=1)
+        else:
+            offset = np.arange(count)[:, None] * self.dim
+            values = np.asarray(self.data[rows.ravel(), (cols + offset).ravel()])
+            stored = np.bincount(self.data.indices // self.dim,
+                                 self.data.data != 0, minlength=count)
+        return bool(np.all(values == 1.0) and np.all(stored == width))
 
     def gram(self) -> np.ndarray:
         """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k)."""
@@ -499,7 +534,8 @@ def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
     """Group ``values`` by ``keys`` in each row k of two ``(K, D)`` arrays of
     indices below D: the ``(d, K, D)`` array whose ``[i, k, g]`` is the i-th
     value of group g (``pad`` past the last), in the smallest signed type
-    that holds them, and the ``(K, D)`` group sizes."""
+    that holds them, and the ``(K, D)`` group sizes, in the smallest
+    unsigned type that holds d."""
     count, dim = keys.shape
     order = np.argsort(keys, axis=1)
     keys = np.take_along_axis(keys, order, axis=1)
@@ -510,7 +546,7 @@ def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
     slots = np.full((d, count, dim), pad, dtype=np.min_scalar_type(-dim))
     slots[np.arange(dim) - np.take_along_axis(starts, keys, axis=1), line, keys] = (
         np.take_along_axis(values, order, axis=1))
-    return slots, sizes
+    return slots, sizes.astype(np.min_scalar_type(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,51 +591,60 @@ class GeneratorIndex:
         return self.rows.shape[0]
 
     def law_chunk(self) -> int:
-        """Left factors per ``law_mismatches`` call within ``LAW_CHUNK_ENTRIES``."""
-        return max(1, LAW_CHUNK_ENTRIES // (len(self) * self.dim))
+        """Generator pairs per ``law_mismatches`` call: ``LAW_CHUNK_ENTRIES``
+        support entries, or one pair when D alone exceeds that."""
+        return max(1, LAW_CHUNK_ENTRIES // self.dim)
 
-    def law_mismatches(self, left: np.ndarray, scale: np.ndarray,
-                       target: np.ndarray) -> np.ndarray:
-        """Whether W(left[s]) W(r) != scale[s, r] W(target[s, r]), for every
-        left factor s and every generator r: a bool ``(S, K)`` array.
+    def law_mismatches(self, left: np.ndarray, right: np.ndarray,
+                       scale: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Whether W(left[p]) W(right[p]) != scale[p] W(target[p]) for each
+        pair p: a bool array.
 
         Exact integer work.  On each of the D ones (i, j) of W(target) the
         product entry is the number of shared indices of row i of the left
         factor and column j of the right one, which must equal the scale.
-        The total of the product, sum_m col_count[left](m) row_count[r](m),
+        The total of the product, sum_m col_count[left](m) row_count[right](m),
         must equal scale * D.  Every entry is nonnegative, so together the
         two conditions are equality.
         """
-        count, dim = self.rows.shape
-        scale, offset = np.asarray(scale), self.rows.dtype.type(dim)
-        left_rows = self.rows[target] + (np.asarray(left, self.rows.dtype)
-                                         * offset)[:, None, None]
-        right_cols = self.cols[target] + (np.arange(count, dtype=self.rows.dtype)
-                                          * offset)[:, None]
-        right = [slots.ravel().take(right_cols) for slots in self.col_rows]
+        dim, kind = self.dim, self.rows.dtype.type
+        left, right, scale = (np.asarray(a) for a in (left, right, scale))
+        left_rows = self.rows[target] + (left.astype(kind) * kind(dim))[:, None]
+        right_cols = self.cols[target] + (right.astype(kind) * kind(dim))[:, None]
+        theirs = [slots.ravel().take(right_cols) for slots in self.col_rows]
         shared = np.zeros(left_rows.shape, dtype=np.min_scalar_type(self.d))
         for slots in self.row_cols:
             mine = slots.ravel().take(left_rows)
-            for theirs in right:
-                shared += mine == theirs
-        total = self.col_count[left] @ self.row_count.T
-        return (shared != scale[..., None]).any(axis=-1) | (total != scale * dim)
+            for other in theirs:
+                shared += mine == other
+        total = np.einsum("pm,pm->p", self.col_count[left], self.row_count[right],
+                          dtype=np.int64)
+        return (shared != scale[:, None]).any(axis=1) | (total != scale * dim)
 
-    def law_residual(self, left: int, right: int, scale, target: int) -> float:
-        """max |W(left) W(right) - scale W(target)|, exact, for a pair that
-        ``law_mismatches`` flags: one sparse product of the row lists of the
-        left factor and the column lists of the right one, the same data
-        that flagged it."""
-        dim, line = self.dim, np.broadcast_to(np.arange(self.dim), (self.d, self.dim))
+    def law_residuals(self, left: np.ndarray, right: np.ndarray,
+                      scale: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """max |W(left[p]) W(right[p]) - scale[p] W(target[p])| for each pair
+        p, exact: one sparse product of the block diagonals of the row lists
+        of the left factors and the column lists of the right ones, the
+        same data that ``law_mismatches`` reads."""
+        dim, count = self.dim, len(left)
+        shift = np.arange(count)[:, None] * dim
+        line = np.arange(dim)
 
-        def ones(rows, cols):
+        def ones(rows, cols, values):
+            rows, cols, values, offset = np.broadcast_arrays(rows, cols, values, shift)
             keep = (rows >= 0) & (cols >= 0)
-            return _sparse().csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
-                                        shape=(dim, dim))
+            return _sparse().csr_matrix(
+                (values[keep], (rows[keep] + offset[keep], cols[keep] + offset[keep])),
+                shape=(count * dim, count * dim))
 
-        diff = (ones(line, self.row_cols[:, left]) @ ones(self.col_rows[:, right], line)
-                - float(scale) * ones(self.rows[target], self.cols[target]))
-        return float(abs(diff).max())
+        diff = (ones(line, self.row_cols[:, left], 1.0)
+                @ ones(self.col_rows[:, right], line, 1.0)
+                - ones(self.rows[target], self.cols[target],
+                       np.asarray(scale, dtype=float)[:, None])).tocoo()
+        out = np.zeros(count)
+        np.maximum.at(out, diff.row // dim, np.abs(diff.data))
+        return out
 
     def distances(self, scale_a, target_a, scale_b, target_b) -> np.ndarray:
         """max |scale_a[t] W(target_a[t]) - scale_b[t] W(target_b[t])| for
@@ -610,6 +655,25 @@ class GeneratorIndex:
         return np.max([np.where(shared.any(axis=1), np.abs(scale_a - scale_b), 0.0),
                        np.where(shared.all(axis=1), 0.0, scale_a),
                        np.where(only_b.any(axis=1), scale_b, 0.0)], axis=0)
+
+    def stack_residuals(self, stack: OperatorStack, first: int = 0) -> np.ndarray:
+        """max |B_j - W(first + j)^{t_n}| for every block j of a float stack,
+        exact, from the stored nonzeros of the stack and the D ones of each
+        generator: this ties the float operators to the index form.  A stack
+        that ``holds_ones`` of the index form reads 0 at once."""
+        count, dim = len(stack), self.dim
+        rows, cols = self.rows[first:first + count], self.cols[first:first + count]
+        out = np.zeros(count)
+        if stack.holds_ones(rows, cols):
+            return out
+        block, row, col, value = stack.nonzeros()
+        keys = np.concatenate([(block * dim + row) * dim + col,
+                               ((np.arange(count)[:, None] * dim + rows) * dim
+                                + cols).ravel()])
+        unique, inverse = np.unique(keys, return_inverse=True)
+        diff = np.bincount(inverse, np.concatenate([value, -np.ones(rows.size)]))
+        np.maximum.at(out, unique // (dim * dim), np.abs(diff))
+        return out
 
     def _holds(self, target: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Whether W(target[t]) has a one at each of the D ones of W(other[t])."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ptalgebra.checks as checks
+import ptalgebra.oracle as oracle
 from ptalgebra.algebra import mul_generators
 from ptalgebra.checks import ORACLE_TOL, check_mul_rule
 from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError, _family,
@@ -62,6 +63,7 @@ def test_index_form_lists_the_ones_of_the_generator_stack(n, d):
     assert np.array_equal(index.col_count,
                           np.bincount(k * dim + c, minlength=count * dim).reshape(count, dim))
     assert index.row_count.max() <= d and index.col_count.max() <= d
+    assert index.row_count.dtype == index.col_count.dtype == np.min_scalar_type(d)
     assert generator_index(n, d) is index
 
 
@@ -147,11 +149,11 @@ def test_total_mass_catches_what_the_support_misses():
     # matches 1 * R on both ones of R and differs only off them
     index = GeneratorIndex.from_entries(2, np.array([[0, 1], [0, 0]]),
                                         np.array([[0, 0], [0, 1]]))
-    flagged = index.law_mismatches(np.array([0, 1]), np.ones((2, 2), int),
-                                   np.array([[0, 1], [1, 1]]))
-    assert flagged.tolist() == [[False, True], [True, False]]
-    assert index.law_residual(0, 1, 1, 1) == 1.0
-    assert index.law_residual(1, 0, 1, 1) == 1.0
+    left, right = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    flagged = index.law_mismatches(left, right, np.ones(4, int), np.array([0, 1, 1, 1]))
+    assert flagged.tolist() == [False, True, True, False]
+    assert index.law_residuals(left[1:3], right[1:3], np.ones(2, int),
+                               np.array([1, 1])).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 5)])
@@ -180,3 +182,102 @@ def test_mul_rule_at_6_2_is_exact_and_never_holds_a_dense_stack():
         tracemalloc.stop()
     assert report.passed and report.max_residual == 0.0
     assert peak < 720 * 64 * 64 * 8  # one dense (720, 64, 64) float stack
+
+
+def test_law_chunks_stay_within_their_bound(monkeypatch):
+    seen = []
+    real = GeneratorIndex.law_mismatches
+
+    def spy(self, left, right, scale, target):
+        seen.append(len(left) * self.dim)
+        return real(self, left, right, scale, target)
+
+    monkeypatch.setattr(GeneratorIndex, "law_mismatches", spy)
+    monkeypatch.setattr(oracle, "LAW_CHUNK_ENTRIES", 2**12)
+    for n, d in [(4, 2), (5, 2), (4, 8)]:
+        seen.clear()
+        assert check_mul_rule(n, d).passed
+        assert max(seen) <= max(2**12, d**n)
+        assert sum(seen) == len(generator_index(n, d)) ** 2 * d**n
+
+
+def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
+    # every power flipped: every pair fails, and the flagged pairs of a chunk
+    # share one sparse product
+    def law(sigma, rho):
+        power, out = mul_generators(sigma, rho)
+        return 1 - power, out
+
+    calls = []
+    real = GeneratorIndex.law_residuals
+
+    def spy(self, *args):
+        calls.append(len(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(checks, "mul_generators", law)
+    monkeypatch.setattr(GeneratorIndex, "law_residuals", spy)
+    report = check_mul_rule(5, 2)
+    residual, culprit = reference_mul_rule(5, 2, law)
+    assert report.passed is False and report.max_residual == residual == 1.0
+    assert report.details == f"worst at {culprit}"
+    index = generator_index(5, 2)
+    assert sum(calls) == len(index) ** 2
+    assert len(calls) == -(-len(index) ** 2 // index.law_chunk())
+
+
+# -- the float generators against the index form ---------------------------------
+
+
+def _moved_one(stack: OperatorStack, k: int) -> OperatorStack:
+    """A copy of the stack with one of block k's ones moved within its row
+    to a free column."""
+    block, row, col, value = stack.nonzeros()
+    at = np.flatnonzero(block == k)[0]
+    taken = col[(block == k) & (row == row[at])]
+    col = col.copy()
+    col[at] = np.setdiff1d(np.arange(stack.dim), taken)[0]
+    if isinstance(stack.data, np.ndarray):
+        data = np.zeros(stack.data.shape)
+        data[block, row, col] = value
+        return OperatorStack(stack.n, stack.d, data)
+    import scipy.sparse as sp
+    return OperatorStack(stack.n, stack.d, sp.csr_matrix(
+        (value, (row, block * stack.dim + col)), shape=stack.data.shape))
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 3), (4, 8)])
+def test_float_generators_hold_the_ones_of_the_index_form(n, d):
+    index = generator_index(n, d)
+    stack = generator_stack(n, d, transposed=True)
+    assert stack.holds_ones(index.rows, index.cols)
+    assert index.stack_residuals(stack).tolist() == [0.0] * len(index)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 8)])
+def test_adjoint_check_names_a_moved_one_in_the_generator_stack(monkeypatch, n, d):
+    planted = Permutation.from_cycles(n, [(1, 3)])
+    k = int(lehmer_rank(np.array(planted.images) - 1))
+    broken = _moved_one(generator_stack(n, d, transposed=True), k)
+    residuals = generator_index(n, d).stack_residuals(broken)
+    assert residuals[k] == 1.0 and np.count_nonzero(residuals) == 1
+    monkeypatch.setattr(checks, "generator_stack",
+                        lambda n, d, transposed=False, cap=None: broken)
+    report = checks.check_adjoint_transport(n, d)
+    assert report.passed is False and report.max_residual == 1.0
+    assert report.details == f"worst at W{planted}^t"
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 8)])
+def test_adjoint_check_names_a_scaled_single_generator(monkeypatch, n, d):
+    planted = Permutation.from_cycles(n, [(2, 3)])
+    real = checks.transposed_perm_operator
+
+    def build(sigma, *args, **kwargs):
+        op = real(sigma, *args, **kwargs)
+        return 1.5 * op if sigma == planted else op
+
+    monkeypatch.setattr(checks, "transposed_perm_operator", build)
+    report = checks.check_adjoint_transport(n, d)
+    assert report.passed is False and report.max_residual == 0.5
+    assert report.details == f"worst at W{planted}^t"
