@@ -212,14 +212,14 @@ class AlgebraElement:
     def __str__(self) -> str:
         return self.format()
 
-    def format(self, notation: str = "cycle") -> str:
+    def format(self) -> str:
         """Text form ``c1*perm1 + c2*perm2`` with ^t marking transposed terms."""
         if not self.terms:
             return "0"
         chunks = []
         for perm in sorted(self.terms):
             coeff = self.terms[perm]
-            name = perm.one_line_string() if notation == "one-line" else perm.cycle_string()
+            name = perm.cycle_string()
             if not perm.fixes_last():
                 name += "^t"
             if isinstance(coeff, DPoly):

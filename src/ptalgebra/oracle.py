@@ -37,9 +37,9 @@ composition law, and checks the law W(sigma) W(rho) = d^p W(tau) and the
 associativity of sampled triples exactly, in integers, with no float
 operator.  The law runs in chunks of generator pairs with at most
 ``LAW_CHUNK_ENTRIES`` support entries each, or one pair when D alone is
-larger.  ``GeneratorIndex.stack_residuals`` measures a float stack of
-generators against the index form, so the float operators the other
-checks multiply with stay tied to the form the law is checked on.
+larger.  One routine, ``_largest_sums``, gives every exact entry difference
+on it: of a failing law pair, of two bracketings, and in ``stack_residuals``
+of the float generators, which stay tied to the form the law is checked on.
 
 ``generator_stack`` gives W(sigma), or its partial transposes, for all of
 S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
@@ -67,9 +67,6 @@ from .algebra import AlgebraElement
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
 from .yor import averaging_weights
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_CAP = 4096
 CAP_ENV_VAR = "PTALGEBRA_CAP"
@@ -124,7 +121,7 @@ class TensorOp:
 
     n: int
     d: int
-    matrix: np.ndarray | sp.csr_matrix = field(compare=False)
+    matrix: Any = field(compare=False)
 
     @property
     def dim(self) -> int:
@@ -312,14 +309,13 @@ class OperatorStack:
         return np.array(out).reshape(len(out), self.size)
 
     def nonzeros(self) -> tuple[np.ndarray, ...]:
-        """(block, row, col, value) of every stored nonzero entry, the
-        indices as int64."""
+        """(block, row, col, value) of every stored nonzero entry."""
         if isinstance(self.data, np.ndarray):
             where = np.nonzero(self.data)
-            return (*(k.astype(np.int64, copy=False) for k in where), self.data[where])
+            return (*where, self.data[where])
         coo = self.data.tocoo()
-        block, col = np.divmod(coo.col.astype(np.int64), self.dim)
-        return block, coo.row.astype(np.int64), col, coo.data
+        block, col = np.divmod(coo.col, self.dim)
+        return block, coo.row, col, coo.data
 
     def holds_ones(self, rows: np.ndarray, cols: np.ndarray) -> bool:
         """Whether every block B_k is exactly the 0/1 matrix with ones at
@@ -525,7 +521,9 @@ def generator_stack(n: int, d: int, transposed: bool = False,
 
 
 # Support entries (pairs times D) that ``GeneratorIndex.law_mismatches``
-# examines per call: under 8 MB of temporaries at d = 2.
+# examines per call: under 8 MB of temporaries at d = 2.  On the failure
+# path ``law_residuals`` lists d + 1 signed entries per support entry, so
+# while D <= 2^18 a chunk sorts at most (d + 1) 2^18 entries.
 LAW_CHUNK_ENTRIES = 2**18
 
 
@@ -533,9 +531,9 @@ def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Group ``values`` by ``keys`` in each row k of two ``(K, D)`` arrays of
     indices below D: the ``(d, K, D)`` array whose ``[i, k, g]`` is the i-th
-    value of group g (``pad`` past the last), in the smallest signed type
-    that holds them, and the ``(K, D)`` group sizes, in the smallest
-    unsigned type that holds d."""
+    value of group g (``pad`` past the last), in the type of ``values``,
+    and the ``(K, D)`` group sizes, in the smallest unsigned type that
+    holds d."""
     count, dim = keys.shape
     order = np.argsort(keys, axis=1)
     keys = np.take_along_axis(keys, order, axis=1)
@@ -543,7 +541,7 @@ def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
     sizes = np.bincount((keys + line * dim).ravel(),
                         minlength=count * dim).reshape(count, dim)
     starts = np.cumsum(sizes, axis=1) - sizes
-    slots = np.full((d, count, dim), pad, dtype=np.min_scalar_type(-dim))
+    slots = np.full((d, count, dim), pad, dtype=values.dtype)
     slots[np.arange(dim) - np.take_along_axis(starts, keys, axis=1), line, keys] = (
         np.take_along_axis(values, order, axis=1))
     return slots, sizes.astype(np.min_scalar_type(d))
@@ -560,8 +558,10 @@ class GeneratorIndex:
     the column of the i-th one in row r and ``col_rows[i, k, c]`` the row of
     the i-th one in column c, padded with -1 and -2 so that pads never
     match; ``row_count`` and ``col_count`` count the ones of every row and
-    column.  All of it comes from ``_generator_entries``, that is from basis
-    digits, and never from the composition law it is used to check.
+    column.  The positions and slot lists share the smallest signed type
+    that holds -D, so offsets past D are formed in intp.  All of it comes
+    from ``_generator_entries``, that is from basis digits, and never from
+    the composition law it is used to check.
     """
 
     d: int
@@ -576,6 +576,8 @@ class GeneratorIndex:
     def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray
                      ) -> "GeneratorIndex":
         """The index form of the 0/1 matrices with ones at ``(rows[k], cols[k])``."""
+        kind = np.min_scalar_type(-rows.shape[1])
+        rows, cols = rows.astype(kind), cols.astype(kind)
         row_cols, row_count = _slot_lists(rows, cols, d, -1)
         col_rows, col_count = _slot_lists(cols, rows, d, -2)
         arrays = (rows, cols, row_cols, col_rows, row_count, col_count)
@@ -607,10 +609,10 @@ class GeneratorIndex:
         must equal scale * D.  Every entry is nonnegative, so together the
         two conditions are equality.
         """
-        dim, kind = self.dim, self.rows.dtype.type
-        left, right, scale = (np.asarray(a) for a in (left, right, scale))
-        left_rows = self.rows[target] + (left.astype(kind) * kind(dim))[:, None]
-        right_cols = self.cols[target] + (right.astype(kind) * kind(dim))[:, None]
+        dim = self.dim
+        left, right, scale = (np.asarray(a, dtype=np.intp) for a in (left, right, scale))
+        left_rows = self.rows[target] + (left * dim)[:, None]
+        right_cols = self.cols[target] + (right * dim)[:, None]
         theirs = [slots.ravel().take(right_cols) for slots in self.col_rows]
         shared = np.zeros(left_rows.shape, dtype=np.min_scalar_type(self.d))
         for slots in self.row_cols:
@@ -624,62 +626,57 @@ class GeneratorIndex:
     def law_residuals(self, left: np.ndarray, right: np.ndarray,
                       scale: np.ndarray, target: np.ndarray) -> np.ndarray:
         """max |W(left[p]) W(right[p]) - scale[p] W(target[p])| for each pair
-        p, exact: one sparse product of the block diagonals of the row lists
-        of the left factors and the column lists of the right ones, the
-        same data that ``law_mismatches`` reads."""
-        dim, count = self.dim, len(left)
-        shift = np.arange(count)[:, None] * dim
-        line = np.arange(dim)
-
-        def ones(rows, cols, values):
-            rows, cols, values, offset = np.broadcast_arrays(rows, cols, values, shift)
-            keep = (rows >= 0) & (cols >= 0)
-            return _sparse().csr_matrix(
-                (values[keep], (rows[keep] + offset[keep], cols[keep] + offset[keep])),
-                shape=(count * dim, count * dim))
-
-        diff = (ones(line, self.row_cols[:, left], 1.0)
-                @ ones(self.col_rows[:, right], line, 1.0)
-                - ones(self.rows[target], self.cols[target],
-                       np.asarray(scale, dtype=float)[:, None])).tocoo()
-        out = np.zeros(count)
-        np.maximum.at(out, diff.row // dim, np.abs(diff.data))
-        return out
+        p, exact, through ``_largest_sums``: the D d ones (i, j) of the
+        product, one for each one (i, m) of the left factor (``rows``,
+        ``cols``) and each one (m, j) of the right one (``row_cols``), and
+        -scale[p] at the D ones of W(target[p])."""
+        line = np.arange(len(left))[:, None]
+        rows, middle = self.rows[left], self.cols[left]
+        product = [(line, rows, slots[right[:, None], middle], 1)
+                   for slots in self.row_cols]
+        return _largest_sums(len(left), self.dim, product + [
+            (line, self.rows[target], self.cols[target], -np.asarray(scale)[:, None])])
 
     def distances(self, scale_a, target_a, scale_b, target_b) -> np.ndarray:
         """max |scale_a[t] W(target_a[t]) - scale_b[t] W(target_b[t])| for
-        every t, exact, over the two sets of D ones."""
-        scale_a, scale_b = (np.asarray(s, dtype=float) for s in (scale_a, scale_b))
-        shared = self._holds(target_b, target_a)
-        only_b = ~self._holds(target_a, target_b)
-        return np.max([np.where(shared.any(axis=1), np.abs(scale_a - scale_b), 0.0),
-                       np.where(shared.all(axis=1), 0.0, scale_a),
-                       np.where(only_b.any(axis=1), scale_b, 0.0)], axis=0)
+        every t, exact, through ``_largest_sums`` over the two sets of D ones."""
+        line = np.arange(len(target_a))[:, None]
+        return _largest_sums(len(target_a), self.dim, [
+            (line, self.rows[target_a], self.cols[target_a], np.asarray(scale_a)[:, None]),
+            (line, self.rows[target_b], self.cols[target_b], -np.asarray(scale_b)[:, None])])
 
     def stack_residuals(self, stack: OperatorStack, first: int = 0) -> np.ndarray:
         """max |B_j - W(first + j)^{t_n}| for every block j of a float stack,
-        exact, from the stored nonzeros of the stack and the D ones of each
-        generator: this ties the float operators to the index form.  A stack
-        that ``holds_ones`` of the index form reads 0 at once."""
-        count, dim = len(stack), self.dim
+        exact, through ``_largest_sums`` over the stored nonzeros of the stack
+        and -1 at the D ones of each generator: this ties the float operators
+        to the index form.  A stack that ``holds_ones`` of the index form
+        reads 0 at once."""
+        count = len(stack)
         rows, cols = self.rows[first:first + count], self.cols[first:first + count]
-        out = np.zeros(count)
         if stack.holds_ones(rows, cols):
-            return out
-        block, row, col, value = stack.nonzeros()
-        keys = np.concatenate([(block * dim + row) * dim + col,
-                               ((np.arange(count)[:, None] * dim + rows) * dim
-                                + cols).ravel()])
-        unique, inverse = np.unique(keys, return_inverse=True)
-        diff = np.bincount(inverse, np.concatenate([value, -np.ones(rows.size)]))
-        np.maximum.at(out, unique // (dim * dim), np.abs(diff))
-        return out
+            return np.zeros(count)
+        return _largest_sums(count, self.dim, [
+            stack.nonzeros(), (np.arange(count)[:, None], rows, cols, -1)])
 
-    def _holds(self, target: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Whether W(target[t]) has a one at each of the D ones of W(other[t])."""
-        at = self.rows[other] + (np.asarray(target) * self.dim)[:, None]
-        return np.any([slots.ravel().take(at) == self.cols[other]
-                       for slots in self.row_cols], axis=0)
+
+def _largest_sums(count: int, dim: int, entries) -> np.ndarray:
+    """The largest |sum of the values at one position| in each of ``count``
+    D x D blocks, given signed entries: ``entries`` lists ``(block, row,
+    col, value)`` arrays that broadcast together, and an entry whose column
+    is negative is a pad of the slot lists and dropped.  Integer and
+    power-of-d values sum exactly in float64; a float stack entry and -1
+    round once, as in any difference."""
+    keys, values = [], []
+    for block, row, col, value in entries:
+        block, row, col, value = np.broadcast_arrays(block, row, col, value)
+        keep = col >= 0
+        keys.append((block[keep].astype(np.int64) * dim + row[keep]) * dim + col[keep])
+        values.append(value[keep])
+    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(inverse, np.concatenate(values).astype(float))
+    out = np.zeros(count)
+    np.maximum.at(out, unique // (dim * dim), np.abs(sums))
+    return out
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)

@@ -219,4 +219,3 @@ def test_format_fixed_and_symbolic():
     y = DPoly([0, 1]) * AlgebraElement.generator(
         SYM3, Permutation.from_cycles(3, [(2, 3)]))
     assert y.format() == "d*(23)^t"
-    assert y.format(notation="one-line") == "d*1,3,2^t"

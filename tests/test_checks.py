@@ -72,7 +72,7 @@ def test_report_roundtrip():
 def test_associativity_invariant_grid(n, d):
     from ptalgebra.checks import check_associativity
 
-    report = check_associativity(n, d, triples=200)
+    report = check_associativity(n, d)
     assert report.passed and report.max_residual < 1e-9
 
 

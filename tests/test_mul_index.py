@@ -6,10 +6,13 @@ and the check must agree with the dense row-by-row check it replaced
 (``reference_mul_rule``), on passing grids and under planted defects.
 """
 
+import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptalgebra.checks as checks
 import ptalgebra.oracle as oracle
@@ -17,7 +20,7 @@ from ptalgebra.algebra import mul_generators
 from ptalgebra.checks import ORACLE_TOL, check_mul_rule
 from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError, _family,
                               _generator_index, generator_index, generator_stack)
-from ptalgebra.permutations import Permutation, lehmer_rank
+from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 from reference_mul_rule import reference_mul_rule
 
 GRID = [(n, d) for n in (2, 3, 4, 5) for d in (1, 2, 3)]
@@ -52,6 +55,8 @@ def test_index_form_lists_the_ones_of_the_generator_stack(n, d):
     expected = _stack_ones(stack)
     count, dim = len(stack), d**n
     assert index.rows.shape == index.cols.shape == (count, dim)
+    assert index.rows.dtype == index.cols.dtype == index.row_cols.dtype
+    assert index.rows.dtype == np.min_scalar_type(-dim)
     line = np.arange(count)[:, None]
     entries = np.sort(((line * dim + index.rows) * dim + index.cols).ravel())
     assert np.array_equal(entries, expected)
@@ -154,6 +159,39 @@ def test_total_mass_catches_what_the_support_misses():
     assert flagged.tolist() == [False, True, True, False]
     assert index.law_residuals(left[1:3], right[1:3], np.ones(2, int),
                                np.array([1, 1])).tolist() == [1.0, 1.0]
+
+
+# (4, 3) and (3, 5) are on the CSR side of the generator stack
+PROPERTY_GRID = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)] + [(3, 5)]
+
+
+@lru_cache(maxsize=None)
+def _dense_generators(n: int, d: int) -> np.ndarray:
+    stack = generator_stack(n, d, transposed=True)
+    return np.stack([stack.op(k).dense() for k in range(len(stack))])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_law_residuals_are_the_largest_entry_of_the_product_difference(data):
+    n, d = data.draw(st.sampled_from(PROPERTY_GRID))
+    count = math.factorial(n)
+    generator = st.integers(0, count - 1)
+    pairs = data.draw(st.lists(st.tuples(generator, generator, generator,
+                                         st.sampled_from([0, 1, d, d * d]),
+                                         st.booleans()), min_size=1, max_size=6))
+    left, right, target, scale, lawful = (np.array(column) for column in zip(*pairs))
+    # a lawful pair gets the true product, so that both outcomes occur
+    images = image_array(n)
+    power, product = mul_generators(images[left], images[right])
+    target = np.where(lawful, lehmer_rank(product), target)
+    scale = np.where(lawful, d**power, scale)
+    ones = _dense_generators(n, d)
+    expected = np.abs(ones[left] @ ones[right]
+                      - scale[:, None, None] * ones[target]).max(axis=(1, 2))
+    index = generator_index(n, d)
+    assert np.array_equal(index.law_residuals(left, right, scale, target), expected)
+    assert np.array_equal(index.law_mismatches(left, right, scale, target), expected != 0)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 5)])

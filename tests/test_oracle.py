@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from ptalgebra.algebra import (AlgebraContext, AlgebraElement, mul_generators,
                                u_element)
-from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, OperatorStack,
-                              SizeCapError, element_operator, element_stack,
+from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, GeneratorIndex,
+                              OperatorStack, SizeCapError, TensorOp,
+                              element_operator, element_stack,
                               generator_stack, identity_operator,
                               matrix_operators_E, partial_transpose_last,
                               perm_operator, span_dimension,
@@ -349,8 +351,26 @@ def test_dense_side_never_imports_scipy_sparse():
             "assert 'scipy.sparse' not in sys.modules\n"
             "from ptalgebra.checks import run_suite\n"
             "assert all(r.passed for r in run_suite(3, 2, 'all'))\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            # a failing law pair gets its residual without scipy too
+            "import ptalgebra.checks as checks\n"
+            "real = checks.mul_generators\n"
+            "def law(sigma, rho):\n"
+            "    power, out = real(sigma, rho)\n"
+            "    power = power.copy()\n"
+            "    power[0] = 1 - power[0]\n"
+            "    return power, out\n"
+            "checks.mul_generators = law\n"
+            "report = checks.check_mul_rule(3, 2)\n"
+            "assert not report.passed and report.max_residual >= 1, report\n"
             "assert 'scipy.sparse' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("cls", [TensorOp, GeneratorIndex])
+def test_type_hints_resolve(cls):
+    hints = typing.get_type_hints(cls)
+    assert "d" in hints
