@@ -4,7 +4,11 @@ Each check returns a report record {check, params, passed, max_residual,
 tol, details}; the CLI turns failures into a nonzero exit code.  A check
 that fails names its worst block (generator pair, u label, left factor)
 in ``details``.  Checks build operator families with the oracle's stacks
-and never branch on how the oracle stores them.  The composition law and
+and never branch on how the oracle stores them: a claim about left
+factors is one ``action_residuals`` call whose left factors are the blocks
+of a stack the check already holds and whose right-hand sides are arrays.
+Single generators are built only by the adjoint check and once for the
+contraction V' of the unit check.  The composition law and
 associativity are checked exactly on the oracle's integer index form of
 the transposed generators instead, not on the stacks, so their residuals
 are integers (0 on a pass) judged against the same tolerances; the
@@ -26,8 +30,8 @@ from .irreps import (algebra_dimension_formula, all_irreps, direct_sum, rank_of_
                      structure_report, unit_of_M)
 from .oracle import (OperatorStack, SizeCapError, element_operator,
                      element_stack, generator_index, generator_stack,
-                     identity_operator, matrix_operators_E, perm_operator,
-                     span_dimension, transposed_perm_operator)
+                     identity_operator, matrix_operators_E, span_dimension,
+                     transposed_perm_operator)
 from .partitions import Partition, partitions_of
 from .permutations import Permutation, image_array, lehmer_rank
 from .yor import irrep as sym_irrep
@@ -152,13 +156,13 @@ def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):
     ), labels
 
 
-def _unit_rows(family: OperatorStack, w: int):
-    """``action_residuals`` rows of the claim B_ij B_kl = delta_jk B_il for a
-    stack of w^2 blocks, B_ij at block (i-1) w + j-1: one row per left B_ij."""
+def _unit_claim(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``action_residuals`` arrays of the claim B_ij B_kl = delta_jk B_il on a
+    stack of w^2 blocks, B_ij at block (i-1) w + j-1, with the stack itself
+    as the left factors: ``(w^2, w^2, 1)`` index and weights."""
     i, j = np.divmod(np.arange(w * w), w)
-    for s in range(w * w):
-        hit = (i == j[s])[:, None]
-        yield family.op(s), (i[s] * w + j)[:, None] * hit, hit * 1.0
+    hit = (i[None, :] == j[:, None])[..., None]
+    return (i[:, None] * w + j)[..., None] * hit, hit * 1.0
 
 
 def _left_action(sigma: Permutation, p: int, d: int
@@ -186,9 +190,10 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
 
     Checks, through the oracle, the structure constants
     u_ij^ab(alpha) u_kl^pq(beta) = delta_ab Q_jk^bp(alpha) u_il^aq(alpha)
-    (one row per left u) and the left-action rules for transposed and
-    untransposed generators (one row per left sigma), each row a linear
-    combination of the u family itself.
+    (one row per left u, the blocks of the u stack of alpha) and the
+    left-action rules for transposed and untransposed generators (one row
+    per left sigma, the blocks of the transposed generator stack), each row
+    a linear combination of the u family itself.
     """
     ctx = AlgebraContext(n, d)
     m, w = n - 1, alpha.hook_dimension()
@@ -201,35 +206,29 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     def key(a, b, i, j):
         return ((a * m + b) * w + i) * w + j
 
-    def product_rows():
-        q_alpha = q_matrix(alpha, d, n)
-        for s, (a, b, i, j) in enumerate(labels_a):
-            if same:
-                index = key(a - 1, q, i - 1, l)[:, None]
-                weights = q_alpha[(b - 1) * w + j - 1, p * w + k][:, None]
-            else:
-                index, weights = np.zeros((len(u_b), 0), int), np.zeros((len(u_b), 0))
-            yield u_a.op(s), index, weights
-
-    products = u_b.action_residuals(product_rows())
+    if same:
+        a, b, i, j = (column[:, None] for column in np.array(labels_a).T - 1)
+        index = key(a, q, i, l)[..., None]
+        weights = q_matrix(alpha, d, n)[b * w + j, p * w + k][..., None]
+    else:
+        index, weights = np.zeros(0, int), np.zeros(0)
+    products = u_b.action_residuals(u_a, index, weights)
     worst, (s, r) = _worst(products)
     culprit = "u^{}{}_{}{} * u^{}{}_{}{}".format(*labels_a[s], *labels_b[r])
 
     if same:
         perms = list(Permutation.all(n))
         phi = sym_irrep(alpha)
-
-        def action_rows():
-            for sigma in perms:
-                terms = [_left_action(sigma, label, d) for label in range(1, n)]
-                targets, scales, taus = zip(*terms)
-                images = np.array([phi.image(tau) for tau in taus])
-                target = np.array(targets)[p] - 1
-                index = key(target[:, None], q[:, None], np.arange(w), l[:, None])
-                weights = np.array(scales)[p, None] * images[p, :, k]
-                yield transposed_perm_operator(sigma, d, n, cap), index, weights
-
-        actions = u_a.action_residuals(action_rows())
+        target, scale, taus = zip(*(_left_action(sigma, label, d)
+                                    for sigma in perms for label in range(1, n)))
+        shape = (len(perms), m)
+        # row sigma, block u_kl^pq: scale sum_t phi_tk(tau) u_tl^{target q},
+        # with (target, scale, tau) of label p
+        target = np.reshape(target, shape)[:, p, None] - 1
+        transposed = np.reshape([phi.image(tau).T for tau in taus], shape + (w, w))
+        index = key(target, q[:, None], np.arange(w), l[:, None])
+        weights = np.reshape(scale, shape)[:, p, None] * transposed[:, p, k]
+        actions = u_a.action_residuals(generator_stack(n, d, True, cap), index, weights)
         worst_action, (g, r) = _worst(actions)
         if worst_action > worst:
             worst = worst_action
@@ -246,8 +245,13 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     """e^2 = e, em = me = m on the main ideal, and M annihilates S(1 - e).
 
     The generator stack gives e W(sigma) and W(sigma) e for every sigma at
-    once; one row per sigma in M checks W(sigma) s (1 - e) = 0 for every
-    generator s of S.
+    once.  M is the two-sided ideal generated by V' = W((n-1 n))^{t_n}, and
+    every transposed generator of M factors as W(sigma)^{t_n} =
+    W(sigma^) W((a n-1)) V' W((a n-1)) with sigma^ and (a n-1) in S(n-1),
+    by the composition law that ``check_mul_rule`` checks; S is spanned by
+    the W(s) with s in S(n-1), and W((a n-1)) W(s) (1 - e) is again one of
+    the W(s') (1 - e).  So M S(1 - e) = 0 holds iff V' W(s) (1 - e) = 0
+    for every s in S(n-1): one row, with V' built on its own.
     """
     perms = list(Permutation.all(n))
     e_op = element_operator(unit_of_M(n, d), cap)
@@ -263,13 +267,11 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
             worst, culprit = value, name.format(perms[in_m[g]])
     complement = identity_operator(n, d, cap) - e_op
     s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
-    empty = np.zeros((len(in_s), 0))
-    annihilated = s_part.action_residuals(
-        (transposed_perm_operator(perms[g], d, n, cap), empty.astype(int), empty)
-        for g in in_m)
-    value, (g, r) = _worst(annihilated)
+    contraction = Permutation.transposition(n, n - 1, n)
+    v_prime = OperatorStack.of(transposed_perm_operator(contraction, d, n, cap))
+    value, (_, r) = _worst(s_part.action_residuals(v_prime, np.zeros(0, int), np.zeros(0)))
     if value > worst:
-        worst, culprit = value, f"{perms[in_m[g]]} * {perms[in_s[r]]}(1 - e)"
+        worst, culprit = value, f"{contraction} * {perms[in_s[r]]}(1 - e)"
     return _report("unit_of_M", {"n": n, "d": d}, worst, HOM_TOL, culprit=culprit)
 
 
@@ -428,20 +430,16 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     for alpha, phi, family in zip(alphas, phis, families):
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
-
-        def covariance_rows():
-            # D(h) E_ij = sum_k phi_ki(h) E_kj
-            for h in group:
-                index = np.arange(w)[None, :] * w + j[:, None]
-                yield (perm_operator(h.embed(n), d, n, cap), index,
-                       phi.image(h)[:, i].T)
-
         # E_ij E_kl = delta_jk E_il
-        value, (s, r) = _worst(family.action_residuals(_unit_rows(family, w)))
+        value, (s, r) = _worst(family.action_residuals(family, *_unit_claim(w)))
         if value > worst:
             worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
-        value, (h, r) = _worst(family.action_residuals(covariance_rows()))
+        # D(h) E_ij = sum_k phi_ki(h) E_kj, one row per block D(h) of images
+        covariance = family.action_residuals(
+            images, np.arange(w) * w + j[:, None],
+            np.array([phi.image(h)[:, i].T for h in group]))
+        value, (h, r) = _worst(covariance)
         if value > worst:
             worst, culprit = value, (f"D({group[h]}) "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
@@ -488,7 +486,7 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
             worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
         units = u.combine(block, reduced.f)
         rank = reduced.rank
-        value, (left, right) = _worst(units.action_residuals(_unit_rows(units, rank)))
+        value, (left, right) = _worst(units.action_residuals(units, *_unit_claim(rank)))
         if value > worst:
             (s, r), (t, v) = divmod(left, rank), divmod(right, rank)
             worst, culprit = value, (f"{alpha}: f_({s + 1},{r + 1}) * "
@@ -503,9 +501,9 @@ def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckRepo
 
     Every W(sigma)^{t_n}, as the block of the transposed generator stack
     that element images combine and as ``transposed_perm_operator`` builds
-    it, must equal the 0/1 matrix of the index form on which
-    ``check_mul_rule`` checks the composition law; a failure names the
-    generator.  Twenty random elements and their products with a random
+    it apart from that stack, must equal the 0/1 matrix of the index form
+    on which ``check_mul_rule`` checks the composition law; a failure names
+    the generator.  Twenty random elements and their products with a random
     generator are one element stack, and their adjoints another, whose
     image must be the conjugate transpose.
     """

@@ -232,12 +232,15 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
     """Serialize one irreducible representation of the algebra."""
     if factorial(n) > 720:
         raise click.UsageError("n too large to list all generator images")
+    option, label = ("alpha", alpha) if kind == "m" else ("nu", nu)
     if n == 2:
         _require_n2_split(n, d)
-        _report, irreps = n2_special_case(d)
-        rep = irreps[0 if kind == "m" else 1]
+        rep = n2_special_case(d)[1][0 if kind == "m" else 1]
+        if label is not None and label != rep.label:
+            raise click.BadParameter(
+                f"the n = 2 block of kind {kind} has label {rep.label}",
+                param_hint=f"'--{option}'")
     else:
-        option, label = ("alpha", alpha) if kind == "m" else ("nu", nu)
         if label is None:
             raise click.UsageError(f"kind {kind} needs --{option}")
         if kind == "s":

@@ -20,9 +20,10 @@ Its operations are whole-family ones: A B_k (and B_k A) for every k in
 one product, linear combinations sum_i C[j, i] B_i (a gather and a scale
 when C is monomial, as in d^p W(tau)), every B_k^T, per-block residuals
 max |X_k - Y_k|, and the Gram matrix.  ``action_residuals`` fuses them
-for claims of the form "A B_k = sum_i C[k, i] B_i for every k", one
-call per left factor A; it reuses two dense buffers for all rows because
-a fresh (K, D, D) array per row costs more than the work in it.
+for claims of the form "L_r B_k = sum_i C[r, k, i] B_i for every k", one
+call for all left factors L_r, themselves the blocks of a stack, with C
+given as arrays; it reuses two dense buffers for all rows because a
+fresh (K, D, D) array per row costs more than the work in it.
 The checks of the u structure constants and left actions, of the unit of
 M, of the reduced matrix units, and of the averaged matrix operators
 (``matrix_operators_E``, behind the dimension and appendix checks) all run
@@ -42,10 +43,9 @@ on it: of a failing law pair, of two bracketings, and in ``stack_residuals``
 of the float generators, which stay tied to the form the law is checked on.
 
 ``generator_stack`` gives W(sigma), or its partial transposes, for all of
-S(n) in ``Permutation.all`` order, built once per (n, d).  On the dense
-side that read-only stack is the generator cache: ``perm_operator`` and
-``transposed_perm_operator`` return cached ``TensorOp`` views into it.
-On the CSR side each generator is built once per (sigma, d) on its own.
+S(n) in ``Permutation.all`` order, built once per (n, d) and read-only
+on the dense side.  ``perm_operator`` and ``transposed_perm_operator``
+build one generator afresh from the same basis digits, with no cache.
 The images of algebra elements are one ``combine`` of the transposed
 stack: ``element_stack`` maps a list of elements to a stack, and
 ``element_operator`` is its one-element case.
@@ -71,8 +71,6 @@ from .yor import averaging_weights
 DEFAULT_CAP = 4096
 CAP_ENV_VAR = "PTALGEBRA_CAP"
 DENSE_MAX_DIM = 64
-# CSR generators: both families of S(6), so every (n, d) stays cached whole.
-GENERATOR_CACHE_SIZE = 2 * 720
 # Generator stacks, plain and transposed: dense at most 24 MB each ((6, 2)).
 FAMILY_CACHE_SIZE = 8
 
@@ -282,31 +280,39 @@ class OperatorStack:
             diff = self.data - other.data
         return self._block_max(diff)
 
-    def action_residuals(self, rows) -> np.ndarray:
-        """Residuals of left actions on the stack, one row per action.
+    def action_residuals(self, left: "OperatorStack", index, weights) -> np.ndarray:
+        """Residuals of the left actions of the R blocks L_r of ``left``.
 
-        ``rows`` yields ``(a, index, weights)``: an operator A and a claim
-        A B_k = sum_t weights[k, t] B[index[k, t]] for every k, in the form
-        of ``combine``.  Returns the ``(R, K)`` array of
-        max |A B_k - sum_t weights[k, t] B[index[k, t]]|.  On the dense
-        side every row reuses the same two ``(K, D, D)`` buffers, because a
-        fresh array of that size per row costs more than the work in it.
+        ``index`` and ``weights`` broadcast to ``(R, K, m)``: row r claims
+        L_r B_k = sum_t weights[r, k, t] B[index[r, k, t]] for every k, each
+        row in the form of ``combine``.  Returns the ``(R, K)`` array of
+        max |L_r B_k - sum_t weights[r, k, t] B[index[r, k, t]]|.  On the
+        dense side every row reuses the same two ``(K, D, D)`` buffers,
+        because a fresh array of that size per row costs more than the work
+        in it.  On the CSR side L_r is a block column of one CSC copy of
+        ``left``, turned back to CSR: a slice of the block row would scan
+        the whole family, and a CSC left factor multiplies more slowly.
         """
-        out = []
+        count = len(left)
+        shape = np.broadcast_shapes(np.shape(index), np.shape(weights),
+                                    (count, self.size, 1))
+        index = np.broadcast_to(index, shape)
+        weights = np.broadcast_to(np.asarray(weights, dtype=float), shape)
+        out = np.empty((count, self.size))
         if isinstance(self.data, np.ndarray):
             product, scratch = np.empty_like(self.data), np.empty_like(self.data)
-            for a, index, weights in rows:
-                np.matmul(a.matrix, self.data, out=product)
-                _accumulate(product, self.data, np.asarray(index),
-                            np.asarray(weights, dtype=float), scratch,
+            for r in range(count):
+                np.matmul(left.data[r], self.data, out=product)
+                _accumulate(product, self.data, index[r], weights[r], scratch,
                             subtract=True)
-                out.append(self._block_max(product))
-        else:
-            for a, index, weights in rows:
-                out.append(self._block_max(
-                    a.matrix @ self.data - self.data @ self._combination(
-                        np.asarray(index), np.asarray(weights, dtype=float))))
-        return np.array(out).reshape(len(out), self.size)
+                out[r] = self._block_max(product)
+            return out
+        columns, dim = left.data.tocsc(), self.dim
+        for r in range(count):
+            a = columns[:, r * dim:(r + 1) * dim].tocsr()
+            out[r] = self._block_max(
+                a @ self.data - self.data @ self._combination(index[r], weights[r]))
+        return out
 
     def nonzeros(self) -> tuple[np.ndarray, ...]:
         """(block, row, col, value) of every stored nonzero entry."""
@@ -438,11 +444,9 @@ def _generator_entries(images: np.ndarray, d: int,
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family(n: int, d: int, transposed: bool
-            ) -> tuple["OperatorStack", dict[Permutation, TensorOp]]:
+def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
     """All of W(S(n)), or all their partial transposes, in ``Permutation.all``
-    order, and on the dense side the read-only ``TensorOp`` view of each
-    block by sigma, cached with the stack so that the two never part."""
+    order; read-only on the dense side."""
     dim = d**n
     rows, cols = _generator_entries(image_array(n), d, transposed)
     count = rows.shape[0]
@@ -451,27 +455,18 @@ def _family(n: int, d: int, transposed: bool
         data = _sparse().csr_matrix(
             (np.ones(rows.size), (rows.ravel(), (cols + offset).ravel())),
             shape=(dim, count * dim))
-        return OperatorStack(n, d, data), {}
+        return OperatorStack(n, d, data)
     data = np.zeros((count, dim, dim))
     data[np.arange(count)[:, None], rows, cols] = 1.0
     data.flags.writeable = False
-    stack = OperatorStack(n, d, data)
-    return stack, {sigma: stack.op(k) for k, sigma in enumerate(Permutation.all(n))}
-
-
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _sparse_generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
-    """W(sigma), or its partial transpose, built from its d^n unit entries."""
-    rows, cols = _generator_entries(np.asarray(sigma.images)[None, :] - 1, d,
-                                    transposed)
-    return _from_entries(sigma.degree, d, rows[0], cols[0], np.ones(rows.shape[1]))
+    return OperatorStack(n, d, data)
 
 
 def _generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
-    n = sigma.degree
-    if _is_dense(d**n):
-        return _family(n, d, transposed)[1][sigma]
-    return _sparse_generator(sigma, d, transposed)
+    """W(sigma), or its partial transpose, built afresh from its d^n unit entries."""
+    rows, cols = _generator_entries(np.asarray(sigma.images)[None, :] - 1, d,
+                                    transposed)
+    return _from_entries(sigma.degree, d, rows[0], cols[0], np.ones(rows.shape[1]))
 
 
 def _check_generator(sigma: Permutation, d: int, n: int | None, cap: int | None):
@@ -517,7 +512,7 @@ def generator_stack(n: int, d: int, transposed: bool = False,
     """W(sigma), or its partial transpose, for every sigma in S(n), in
     ``Permutation.all`` order.  Shared and cached: never write to it."""
     _check_family(n, d, cap)
-    return _family(n, d, transposed)[0]
+    return _family(n, d, transposed)
 
 
 # Support entries (pairs times D) that ``GeneratorIndex.law_mismatches``

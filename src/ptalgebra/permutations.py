@@ -15,6 +15,7 @@ order and ``lehmer_rank`` maps any stack back to positions in that order.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cache, total_ordering
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -90,7 +91,7 @@ class Permutation:
         text = text.strip()
         if text.startswith("("):
             cycles = []
-            for chunk in text.replace(")(", ")|(").split("|"):
+            for chunk in re.sub(r"\)\s*\(", ")|(", text).split("|"):
                 body = chunk.strip().lstrip("(").rstrip(")").replace(",", " ")
                 if body and " " not in body:
                     # compact form like (132): one digit per point

@@ -128,12 +128,23 @@ def test_reports_carry_their_tolerance():
 # -- planted defects: a failure names its worst block --------------------------
 
 
-def _perturb(build, target):
-    """``build`` with the operator of ``target`` scaled by 1.5."""
-    def perturbed(sigma, *args, **kwargs):
-        op = build(sigma, *args, **kwargs)
-        return 1.5 * op if sigma == target else op
-    return perturbed
+def _scale_generator(monkeypatch, n, d, transposed, planted):
+    """Let ``checks.generator_stack`` serve the plain or transposed stack of
+    (n, d) with the block of ``planted`` scaled by 1.5; the other is real."""
+    import ptalgebra.checks as checks
+    from ptalgebra.oracle import OperatorStack
+    from ptalgebra.permutations import Permutation
+
+    real = checks.generator_stack
+    data = real(n, d, transposed).data.copy()
+    data[list(Permutation.all(n)).index(planted)] *= 1.5
+
+    def serve(n_, d_, transposed_=False, cap=None):
+        if transposed_ == transposed:
+            return OperatorStack(n, d, data)
+        return real(n_, d_, transposed_, cap)
+
+    monkeypatch.setattr(checks, "generator_stack", serve)
 
 
 def test_mul_rule_names_the_planted_pair(monkeypatch):
@@ -187,22 +198,23 @@ def test_associativity_names_a_planted_non_associative_triple(monkeypatch):
 
 
 def test_u_structure_names_the_planted_left_action(monkeypatch):
-    import ptalgebra.checks as checks
     from ptalgebra.permutations import Permutation
 
-    planted = Permutation.from_cycles(4, [(2, 4, 3)])
-    monkeypatch.setattr(checks, "transposed_perm_operator",
-                        _perturb(checks.transposed_perm_operator, planted))
+    # no u term reads the block of (12) in S(n-1), so only its action row
+    # fails; every u of that row misses by 0.5, and the first is named
+    planted = Permutation.from_cycles(4, [(1, 2)])
+    _scale_generator(monkeypatch, 4, 2, True, planted)
     report = check_u_structure(Partition([2]), Partition([2]), 4, 2)
-    assert report.passed is False
-    # the products of the u family are untouched; only the action row fails
-    assert report.details.startswith(f"worst at {planted} * u^")
+    assert report.passed is False and report.max_residual == 0.5
+    assert report.details == f"worst at {planted} * u^11_11"
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("side", ["left", "right", "annihilation"])
 def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
     # W(sigma) + e R keeps e m = m but breaks m e = m, and W(sigma) + R e
-    # the other way round, so the culprit names the product that fails
+    # the other way round, so the culprit names the product that fails.
+    # Noise on the block of (12) in S(n-1) reaches no e-relation, only the
+    # annihilation row of V' = W((34))^t.
     import numpy as np
 
     import ptalgebra.checks as checks
@@ -212,32 +224,33 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
 
     n, d = 4, 2
     perms = list(Permutation.all(n))
-    planted = Permutation.from_cycles(n, [(1, 4)])
+    planted = Permutation.from_cycles(n, [(1, 2) if side == "annihilation" else (1, 4)])
     e_op = element_operator(unit_of_M(n, d))
     noise = np.random.default_rng(0).standard_normal((d**n, d**n))
     data = generator_stack(n, d, transposed=True).data.copy()
     k = perms.index(planted)
-    data[k] += 0.5 * ((e_op.matrix @ noise) if side == "right"
-                      else (noise @ e_op.matrix))
+    data[k] += 0.5 * {"right": e_op.matrix @ noise, "left": noise @ e_op.matrix,
+                      "annihilation": noise}[side]
     monkeypatch.setattr(checks, "generator_stack",
                         lambda *args, **kwargs: OperatorStack(n, d, data))
     report = check_unit_of_m(n, d)
     assert report.passed is False
-    expected = f"{planted} * e" if side == "right" else f"e * {planted}"
+    expected = {"right": f"{planted} * e", "left": f"e * {planted}",
+                "annihilation": f"(34) * {planted}(1 - e)"}[side]
     assert report.details == f"worst at {expected}"
 
 
 def test_matrix_operators_names_the_planted_generator(monkeypatch):
-    import ptalgebra.checks as checks
     from ptalgebra.permutations import Permutation
 
+    # a scaled D((12)) changes every family built from the images; the
+    # norm of E^2_11 moves most
     n, d = 4, 2
     planted = Permutation.from_cycles(n - 2, [(1, 2)])
-    monkeypatch.setattr(checks, "perm_operator",
-                        _perturb(checks.perm_operator, planted.embed(n)))
+    _scale_generator(monkeypatch, n, d, False, planted.embed(n))
     report = check_matrix_operators(n, d)
     assert report.passed is False
-    assert report.details.startswith(f"worst at D({planted}) E^"), report.details
+    assert report.details == "worst at <E^2_11, E^2_11>", report.details
 
 
 @pytest.mark.parametrize("direction", ["null", "unit"])
@@ -314,3 +327,27 @@ def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
     report = check_adjoint_transport(3, 2)
     assert calls == [40, 40]
     assert report.passed is False and report.max_residual == pytest.approx(1e-3)
+
+
+def test_suite_builds_single_generators_only_for_adjoint_transport_and_v_prime(
+        monkeypatch):
+    # every other claim takes its left factors from a stack that it holds
+    import math
+
+    import ptalgebra.checks as checks
+    import ptalgebra.oracle as oracle
+
+    calls = {"perm_operator": 0, "transposed_perm_operator": 0}
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(checks, name,
+                            counting(name, getattr(oracle, name)), raising=False)
+    assert all(report.passed for report in run_suite(5, 2, "all"))
+    # n! generators for the adjoint check, and V' once
+    assert calls == {"perm_operator": 0, "transposed_perm_operator": math.factorial(5) + 1}

@@ -204,6 +204,10 @@ def test_irrep_command_semi_trivial():
 def test_irrep_command_validation():
     assert run("irrep", "--n", "3", "--d", "2", "--kind", "m").exit_code != 0
     assert run("irrep", "--n", "3", "--d", "2", "--kind", "s").exit_code != 0
+    # at n = 2 a label is optional, and the block's own label is accepted
+    for args in (("--kind", "m"), ("--kind", "m", "--alpha", "()"),
+                 ("--kind", "s", "--nu", "1")):
+        assert run("irrep", "--n", "2", "--d", "3", *args).exit_code == 0
 
 
 def test_structure_command():
@@ -332,6 +336,9 @@ def test_verify_json_parses_and_round_trips(suite):
     (("mul-table", "--n", "2", "--d", "0"), "'--d'"),
     (("verify", "--n", "2", "--d", "1"), "'--d'"),
     (("irrep", "--n", "3", "--d", "2", "--kind", "m", "--alpha", "2"), "'--alpha'"),
+    # at n = 2 the only labels are () for kind m and 1 for kind s
+    (("irrep", "--n", "2", "--d", "3", "--kind", "s", "--nu", "3,2"), "'--nu'"),
+    (("irrep", "--n", "2", "--d", "3", "--kind", "m", "--alpha", "5"), "'--alpha'"),
 ])
 def test_invalid_input_is_a_usage_error(args, option):
     result = run(*args)

@@ -97,6 +97,9 @@ def test_parse_and_format():
     assert p == Permutation([2, 3, 1])
     assert p.one_line_string() == "2,3,1"
     assert Permutation.parse("(1 3 2)", 3) == Permutation([3, 1, 2])
+    # whitespace between cycles is allowed
+    assert (Permutation.parse("(1 2) (3 4)") == Permutation.parse("(1 2)(3 4)")
+            == Permutation([2, 1, 4, 3]))
     assert Permutation.parse(p.cycle_string(), 3) == p
     assert Permutation.identity(3).cycle_string() == "()"
 
