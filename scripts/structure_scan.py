@@ -17,7 +17,7 @@ def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     max_d = int(sys.argv[2]) if len(sys.argv) > 2 else 6
     for n in range(2, max_n + 1):
-        for d in range(2, max_d + 1):
+        for d in range(1, max_d + 1):
             with_oracle = d**n <= size_cap()
             report = structure_report(n, d, with_oracle=with_oracle)
             m_part = " + ".join(f"M({r})" for _a, r in report.m_blocks)

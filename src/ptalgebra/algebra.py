@@ -239,8 +239,6 @@ def u_terms(alpha: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     holds the 0-based images of (a n)(a n-1) sigma_s (b n-1) and ``weights``
     is ``averaging_weights`` over S(n-2).  The images do not depend on
     alpha; they are the permutations that move n, each once."""
-    if n < 3:
-        raise ValueError("u elements need n >= 3; n = 2 has its own treatment")
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
     points, x = np.arange(n), np.arange(n - 1)[:, None]

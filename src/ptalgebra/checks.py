@@ -189,8 +189,9 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     """Products and left actions of the averaged generators of the main ideal.
 
     Checks, through the oracle, the structure constants
-    u_ij^ab(alpha) u_kl^pq(beta) = delta_ab Q_jk^bp(alpha) u_il^aq(alpha)
-    (one row per left u, the blocks of the u stack of alpha) and the
+    u_ij^ab(alpha) u_kl^pq(beta) = delta_{alpha beta} Q_jk^bp u_il^aq(alpha),
+    with Q_jk^bp = Q(alpha)[(b, j), (p, k)] and no delta over the cosets
+    a, b (one row per left u, the blocks of the u stack of alpha), and the
     left-action rules for transposed and untransposed generators (one row
     per left sigma, the blocks of the transposed generator stack), each row
     a linear combination of the u family itself.
@@ -328,7 +329,7 @@ def check_irreps(n: int, d: int) -> CheckReport:
             return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
                                f"kind-S block {rep.label} not exactly zero on M",
                                HOM_TOL)
-        if rep.kind == "M" and n >= 3:
+        if rep.kind == "M":
             expected = rank_of_q(rep.label, d, n)
             if rep.dimension != expected:
                 return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
@@ -393,8 +394,6 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     row.
     """
     m = n - 2
-    if m < 1:
-        raise ValueError("needs n >= 3")
     group = list(Permutation.all(m))
     ranks = lehmer_rank(np.array([g.embed(n).images for g in group]) - 1)
     images = generator_stack(n, d, cap=cap).combine(
@@ -551,16 +550,16 @@ def run_suite(n: int, d: int, suite: str = "all",
         reports.append(check_mul_rule(n, d, cap))
         reports.append(check_associativity(n, d, cap=cap))
         reports.append(check_adjoint_transport(n, d, cap=cap))
-    if want("spectra") and n >= 3:
+    if want("spectra"):
         reports.append(check_spectra(n, d))
     if want("irreps"):
         reports.append(check_irreps(n, d))
     if want("dims"):
         reports.append(check_dimensions(n, d, cap=cap))
-    if want("appc") and n >= 3:
+    if want("appc"):
         reports.append(check_matrix_operators(n, d, cap))
         reports.append(check_reduced_matrix_units(n, d, cap))
-    if suite == "all" and n >= 3:
+    if suite == "all":
         for alpha in partitions_of(n - 2):
             if alpha.height <= d:
                 reports.append(check_u_structure(alpha, alpha, n, d, cap))

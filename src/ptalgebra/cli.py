@@ -19,12 +19,13 @@ from math import factorial, isfinite
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .algebra import AlgebraContext, mul_generators
 from .checks import ORACLE_SUITES, SUITES, run_suite
 from .dpoly import DPoly
 from .induced import spectral_q
-from .irreps import irrep_M_e, irrep_M_f, irrep_S, n2_special_case, structure_report
+from .irreps import irrep_M_e, irrep_M_f, irrep_S, structure_report
 from .oracle import CAP_ENV_VAR, size_cap
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
@@ -108,12 +109,6 @@ class PartitionType(click.ParamType):
 N_RANGE = click.IntRange(min=2)
 D_RANGE = click.IntRange(min=1)
 CRASH_EXIT = 255  # verify: a check raised, so no count of failures exists
-
-
-def _require_n2_split(n: int, d: int):
-    """At n = 2 the algebra splits into its M and S blocks only for d >= 2."""
-    if n == 2 and d < 2:
-        raise click.BadParameter("n = 2 needs d >= 2", param_hint="'--d'")
 
 
 def _resolve_cap(cap: int | None) -> int:
@@ -233,32 +228,29 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
     if factorial(n) > 720:
         raise click.UsageError("n too large to list all generator images")
     option, label = ("alpha", alpha) if kind == "m" else ("nu", nu)
-    if n == 2:
-        _require_n2_split(n, d)
-        rep = n2_special_case(d)[1][0 if kind == "m" else 1]
-        if label is not None and label != rep.label:
-            raise click.BadParameter(
-                f"the n = 2 block of kind {kind} has label {rep.label}",
-                param_hint=f"'--{option}'")
+    source = click.get_current_context().get_parameter_source
+    for other in ("nu",) if kind == "m" else ("alpha", "basis"):
+        if source(other) is not ParameterSource.DEFAULT:
+            raise click.BadParameter(f"kind {kind} takes no --{other}",
+                                     param_hint=f"'--{other}'")
+    if label is None:
+        raise click.UsageError(f"kind {kind} needs --{option}")
+    if kind == "s":
+        build = irrep_S
     else:
-        if label is None:
-            raise click.UsageError(f"kind {kind} needs --{option}")
-        if kind == "s":
-            build = irrep_S
-        else:
-            build = irrep_M_f if basis == "f" else irrep_M_e
-        # The constructors reject a label of the wrong weight, one that
-        # does not fit d, and the e basis where det Q(alpha) = 0.
-        try:
-            rep = build(label, d, n)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint=f"'--{option}'") from exc
+        build = irrep_M_f if basis == "f" else irrep_M_e
+    # The constructors reject a label of the wrong weight, one that
+    # does not fit d, and the e basis where det Q(alpha) = 0.
+    try:
+        rep = build(label, d, n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=f"'--{option}'") from exc
     record = rep.to_dict()
     if fmt == "json":
         click.echo(json.dumps(record))
         return
     if fmt == "csv":
-        rows = [[name] + [f"{x:g}" for x in flat]
+        rows = [[name] + [repr(x) for x in flat]  # shortest round-trip text
                 for name, flat in record["images"].items()]
         _emit_csv(["generator"] + [f"m{k}" for k in range(rep.dimension**2)], rows)
         return
@@ -280,7 +272,6 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
 @format_option
 def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
     """Block structure: kind-M ranks, kind-S dimensions, total dimension."""
-    _require_n2_split(n, d)
     if oracle:
         cap = _oracle_cap(n, d, cap)
     report = structure_report(n, d, with_oracle=oracle, cap=cap)
@@ -315,7 +306,6 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     at 254.  255: a check raised (traceback on stderr); 2: a usage error."""
     if tol is not None and not (isfinite(tol) and tol > 0):
         raise click.UsageError("--tol must be positive and finite")
-    _require_n2_split(n, d)
     if suite in ORACLE_SUITES:
         cap = _oracle_cap(n, d, cap)
     elif suite == "dims":  # skips the oracle above the cap

@@ -100,8 +100,6 @@ def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[P
 
 
 def _check_m_label(alpha: Partition, d: int, n: int) -> None:
-    if n < 3:
-        raise ValueError("n >= 3 required; use n2_special_case for n = 2")
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
     if d < alpha.height:
@@ -125,17 +123,17 @@ def irrep_M_f(alpha: Partition, d: int, n: int) -> AlgebraIrrep:
     """Kind-M irrep in the reduced matrix basis.
 
     S(n-1) acts block diagonally through the irreps psi_nu of the kept
-    grown labels, and V' as sqrt(Lambda) Z_{n-1}^T Z_{n-1} sqrt(Lambda),
+    grown labels, and V' as sqrt(lambda_i lambda_j) (Z_{n-1}^T Z_{n-1})_ij,
     with Z_{n-1} the last block row of Z restricted to the non-null
-    columns.
+    columns.  One square root per entry keeps a 1 x 1 block (n = 2) at
+    exactly d.
     """
     _check_m_label(alpha, d, n)
     spectral = spectral_q(alpha, d, n)
     kept_cols, kept_lams, kept_nus = _theta_filtered(spectral)
     w = alpha.hook_dimension()
     last_row = spectral.z[-w:, kept_cols]
-    sqrt_lam = np.sqrt(kept_lams)
-    contraction = (sqrt_lam[:, None] * (last_row.T @ last_row)) * sqrt_lam[None, :]
+    contraction = np.sqrt(np.outer(kept_lams, kept_lams)) * (last_row.T @ last_row)
     assert len(kept_cols) == spectral.rank
     rho = partial(direct_sum, [sym_irrep(nu) for nu in kept_nus])
     return AlgebraIrrep("M", alpha, n, d, "f", rho, contraction)
@@ -176,9 +174,6 @@ def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
 
 def all_irreps(n: int, d: int) -> list[AlgebraIrrep]:
     """Every irrep of the algebra at (n, d), M blocks first (reduced basis)."""
-    if n == 2:
-        _report, irreps = n2_special_case(d)
-        return irreps
     out = [
         irrep_M_f(alpha, d, n)
         for alpha in partitions_of(n - 2)
@@ -236,11 +231,6 @@ def rank_of_q(alpha: Partition, d: int, n: int) -> int:
 
 def structure_report(n: int, d: int, with_oracle: bool = False,
                      cap: int | None = None) -> StructureReport:
-    if n == 2:
-        report, _irreps = n2_special_case(d)
-        if with_oracle:
-            report.oracle_dim = _measure_span(n, d, cap)
-        return report
     m_blocks = [
         (alpha, rank_of_q(alpha, d, n))
         for alpha in partitions_of(n - 2)
@@ -270,31 +260,6 @@ def _measure_span(n: int, d: int, cap: int | None) -> int:
     return span_dimension(generator_stack(n, d, transposed=True, cap=cap))
 
 
-def n2_special_case(d: int) -> tuple[StructureReport, list[AlgebraIrrep]]:
-    """n = 2: a commutative two-dimensional algebra, two one-dim irreps.
-
-    V' = W((1 2))^{t_2} is an essential projector of weight d; it acts as
-    d in the M irrep and as 0 in the S irrep, and S(1) acts trivially.
-    """
-    if d < 2:
-        raise ValueError("the n = 2 split needs d >= 2")
-    trivial = sym_irrep(Partition((1,))).image
-    irreps = [
-        AlgebraIrrep("M", Partition(()), 2, d, "f", trivial, np.array([[float(d)]])),
-        AlgebraIrrep("S", Partition((1,)), 2, d, None, trivial, np.array([[0.0]])),
-    ]
-    report = StructureReport(
-        n=2,
-        d=d,
-        m_blocks=[(Partition(()), 1)],
-        s_blocks=[(Partition((1,)), 1)],
-        dim_M=1,
-        dim_S=1,
-        dim_total=2,
-    )
-    return report, irreps
-
-
 # -- the unit of the main ideal ------------------------------------------
 
 
@@ -308,8 +273,6 @@ def unit_of_M(n: int, d: int) -> AlgebraElement:
     and I = (a, i), W(images[b, a, s]) of ``u_terms`` has one einsum of
     Qplus and the weights as coefficient, summed over alpha.
     """
-    if n < 3:
-        raise ValueError("n >= 3 required; for n = 2 the unit of M is W(12)/d")
     ctx, m = AlgebraContext(n, d), n - 1
     coeffs = 0.0
     for alpha in partitions_of(n - 2):

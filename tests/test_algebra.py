@@ -204,9 +204,11 @@ def test_u_element_vanishes_when_too_tall():
     assert element_operator(u2).max_abs() > 0.1
 
 
-def test_u_element_rejects_n2():
-    with pytest.raises(ValueError):
-        u_element(Partition(()), 1, 1, 1, 1, AlgebraContext(2, 2))
+def test_u_element_n2_is_the_transposed_swap():
+    # S(0) is trivial, so u_11^11(()) = 1 * W((1 2)), transposed
+    for d in (1, 2, 3):
+        u = u_element(Partition(()), 1, 1, 1, 1, AlgebraContext(2, d))
+        assert u.terms == {Permutation.transposition(2, 1, 2): 1.0}
 
 
 # -- rendering ----------------------------------------------------------------

@@ -56,8 +56,14 @@ def test_run_suite_subset():
 
 
 def test_run_suite_n2():
-    reports = run_suite(2, 2, "all")
-    assert reports and all(r.passed for r in reports)
+    # n = 2 runs the general construction: alpha = () and Q(()) = [[d]]
+    names = ["mul_rule", "associativity", "adjoint_transport", "spectra", "irreps",
+             "dimensions", "matrix_operators", "reduced_matrix_units",
+             "u_structure", "unit_of_M"]
+    for d in range(1, 5):
+        reports = run_suite(2, d, "all")
+        assert [r.check for r in reports] == names
+        assert all(r.passed for r in reports), [r for r in reports if not r.passed]
 
 
 def test_report_roundtrip():

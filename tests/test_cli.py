@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -204,10 +206,32 @@ def test_irrep_command_semi_trivial():
 def test_irrep_command_validation():
     assert run("irrep", "--n", "3", "--d", "2", "--kind", "m").exit_code != 0
     assert run("irrep", "--n", "3", "--d", "2", "--kind", "s").exit_code != 0
-    # at n = 2 a label is optional, and the block's own label is accepted
-    for args in (("--kind", "m"), ("--kind", "m", "--alpha", "()"),
-                 ("--kind", "s", "--nu", "1")):
+    # at n = 2 the label is required as at every n: () for kind m, 1 for kind s
+    result = run("irrep", "--n", "2", "--d", "3", "--kind", "m")
+    assert result.exit_code == 2 and "kind m needs --alpha" in result.output
+    for args in (("--kind", "m", "--alpha", "()"), ("--kind", "s", "--nu", "1")):
         assert run("irrep", "--n", "2", "--d", "3", *args).exit_code == 0
+
+
+def test_n2_at_d1_is_the_one_dimensional_algebra():
+    result = run("verify", "--n", "2", "--d", "1")
+    assert result.exit_code == 0 and "10/10 checks passed" in result.output
+    result = run("structure", "--n", "2", "--d", "1", "--oracle", "--format", "json")
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output)
+    assert record["oracle_dim"] == record["dim_total"] == 1
+
+
+def test_irrep_csv_holds_the_json_entries():
+    # repr(float) round-trips: -617283.4999997976 is not cut to -617283
+    args = ("irrep", "--n", "3", "--d", "1234567", "--kind", "m", "--alpha", "1")
+    record = json.loads(run(*args, "--format", "json").output)
+    rows = list(csv.reader(io.StringIO(run(*args, "--format", "csv").output)))
+    assert [row[0] for row in rows[1:]] == list(record["images"])
+    for row in rows[1:]:
+        assert [float(cell) for cell in row[1:]] == record["images"][row[0]]
+    assert any(not x.is_integer() and abs(x) > 1e5
+               for flat in record["images"].values() for x in flat)
 
 
 def test_structure_command():
@@ -334,11 +358,18 @@ def test_verify_json_parses_and_round_trips(suite):
 @pytest.mark.parametrize("args, option", [
     (("mul-table", "--n", "1", "--d", "2"), "'--n'"),
     (("mul-table", "--n", "2", "--d", "0"), "'--d'"),
-    (("verify", "--n", "2", "--d", "1"), "'--d'"),
+    (("verify", "--n", "3", "--d", "0"), "'--d'"),
     (("irrep", "--n", "3", "--d", "2", "--kind", "m", "--alpha", "2"), "'--alpha'"),
     # at n = 2 the only labels are () for kind m and 1 for kind s
     (("irrep", "--n", "2", "--d", "3", "--kind", "s", "--nu", "3,2"), "'--nu'"),
     (("irrep", "--n", "2", "--d", "3", "--kind", "m", "--alpha", "5"), "'--alpha'"),
+    # an option of the other kind is refused, not ignored
+    (("irrep", "--n", "3", "--d", "2", "--kind", "s", "--nu", "2", "--alpha", "7,7"),
+     "'--alpha'"),
+    (("irrep", "--n", "3", "--d", "2", "--kind", "m", "--alpha", "1", "--nu", "2"),
+     "'--nu'"),
+    (("irrep", "--n", "3", "--d", "2", "--kind", "s", "--nu", "2", "--basis", "e"),
+     "'--basis'"),
 ])
 def test_invalid_input_is_a_usage_error(args, option):
     result = run(*args)
@@ -347,7 +378,7 @@ def test_invalid_input_is_a_usage_error(args, option):
 
 
 @pytest.mark.parametrize("args, option", [
-    (("structure", "--n", "2", "--d", "1"), "'--d'"),
+    (("structure", "--n", "3", "--d", "0"), "'--d'"),
     (("structure", "--n", "1", "--d", "2"), "'--n'"),
     (("spectrum", "--n", "4", "--d", "2", "--alpha", "3"), "'--alpha'"),
     (("spectrum", "--n", "2", "--d", "2", "--alpha", "1"), "'--alpha'"),

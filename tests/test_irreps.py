@@ -8,7 +8,7 @@ from reference_irreps import reference_e_images, reference_f_images
 from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
 from ptalgebra.induced import eigenvalues_closed_form, zero_condition
 from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
-                              irrep_M_e, irrep_M_f, irrep_S, n2_special_case,
+                              irrep_M_e, irrep_M_f, irrep_S,
                               rank_of_q, structure_report, unit_of_M)
 from ptalgebra.oracle import (OperatorStack, element_operator, identity_operator,
                               span_dimension, transposed_perm_operator)
@@ -245,13 +245,8 @@ def test_restriction_branching():
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("d", range(1, 7))
 def test_dimension_sum_identity(n, d):
-    if n == 2 and d < 2:
-        return
     expected = algebra_dimension_formula(n, d)
-    if n == 2:
-        report, _ = n2_special_case(d)
-    else:
-        report = structure_report(n, d)
+    report = structure_report(n, d)
     assert report.dim_M + report.dim_S == report.dim_total == expected
 
 
@@ -305,22 +300,20 @@ def test_rank_of_q_examples():
 # -- n = 2 ----------------------------------------------------------------------
 
 
-def test_n2_special_case():
-    for d in (2, 3):
-        report, irreps = n2_special_case(d)
-        assert report.dim_total == 2
-        m_rep, s_rep = irreps
-        swap = Permutation.transposition(2, 1, 2)
-        assert m_rep.image(swap)[0, 0] == d
-        assert s_rep.image(swap)[0, 0] == 0.0
-        # homomorphism: the transposed swap is an essential projector
-        power, result = mul_generators(swap, swap)
-        assert power == 1 and result == swap
-        for rep in irreps:
-            assert np.abs(rep.image(swap) @ rep.image(swap)
-                          - d * rep.image(swap)).max() < 1e-12
-    with pytest.raises(ValueError):
-        n2_special_case(1)
+def test_all_irreps_n2():
+    # the general construction gives the two one-dimensional blocks exactly:
+    # M sends the transposed swap to d, S sends it to 0; at d = 1 only M exists
+    swap, one = Permutation.transposition(2, 1, 2), Permutation.identity(2)
+    power, result = mul_generators(swap, swap)
+    assert power == 1 and result == swap
+    for d in range(1, 12):
+        irreps = all_irreps(2, d)
+        assert [(rep.kind, rep.label, rep.dimension) for rep in irreps] == (
+            [("M", Partition(()), 1)] + [("S", Partition((1,)), 1)] * (d > 1))
+        assert [rep.image(swap).tolist() for rep in irreps] == (
+            [[[float(d)]]] + [[[0.0]]] * (d > 1))
+        assert all(rep.image(one).tolist() == [[1.0]] for rep in irreps)
+        assert structure_report(2, d).dim_total == len(irreps)
 
 
 def test_n2_oracle_split():

@@ -13,10 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, line", [
     ("structure_scan.py", ["3", "2"],
      "n=3 d=2: M ~ M(2) | S ~ M(1) | dim=5 oracle=5"),
+    ("structure_scan.py", ["3", "2"], "n=2 d=1: M ~ M(1) | S ~ 0 | dim=1 oracle=1"),
     ("spectra_scan.py", ["4", "2"],
      "alpha = 1,1: lambda(2,1) = 3 x2, lambda(1,1,1) = 0 x1; rank 2/3"
      "  [vanishing: 1,1,1]"),
-], ids=["structure_scan", "spectra_scan"])
+], ids=["structure_scan", "structure_scan_n2", "spectra_scan"])
 def test_script_runs(script, args, line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
