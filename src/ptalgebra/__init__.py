@@ -12,8 +12,8 @@ from .induced import (InducedRep, SpectralQ, eigenvalues_closed_form, q_matrix,
                       q_matrix_poly, q_via_induced, spectral_q, z_matrix,
                       zero_condition)
 from .irreps import (AlgebraIrrep, StructureReport, algebra_dimension_formula,
-                     all_irreps, irrep_M_e, irrep_M_f, irrep_S, rank_of_q,
-                     structure_report, unit_of_M)
+                     all_irreps, block_labels, irrep_M_e, irrep_M_f, irrep_S,
+                     rank_of_q, structure_report, unit_of_M)
 from .oracle import (TensorOp, element_operator, matrix_operators_E,
                      partial_transpose_last, perm_operator, span_dimension,
                      transposed_perm_operator)
@@ -27,7 +27,7 @@ __all__ = [
     "AlgebraContext", "AlgebraElement", "AlgebraIrrep", "DPoly", "InducedRep",
     "Partition", "Permutation", "ReducedBasis", "SpectralQ", "StructureReport",
     "SymmetricGroupIrrep", "TensorOp", "add_box", "algebra_dimension_formula",
-    "all_irreps", "character", "class_sum_scalar", "compose",
+    "all_irreps", "block_labels", "character", "class_sum_scalar", "compose",
     "eigenvalues_closed_form", "element_operator", "irrep", "irrep_M_e",
     "irrep_M_f", "irrep_S", "matrix_operators_E", "mul_generators",
     "multiplicity_in_V", "partial_transpose_last", "partitions_of",

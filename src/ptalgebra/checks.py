@@ -26,8 +26,8 @@ import numpy as np
 from .algebra import AlgebraContext, AlgebraElement, mul_generators, u_element, u_terms
 from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
-from .irreps import (algebra_dimension_formula, all_irreps, direct_sum, rank_of_q,
-                     structure_report, unit_of_M)
+from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
+                     rank_of_q, structure_report, unit_of_M)
 from .oracle import (OperatorStack, SizeCapError, element_operator,
                      element_stack, generator_index, generator_stack,
                      identity_operator, matrix_operators_E, span_dimension,
@@ -101,9 +101,9 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     operators.  Only flagged pairs get their exact max entry difference,
     from the index form's one entry-sum routine, so a pass reads 0.
     """
+    index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
     perms = list(Permutation.all(n))
     images = image_array(n)
-    index = generator_index(n, d, cap)
     worst, culprit, chunk = 0.0, "", index.law_chunk()
     for start in range(0, len(perms) ** 2, chunk):
         left, right = np.divmod(np.arange(start, min(start + chunk, len(perms) ** 2)),
@@ -353,14 +353,19 @@ def check_irreps(n: int, d: int) -> CheckReport:
 def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Block inventory vs the partition-sum formula, and the measured span.
 
-    When the oracle fits under the cap this also confirms that the
+    The one place that compares the sum of squared block sizes of
+    ``structure_report`` with ``algebra_dimension_formula``; a mismatch
+    reads ``blocks M+S != formula F``.  When the oracle fits under the cap
+    this also measures the transposed and plain spans, and confirms that the
     group-averaged operator families span exactly what the permutation
     operators span, so one family is linearly independent iff the other is.
+    Above the cap the oracle part is skipped and said so in the details.
     """
     report = structure_report(n, d)
     expected = algebra_dimension_formula(n, d)
     passed = report.dim_total == expected
-    details = f"blocks {report.dim_M}+{report.dim_S} = formula {expected}"
+    details = (f"blocks {report.dim_M}+{report.dim_S} {'=' if passed else '!='} "
+               f"formula {expected}")
     try:
         plain = generator_stack(n, d, cap=cap)
         transposed = generator_stack(n, d, transposed=True, cap=cap)
@@ -393,11 +398,11 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     block (i-1) w + j-1; each claim is one product or one combination per
     row.
     """
+    plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
     group = list(Permutation.all(m))
     ranks = lehmer_rank(np.array([g.embed(n).images for g in group]) - 1)
-    images = generator_stack(n, d, cap=cap).combine(
-        ranks[:, None], np.ones((len(group), 1)))
+    images = plain.combine(ranks[:, None], np.ones((len(group), 1)))
     alphas = list(partitions_of(m))
     families = [matrix_operators_E(images, alpha, group) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
@@ -420,7 +425,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     # (II) orthogonality with the multiplicity as norm; here D restricted to
     # S(n-2) contains each alpha with multiplicity d^2 * (its multiplicity
     # in the action on n-2 factors).
-    mults = [multiplicity_in_V(alpha, d) if alpha.height <= d else 0 for alpha in alphas]
+    mults = [multiplicity_in_V(alpha, d) for alpha in alphas]  # 0 above d rows
     norms = np.repeat(d * d * np.array(mults, float), [phi.dim**2 for phi in phis])
     value, (r, c) = _worst(np.abs(everything.gram() - np.diag(norms)))
     if value > worst:
@@ -462,8 +467,9 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
     ctx = AlgebraContext(n, d)
     m = n - 1
     worst, culprit, details = 0.0, "", []
+    m_labels = block_labels(n, d)[0]
     for alpha in partitions_of(n - 2):
-        if alpha.height > d:
+        if alpha not in m_labels:
             corners = element_stack([u_element(alpha, a, a, 1, 1, ctx)
                                      for a in (1, m)], cap).residuals()
             value, (k,) = _worst(corners)
@@ -536,8 +542,6 @@ def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckRepo
 
 
 SUITES = ("all", "mul", "spectra", "irreps", "dims", "appc")
-# Suites that cannot run without the oracle; "dims" skips it above the cap.
-ORACLE_SUITES = ("all", "mul", "appc")
 
 
 def run_suite(n: int, d: int, suite: str = "all",
@@ -560,8 +564,7 @@ def run_suite(n: int, d: int, suite: str = "all",
         reports.append(check_matrix_operators(n, d, cap))
         reports.append(check_reduced_matrix_units(n, d, cap))
     if suite == "all":
-        for alpha in partitions_of(n - 2):
-            if alpha.height <= d:
-                reports.append(check_u_structure(alpha, alpha, n, d, cap))
+        for alpha in block_labels(n, d)[0]:
+            reports.append(check_u_structure(alpha, alpha, n, d, cap))
         reports.append(check_unit_of_m(n, d, cap))
     return reports

@@ -4,8 +4,12 @@ Output formats: text (human), json (machine, round-trips), csv (flat).
 ``mul-table`` keeps its n! x n! table as one integer array and renders
 each of its 2 n! distinct cells once; ``verify`` exits 255 on a crash.
 The oracle size cap defaults to d^n <= 4096 and can be overridden with
---cap or the PTALGEBRA_CAP environment variable; a command that needs the
-oracle above the cap is a usage error, not a failed check.
+--cap or the PTALGEBRA_CAP environment variable.  ``verify`` and
+``structure`` resolve it once, before any work, so a malformed
+PTALGEBRA_CAP is a usage error even where no oracle is built.  The oracle
+alone decides which runs exceed the cap: its ``SizeCapError`` is a usage
+error (exit 2), not a failed check or a crash, and ``--suite dims`` skips
+the oracle part instead.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import numpy as np
 from click.core import ParameterSource
 
 from .algebra import AlgebraContext, mul_generators
-from .checks import ORACLE_SUITES, SUITES, run_suite
+from .checks import SUITES, run_suite
 from .dpoly import DPoly
 from .induced import spectral_q
 from .irreps import irrep_M_e, irrep_M_f, irrep_S, structure_report
-from .oracle import CAP_ENV_VAR, size_cap
+from .oracle import CAP_ENV_VAR, SizeCapError, size_cap
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
 
@@ -119,16 +123,6 @@ def _resolve_cap(cap: int | None) -> int:
         return size_cap()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-
-
-def _oracle_cap(n: int, d: int, cap: int | None) -> int:
-    """The effective cap for a command that needs the oracle at d^n."""
-    cap = _resolve_cap(cap)
-    if d**n > cap:
-        raise click.UsageError(
-            f"d^n = {d**n} exceeds the oracle size cap {cap}; "
-            f"raise it with --cap or ${CAP_ENV_VAR}")
-    return cap
 
 
 format_option = click.option(
@@ -260,7 +254,7 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
         mat = np.array(flat).reshape(rep.dimension, rep.dimension)
         click.echo(f"W({name}):")
         for row in mat:
-            click.echo("  " + "  ".join(f"{x:g}" for x in row))
+            click.echo("  " + "  ".join(_number_text(x) for x in row))
 
 
 @main.command("structure")
@@ -272,9 +266,11 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
 @format_option
 def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
     """Block structure: kind-M ranks, kind-S dimensions, total dimension."""
-    if oracle:
-        cap = _oracle_cap(n, d, cap)
-    report = structure_report(n, d, with_oracle=oracle, cap=cap)
+    cap = _resolve_cap(cap)
+    try:
+        report = structure_report(n, d, with_oracle=oracle, cap=cap)
+    except SizeCapError as exc:
+        raise click.UsageError(str(exc)) from None
     record = report.to_dict()
     if fmt == "json":
         click.echo(json.dumps(record))
@@ -306,12 +302,11 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
     at 254.  255: a check raised (traceback on stderr); 2: a usage error."""
     if tol is not None and not (isfinite(tol) and tol > 0):
         raise click.UsageError("--tol must be positive and finite")
-    if suite in ORACLE_SUITES:
-        cap = _oracle_cap(n, d, cap)
-    elif suite == "dims":  # skips the oracle above the cap
-        cap = _resolve_cap(cap)
+    cap = _resolve_cap(cap)
     try:
         reports = run_suite(n, d, suite, cap)
+    except SizeCapError as exc:
+        raise click.UsageError(str(exc)) from None
     except Exception:
         traceback.print_exc()
         sys.exit(CRASH_EXIT)

@@ -11,6 +11,7 @@ loses dim(theta) compared with the induced representation exactly when
 some eigenvalue vanishes.  Kind S irreps are labelled by partitions of
 n-1 with height strictly below d; they restrict irreducibly to S(n-1)
 and V', hence every generator that moves the last point, acts as zero.
+``block_labels`` is the one place that applies these two height bounds.
 The unit of M sums Q(alpha)^+ against the u terms: one einsum per alpha.
 """
 
@@ -99,10 +100,18 @@ def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[P
             [nu for _col, nu, j in kept if j == 1])
 
 
+def block_labels(n: int, d: int) -> tuple[list[Partition], list[Partition]]:
+    """The labels of every block at (n, d), each in ``partitions_of`` order:
+    kind M, alpha of n-2 with at most d rows, and kind S, nu of n-1 with
+    fewer than d rows."""
+    return ([alpha for alpha in partitions_of(n - 2) if alpha.height <= d],
+            [nu for nu in partitions_of(n - 1) if nu.height < d])
+
+
 def _check_m_label(alpha: Partition, d: int, n: int) -> None:
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
-    if d < alpha.height:
+    if alpha not in block_labels(n, d)[0]:
         raise ValueError(
             f"no such block: alpha of height {alpha.height} needs d >= {alpha.height}"
         )
@@ -164,7 +173,7 @@ def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
     """Semi-trivial irrep: S(n-1) acts irreducibly, V' by zero."""
     if nu.weight != n - 1:
         raise ValueError(f"nu must have weight {n - 1}")
-    if nu.height >= d:
+    if nu not in block_labels(n, d)[1]:
         raise ValueError(
             f"no such block: height {nu.height} >= d = {d} (strict bound)"
         )
@@ -174,15 +183,9 @@ def irrep_S(nu: Partition, d: int, n: int) -> AlgebraIrrep:
 
 def all_irreps(n: int, d: int) -> list[AlgebraIrrep]:
     """Every irrep of the algebra at (n, d), M blocks first (reduced basis)."""
-    out = [
-        irrep_M_f(alpha, d, n)
-        for alpha in partitions_of(n - 2)
-        if alpha.height <= d
-    ]
-    out.extend(
-        irrep_S(nu, d, n) for nu in partitions_of(n - 1) if nu.height < d
-    )
-    return out
+    m_labels, s_labels = block_labels(n, d)
+    return ([irrep_M_f(alpha, d, n) for alpha in m_labels]
+            + [irrep_S(nu, d, n) for nu in s_labels])
 
 
 # -- structure ----------------------------------------------------------
@@ -231,23 +234,16 @@ def rank_of_q(alpha: Partition, d: int, n: int) -> int:
 
 def structure_report(n: int, d: int, with_oracle: bool = False,
                      cap: int | None = None) -> StructureReport:
-    m_blocks = [
-        (alpha, rank_of_q(alpha, d, n))
-        for alpha in partitions_of(n - 2)
-        if alpha.height <= d
-    ]
-    s_blocks = [
-        (nu, nu.hook_dimension()) for nu in partitions_of(n - 1) if nu.height < d
-    ]
+    """The blocks of ``block_labels`` with their sizes: rank Q(alpha) for
+    kind M, dim nu for kind S.  It claims nothing about their sum;
+    ``checks.check_dimensions`` compares it with the span dimension formula.
+    ``with_oracle`` also measures that span on (C^d)^n, under the size cap."""
+    m_labels, s_labels = block_labels(n, d)
+    m_blocks = [(alpha, rank_of_q(alpha, d, n)) for alpha in m_labels]
+    s_blocks = [(nu, nu.hook_dimension()) for nu in s_labels]
     dim_m = sum(r * r for _a, r in m_blocks)
     dim_s = sum(k * k for _v, k in s_blocks)
     total = dim_m + dim_s
-    expected = algebra_dimension_formula(n, d)
-    if total != expected:
-        raise AssertionError(
-            f"block inventory sums to {total}, but the span dimension "
-            f"formula gives {expected}"
-        )
     report = StructureReport(n, d, m_blocks, s_blocks, dim_m, dim_s, total)
     if with_oracle:
         report.oracle_dim = _measure_span(n, d, cap)
@@ -275,9 +271,7 @@ def unit_of_M(n: int, d: int) -> AlgebraElement:
     """
     ctx, m = AlgebraContext(n, d), n - 1
     coeffs = 0.0
-    for alpha in partitions_of(n - 2):
-        if alpha.height > d:
-            continue
+    for alpha in block_labels(n, d)[0]:
         spectral = spectral_q(alpha, d, n)
         kept_cols, kept_lams, _nus = _theta_filtered(spectral)
         images, weights = u_terms(alpha, n)

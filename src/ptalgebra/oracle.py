@@ -96,7 +96,7 @@ def _check_cap(dim: int, cap: int | None):
     limit = size_cap() if cap is None else cap
     if dim > limit:
         raise SizeCapError(f"d^n = {dim} exceeds the oracle size cap {limit}; "
-                           f"raise it with cap or {CAP_ENV_VAR}")
+                           f"raise it with --cap or ${CAP_ENV_VAR}")
 
 
 def _sparse():

@@ -7,8 +7,9 @@ from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_matrix_operators, check_mul_rule,
                               check_reduced_matrix_units, check_spectra,
                               check_u_structure, check_unit_of_m, run_suite)
-from ptalgebra.irreps import AlgebraIrrep, all_irreps
-from ptalgebra.partitions import Partition
+from ptalgebra.irreps import (AlgebraIrrep, all_irreps, block_labels, irrep_M_f,
+                              irrep_S, structure_report)
+from ptalgebra.partitions import Partition, partitions_of
 
 
 def test_individual_checks_pass():
@@ -64,6 +65,36 @@ def test_run_suite_n2():
         reports = run_suite(2, d, "all")
         assert [r.check for r in reports] == names
         assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
+def _builds(construct, label, d, n) -> bool:
+    try:
+        construct(label, d, n)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_every_consumer_follows_block_labels(n, d):
+    # the paper's rule: kind M for l(alpha) <= d, kind S for l(nu) < d
+    m_labels, s_labels = block_labels(n, d)
+    assert m_labels == [a for a in partitions_of(n - 2) if len(a.parts) <= d]
+    assert s_labels == [v for v in partitions_of(n - 1) if len(v.parts) < d]
+    assert [(rep.kind, rep.label) for rep in all_irreps(n, d)] == (
+        [("M", a) for a in m_labels] + [("S", v) for v in s_labels])
+    report = structure_report(n, d)
+    assert [a for a, _rank in report.m_blocks] == m_labels
+    assert [v for v, _dim in report.s_blocks] == s_labels
+    for alpha in partitions_of(n - 2):
+        assert _builds(irrep_M_f, alpha, d, n) == (alpha in m_labels)
+    for nu in partitions_of(n - 1):
+        assert _builds(irrep_S, nu, d, n) == (nu in s_labels)
+    if n <= 4:
+        reports = run_suite(n, d, "all")
+        assert [r.params["alpha"] for r in reports if r.check == "u_structure"] \
+            == [str(a) for a in m_labels]
 
 
 def test_report_roundtrip():

@@ -9,10 +9,11 @@ from click.testing import CliRunner
 
 import goldens
 from reference_law import reference_mul_generators
-from ptalgebra import cli
+from ptalgebra import checks, cli, irreps
 from ptalgebra.checks import CheckReport
 from ptalgebra.cli import build_mul_table, main
 from ptalgebra.dpoly import DPoly
+from ptalgebra.oracle import SizeCapError
 from ptalgebra.permutations import Permutation
 
 
@@ -234,6 +235,14 @@ def test_irrep_csv_holds_the_json_entries():
                for flat in record["images"].values() for x in flat)
 
 
+def test_irrep_text_prints_integral_entries_in_full():
+    # the e basis at n = 3 holds d itself: 1234567, not 1.23457e+06
+    result = run("irrep", "--n", "3", "--d", "1234567", "--kind", "m",
+                 "--alpha", "1", "--basis", "e")
+    assert result.exit_code == 0
+    assert "1234567" in result.output and "e+06" not in result.output
+
+
 def test_structure_command():
     record = json.loads(run("structure", "--n", "4", "--d", "2", "--oracle",
                             "--format", "json").output)
@@ -296,6 +305,19 @@ def test_verify_exits_255_when_a_check_raises(monkeypatch):
     assert result.exit_code == cli.CRASH_EXIT == 255
     assert "Traceback" in result.stderr
     assert "RuntimeError: planted" in result.stderr
+
+
+def test_a_wrong_block_inventory_fails_the_dimensions_check(monkeypatch):
+    # a planted rank defect: rank Q(alpha) + 1 on the one-row alpha
+    rank_of_q = irreps.rank_of_q
+    monkeypatch.setattr(irreps, "rank_of_q", lambda alpha, d, n:
+                        rank_of_q(alpha, d, n) + (alpha.height == 1))
+    result = run("verify", "--n", "4", "--d", "2", "--suite", "dims")
+    assert result.exit_code == 1, result.output
+    assert "[FAIL] dimensions" in result.output
+    assert "blocks 20+1 != formula 14" in result.output
+    # the inventory itself claims nothing, so structure still prints it
+    assert run("structure", "--n", "4", "--d", "2").exit_code == 0
 
 
 def test_verify_failure_count_stops_below_the_crash_code(monkeypatch):
@@ -418,6 +440,41 @@ def test_cap_from_the_environment(monkeypatch):
             result = run(*args)
             assert result.exit_code == 2
             assert "is not a positive integer" in result.output
+
+
+def test_a_size_cap_error_from_the_oracle_is_a_usage_error(monkeypatch):
+    def over_the_cap(*args):
+        raise SizeCapError("planted: d^n exceeds the oracle size cap")
+
+    monkeypatch.setattr(cli, "run_suite", over_the_cap)
+    result = run("verify", "--n", "3", "--d", "2")
+    assert result.exit_code == 2 and "planted" in result.output
+
+
+def test_the_cap_stops_a_suite_before_any_work_of_size_n_factorial(monkeypatch):
+    # the oracle is asked first, so above the cap no S(n) is listed
+    def listed(*args):
+        raise AssertionError("S(n) listed above the cap")
+
+    monkeypatch.setattr(Permutation, "all", staticmethod(listed))
+    monkeypatch.setattr(checks, "image_array", listed)
+    for suite in ("all", "mul", "appc"):
+        result = run("verify", "--n", "8", "--d", "3", "--suite", suite)
+        assert result.exit_code == 2 and "size cap 4096" in result.output
+
+
+def test_suites_without_the_oracle_run_above_the_cap():
+    result = run("verify", "--n", "4", "--d", "3", "--suite", "spectra", "--cap", "4")
+    assert result.exit_code == 0 and "1/1 checks passed" in result.output
+
+
+def test_a_malformed_cap_variable_is_a_usage_error_without_the_oracle(monkeypatch):
+    monkeypatch.setenv("PTALGEBRA_CAP", "abc")
+    for args in (("verify", "--n", "3", "--d", "2", "--suite", "spectra"),
+                 ("structure", "--n", "3", "--d", "2")):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert "PTALGEBRA_CAP='abc' is not a positive integer" in result.output
 
 
 def test_dims_suite_skips_the_oracle_above_the_cap():
