@@ -10,7 +10,7 @@ Usage: python scripts/structure_scan.py [max_n] [max_d]
 import sys
 
 from ptalgebra import structure_report
-from ptalgebra.oracle import size_cap
+from ptalgebra.oracle import generator_stack, size_cap, span_dimension
 
 
 def main():
@@ -19,7 +19,9 @@ def main():
     for n in range(2, max_n + 1):
         for d in range(1, max_d + 1):
             with_oracle = d**n <= size_cap()
-            report = structure_report(n, d, with_oracle=with_oracle)
+            report = structure_report(n, d)
+            if with_oracle:
+                report.oracle_dim = span_dimension(generator_stack(n, d, True))
             m_part = " + ".join(f"M({r})" for _a, r in report.m_blocks)
             s_part = " + ".join(f"M({k})" for _v, k in report.s_blocks)
             oracle = f" oracle={report.oracle_dim}" if with_oracle else ""

@@ -249,7 +249,7 @@ def u_terms(alpha: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     left = np.take_along_axis(swaps(n - 1), swaps(n - 2), axis=1)  # (a n)(a n-1)
     sigma = np.hstack([image_array(n - 2), np.full((factorial(n - 2), 2), [n - 2, n - 1])])
     images = left[x[:, :, None, None], sigma[:, swaps(n - 2)].transpose(1, 0, 2)]
-    return images, averaging_weights(alpha, list(Permutation.all(n - 2)))
+    return images, averaging_weights(alpha)
 
 
 def u_element(alpha: Partition, a: int, b: int, i: int, j: int,

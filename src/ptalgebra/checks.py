@@ -18,7 +18,6 @@ and as built one by one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,27 +141,32 @@ def check_associativity(n: int, d: int, cap: int | None = None) -> CheckReport:
     return _report("associativity", params, worst, ASSOCIATIVITY_TOL, culprit=culprit)
 
 
-def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None):
-    """The u operators of alpha, one ``combine`` of the ``u_terms``, and
-    their labels (a, b, i, j), 1-based, in lexicographic order: label
-    (a, b, i, j) is block ((a-1)(n-1) + b-1) w^2 + (i-1) w + j-1."""
+def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None) -> OperatorStack:
+    """The u operators of alpha, one ``combine`` of the ``u_terms``, as the
+    family x of ``reduction``: x_IJ = u_ij^ab at block I s + J, with
+    I = (a-1) w + i-1, J = (b-1) w + j-1 and s = (n-1) w."""
     images, weights = u_terms(alpha, ctx.n)
     m, w, count = len(images), len(weights), weights.shape[-1]
-    labels = list(itertools.product(range(1, m + 1), range(1, m + 1),
-                                    range(1, w + 1), range(1, w + 1)))
-    index = np.broadcast_to(lehmer_rank(images)[:, :, None, None], (m, m, w, w, count))
+    shape = (m, w, m, w, count)
+    index = np.broadcast_to(lehmer_rank(images)[:, None, :, None], shape)
     return generator_stack(ctx.n, ctx.d, True, cap).combine(
-        index.reshape(-1, count), np.broadcast_to(weights, index.shape).reshape(-1, count)
-    ), labels
+        index.reshape(-1, count),
+        np.broadcast_to(weights[None, :, None], shape).reshape(-1, count))
 
 
-def _unit_claim(w: int) -> tuple[np.ndarray, np.ndarray]:
-    """``action_residuals`` arrays of the claim B_ij B_kl = delta_jk B_il on a
-    stack of w^2 blocks, B_ij at block (i-1) w + j-1, with the stack itself
-    as the left factors: ``(w^2, w^2, 1)`` index and weights."""
-    i, j = np.divmod(np.arange(w * w), w)
-    hit = (i[None, :] == j[:, None])[..., None]
-    return (i[:, None] * w + j)[..., None] * hit, hit * 1.0
+def _u_name(block: int, w: int, m: int) -> str:
+    """The 1-based label u^ab_ij of a block of a u stack (see ``_u_stack``)."""
+    (a, i), (b, j) = (divmod(x, w) for x in divmod(int(block), m * w))
+    return f"u^{a + 1}{b + 1}_{i + 1}{j + 1}"
+
+
+def _x_claim(a_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``action_residuals`` arrays of the law x_IJ x_KL = A_JK x_IL on a
+    stack of s^2 blocks, x_IJ at block I s + J, with the stack itself as
+    the left factors: ``(s^2, s^2, 1)`` index and weights."""
+    s = len(a_matrix)
+    i, j = np.divmod(np.arange(s * s), s)
+    return (i[:, None] * s + j)[..., None], a_matrix[j[:, None], i][..., None]
 
 
 def _left_action(sigma: Permutation, p: int, d: int
@@ -191,7 +195,8 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     Checks, through the oracle, the structure constants
     u_ij^ab(alpha) u_kl^pq(beta) = delta_{alpha beta} Q_jk^bp u_il^aq(alpha),
     with Q_jk^bp = Q(alpha)[(b, j), (p, k)] and no delta over the cosets
-    a, b (one row per left u, the blocks of the u stack of alpha), and the
+    a, b: on the u stacks, held as the family x of ``reduction``, this is
+    the law of ``_x_claim`` with A = Q(alpha) (one row per left u).  Then the
     left-action rules for transposed and untransposed generators (one row
     per left sigma, the blocks of the transposed generator stack), each row
     a linear combination of the u family itself.
@@ -199,23 +204,14 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     ctx = AlgebraContext(n, d)
     m, w = n - 1, alpha.hook_dimension()
     same = alpha == beta
-    u_a, labels_a = _u_stack(alpha, ctx, cap)
-    u_b, labels_b = (u_a, labels_a) if same else _u_stack(beta, ctx, cap)
-    # 0-based label columns of the right-hand family
-    p, q, k, l = np.array(labels_b).T - 1
-
-    def key(a, b, i, j):
-        return ((a * m + b) * w + i) * w + j
-
+    u_a = _u_stack(alpha, ctx, cap)
     if same:
-        a, b, i, j = (column[:, None] for column in np.array(labels_a).T - 1)
-        index = key(a, q, i, l)[..., None]
-        weights = q_matrix(alpha, d, n)[b * w + j, p * w + k][..., None]
+        products = u_a.action_residuals(u_a, *_x_claim(q_matrix(alpha, d, n)))
     else:
-        index, weights = np.zeros(0, int), np.zeros(0)
-    products = u_b.action_residuals(u_a, index, weights)
+        products = _u_stack(beta, ctx, cap).action_residuals(
+            u_a, np.zeros(0, int), np.zeros(0))
     worst, (s, r) = _worst(products)
-    culprit = "u^{}{}_{}{} * u^{}{}_{}{}".format(*labels_a[s], *labels_b[r])
+    culprit = f"{_u_name(s, w, m)} * {_u_name(r, beta.hook_dimension(), m)}"
 
     if same:
         perms = list(Permutation.all(n))
@@ -223,17 +219,19 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
         target, scale, taus = zip(*(_left_action(sigma, label, d)
                                     for sigma in perms for label in range(1, n)))
         shape = (len(perms), m)
+        # 0-based (p, k, q, l) of every block u_kl^pq
+        (p, k), (q, l) = (np.divmod(x, w) for x in np.divmod(np.arange(len(u_a)), m * w))
         # row sigma, block u_kl^pq: scale sum_t phi_tk(tau) u_tl^{target q},
         # with (target, scale, tau) of label p
         target = np.reshape(target, shape)[:, p, None] - 1
         transposed = np.reshape([phi.image(tau).T for tau in taus], shape + (w, w))
-        index = key(target, q[:, None], np.arange(w), l[:, None])
+        index = (target * w + np.arange(w)) * m * w + (q * w + l)[:, None]
         weights = np.reshape(scale, shape)[:, p, None] * transposed[:, p, k]
         actions = u_a.action_residuals(generator_stack(n, d, True, cap), index, weights)
         worst_action, (g, r) = _worst(actions)
         if worst_action > worst:
             worst = worst_action
-            culprit = "{} * u^{}{}_{}{}".format(perms[g], *labels_a[r])
+            culprit = f"{perms[g]} * {_u_name(r, w, m)}"
 
     return _report(
         "u_structure",
@@ -372,11 +370,10 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     except SizeCapError:
         details += "; oracle skipped (size cap)"
     else:
-        group = list(Permutation.all(n))
         measured_t = span_dimension(transposed)
         plain_dim = span_dimension(plain)
         averaged = OperatorStack.concat(
-            [matrix_operators_E(plain, mu, group) for mu in partitions_of(n)])
+            [matrix_operators_E(plain, mu) for mu in partitions_of(n)])
         e_span = span_dimension(averaged)
         passed = (passed and measured_t == expected and plain_dim == expected
                   and e_span == expected)
@@ -395,8 +392,9 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     Exercises the four claims: recovery of D(g) from the family, the
     orthogonality/multiplicity relation, the composition rule, and column
     covariance.  The families E^alpha are stacks of w^2 operators E_ij,
-    block (i-1) w + j-1; each claim is one product or one combination per
-    row.
+    block (i-1) w + j-1, so the composition rule E_ij E_kl = delta_jk E_il
+    is the law of ``_x_claim`` with A = I_w; each claim is one product or
+    one combination per row.
     """
     plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
@@ -404,7 +402,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     ranks = lehmer_rank(np.array([g.embed(n).images for g in group]) - 1)
     images = plain.combine(ranks[:, None], np.ones((len(group), 1)))
     alphas = list(partitions_of(m))
-    families = [matrix_operators_E(images, alpha, group) for alpha in alphas]
+    families = [matrix_operators_E(images, alpha) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
     # (alpha, i, j) of every block of the concatenated families, 1-based
     labels = [(alpha, i, j) for alpha, phi in zip(alphas, phis)
@@ -435,7 +433,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
         # E_ij E_kl = delta_jk E_il
-        value, (s, r) = _worst(family.action_residuals(family, *_unit_claim(w)))
+        value, (s, r) = _worst(family.action_residuals(family, *_x_claim(np.eye(w))))
         if value > worst:
             worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
@@ -455,12 +453,13 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
 def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Matrix units for every main-ideal block, through the oracle.
 
-    The u family of alpha obeys x_ij x_kl = Q_jk x_il with x_{(a,i),(b,j)} =
-    u_ij^ab, so ``xa_reduce(Q(alpha))`` gives the coefficients of every y and
-    f over it.  The null y are one combination of the u stack, checked to
-    vanish, and the f another, checked to satisfy f_sr f_tu = delta_rt f_su
-    with one ``action_residuals`` row per left f.  A failure names its
-    worst null y label or f pair (1-based).
+    The u stack of alpha is the family x_IJ = u_ij^ab of ``reduction``, with
+    x_IJ x_KL = Q_JK x_IL, so ``xa_reduce(Q(alpha))`` gives the coefficients
+    of every y and f over its blocks as they stand.  The null y are one
+    combination of the u stack, checked to vanish, and the f another,
+    checked to satisfy f_sr f_tu = delta_rt f_su: the law of ``_x_claim``
+    with A = I_rank, one ``action_residuals`` row per left f.  A failure
+    names its worst null y label or f pair (1-based).
     """
     from .reduction import xa_reduce
 
@@ -479,19 +478,17 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
             continue
         w = alpha.hook_dimension()
         size = m * w
-        u = _u_stack(alpha, ctx, cap)[0]
+        u, x = _u_stack(alpha, ctx, cap), np.arange(size * size)
         reduced = xa_reduce(q_matrix(alpha, d, n))
-        # the u block of x_IJ, for I = (a-1) w + i-1 and J = (b-1) w + j-1
-        a, i = np.divmod(np.arange(size), w)
-        block = (((a[:, None] * m + a) * w + i[:, None]) * w + i).ravel()
         nulls = reduced.null_rows
-        value, (k,) = _worst(u.combine(block, reduced.y[nulls]).residuals())
+        value, (k,) = _worst(u.combine(x, reduced.y[nulls]).residuals())
         if value > worst:
             s, r = np.divmod(nulls[k], size)
             worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
-        units = u.combine(block, reduced.f)
+        units = u.combine(x, reduced.f)
         rank = reduced.rank
-        value, (left, right) = _worst(units.action_residuals(units, *_unit_claim(rank)))
+        value, (left, right) = _worst(
+            units.action_residuals(units, *_x_claim(np.eye(rank))))
         if value > worst:
             (s, r), (t, v) = divmod(left, rank), divmod(right, rank)
             worst, culprit = value, (f"{alpha}: f_({s + 1},{r + 1}) * "

@@ -30,7 +30,8 @@ from .checks import SUITES, run_suite
 from .dpoly import DPoly
 from .induced import spectral_q
 from .irreps import irrep_M_e, irrep_M_f, irrep_S, structure_report
-from .oracle import CAP_ENV_VAR, SizeCapError, size_cap
+from .oracle import (CAP_ENV_VAR, SizeCapError, generator_stack, size_cap,
+                     span_dimension)
 from .partitions import Partition
 from .permutations import Permutation, image_array, lehmer_rank
 
@@ -267,10 +268,12 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
 def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
     """Block structure: kind-M ranks, kind-S dimensions, total dimension."""
     cap = _resolve_cap(cap)
-    try:
-        report = structure_report(n, d, with_oracle=oracle, cap=cap)
-    except SizeCapError as exc:
-        raise click.UsageError(str(exc)) from None
+    report = structure_report(n, d)
+    if oracle:
+        try:
+            report.oracle_dim = span_dimension(generator_stack(n, d, True, cap))
+        except SizeCapError as exc:
+            raise click.UsageError(str(exc)) from None
     record = report.to_dict()
     if fmt == "json":
         click.echo(json.dumps(record))

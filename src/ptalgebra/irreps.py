@@ -232,28 +232,17 @@ def rank_of_q(alpha: Partition, d: int, n: int) -> int:
     return full if theta is None else full - theta.hook_dimension()
 
 
-def structure_report(n: int, d: int, with_oracle: bool = False,
-                     cap: int | None = None) -> StructureReport:
+def structure_report(n: int, d: int) -> StructureReport:
     """The blocks of ``block_labels`` with their sizes: rank Q(alpha) for
     kind M, dim nu for kind S.  It claims nothing about their sum;
     ``checks.check_dimensions`` compares it with the span dimension formula.
-    ``with_oracle`` also measures that span on (C^d)^n, under the size cap."""
+    ``oracle_dim`` is left for a caller that measures that span on (C^d)^n."""
     m_labels, s_labels = block_labels(n, d)
     m_blocks = [(alpha, rank_of_q(alpha, d, n)) for alpha in m_labels]
     s_blocks = [(nu, nu.hook_dimension()) for nu in s_labels]
     dim_m = sum(r * r for _a, r in m_blocks)
     dim_s = sum(k * k for _v, k in s_blocks)
-    total = dim_m + dim_s
-    report = StructureReport(n, d, m_blocks, s_blocks, dim_m, dim_s, total)
-    if with_oracle:
-        report.oracle_dim = _measure_span(n, d, cap)
-    return report
-
-
-def _measure_span(n: int, d: int, cap: int | None) -> int:
-    from .oracle import generator_stack, span_dimension
-
-    return span_dimension(generator_stack(n, d, transposed=True, cap=cap))
+    return StructureReport(n, d, m_blocks, s_blocks, dim_m, dim_s, dim_m + dim_s)
 
 
 # -- the unit of the main ideal ------------------------------------------

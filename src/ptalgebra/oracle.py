@@ -744,14 +744,15 @@ def span_dimension(family: OperatorStack) -> int:
     return int((eigs > RANK_RTOL * top).sum())
 
 
-def matrix_operators_E(rep_images: OperatorStack, alpha: Partition,
-                       group: list[Permutation]) -> OperatorStack:
+def matrix_operators_E(rep_images: OperatorStack, alpha: Partition) -> OperatorStack:
     """Group-averaged matrix operators of an irrep inside a representation D.
 
-    E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g).  The zero family is the
-    legitimate outcome when alpha does not occur in D.  Given a stack whose
-    block k is D(group[k]), this returns the stack E_11, E_12, ..., E_ww,
+    E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g), over G = S(|alpha|).  The
+    zero family is the legitimate outcome when alpha does not occur in D.
+    Given a stack whose block k is D(g) for the k-th g of G in
+    ``Permutation.all`` order, this returns the stack E_11, E_12, ..., E_ww,
     each E_ij adding its terms in group order.
     """
-    return rep_images.combine(np.arange(len(group)),
-                              averaging_weights(alpha, group).reshape(-1, len(group)))
+    weights = averaging_weights(alpha)
+    count = weights.shape[-1]
+    return rep_images.combine(np.arange(count), weights.reshape(-1, count))

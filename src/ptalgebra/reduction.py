@@ -7,6 +7,9 @@ rescaled f_ij = y_ij / sqrt(lambda_i lambda_j) are matrix units.  The
 reduction is linear algebra on A alone: it returns the coefficients of
 every y and f over the family x, and the caller applies them, with
 ``OperatorStack.combine`` on the oracle or ``np.tensordot`` on arrays.
+The averaged generators of the main ideal are such a family, with
+x_{(a,i),(b,j)} = u_ij^ab and A = Q(alpha); the averaged matrix operators
+E_ij and the f themselves obey the same law with A = I.
 """
 
 from __future__ import annotations

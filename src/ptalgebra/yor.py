@@ -11,7 +11,7 @@ adjacent transpositions.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -132,10 +132,12 @@ def irrep(label: Partition) -> SymmetricGroupIrrep:
     return SymmetricGroupIrrep(label)
 
 
-def averaging_weights(alpha: Partition, group: list[Permutation]) -> np.ndarray:
-    """(w/|G|) phi_ji(g^{-1}) at ``[i, j, g]``: the weights of the averaged
-    matrix operators E_ij = sum_g weights[i, j, g] D(g) and of the u terms."""
+def averaging_weights(alpha: Partition) -> np.ndarray:
+    """(w/m!) phi_ji(g^{-1}) at ``[i, j, g]``, g over S(m) with m = |alpha| in
+    ``Permutation.all`` order: the weights of the averaged matrix operators
+    E_ij = sum_g weights[i, j, g] D(g) and of the u terms."""
     phi = irrep(alpha)
+    group = list(Permutation.all(alpha.weight))
     inverse_images = np.stack([phi.image(g.inverse()) for g in group])
     return (phi.dim / len(group)) * inverse_images.transpose(2, 1, 0)
 
@@ -162,29 +164,20 @@ def class_sum_scalar(alpha: Partition, class_rep: Permutation, class_size: int) 
     return class_size * character(alpha, class_rep) / alpha.hook_dimension()
 
 
-# The character sum of multiplicity_in_V is an integer; its rounding error
-# stays below 3e-17 for m <= 7 and d <= 8, so a larger gap than this means
-# wrong characters rather than rounding.
-MULTIPLICITY_INTEGER_TOL = 1e-6
-
-
 def multiplicity_in_V(alpha: Partition, d: int) -> int:
     """Multiplicity of alpha inside the permutation action on (C^d)^{tensor m}.
 
-    Computed as the exact character inner product (1/m!) sum over S(m) of
-    chi(sigma^{-1}) d^{cycles(sigma)}; zero exactly when d < height(alpha).
+    By Schur-Weyl duality it is the dimension of the GL(d) irrep alpha,
+    given exactly by the hook-content formula: the product of d + j - i
+    over the boxes (i, j) over the product of their hook lengths, in
+    integers.  Zero exactly when d < height(alpha).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    m = alpha.weight
-    if m == 0:
-        return 1
-    rep = irrep(alpha)
-    total = 0.0
-    for p in Permutation.all(m):
-        total += rep.character(p.inverse()) * d ** p.cycle_count()
-    value = total / factorial(m)
-    rounded = round(value)
-    if abs(value - rounded) > MULTIPLICITY_INTEGER_TOL:
-        raise ArithmeticError(f"non-integer multiplicity {value}")
-    return int(rounded)
+    conj = alpha.conjugate()
+    contents = hooks = 1
+    for i, row in enumerate(alpha.parts):
+        for j in range(row):
+            contents *= d + j - i
+            hooks *= row - j + conj[j] - i - 1
+    return contents // hooks

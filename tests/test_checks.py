@@ -246,6 +246,46 @@ def test_u_structure_names_the_planted_left_action(monkeypatch):
     assert report.details == f"worst at {planted} * u^11_11"
 
 
+def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
+    import numpy as np
+
+    import ptalgebra.checks as checks
+    from ptalgebra.algebra import AlgebraContext, u_element
+    from ptalgebra.induced import q_matrix
+    from ptalgebra.oracle import OperatorStack, element_operator
+
+    # 1.5 u^23_12 (block ((2-1) w + 0) (n-1) w + (3-1) w + 1 with w = 2)
+    # breaks every product it takes part in
+    n, d, alpha, block = 5, 2, Partition([2, 1]), 21
+    planted_label, w = (2, 3, 1, 2), alpha.hook_dimension()
+    real = checks._u_stack
+
+    def planted(beta, ctx, cap):
+        stack = real(beta, ctx, cap)
+        data = stack.data.copy()
+        data[block] *= 1.5
+        return OperatorStack(n, d, data)
+
+    monkeypatch.setattr(checks, "_u_stack", planted)
+    report = check_u_structure(alpha, alpha, n, d)
+    assert report.passed is False
+    left, right = [tuple(int(c) for c in name[2:4] + name[5:7]) for name in
+                   report.details.removeprefix("worst at ").split(" * ")]
+    assert planted_label in (left, right)
+    # the named product misses by the reported residual
+    ctx = AlgebraContext(n, d)
+
+    def u(a, b, i, j):
+        op = element_operator(u_element(alpha, a, b, i, j, ctx))
+        return 1.5 * op if (a, b, i, j) == planted_label else op
+
+    (a, b, i, j), (p, q, k, l) = left, right
+    coeff = q_matrix(alpha, d, n)[(b - 1) * w + j - 1, (p - 1) * w + k - 1]
+    expected = coeff * u(a, q, i, l)
+    assert (u(*left) @ u(*right)).distance(expected) == \
+        pytest.approx(report.max_residual)
+
+
 @pytest.mark.parametrize("side", ["left", "right", "annihilation"])
 def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
     # W(sigma) + e R keeps e m = m but breaks m e = m, and W(sigma) + R e
@@ -311,13 +351,13 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
     real = checks._u_stack
 
     def planted(beta, ctx, cap):
-        stack, labels = real(beta, ctx, cap)
+        stack = real(beta, ctx, cap)
         if beta != alpha:
-            return stack, labels
-        rows = [(a - 1) * w + i - 1 for a, _b, i, _j in labels]
-        cols = [(b - 1) * w + j - 1 for _a, b, _i, j in labels]
+            return stack
+        # x_IJ is block I (n-1) w + J
+        rows, cols = np.divmod(np.arange(len(stack)), m * w)
         scale = reduced.z[rows, s] * reduced.z[cols, r]
-        return OperatorStack(n, d, stack.data + scale[:, None, None] * noise), labels
+        return OperatorStack(n, d, stack.data + scale[:, None, None] * noise)
 
     monkeypatch.setattr(checks, "_u_stack", planted)
     report = check_reduced_matrix_units(n, d)
@@ -331,11 +371,8 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
     assert culprit.startswith(f"worst at {alpha}: f_(")
     (s1, r1), (t1, u1) = [tuple(int(x) - 1 for x in part.split(")")[0].split(","))
                           for part in culprit.split("f_(")[1:]]
-    units = planted(alpha, checks.AlgebraContext(n, d), None)[0]
-    size = m * w
-    a, i = np.divmod(np.arange(size), w)
-    block = (((a[:, None] * m + a) * w + i[:, None]) * w + i).ravel()
-    f = np.tensordot(reduced.f, units.data[block], axes=1)
+    units = planted(alpha, checks.AlgebraContext(n, d), None)
+    f = np.tensordot(reduced.f, units.data, axes=1)
     rank = reduced.rank
     product = f[s1 * rank + r1] @ f[t1 * rank + u1]
     expected = f[s1 * rank + u1] if r1 == t1 else 0.0

@@ -10,8 +10,9 @@ from ptalgebra.induced import eigenvalues_closed_form, zero_condition
 from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
                               irrep_M_e, irrep_M_f, irrep_S,
                               rank_of_q, structure_report, unit_of_M)
-from ptalgebra.oracle import (OperatorStack, element_operator, identity_operator,
-                              span_dimension, transposed_perm_operator)
+from ptalgebra.oracle import (OperatorStack, element_operator, generator_stack,
+                              identity_operator, span_dimension,
+                              transposed_perm_operator)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation
 from ptalgebra.yor import character
@@ -260,9 +261,9 @@ def test_strict_inequality_for_s_blocks():
 @pytest.mark.parametrize("n,d,total", [
     (3, 2, 5), (3, 3, 6), (4, 2, 14), (4, 3, 23), (4, 4, 24)])
 def test_structure_report_oracle_anchors(n, d, total):
-    report = structure_report(n, d, with_oracle=True)
+    report = structure_report(n, d)
     assert report.dim_total == total
-    assert report.oracle_dim == total
+    assert span_dimension(generator_stack(n, d, True)) == total
 
 
 def test_structure_report_examples():
@@ -278,7 +279,8 @@ def test_structure_report_examples():
 
 
 def test_structure_report_roundtrip():
-    report = structure_report(4, 2, with_oracle=True)
+    report = structure_report(4, 2)
+    report.oracle_dim = span_dimension(generator_stack(4, 2, True))
     record = json.loads(json.dumps(report.to_dict()))
     assert record == report.to_dict()
     assert (record["n"], record["d"]) == (report.n, report.d)

@@ -194,7 +194,7 @@ def test_E_regular_representation_projector():
     group = list(Permutation.all(2))
     images = np.stack([np.eye(2)[:, [0, 1] if g.is_identity() else [1, 0]]
                        for g in group])
-    family = matrix_operators_E(OperatorStack(1, 2, images), Partition([2]), group)
+    family = matrix_operators_E(OperatorStack(1, 2, images), Partition([2]))
     e11 = family.op(0).dense()
     assert np.abs(e11 - 0.5 * np.ones((2, 2))).max() < 1e-12
     assert np.abs(e11 @ e11 - e11).max() < 1e-12
@@ -202,24 +202,21 @@ def test_E_regular_representation_projector():
 
 
 def test_E_antisymmetric_multiplicity_on_two_qubits():
-    group = list(Permutation.all(2))
-    family = matrix_operators_E(generator_stack(2, 2), Partition([1, 1]), group)
+    family = matrix_operators_E(generator_stack(2, 2), Partition([1, 1]))
     e11 = family.op(0)
     assert (e11.adjoint() @ e11).trace() == pytest.approx(1.0)
 
 
 def test_E_vanishing_family_when_not_contained():
-    group = list(Permutation.all(3))
-    family = matrix_operators_E(generator_stack(3, 2), Partition([1, 1, 1]), group)
+    family = matrix_operators_E(generator_stack(3, 2), Partition([1, 1, 1]))
     assert family.residuals().max() < 1e-12
 
 
 def test_E_composition_and_independence_equivalence():
     # E_ij E_kl = delta_jk E_il, and the E family spans exactly what D spans
     d = 2
-    group = list(Permutation.all(3))
     plain = generator_stack(3, d)
-    families = {alpha: matrix_operators_E(plain, alpha, group)
+    families = {alpha: matrix_operators_E(plain, alpha)
                 for alpha in partitions_of(3)}
     for alpha, family in families.items():
         w = alpha.hook_dimension()
@@ -332,7 +329,7 @@ def test_matrix_operators_E_matches_per_entry_reference():
     for alpha in partitions_of(3):
         phi = SymmetricGroupIrrep(alpha)
         scale = phi.dim / len(group)
-        family = matrix_operators_E(generator_stack(3, d), alpha, list(group))
+        family = matrix_operators_E(generator_stack(3, d), alpha)
         for k in range(phi.dim**2):
             i, j = divmod(k, phi.dim)
             acc = None

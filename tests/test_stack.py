@@ -163,7 +163,7 @@ def test_E_on_a_stack_matches_the_definition(n, d):
     images = [perm_operator(g, d) for g in group]
     for alpha in partitions_of(n):
         phi = SymmetricGroupIrrep(alpha)
-        family = matrix_operators_E(generator_stack(n, d), alpha, group)
+        family = matrix_operators_E(generator_stack(n, d), alpha)
         assert len(family) == phi.dim**2
         for k in range(phi.dim**2):
             i, j = divmod(k, phi.dim)

@@ -72,7 +72,9 @@ def test_u_stack_matches_the_element_images(n, d):
     # (5, 2) is held dense and (3, 5) as a CSR block row
     ctx = AlgebraContext(n, d)
     for alpha in partitions_of(n - 2):
-        stack, labels = checks._u_stack(alpha, ctx, None)
-        assert labels == list(_labels(alpha, n))
+        stack, w = checks._u_stack(alpha, ctx, None), alpha.hook_dimension()
+        # x order: u^ab_ij at block ((a-1) w + i-1) (n-1) w + (b-1) w + j-1
+        labels = [(a, b, i, j) for a, i, b, j in itertools.product(
+            range(1, n), range(1, w + 1), range(1, n), range(1, w + 1))]
         expected = element_stack([u_element(alpha, *label, ctx) for label in labels])
         assert stack.residuals(expected).max() <= 1e-15, alpha

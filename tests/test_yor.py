@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -145,6 +146,21 @@ def test_multiplicity_vanishes_iff_too_tall():
             for d in (1, 2, 3):
                 mult = multiplicity_in_V(alpha, d)
                 assert (mult == 0) == (d < alpha.height)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_multiplicity_is_the_character_sum(m):
+    # reference: (1/m!) sum_sigma chi(sigma^-1) d^cycles(sigma), one class
+    # at a time, since chi(sigma^-1) = chi(sigma) and the cycle count
+    # depend on the cycle type alone
+    classes = Counter(p.cycle_type() for p in Permutation.all(m))
+    reps = {p.cycle_type(): p for p in Permutation.all(m)}
+    for alpha in partitions_of(m):
+        for d in range(1, 9):
+            value = sum(count * character(alpha, reps[key]) * d ** reps[key].cycle_count()
+                        for key, count in classes.items()) / factorial(m)
+            assert abs(value - round(value)) < 1e-9, (alpha, d, value)
+            assert multiplicity_in_V(alpha, d) == round(value), (alpha, d)
 
 
 @pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (3, 3), (4, 2)])
