@@ -22,13 +22,14 @@ of the main ideal at once as arrays; ``u_element`` is one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
 
 from .dpoly import DPoly
 from .partitions import Partition
-from .permutations import Permutation, image_array
+from .permutations import Permutation, image_array, lehmer_rank
 from .yor import averaging_weights
 
 PRUNE_TOL = 1e-12
@@ -96,6 +97,46 @@ def mul_generators(sigma, rho):
     if single:
         return int(power), Permutation((product + 1).tolist())
     return power, product
+
+
+@cache
+def generator_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fixed word in the algebra's generators for every sigma in S(n).
+
+    The algebra is generated by the n-1 transposed generators s_1 ... s_{n-2}
+    and V' = W((n-1 n))^{t_n}; ``generators`` holds their positions in
+    ``Permutation.all`` order, in that order.  For the sigma at position
+    k > 0, W(sigma) = W(g) W(sigma') with power 0, where g = ``first[k]`` is
+    one of the generators and sigma' = ``rest[k]`` has a word one letter
+    shorter; the identity, position 0, has the empty word and
+    ``first[0] = rest[0] = -1``.  A breadth-first search from the identity
+    builds it, one ``mul_generators`` call per level on the whole frontier;
+    among the products of one level the first new one, generator by
+    generator, fixes the word.  Read-only arrays, cached by n.
+    """
+    images = image_array(n)
+    gens = np.array([Permutation.transposition(n, i, i + 1).images
+                     for i in range(1, n)], dtype=np.intp) - 1
+    generators = lehmer_rank(gens)
+    first = np.full(len(images), -1, dtype=np.intp)
+    rest = first.copy()
+    seen = np.zeros(len(images), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        powers, products = mul_generators(gens[:, None], images[frontier])
+        ranks = lehmer_rank(products)
+        g, k = np.nonzero((powers == 0) & ~seen[ranks])
+        fresh, where = np.unique(ranks[g, k], return_index=True)
+        first[fresh], rest[fresh] = generators[g[where]], frontier[k[where]]
+        seen[fresh] = True
+        frontier = fresh
+    if not seen.all():
+        raise RuntimeError(f"the generators reach {seen.sum()} of {len(seen)} "
+                           f"permutations of S({n}) with power 0")
+    for array in (generators, first, rest):
+        array.flags.writeable = False
+    return generators, first, rest
 
 
 class AlgebraElement:

@@ -7,8 +7,12 @@ in ``details``.  Checks build operator families with the oracle's stacks
 and never branch on how the oracle stores them: a claim about left
 factors is one ``action_residuals`` call whose left factors are the blocks
 of a stack the check already holds and whose right-hand sides are arrays.
-Single generators are built only by the adjoint check and once for the
-contraction V' of the unit check.  The composition law and
+Such a claim needs no row per left factor: the left actions of the u
+family run on the n-1 generators of the algebra, and compose along the
+word of every sigma on the abstract side, and the law
+x_IJ x_KL = A_JK x_IL of the u, E and f families on 2s pivot rows of its
+s^2 left factors (``_x_claim``).  Single generators are built only by the
+adjoint check and once for the contraction V' of the unit check.  The composition law and
 associativity are checked exactly on the oracle's integer index form of
 the transposed generators instead, not on the stacks, so their residuals
 are integers (0 on a pass) judged against the same tolerances; the
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement, mul_generators, u_element, u_terms
+from .algebra import (AlgebraContext, AlgebraElement, generator_words, mul_generators,
+                      u_element, u_terms)
 from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
 from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
@@ -87,6 +92,11 @@ def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(residuals[where]), tuple(int(k) for k in where)
 
 
+def _perm(image: np.ndarray) -> Permutation:
+    """The permutation with the given 0-based images."""
+    return Permutation((image + 1).tolist())
+
+
 # -- multiplication law ---------------------------------------------------
 
 
@@ -136,7 +146,7 @@ def check_associativity(n: int, d: int, cap: int | None = None) -> CheckReport:
     distances = generator_index(n, d, cap).distances(
         d ** (p_xy + p_l), lehmer_rank(tau_l), d ** (p_yz + p_r), lehmer_rank(tau_r))
     worst, (t,) = _worst(distances)
-    culprit = " * ".join(str(Permutation((images[k] + 1).tolist())) for k in picks[t])
+    culprit = " * ".join(str(_perm(images[k])) for k in picks[t])
     params = {"n": n, "d": d, "triples": ASSOCIATIVITY_TRIPLES}
     return _report("associativity", params, worst, ASSOCIATIVITY_TOL, culprit=culprit)
 
@@ -160,32 +170,64 @@ def _u_name(block: int, w: int, m: int) -> str:
     return f"u^{a + 1}{b + 1}_{i + 1}{j + 1}"
 
 
-def _x_claim(a_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``action_residuals`` arrays of the law x_IJ x_KL = A_JK x_IL on a
-    stack of s^2 blocks, x_IJ at block I s + J, with the stack itself as
-    the left factors: ``(s^2, s^2, 1)`` index and weights."""
+def _x_claim(x: OperatorStack, a_matrix: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the law x_IJ x_KL = A_JK x_IL on a stack of s^2 blocks,
+    x_IJ at block I s + J, on 2s left factors: the ``(2s,)`` blocks of the
+    left factors and their ``(2s, s^2)`` ``action_residuals``.
+
+    The left factors are x_IJ0 for every I and x_J0J for every J, with a
+    pivot J0 where a = A_J0J0 != 0 (the first largest |A_JJ|), each
+    against every block.  These rows give the whole law:
+    x_IJ0 x_J0J = a x_IJ writes every block as a product, so
+    x_IJ x_KL = x_IJ0 (x_J0J x_KJ0) x_J0L / a^2 = A_JK x_IJ0 x_J0J0 x_J0L / a^2
+    = A_JK x_IJ0 x_J0L / a = A_JK x_IL, by the rows of x_J0J, then x_IJ0.
+    """
     s = len(a_matrix)
-    i, j = np.divmod(np.arange(s * s), s)
-    return (i[:, None] * s + j)[..., None], a_matrix[j[:, None], i][..., None]
+    pivot = int(np.argmax(np.abs(np.diag(a_matrix))))
+    if a_matrix[pivot, pivot] == 0:
+        raise ValueError("the law x_IJ x_KL = A_JK x_IL needs a nonzero A_JJ")
+    k = np.arange(s)
+    rows = np.concatenate([k * s + pivot, pivot * s + k])
+    i, j = np.divmod(rows, s)
+    ks, ls = np.divmod(np.arange(s * s), s)
+    index = (i[:, None] * s + ls)[..., None]
+    weights = a_matrix[j[:, None], ks][..., None]
+    left = x.combine(rows[:, None], np.ones((len(rows), 1)))
+    return rows, x.action_residuals(left, index, weights)
 
 
-def _left_action(sigma: Permutation, p: int, d: int
-                 ) -> tuple[int, float, Permutation]:
+def _left_action(images: np.ndarray, d: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(target, scale, tau) with W(sigma) u_ij^pq = scale sum_k phi_ki(tau)
-    u_kj^{target q}, for sigma in S(n) and tau in S(n-2)."""
-    n = sigma.degree
-    m = n - 1
-    if sigma.fixes_last():
-        sig = sigma.restrict(m)
-        target = sig(p)
-        tau = (Permutation.transposition(m, target, m) * sig
-               * Permutation.transposition(m, p, m))
-        return target, 1.0, tau.restrict(n - 2)
-    a, b = sigma.classify()
-    sigma_hat = (sigma * Permutation.transposition(n, a, n)).restrict(m)
-    tau = (Permutation.transposition(m, b, m) * sigma_hat
-           * Permutation.transposition(m, a, p) * Permutation.transposition(m, p, m))
-    return b, float(d) if a == p else 1.0, tau.restrict(n - 2)
+    u_kj^{target q}, for every row sigma of an ``(N, n)`` array of 0-based
+    images and every label p = 1..n-1: three ``(N, n-1)`` arrays, of the
+    0-based targets, of the scales, and of the positions of tau in S(n-2)
+    in ``Permutation.all`` order.
+
+    For sigma fixing n: target sigma(p), scale 1 and
+    tau = (target n-1) sigma (p n-1).  Otherwise, with (a, b) =
+    classify(sigma) and sigma^ = sigma (a n): target b, scale d when a = p
+    (else 1) and tau = (b n-1) sigma^ (a p) (p n-1).  Both tau fix n-1 and n.
+    """
+    n = images.shape[-1]
+    points, last, penult = np.arange(n), n - 1, n - 2  # 0-based n and n-1
+    sigma = images[:, None, :]
+    p = np.arange(n - 1)[None, :, None]
+
+    def swap(x, y):  # the transposition (x y), broadcast over (sigma, p)
+        return np.where(points == x, y, np.where(points == y, x, points))
+
+    def compose(f, g):  # f g, the right factor first
+        return np.take_along_axis(f, g, axis=-1)
+
+    fixes = sigma[..., last:] == last
+    a = np.argmax(sigma == last, axis=-1)[..., None]  # n itself when sigma fixes n
+    target = np.where(fixes, compose(sigma, p), sigma[..., last:])
+    right = np.where(fixes, swap(p, penult), compose(swap(a, p), swap(p, penult)))
+    tau = compose(swap(target, penult), compose(compose(sigma, swap(a, last)), right))
+    scale = np.where(a == p, float(d), 1.0)
+    return target[..., 0], scale[..., 0], lehmer_rank(tau[..., :penult])
 
 
 def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
@@ -196,42 +238,67 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     u_ij^ab(alpha) u_kl^pq(beta) = delta_{alpha beta} Q_jk^bp u_il^aq(alpha),
     with Q_jk^bp = Q(alpha)[(b, j), (p, k)] and no delta over the cosets
     a, b: on the u stacks, held as the family x of ``reduction``, this is
-    the law of ``_x_claim`` with A = Q(alpha) (one row per left u).  Then the
-    left-action rules for transposed and untransposed generators (one row
-    per left sigma, the blocks of the transposed generator stack), each row
-    a linear combination of the u family itself.
+    the law of ``_x_claim`` with A = Q(alpha), on 2s left u.
+
+    Then the left actions W(sigma) x_IJ = sum_I' L_sigma[I', I] x_I'J, where
+    ``_left_action`` gives the s x s map L_sigma on the left index
+    I = (p, k), that is W(sigma) U = U L_sigma on the row U of the x_.J.
+    The oracle checks W(g) U = U L_g only for the n-1 generators g of
+    ``generator_words``, one ``action_residuals`` row each; the abstract
+    side checks L_e = 1 and L_sigma = L_g L_sigma' for every other sigma,
+    along its word W(sigma) = W(g) W(sigma') with power 0, and names the
+    sigma with the worst residual.  Together they give the claim for every
+    sigma by induction on the length of its word:
+    W(sigma) U = W(g) W(sigma') U = W(g) U L_sigma' = U L_g L_sigma'
+    = U L_sigma.  The step W(sigma) = W(g) W(sigma') on the operators of the
+    transposed generator stack rests on ``check_mul_rule``, which checks the
+    composition law on the integer index form, and on
+    ``check_adjoint_transport``, which ties every block of the stack to that
+    form; ``run_suite`` runs both before this check.
     """
     ctx = AlgebraContext(n, d)
     m, w = n - 1, alpha.hook_dimension()
     same = alpha == beta
     u_a = _u_stack(alpha, ctx, cap)
     if same:
-        products = u_a.action_residuals(u_a, *_x_claim(q_matrix(alpha, d, n)))
+        rows, products = _x_claim(u_a, q_matrix(alpha, d, n))
     else:
+        rows = np.arange(len(u_a))
         products = _u_stack(beta, ctx, cap).action_residuals(
             u_a, np.zeros(0, int), np.zeros(0))
     worst, (s, r) = _worst(products)
-    culprit = f"{_u_name(s, w, m)} * {_u_name(r, beta.hook_dimension(), m)}"
+    culprit = f"{_u_name(rows[s], w, m)} * {_u_name(r, beta.hook_dimension(), m)}"
 
     if same:
-        perms = list(Permutation.all(n))
+        images = image_array(n)
+        target, scale, tau = _left_action(images, d)
         phi = sym_irrep(alpha)
-        target, scale, taus = zip(*(_left_action(sigma, label, d)
-                                    for sigma in perms for label in range(1, n)))
-        shape = (len(perms), m)
+        # phi(tau)^T of every (sigma, p): [sigma, p, k, t] = phi_tk(tau)
+        transposed = np.stack([phi.image(g).T for g in Permutation.all(n - 2)])[tau]
+        scaled = scale[..., None, None] * transposed
+        generators, first, rest = generator_words(n)
         # 0-based (p, k, q, l) of every block u_kl^pq
         (p, k), (q, l) = (np.divmod(x, w) for x in np.divmod(np.arange(len(u_a)), m * w))
-        # row sigma, block u_kl^pq: scale sum_t phi_tk(tau) u_tl^{target q},
-        # with (target, scale, tau) of label p
-        target = np.reshape(target, shape)[:, p, None] - 1
-        transposed = np.reshape([phi.image(tau).T for tau in taus], shape + (w, w))
-        index = (target * w + np.arange(w)) * m * w + (q * w + l)[:, None]
-        weights = np.reshape(scale, shape)[:, p, None] * transposed[:, p, k]
-        actions = u_a.action_residuals(generator_stack(n, d, True, cap), index, weights)
-        worst_action, (g, r) = _worst(actions)
-        if worst_action > worst:
-            worst = worst_action
-            culprit = f"{perms[g]} * {_u_name(r, w, m)}"
+        # row g, block u_kl^pq: scale sum_t phi_tk(tau) u_tl^{target q},
+        # with (target, scale, tau) of g and label p
+        index = ((target[generators][:, p, None] * w + np.arange(w)) * m * w
+                 + (q * w + l)[:, None])
+        left = generator_stack(n, d, True, cap).combine(
+            generators[:, None], np.ones((m, 1)))
+        value, (g, r) = _worst(
+            u_a.action_residuals(left, index, scaled[generators][:, p, k]))
+        if value > worst:
+            worst, culprit = value, f"{_perm(images[generators[g]])} * {_u_name(r, w, m)}"
+        # L_sigma[(target, t), (p, k)] = scale phi_tk(tau), over every sigma
+        maps = np.zeros((len(images), m, w, m, w))
+        maps[np.arange(len(images))[:, None], target, :, np.arange(m), :] = (
+            scaled.transpose(0, 1, 3, 2))
+        maps = maps.reshape(len(images), m * w, m * w)
+        composed = np.concatenate([np.eye(m * w)[None],
+                                   maps[first[1:]] @ maps[rest[1:]]])
+        value, (c,) = _worst(np.abs(maps - composed).max(axis=(1, 2)))
+        if value > worst:
+            worst, culprit = value, f"left action of {_perm(images[c])}"
 
     return _report(
         "u_structure",
@@ -393,8 +460,8 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     orthogonality/multiplicity relation, the composition rule, and column
     covariance.  The families E^alpha are stacks of w^2 operators E_ij,
     block (i-1) w + j-1, so the composition rule E_ij E_kl = delta_jk E_il
-    is the law of ``_x_claim`` with A = I_w; each claim is one product or
-    one combination per row.
+    is the law of ``_x_claim`` with A = I_w, on 2w pivot rows; each other
+    claim is one product or one combination per row.
     """
     plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
@@ -433,7 +500,9 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
         # E_ij E_kl = delta_jk E_il
-        value, (s, r) = _worst(family.action_residuals(family, *_x_claim(np.eye(w))))
+        rows, products = _x_claim(family, np.eye(w))
+        value, (s, r) = _worst(products)
+        s = rows[s]
         if value > worst:
             worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
@@ -458,7 +527,7 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
     of every y and f over its blocks as they stand.  The null y are one
     combination of the u stack, checked to vanish, and the f another,
     checked to satisfy f_sr f_tu = delta_rt f_su: the law of ``_x_claim``
-    with A = I_rank, one ``action_residuals`` row per left f.  A failure
+    with A = I_rank, on the 2 rank pivot rows f_s1 and f_1r.  A failure
     names its worst null y label or f pair (1-based).
     """
     from .reduction import xa_reduce
@@ -487,10 +556,10 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
             worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
         units = u.combine(x, reduced.f)
         rank = reduced.rank
-        value, (left, right) = _worst(
-            units.action_residuals(units, *_x_claim(np.eye(rank))))
+        rows, products = _x_claim(units, np.eye(rank))
+        value, (left, right) = _worst(products)
         if value > worst:
-            (s, r), (t, v) = divmod(left, rank), divmod(right, rank)
+            (s, r), (t, v) = divmod(rows[left], rank), divmod(right, rank)
             worst, culprit = value, (f"{alpha}: f_({s + 1},{r + 1}) * "
                                      f"f_({t + 1},{v + 1})")
         details.append(f"{alpha}: rank {rank}")

@@ -17,17 +17,24 @@ d^n <= 4096) is checked on every call, before any cache is consulted.
 An ``OperatorStack`` holds K operators as one ``(K, D, D)`` array on the
 dense side and as the D x K*D CSR block row [B_1 | ... | B_K] above it.
 Its operations are whole-family ones: A B_k (and B_k A) for every k in
-one product, linear combinations sum_i C[j, i] B_i (a gather and a scale
-when C is monomial, as in d^p W(tau)), every B_k^T, per-block residuals
-max |X_k - Y_k|, and the Gram matrix.  ``action_residuals`` fuses them
-for claims of the form "L_r B_k = sum_i C[r, k, i] B_i for every k", one
-call for all left factors L_r, themselves the blocks of a stack, with C
-given as arrays; it reuses two dense buffers for all rows because a
-fresh (K, D, D) array per row costs more than the work in it.
+one product, linear combinations sum_i C[j, i] B_i, every B_k^T,
+per-block residuals max |X_k - Y_k|, and the Gram matrix.  A combination
+whose rows each list their own blocks (a gather and a scale when C is
+monomial, as in d^p W(tau), or the terms of element images) adds its terms
+one at a time, so each block is bitwise the sum of its scaled terms; one
+whose rows share their blocks (the averaged families, the y and f units)
+is one product with the blocks read as vectors of length D^2, and is not
+bitwise that sum.  ``action_residuals`` fuses them for claims of the form
+"L_r B_k = sum_i C[r, k, i] B_i for every k", one call for all left
+factors L_r, themselves the blocks of a stack, with C given as arrays; it
+reuses two dense buffers for all rows because a fresh (K, D, D) array per
+row costs more than the work in it.
 The checks of the u structure constants and left actions, of the unit of
 M, of the reduced matrix units, and of the averaged matrix operators
 (``matrix_operators_E``, behind the dimension and appendix checks) all run
-on stacks, so ``checks`` never branches on the storage.
+on stacks, so ``checks`` never branches on the storage; they pick the left
+factors of a claim as a few blocks of a stack (generator rows, pivot rows),
+not every block.
 
 ``generator_index`` gives the transposed generators as integer index
 lists instead (``GeneratorIndex``): each W(sigma)^{t_n} is a 0/1 matrix
@@ -247,20 +254,39 @@ class OperatorStack:
         """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]].
 
         ``weights`` is ``(J, m)``: row j lists the coefficients of C_j, and
-        ``index`` their blocks, either per row ``(J, m)`` or
-        shared by every row ``(m,)``.  With a per-row index, terms are added
-        in t order on both storages, each term a gather and scale, so C_j is
-        bitwise the sum of its scaled blocks added one at a time.  The
-        gather-and-scale d^p W(tau) is the case m = 1; a dense coefficient
-        matrix C is ``combine(arange(K), C)``, one product on the CSR side.
+        ``index`` their blocks, either per row ``(J, m)`` or shared by every
+        row ``(m,)``.  With a per-row index, terms are added in t order on
+        both storages, each term a gather and scale, so C_j is bitwise the
+        sum of its scaled blocks added one at a time; the gather-and-scale
+        d^p W(tau) is the case m = 1.  A shared index, as in a dense
+        coefficient matrix C = ``combine(arange(K), C)``, is one product of
+        the weights with the blocks read as vectors of length D^2: a
+        ``tensordot`` on the dense side, and on the CSR side a sparse product
+        with the K x D^2 vectorised family, which has only the stack's
+        nonzeros.  Its sums are not added term by term, so they can differ
+        from the per-term ones in the last bits.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
-        if isinstance(self.data, np.ndarray):
+        dense = isinstance(self.data, np.ndarray)
+        if index.ndim == 1 and dense:
+            return self._new(np.tensordot(weights, self.data[index], axes=1))
+        if index.ndim == 1:
+            sp, dim = _sparse(), self.dim
+            # block k, entry (r, c) <-> row k, column r D + c of the family
+            coo = self.data.tocoo()
+            block, col = np.divmod(coo.col, dim)
+            flat = sp.csr_matrix(
+                (coo.data, (block, coo.row.astype(np.int64) * dim + col)),
+                shape=(self.size, dim * dim))
+            out = (sp.csr_matrix(weights) @ flat[index]).tocoo()
+            row, col = np.divmod(out.col, dim)
+            return self._new(sp.csr_matrix(
+                (out.data, (row, out.row.astype(np.int64) * dim + col)),
+                shape=(dim, weights.shape[0] * dim)))
+        if dense:
             out = np.zeros((weights.shape[0],) + self.data.shape[1:])
             _accumulate(out, self.data, index, weights, np.empty_like(out))
             return self._new(out)
-        if index.ndim == 1:
-            return self._new(self.data @ self._combination(index, weights))
         # term t gathers block columns of the CSC form, so its cost follows
         # the output and not the size of the whole family
         csc, shift = self.data.tocsc(), np.arange(self.dim)
@@ -359,9 +385,9 @@ class OperatorStack:
 
     def _combination(self, index: np.ndarray, weights: np.ndarray):
         """The K*D x J*D CSR matrix that maps the block row to
-        [C_1 | ... | C_J] by right multiplication (see ``combine``)."""
+        [C_1 | ... | C_J], C_j = sum_t weights[j, t] B[index[j, t]] with a
+        per-row index, by right multiplication (see ``action_residuals``)."""
         dim = self.dim
-        index = np.broadcast_to(index, weights.shape)
         row, term = np.nonzero(weights)
         shift = np.arange(dim)
         return _sparse().csr_matrix(
@@ -383,15 +409,11 @@ class OperatorStack:
 
 def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
                 weights: np.ndarray, scratch: np.ndarray, subtract: bool = False):
-    """Add (or subtract) sum_t weights[j, t] data[index[.., t]] into out[j],
+    """Add (or subtract) sum_t weights[j, t] data[index[j, t]] into out[j],
     one term t at a time, through ``scratch``."""
     for t in range(weights.shape[1]):
-        scale = weights[:, t, None, None]
-        if index.ndim == 1:
-            np.multiply(scale, data[index[t]], out=scratch)
-        else:
-            np.take(data, index[:, t], axis=0, out=scratch)
-            scratch *= scale
+        np.take(data, index[:, t], axis=0, out=scratch)
+        scratch *= weights[:, t, None, None]
         if subtract:
             out -= scratch
         else:
@@ -750,8 +772,9 @@ def matrix_operators_E(rep_images: OperatorStack, alpha: Partition) -> OperatorS
     E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g), over G = S(|alpha|).  The
     zero family is the legitimate outcome when alpha does not occur in D.
     Given a stack whose block k is D(g) for the k-th g of G in
-    ``Permutation.all`` order, this returns the stack E_11, E_12, ..., E_ww,
-    each E_ij adding its terms in group order.
+    ``Permutation.all`` order, this returns the stack E_11, E_12, ..., E_ww
+    as one shared-index ``combine``: one product of the weights with the
+    family.
     """
     weights = averaging_weights(alpha)
     count = weights.shape[-1]

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_rows import word_lengths
 
-from ptalgebra.algebra import (AlgebraContext, AlgebraElement, mul_generators,
-                               u_element)
+from ptalgebra.algebra import (AlgebraContext, AlgebraElement, generator_words,
+                               mul_generators, u_element)
 from ptalgebra.dpoly import DPoly
 from ptalgebra.oracle import element_operator
 from ptalgebra.partitions import Partition
@@ -63,6 +64,30 @@ def _perm_of(code: str) -> Permutation:
     if not code:
         return Permutation.identity(3)
     return Permutation.from_cycles(3, [tuple(int(c) for c in code)])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generator_words_reach_every_permutation(n):
+    import math
+
+    import numpy as np
+
+    from ptalgebra.permutations import image_array, lehmer_rank
+
+    generators, first, rest = generator_words(n)
+    images = image_array(n)
+    # s_1 ... s_{n-2} and (n-1 n), in that order
+    assert [Permutation((images[g] + 1).tolist()) for g in generators] == [
+        Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+    assert len(first) == len(rest) == math.factorial(n)
+    assert first[0] == rest[0] == -1  # the identity: the empty word
+    # every other step is W(sigma) = W(g) W(sigma') with power 0
+    assert np.isin(first[1:], generators).all()
+    powers, products = mul_generators(images[first[1:]], images[rest[1:]])
+    assert (powers == 0).all()
+    assert np.array_equal(lehmer_rank(products), np.arange(1, len(images)))
+    # every word ends at the identity, and a generator's word is itself
+    assert (word_lengths(rest)[generators] == 1).all()
 
 
 def test_full_n3_table():

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from reference_rows import (reference_left_action, reference_left_actions,
+                            reference_u_structure, reference_x_law, word_lengths)
 
 from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_dimensions, check_irreps,
@@ -10,6 +13,7 @@ from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
 from ptalgebra.irreps import (AlgebraIrrep, all_irreps, block_labels, irrep_M_f,
                               irrep_S, structure_report)
 from ptalgebra.partitions import Partition, partitions_of
+from ptalgebra.permutations import Permutation
 
 
 def test_individual_checks_pass():
@@ -176,10 +180,12 @@ def _scale_generator(monkeypatch, n, d, transposed, planted):
     data = real(n, d, transposed).data.copy()
     data[list(Permutation.all(n)).index(planted)] *= 1.5
 
-    def serve(n_, d_, transposed_=False, cap=None):
-        if transposed_ == transposed:
+    planted_side = transposed
+
+    def serve(n_, d_, transposed=False, cap=None):
+        if transposed == planted_side:
             return OperatorStack(n, d, data)
-        return real(n_, d_, transposed_, cap)
+        return real(n_, d_, transposed, cap)
 
     monkeypatch.setattr(checks, "generator_stack", serve)
 
@@ -255,7 +261,9 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
     from ptalgebra.oracle import OperatorStack, element_operator
 
     # 1.5 u^23_12 (block ((2-1) w + 0) (n-1) w + (3-1) w + 1 with w = 2)
-    # breaks every product it takes part in
+    # breaks every law row that reads it, as a factor or on the right-hand
+    # side; the left factors are 2s pivot rows, so the named product need
+    # not hold the planted u, but it misses by the reported residual
     n, d, alpha, block = 5, 2, Partition([2, 1]), 21
     planted_label, w = (2, 3, 1, 2), alpha.hook_dimension()
     real = checks._u_stack
@@ -271,8 +279,6 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
     assert report.passed is False
     left, right = [tuple(int(c) for c in name[2:4] + name[5:7]) for name in
                    report.details.removeprefix("worst at ").split(" * ")]
-    assert planted_label in (left, right)
-    # the named product misses by the reported residual
     ctx = AlgebraContext(n, d)
 
     def u(a, b, i, j):
@@ -284,6 +290,36 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
     expected = coeff * u(a, q, i, l)
     assert (u(*left) @ u(*right)).distance(expected) == \
         pytest.approx(report.max_residual)
+    # the all-pairs reference fails too
+    assert reference_u_structure(alpha, n, d) >= HOM_TOL
+
+
+def test_u_structure_names_the_sigma_of_a_planted_left_action(monkeypatch):
+    import ptalgebra.checks as checks
+    from ptalgebra.algebra import generator_words
+
+    # a wrong claim for a sigma of the longest word: the oracle rows of the
+    # generators do not read it, and no other word runs through it, so only
+    # its own step L_sigma = L_g L_sigma' fails, by half of L_sigma
+    n, d, alpha = 5, 2, Partition([2, 1])
+    perms = list(Permutation.all(n))
+    generators, _first, rest = generator_words(n)
+    planted = perms[int(np.argmax(word_lengths(rest)))]
+    assert perms.index(planted) not in generators
+    real = checks._left_action
+
+    def wrong(images, d_):
+        target, scale, tau = real(images, d_)
+        hit = (images + 1 == planted.images).all(axis=1)
+        return target, np.where(hit[:, None], 1.5 * scale, scale), tau
+
+    monkeypatch.setattr(checks, "_left_action", wrong)
+    report = check_u_structure(alpha, alpha, n, d)
+    assert report.passed is False and report.max_residual >= 0.5
+    assert report.details == f"worst at left action of {planted}"
+    # the all-sigma reference fails on the row of the planted sigma alone
+    rows = reference_left_actions(alpha, n, d).max(axis=1)
+    assert list(np.flatnonzero(rows >= HOM_TOL)) == [perms.index(planted)]
 
 
 @pytest.mark.parametrize("side", ["left", "right", "annihilation"])
@@ -334,8 +370,9 @@ def test_matrix_operators_names_the_planted_generator(monkeypatch):
 def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
     # Adding Z_Is Z_Jr N to every x_IJ = u^ab_ij changes y_sr alone (Z is
     # orthogonal): a null (s, r) breaks "y_sr = 0", a surviving one breaks
-    # the products of f_sr.  A small N keeps those products linear in N, so
-    # the worst pair is not simply f_sr f_sr.
+    # the products of f_sr.  A small N keeps those products linear in N, and
+    # the law is checked on 2 rank pivot rows, where f_sr can stand on the
+    # right-hand side, so the named pair need not hold f_sr.
     import numpy as np
 
     import ptalgebra.checks as checks
@@ -366,7 +403,7 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
         assert report.details.startswith(f"worst at {alpha}: y_({s + 1},{r + 1}); ")
         assert report.max_residual == pytest.approx(np.abs(noise).max())
         return
-    # the named f pair is one whose product misses by the reported residual
+    # the named f pair misses by the reported residual
     culprit = report.details.split("; ")[0]
     assert culprit.startswith(f"worst at {alpha}: f_(")
     (s1, r1), (t1, u1) = [tuple(int(x) - 1 for x in part.split(")")[0].split(","))
@@ -425,3 +462,103 @@ def test_suite_builds_single_generators_only_for_adjoint_transport_and_v_prime(
     assert all(report.passed for report in run_suite(5, 2, "all"))
     # n! generators for the adjoint check, and V' once
     assert calls == {"perm_operator": 0, "transposed_perm_operator": math.factorial(5) + 1}
+
+
+def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(
+        monkeypatch):
+    # the u actions read only the generator blocks of the transposed stack;
+    # every other block is tied to the index form by adjoint_transport
+    from ptalgebra.algebra import generator_words
+
+    n, d = 4, 2
+    planted = Permutation.from_cycles(n, [(1, 3)])
+    assert list(Permutation.all(n)).index(planted) not in generator_words(n)[0]
+    _scale_generator(monkeypatch, n, d, True, planted)
+    reports = {r.check: r for r in run_suite(n, d, "all")}
+    adjoint = reports["adjoint_transport"]
+    assert adjoint.passed is False and adjoint.max_residual == 0.5
+    assert adjoint.details == f"worst at W{planted}^t"
+    assert reports["u_structure"].passed
+
+
+# -- generator rows ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_left_action_matches_the_permutation_form(n):
+    import ptalgebra.checks as checks
+    from ptalgebra.permutations import image_array, lehmer_rank
+
+    d = 3
+    target, scale, tau = checks._left_action(image_array(n), d)
+    for s_, sigma in enumerate(Permutation.all(n)):
+        for p in range(1, n):
+            want_target, want_scale, want_tau = reference_left_action(sigma, p, d)
+            assert target[s_, p - 1] == want_target - 1
+            assert scale[s_, p - 1] == want_scale
+            assert tau[s_, p - 1] == lehmer_rank(np.array(want_tau.images) - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("d", range(1, 4))
+def test_generator_rows_agree_with_every_row(n, d):
+    # the pivot rows of the law are rows of the all-pairs reference, bitwise,
+    # for the u, E and f families; the u verdicts agree with every sigma
+    import ptalgebra.checks as checks
+    from ptalgebra.algebra import AlgebraContext
+    from ptalgebra.induced import q_matrix
+    from ptalgebra.oracle import generator_stack, matrix_operators_E
+    from ptalgebra.reduction import xa_reduce
+
+    def same_rows(x, a_matrix):
+        rows, residuals = checks._x_claim(x, a_matrix)
+        assert len(rows) == 2 * len(a_matrix)
+        assert np.array_equal(residuals, reference_x_law(x, a_matrix)[rows])
+
+    for alpha in block_labels(n, d)[0]:
+        report = check_u_structure(alpha, alpha, n, d)
+        assert report.passed == (reference_u_structure(alpha, n, d) < HOM_TOL)
+        assert report.passed
+        u = checks._u_stack(alpha, AlgebraContext(n, d), None)
+        q = q_matrix(alpha, d, n)
+        same_rows(u, q)
+        reduced = xa_reduce(q)
+        same_rows(u.combine(np.arange(len(u)), reduced.f), np.eye(reduced.rank))
+    for mu in partitions_of(n):
+        family = matrix_operators_E(generator_stack(n, d), mu)
+        same_rows(family, np.eye(mu.hook_dimension()))
+
+
+def test_claims_are_checked_on_generator_rows(monkeypatch):
+    # n-1 left factors for the u actions and 2s for each law x_IJ x_KL =
+    # A_JK x_IL, against all s^2 blocks: no check goes back to every row
+    import math
+
+    from ptalgebra.induced import q_matrix
+    from ptalgebra.oracle import OperatorStack
+    from ptalgebra.reduction import xa_reduce
+
+    calls, real = [], OperatorStack.action_residuals
+
+    def spy(self, left, index, weights):
+        calls.append((len(left), len(self)))
+        return real(self, left, index, weights)
+
+    monkeypatch.setattr(OperatorStack, "action_residuals", spy)
+    n, d = 5, 2
+    alphas = block_labels(n, d)[0]
+    for alpha in alphas:
+        calls.clear()
+        assert check_u_structure(alpha, alpha, n, d).passed
+        s = (n - 1) * alpha.hook_dimension()
+        assert calls == [(2 * s, s * s), (n - 1, s * s)]
+    calls.clear()
+    assert check_reduced_matrix_units(n, d).passed
+    ranks = [xa_reduce(q_matrix(alpha, d, n)).rank for alpha in alphas]
+    assert calls == [(2 * rank, rank * rank) for rank in ranks]
+    calls.clear()
+    assert check_matrix_operators(n, d).passed
+    group = math.factorial(n - 2)
+    assert calls == [row for alpha in partitions_of(n - 2)
+                     for w in [alpha.hook_dimension()]
+                     for row in ((2 * w, w * w), (group, w * w))]
