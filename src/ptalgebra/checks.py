@@ -176,19 +176,19 @@ def _x_claim(x: OperatorStack, a_matrix: np.ndarray
     x_IJ at block I s + J, on 2s left factors: the ``(2s,)`` blocks of the
     left factors and their ``(2s, s^2)`` ``action_residuals``.
 
-    The left factors are x_IJ0 for every I and x_J0J for every J, with a
-    pivot J0 where a = A_J0J0 != 0 (the first largest |A_JJ|), each
-    against every block.  These rows give the whole law:
+    The left factors are x_IJ0 for every I and x_J0J for every J, with
+    the pivot J0 = 0, each against every block; a = A_00 must be nonzero,
+    as it is for every caller (A = Q(alpha) has diagonal d, the E and f
+    families have A = 1).  These rows give the whole law:
     x_IJ0 x_J0J = a x_IJ writes every block as a product, so
     x_IJ x_KL = x_IJ0 (x_J0J x_KJ0) x_J0L / a^2 = A_JK x_IJ0 x_J0J0 x_J0L / a^2
     = A_JK x_IJ0 x_J0L / a = A_JK x_IL, by the rows of x_J0J, then x_IJ0.
     """
     s = len(a_matrix)
-    pivot = int(np.argmax(np.abs(np.diag(a_matrix))))
-    if a_matrix[pivot, pivot] == 0:
-        raise ValueError("the law x_IJ x_KL = A_JK x_IL needs a nonzero A_JJ")
+    if a_matrix[0, 0] == 0:
+        raise ValueError("the law x_IJ x_KL = A_JK x_IL needs a nonzero A_00")
     k = np.arange(s)
-    rows = np.concatenate([k * s + pivot, pivot * s + k])
+    rows = np.concatenate([k * s, k])
     i, j = np.divmod(rows, s)
     ks, ls = np.divmod(np.arange(s * s), s)
     index = (i[:, None] * s + ls)[..., None]

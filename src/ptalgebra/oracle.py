@@ -262,9 +262,11 @@ class OperatorStack:
         coefficient matrix C = ``combine(arange(K), C)``, is one product of
         the weights with the blocks read as vectors of length D^2: a
         ``tensordot`` on the dense side, and on the CSR side a sparse product
-        with the K x D^2 vectorised family, which has only the stack's
-        nonzeros.  Its sums are not added term by term, so they can differ
-        from the per-term ones in the last bits.
+        of the vectorised family, one row per entry (r, c) that some block
+        stores and one column per block, with the K x J coefficients, so its
+        cost follows the stack's nonzeros and not D^2.  Its sums are not added
+        term by term, so they can differ from the per-term ones in the last
+        bits.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
         dense = isinstance(self.data, np.ndarray)
@@ -272,16 +274,24 @@ class OperatorStack:
             return self._new(np.tensordot(weights, self.data[index], axes=1))
         if index.ndim == 1:
             sp, dim = _sparse(), self.dim
-            # block k, entry (r, c) <-> row k, column r D + c of the family
+            # row u of the vectorised family: the entry (r, c) of every block,
+            # over the entries that some block stores, in (r, c) order
             coo = self.data.tocoo()
             block, col = np.divmod(coo.col, dim)
-            flat = sp.csr_matrix(
-                (coo.data, (block, coo.row.astype(np.int64) * dim + col)),
-                shape=(self.size, dim * dim))
-            out = (sp.csr_matrix(weights) @ flat[index]).tocoo()
-            row, col = np.divmod(out.col, dim)
+            entries, u = np.unique(coo.row.astype(np.int64) * dim + col,
+                                   return_inverse=True)
+            vectors = sp.csr_matrix((coo.data, (u, block)),
+                                    shape=(len(entries), self.size))
+            coefficients = np.zeros((self.size, weights.shape[0]))
+            np.add.at(coefficients, index, weights.T)
+            out = vectors @ sp.csr_matrix(coefficients)
+            # row u of out holds entry (r, c) of every C_j, and the rows of
+            # one r are consecutive: they are row r of the block row
+            row, col = np.divmod(entries, dim)
             return self._new(sp.csr_matrix(
-                (out.data, (row, out.row.astype(np.int64) * dim + col)),
+                (out.data, out.indices.astype(np.int64) * dim
+                 + np.repeat(col, np.diff(out.indptr)),
+                 out.indptr[np.searchsorted(row, np.arange(dim + 1))]),
                 shape=(dim, weights.shape[0] * dim)))
         if dense:
             out = np.zeros((weights.shape[0],) + self.data.shape[1:])

@@ -10,8 +10,8 @@ import pytest
 
 from ptalgebra.algebra import AlgebraContext, AlgebraElement
 from ptalgebra.oracle import (DENSE_MAX_DIM, OperatorStack, SizeCapError,
-                              element_operator, generator_stack,
-                              matrix_operators_E, perm_operator,
+                              element_operator, element_stack,
+                              generator_stack, matrix_operators_E, perm_operator,
                               transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import partitions_of
 from ptalgebra.permutations import Permutation
@@ -90,11 +90,32 @@ def test_combinations_match_per_pair(n, d):
         weights = rng.integers(-4, 5, size=(9, terms)).astype(float)
         _assert_blocks(family.combine(index, weights),
                        _combination(ops, index, weights))
-    # shared index: a dense coefficient matrix over some of the blocks
-    index = np.array([2, 0, count - 1])
-    weights = rng.integers(-4, 5, size=(4, 3)).astype(float)
+    # shared index: a dense coefficient matrix over some of the blocks, one
+    # of them listed twice
+    index = np.array([2, 0, count - 1, 2])
+    weights = rng.integers(-4, 5, size=(4, 4)).astype(float)
     _assert_blocks(family.combine(index, weights),
                    _combination(ops, index, weights))
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_element_images_are_their_term_by_term_sums(n, d):
+    # float coefficients, so the order of the additions shows in the last
+    # bits: each image is its generators scaled and added in dict order
+    rng = np.random.default_rng(11)
+    perms = list(Permutation.all(n))
+    ctx = AlgebraContext(n, d)
+    elems = [AlgebraElement(ctx, {perms[k]: float(rng.standard_normal())
+                                  for k in rng.choice(len(perms), size=terms,
+                                                      replace=False)})
+             for terms in (1, 4, 2, 5)]
+    expected = []
+    for elem in elems:
+        acc = zero_operator(n, d)
+        for perm, coeff in elem.terms.items():
+            acc = acc + coeff * transposed_perm_operator(perm, d)
+        expected.append(acc)
+    _assert_blocks(element_stack(elems), expected)
 
 
 @pytest.mark.parametrize("n,d", SIZES)
