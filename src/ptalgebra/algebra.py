@@ -78,20 +78,23 @@ def mul_generators(sigma, rho):
         raise ValueError(f"degree mismatch: {sigma.shape[-1]} != {rho.shape[-1]}")
     n = sigma.shape[-1]
     last = n - 1
-    sigma, rho = np.broadcast_arrays(sigma, rho)
-    # (a, b) = classify(sigma) and (p, q) = classify(rho), 0-based.
+    # (a, b) = classify(sigma) and (p, q) = classify(rho), 0-based, each
+    # read from its own factor before the two broadcast.
     q = rho[..., last]
-    neither_fixes = (sigma[..., last] != last) & (q != last)
     a = np.argmax(sigma == last, axis=-1)
+    p = np.argmax(rho == last, axis=-1)[..., None]
+    # rho (p n) sends p to rho(n) = q and fixes n; it is rho when rho fixes n.
+    points = np.arange(n)
+    shifted = np.where(points == p, q[..., None], np.where(points == last, last, rho))
+    sigma_moves = sigma[..., last] != last
+    neither_fixes = sigma_moves & (q != last)
     power = (neither_fixes & (a == q)).astype(np.intp)
     # Where a factor fixes n, both transpositions below are (n n) = identity.
-    p = np.where(neither_fixes, np.argmax(rho == last, axis=-1), last)[..., None]
-    x = np.take_along_axis(sigma, q[..., None], axis=-1)
+    right = np.where(sigma_moves[..., None], shifted, rho)
+    sigma = np.broadcast_to(sigma, right.shape)
+    product = np.take_along_axis(sigma, right, axis=-1)
+    x = np.take_along_axis(sigma, np.broadcast_to(q, right.shape[:-1])[..., None], axis=-1)
     x = np.where(neither_fixes[..., None], x, last)
-    # rho (p n) sends p to rho(n) = q and fixes n.
-    points = np.arange(n)
-    rho = np.where(points == p, q[..., None], np.where(points == last, last, rho))
-    product = np.take_along_axis(sigma, rho, axis=-1)
     # (sigma(q) n) sigma rho (p n): exchange the values sigma(q) and n.
     product = np.where(product == x, last, np.where(product == last, x, product))
     if single:

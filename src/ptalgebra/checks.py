@@ -17,12 +17,17 @@ associativity are checked exactly on the oracle's integer index form of
 the transposed generators instead, not on the stacks, so their residuals
 are integers (0 on a pass) judged against the same tolerances; the
 adjoint check ties that index form to the float generators, as stacked
-and as built one by one.
+and as built one by one.  The law on the oracle and the homomorphism of
+every irrep run on the n-1 generator rows (g, rho) only, plus the pairs
+that ``law_sweep`` flags: its one integer sweep of the law along the
+words of ``generator_words`` is the premise of the induction that extends
+them to every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
 from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
                      rank_of_q, structure_report, unit_of_M)
-from .oracle import (OperatorStack, SizeCapError, element_operator,
+from .oracle import (LAW_CHUNK_ENTRIES, OperatorStack, SizeCapError, element_operator,
                      element_stack, generator_index, generator_stack,
                      identity_operator, matrix_operators_E, span_dimension,
                      transposed_perm_operator)
@@ -100,23 +105,88 @@ def _perm(image: np.ndarray) -> Permutation:
 # -- multiplication law ---------------------------------------------------
 
 
-def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """Every generator pair: the abstract product equals the operator product.
+@lru_cache(maxsize=1)
+def law_sweep(n: int, law) -> np.ndarray:
+    """The pairs of S(n) at which ``law`` differs from its value along the words.
 
-    For a chunk of generator pairs (sigma, rho), one ``mul_generators``
-    call gives W(sigma) W(rho) = d^power W(tau), and the integer index form
-    of the transposed generators checks all of these exactly, without a
-    float operator; ``check_adjoint_transport`` ties that form to the float
-    operators.  Only flagged pairs get their exact max entry difference,
-    from the index form's one entry-sum routine, so a pass reads 0.
+    For every pair (sigma, rho), the direct law(sigma, rho) = (p, tau) is
+    compared, in integers, with its value along the word W(sigma) =
+    W(g_1) ... W(g_k) of ``generator_words``: rho, then g_k rho, ..., up to
+    g_1, each step a gather through the generator rows law(g, .), the
+    powers added.  The rows are built level by level of word length and
+    compared in blocks of rows with at most ``LAW_CHUNK_ENTRIES`` pairs.
+    The identity has the empty word, so its row compares law(1, rho) with
+    (0, rho).  Returns sorted positions sigma n! + rho: every pair that
+    differs, and every pair of a row whose word does not give (0, sigma)
+    at rho = 1.  Read-only; the last (n, law) is cached, so that
+    ``run_suite`` sweeps once for ``check_mul_rule`` and ``check_irreps``.
+
+    This is the premise of the induction by which those checks test a
+    representation W, the oracle or an irrep, on the generator rows
+    (g, rho) only, plus the flagged pairs.  Let W(1) = 1 and
+    W(g) W(rho) = d^p W(tau) hold with (p, tau) = law(g, rho) on every
+    generator row.  Applied letter by letter, these give
+    W(g_1) ... W(g_k) W(rho) = d^p W(tau) with (p, tau) the value along the
+    word, by induction on its length.  At rho = 1 that is W(sigma), since
+    the row is not flagged; so every pair that is not flagged holds:
+    W(sigma) W(rho) = W(g_1) ... W(g_k) W(rho) = d^p W(tau) = law(sigma, rho).
+    """
+    images = image_array(n)
+    count = len(images)
+    digits = n ** np.arange(n)  # a permutation's images as one base-n number
+    codes = images @ digits
+    generators, first, rest = generator_words(n)
+    kind = np.min_scalar_type(count - 1)  # a power is at most a word length
+    powers, products = law(images[generators][:, None], images)
+    step_power, step = powers.astype(kind), lehmer_rank(products).astype(kind)
+    slot = np.zeros(count, dtype=np.intp)
+    slot[generators] = np.arange(len(generators))
+    level = np.zeros(1, dtype=np.intp)  # the identity
+    value, power = np.arange(count, dtype=kind)[None], np.zeros((1, count), kind)
+    block, flagged = max(1, LAW_CHUNK_ENTRIES // count), []
+    while level.size:
+        for start in range(0, len(level), block):
+            rows = level[start:start + block]
+            v, w = value[start:start + block], power[start:start + block]
+            p, tau = law(images[rows][:, None], images)
+            bad = (p != w) | (tau @ digits != codes[v])
+            bad |= ((v[:, 0] != rows) | (w[:, 0] != 0))[:, None]
+            r, c = np.nonzero(bad)
+            flagged.append(rows[r] * count + c)
+        # the next level: sigma = g sigma' for every sigma' of this one
+        below, level = level, np.flatnonzero(np.isin(rest, level))
+        at, g = np.searchsorted(below, rest[level]), slot[first[level]][:, None]
+        value, power = step[g, value[at]], power[at] + step_power[g, value[at]]
+    flagged = np.sort(np.concatenate(flagged))
+    flagged.flags.writeable = False
+    return flagged
+
+
+def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
+    """The composition law on the oracle, on the generator rows.
+
+    The pairs are the n-1 generator rows (g, rho) of ``generator_words``
+    and the pairs that ``law_sweep`` flags, with the identity row when
+    W(1) is not the identity on the index form; by the induction of
+    ``law_sweep`` they give W(sigma) W(rho) = d^p W(tau) for every pair.
+    For a chunk of them, one ``mul_generators`` call gives d^p W(tau), and
+    the integer index form of the transposed generators checks these
+    exactly, without a float operator; ``check_adjoint_transport`` ties
+    that form to the float operators.  Only mismatched pairs get their
+    exact max entry difference, from the index form's one entry-sum
+    routine, so a pass reads 0.
     """
     index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
     perms = list(Permutation.all(n))
-    images = image_array(n)
+    images, count = image_array(n), len(perms)
+    rows = generator_words(n)[0]
+    if not ((index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()):
+        rows = np.append(rows, 0)
+    pairs = np.union1d((rows[:, None] * count + np.arange(count)).ravel(),
+                       law_sweep(n, mul_generators))
     worst, culprit, chunk = 0.0, "", index.law_chunk()
-    for start in range(0, len(perms) ** 2, chunk):
-        left, right = np.divmod(np.arange(start, min(start + chunk, len(perms) ** 2)),
-                                len(perms))
+    for start in range(0, len(pairs), chunk):
+        left, right = np.divmod(pairs[start:start + chunk], count)
         powers, products = mul_generators(images[left], images[right])
         scale, tau = d**powers, lehmer_rank(products)
         flagged = np.flatnonzero(index.law_mismatches(left, right, scale, tau))
@@ -380,12 +450,15 @@ def check_irreps(n: int, d: int) -> CheckReport:
     """Homomorphism property of every irrep, plus kind-specific claims.
 
     Each irrep's generator images are stacked in ``Permutation.all``
-    order.  One ``mul_generators`` call per left factor sigma gives the
-    products W(sigma) W(rho) = d^power W(tau) for every rho, and one
-    batched matmul compares both sides of the whole row.
+    order.  psi(sigma) psi(rho) = d^p psi(tau) is checked on the rows
+    (g, rho) of the n-1 generators g of ``generator_words``, one batched
+    matmul per row, and on the pairs that ``law_sweep`` flags, in blocks
+    of n! pairs; the identity row joins them when psi(1) is not exactly
+    the identity.  By the induction of ``law_sweep`` that is every pair.
+    A failure names the irrep and the pair of the worst residual.
     """
     perms = list(Permutation.all(n))
-    images = image_array(n)
+    images, count = image_array(n), len(perms)
     transposed = images[:, -1] != n - 1
     reps = all_irreps(n, d)
     stacks = [np.stack([rep.image(p) for p in perms]) for rep in reps]
@@ -400,16 +473,28 @@ def check_irreps(n: int, d: int) -> CheckReport:
                 return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
                                    f"dimension {rep.dimension} != rank {expected}",
                                    HOM_TOL)
-    worst = 0.0
-    for s, sigma in enumerate(images):
-        powers, products = mul_generators(sigma, images)
-        scale = (d**powers)[:, None, None]
-        index = lehmer_rank(products)
-        for stack in stacks:
-            residual = np.abs(stack[s] @ stack - scale * stack[index]).max()
-            worst = max(worst, residual)
+
+    def row(left, right):  # a generator row has one left factor
+        powers, products = mul_generators(images[left], images[right])
+        return left, right, (d**powers)[:, None, None], lehmer_rank(products)
+
+    everyone = np.arange(count)
+    rows = [row(g, everyone) for g in generator_words(n)[0]]
+    flagged = law_sweep(n, mul_generators)
+    rows += [row(*np.divmod(flagged[s:s + count], count))
+             for s in range(0, len(flagged), count)]
+    worst, culprit = 0.0, ""
+    for rep, stack in zip(reps, stacks):
+        unit = np.array_equal(stack[0], np.eye(rep.dimension))
+        for left, right, scale, tau in rows if unit else [row(0, everyone)] + rows:
+            value, (k,) = _worst(
+                np.abs(stack[left] @ stack[right] - scale * stack[tau]).max(axis=(1, 2)))
+            if value > worst:
+                sigma, rho = perms[np.broadcast_to(left, right.shape)[k]], perms[right[k]]
+                worst, culprit = value, f"{rep.kind}:{rep.label} {sigma} * {rho}"
     details = [f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in reps]
-    return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details))
+    return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details),
+                   culprit=culprit)
 
 
 # -- dimensions --------------------------------------------------------------

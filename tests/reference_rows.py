@@ -1,23 +1,25 @@
-"""The left actions on every sigma and the x law on every pair of blocks.
+"""The left actions on every sigma, the x law on every pair of blocks, and
+the irreps on every pair of generators.
 
 Independent references for the generator-row forms of ``ptalgebra.checks``:
 ``check_u_structure`` checks the left actions on the oracle for the n-1
-generators only, and ``_x_claim`` the law x_IJ x_KL = A_JK x_IL on 2s left
-factors.  Here every sigma in S(n) and every left block is its own
-``action_residuals`` row, with no word and no pivot.  The left action of
-one sigma is also written on ``Permutation`` objects, as a reference for
-the array form of ``checks._left_action``, and ``word_lengths`` reads the
-length of every word of ``generator_words``.
+generators only, ``_x_claim`` the law x_IJ x_KL = A_JK x_IL on 2s left
+factors, and ``check_irreps`` the homomorphism on the n-1 generator rows
+and the pairs that ``law_sweep`` flags.  Here every sigma in S(n), every
+left block and every pair is its own row, with no word and no pivot.  The
+left action of one sigma is also written on ``Permutation`` objects, as a
+reference for the array form of ``checks._left_action``, and
+``word_lengths`` reads the length of every word of ``generator_words``.
 """
 
 import numpy as np
 
 from ptalgebra import checks
-from ptalgebra.algebra import AlgebraContext
+from ptalgebra.algebra import AlgebraContext, mul_generators
 from ptalgebra.induced import q_matrix
 from ptalgebra.oracle import OperatorStack, generator_stack
 from ptalgebra.partitions import Partition
-from ptalgebra.permutations import Permutation, image_array
+from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 from ptalgebra.yor import irrep
 
 
@@ -79,6 +81,24 @@ def reference_u_structure(alpha: Partition, n: int, d: int) -> float:
     u = checks._u_stack(alpha, AlgebraContext(n, d), None)
     products = reference_x_law(u, q_matrix(alpha, d, n))
     return float(max(products.max(), reference_left_actions(alpha, n, d).max()))
+
+
+def reference_irreps(n: int, d: int, law=mul_generators) -> float:
+    """The largest max |psi(sigma) psi(rho) - d^p psi(tau)| over every irrep
+    of ``checks.all_irreps``, read at call time so that a planted irrep
+    reaches both forms, and every pair (sigma, rho), with (p, tau) from
+    ``law``: one row of n! products per sigma."""
+    perms = list(Permutation.all(n))
+    images = image_array(n)
+    stacks = [np.stack([rep.image(p) for p in perms]) for rep in checks.all_irreps(n, d)]
+    worst = 0.0
+    for s, sigma in enumerate(images):
+        powers, products = law(sigma, images)
+        scale = (d**powers)[:, None, None]
+        index = lehmer_rank(products)
+        for stack in stacks:
+            worst = max(worst, np.abs(stack[s] @ stack - scale * stack[index]).max())
+    return float(worst)
 
 
 def word_lengths(rest: np.ndarray) -> np.ndarray:

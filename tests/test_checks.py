@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from reference_rows import (reference_left_action, reference_left_actions,
-                            reference_u_structure, reference_x_law, word_lengths)
+from reference_rows import (reference_irreps, reference_left_action,
+                            reference_left_actions, reference_u_structure,
+                            reference_x_law, word_lengths)
 
 from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_dimensions, check_irreps,
@@ -132,6 +133,77 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
     assert report.passed is False and report.max_residual > 0.1
 
 
+def _plant_image(monkeypatch, n, d, planted, factor, which=0):
+    """Let ``checks.all_irreps`` serve irrep ``which`` with the image of
+    ``planted`` scaled by ``factor``; the others are real."""
+    import ptalgebra.checks as checks
+
+    class Planted(AlgebraIrrep):
+        def image(self, sigma):
+            out = super().image(sigma)
+            return factor * out if sigma == planted else out
+
+    def serve(n_, d_):
+        reps = all_irreps(n_, d_)
+        rep = reps[which]
+        reps[which] = Planted(rep.kind, rep.label, n_, d_, rep.basis_tag,
+                              rep.rho, rep.contraction)
+        return reps
+
+    monkeypatch.setattr(checks, "all_irreps", serve)
+    return all_irreps(n, d)[which]
+
+
+def _named_pair(report) -> tuple[str, Permutation, Permutation]:
+    """The block and the generator pair of ``worst at <kind>:<label> g * rho``."""
+    block, pair = report.details.split("; ")[0].removeprefix("worst at ").split(" ", 1)
+    sigma, rho = (Permutation.parse(text, report.params["n"]) for text in pair.split(" * "))
+    return block, sigma, rho
+
+
+def test_check_irreps_names_the_pair_of_a_planted_image_off_the_generators(monkeypatch):
+    # 1.5 psi(sigma) for a sigma of a longest word: no generator row has it
+    # on the left, but the rows g * rho with rho = sigma, or with sigma as
+    # their product, read it
+    from ptalgebra.algebra import generator_words, mul_generators
+
+    n, d = 5, 2
+    perms = list(Permutation.all(n))
+    generators, _first, rest = generator_words(n)
+    planted = perms[int(np.argmax(word_lengths(rest)))]
+    assert perms.index(planted) not in generators
+    rep = _plant_image(monkeypatch, n, d, planted, 1.5)
+    report = check_irreps(n, d)
+    assert report.passed is False and report.max_residual > 0.1
+    block, sigma, rho = _named_pair(report)
+    assert block == f"{rep.kind}:{rep.label}"
+    assert perms.index(sigma) in generators
+    assert planted in (sigma, rho, mul_generators(sigma, rho)[1])
+    assert reference_irreps(n, d) >= report.max_residual
+
+
+def test_check_irreps_checks_the_identity_row_when_psi_of_1_is_not_1(monkeypatch):
+    # At n = 2 the kind-S irrep S:1 sends V', the one generator, to 0, so
+    # both generator rows pass whatever psi(1) is; psi(1) = 1.5 fails only
+    # on the identity row, at 1 * 1
+    n, d = 2, 2
+    identity = Permutation.identity(n)
+    rep = _plant_image(monkeypatch, n, d, identity, 1.5, which=1)
+    assert rep.kind == "S"
+    report = check_irreps(n, d)
+    assert report.passed is False and report.max_residual == pytest.approx(0.75)
+    assert _named_pair(report) == (f"{rep.kind}:{rep.label}", identity, identity)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("d", range(1, 4))
+def test_irreps_on_generator_rows_agree_with_every_pair(n, d):
+    report = check_irreps(n, d)
+    residual = reference_irreps(n, d)
+    assert report.passed == (residual < HOM_TOL)
+    assert report.max_residual <= residual < HOM_TOL
+
+
 # -- larger suites, exact where the oracle is exact ---------------------------
 
 
@@ -199,9 +271,10 @@ def test_mul_rule_names_the_planted_pair(monkeypatch):
     from ptalgebra.oracle import generator_index
     from ptalgebra.permutations import Permutation, lehmer_rank
 
-    # Move a one of W((1 3))^{t_n} in its row lists only: the check reads
-    # those for the left factor, so exactly the pairs (1 3) * rho fail.
-    planted = Permutation.from_cycles(3, [(1, 3)])
+    # Move a one of W((1 2)) in its row lists only: the check reads those
+    # for the left factor, and (1 2) is a generator, so exactly the pairs
+    # (1 2) * rho fail.
+    planted = Permutation.from_cycles(3, [(1, 2)])
     real = generator_index(3, 2)
     k = lehmer_rank(np.array(planted.images) - 1)
     row_cols = real.row_cols.copy()

@@ -4,6 +4,8 @@ composition-law and associativity checks that run on it.
 The index form must list exactly the ones of the float generator stack,
 and the check must agree with the dense row-by-row check it replaced
 (``reference_mul_rule``), on passing grids and under planted defects.
+The law is checked on the generator rows and on the pairs that
+``law_sweep`` flags; a defect off those rows must be flagged.
 """
 
 import math
@@ -16,12 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 import ptalgebra.checks as checks
 import ptalgebra.oracle as oracle
-from ptalgebra.algebra import mul_generators
-from ptalgebra.checks import ORACLE_TOL, check_mul_rule
+from ptalgebra.algebra import generator_words, mul_generators
+from ptalgebra.checks import (HOM_TOL, ORACLE_TOL, check_irreps, check_mul_rule,
+                              law_sweep, run_suite)
 from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError, _family,
                               _generator_index, generator_index, generator_stack)
 from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 from reference_mul_rule import reference_mul_rule
+from reference_rows import reference_irreps
 
 GRID = [(n, d) for n in (2, 3, 4, 5) for d in (1, 2, 3)]
 
@@ -130,6 +134,107 @@ def test_planted_law_defect_is_caught_and_named(monkeypatch, n, d, sigma, rho,
     assert report.details == f"worst at {sigma0} * {rho0}" == f"worst at {culprit}"
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_law_sweep_flags_nothing_on_the_law(n):
+    flagged = law_sweep(n, mul_generators)
+    assert flagged.size == 0 and not flagged.flags.writeable
+    assert law_sweep(n, mul_generators) is flagged
+
+
+@pytest.mark.parametrize("n,d,sigma,rho", [
+    (4, 2, "()", "(24)"),        # the identity row: law(1, rho) must be (0, rho)
+    (4, 2, "()", "()"),
+    (4, 2, "(13)", "(124)"),     # two non-generators
+    (5, 3, "(15)(24)", "(135)"),
+])
+def test_the_sweep_flags_a_planted_power_off_the_generator_rows(monkeypatch, n, d,
+                                                                sigma, rho):
+    sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
+    left, right = (int(lehmer_rank(np.array(p.images) - 1)) for p in (sigma0, rho0))
+    assert left not in generator_words(n)[0]
+    law = _planted_law(sigma0, rho0, flip=True)
+    # the words use the generator rows only, so the pair alone is flagged
+    assert law_sweep(n, law).tolist() == [left * math.factorial(n) + right]
+    monkeypatch.setattr(checks, "mul_generators", law)
+    report = check_mul_rule(n, d)
+    residual, culprit = reference_mul_rule(n, d, law)
+    assert report.passed is False and report.max_residual == residual >= 1
+    assert report.details == f"worst at {sigma0} * {rho0}" == f"worst at {culprit}"
+
+
+def test_a_broken_word_flags_its_whole_row(monkeypatch):
+    # plant W(g) W(sigma') = W(1) at the step W(sigma) = W(g) W(sigma'): the
+    # words through it no longer give sigma at rho = 1, so the sweep cannot
+    # vouch for any pair of those rows, and check_mul_rule names the step
+    n, d = 4, 2
+    count = math.factorial(n)
+    images = image_array(n)
+    _generators, first, rest = generator_words(n)
+    k = int(np.flatnonzero(rest > 0)[0])
+    g, below = (Permutation((images[x] + 1).tolist()) for x in (first[k], rest[k]))
+    law = _planted_law(g, below, product=Permutation.identity(n))
+    flagged = law_sweep(n, law)
+    for row in [k, *np.flatnonzero(rest == k)]:
+        assert np.isin(row * count + np.arange(count), flagged).all()
+    monkeypatch.setattr(checks, "mul_generators", law)
+    report = check_mul_rule(n, d)
+    assert report.passed is False and report.details == f"worst at {g} * {below}"
+
+
+def test_a_planted_law_fails_the_irreps_through_the_sweep(monkeypatch):
+    # W((13)) W((124)) = W((1243)), which the planted law makes d W((1243)):
+    # no generator row reads the pair, the sweep flags it, and the irreps of
+    # the main ideal, where psi((1243)) != 0, see the wrong power
+    n, d, sigma, rho = 4, 2, "(13)", "(124)"
+    sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
+    law = _planted_law(sigma0, rho0, flip=True)
+    monkeypatch.setattr(checks, "mul_generators", law)
+    report = check_irreps(n, d)
+    assert report.passed is False
+    assert report.max_residual == pytest.approx(reference_irreps(n, d, law))
+    culprit = report.details.split("; ")[0]
+    assert culprit.startswith("worst at M:") and culprit.endswith(f" {sigma0} * {rho0}")
+
+
+def test_the_law_runs_on_generator_rows_and_sweeps_once(monkeypatch):
+    sent, sweeps = [], []
+    real = GeneratorIndex.law_mismatches
+
+    def spy(self, left, right, scale, target):
+        sent.append(len(left))
+        return real(self, left, right, scale, target)
+
+    def sweep(n, law):
+        sweeps.append(n)
+        return law_sweep.__wrapped__(n, law)
+
+    monkeypatch.setattr(GeneratorIndex, "law_mismatches", spy)
+    monkeypatch.setattr(checks, "law_sweep", lru_cache(maxsize=1)(sweep))
+    reports = run_suite(5, 2, "all")
+    assert all(r.passed for r in reports)
+    assert sweeps == [5]  # one sweep serves mul_rule and irreps
+    for n, d in [(4, 2), (5, 2), (6, 1), (4, 8)]:
+        sent.clear()
+        assert check_mul_rule(n, d).passed
+        assert sum(sent) == (n - 1) * math.factorial(n)
+
+
+def test_an_identity_that_is_not_one_is_caught_on_its_row(monkeypatch):
+    # At n = 2 the one generator V' = W((12))^t has ones at rows and
+    # columns 00 and 11 only, so the swap P of 01 and 10 has V' P = V' and
+    # passes both generator rows; as W(1), only W(1) W(1) = 1 != P shows it
+    n, d = 2, 2
+    real = generator_index(n, d)
+    rows, cols = np.array(real.rows), np.array(real.cols)
+    rows[0], cols[0] = [0, 1, 2, 3], [0, 2, 1, 3]
+    broken = GeneratorIndex.from_entries(d, rows, cols)
+    assert np.array_equal(broken.rows[1], real.rows[1])
+    monkeypatch.setattr(checks, "generator_index", lambda n, d, cap=None: broken)
+    report = check_mul_rule(n, d)
+    assert report.passed is False and report.max_residual == 1.0
+    assert report.details == "worst at () * ()"
+
+
 def test_corrupted_index_entry_is_caught_and_named(monkeypatch):
     # move one of the D ones of W((1 2 4))^{t_n} at (4, 2) to a free spot
     n, d = 4, 2
@@ -236,7 +341,8 @@ def test_law_chunks_stay_within_their_bound(monkeypatch):
         seen.clear()
         assert check_mul_rule(n, d).passed
         assert max(seen) <= max(2**12, d**n)
-        assert sum(seen) == len(generator_index(n, d)) ** 2 * d**n
+        # the n-1 generator rows: the real law flags no pair
+        assert sum(seen) == (n - 1) * len(generator_index(n, d)) * d**n
 
 
 def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
