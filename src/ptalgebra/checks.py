@@ -169,6 +169,10 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     and the pairs that ``law_sweep`` flags, with the identity row when
     W(1) is not the identity on the index form; by the induction of
     ``law_sweep`` they give W(sigma) W(rho) = d^p W(tau) for every pair.
+    Those rows read the row lists of a left factor for the generators
+    only, so the row and the column of every sigma whose lists are not
+    the ones its entries give (``GeneratorIndex.derived``) join as well:
+    every pair that reads its lists, as when all pairs were checked.
     For a chunk of them, one ``mul_generators`` call gives d^p W(tau), and
     the integer index form of the transposed generators checks these
     exactly, without a float operator; ``check_adjoint_transport`` ties
@@ -179,10 +183,13 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
     perms = list(Permutation.all(n))
     images, count = image_array(n), len(perms)
-    rows = generator_words(n)[0]
+    rows, everyone = generator_words(n)[0], np.arange(count)
     if not ((index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()):
         rows = np.append(rows, 0)
-    pairs = np.union1d((rows[:, None] * count + np.arange(count)).ravel(),
+    stray = np.flatnonzero(~index.derived())
+    rows = np.union1d(rows, stray)
+    pairs = np.union1d(np.append((rows[:, None] * count + everyone).ravel(),
+                                 everyone[:, None] * count + stray),
                        law_sweep(n, mul_generators))
     worst, culprit, chunk = 0.0, "", index.law_chunk()
     for start in range(0, len(pairs), chunk):

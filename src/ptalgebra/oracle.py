@@ -551,6 +551,10 @@ def generator_stack(n: int, d: int, transposed: bool = False,
 # examines per call: under 8 MB of temporaries at d = 2.  On the failure
 # path ``law_residuals`` lists d + 1 signed entries per support entry, so
 # while D <= 2^18 a chunk sorts at most (d + 1) 2^18 entries.
+# ``checks.law_sweep`` reads the same number in another unit: as pairs
+# (sigma, rho), a block of rows of n! pairs each, whose ``mul_generators``
+# temporaries are a few (pairs, n) intp arrays, 15 MB each at n = 7; with
+# the two word levels it holds, they set the sweep's peak, 92 MB at n = 7.
 LAW_CHUNK_ENTRIES = 2**18
 
 
@@ -618,6 +622,19 @@ class GeneratorIndex:
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    def derived(self) -> np.ndarray:
+        """Whether the slot lists and counts of each generator are the ones
+        ``from_entries`` derives from its ``rows`` and ``cols``: a bool
+        array, all true for an index built by ``from_entries``."""
+        fresh = GeneratorIndex.from_entries(self.d, self.rows, self.cols)
+        same = np.ones(len(self), dtype=bool)
+        for mine, theirs in ((self.row_cols, fresh.row_cols), (self.col_rows, fresh.col_rows)):
+            same &= (mine == theirs).all(axis=(0, 2))
+        for mine, theirs in ((self.row_count, fresh.row_count),
+                             (self.col_count, fresh.col_count)):
+            same &= (mine == theirs).all(axis=1)
+        return same
 
     def law_chunk(self) -> int:
         """Generator pairs per ``law_mismatches`` call: ``LAW_CHUNK_ENTRIES``

@@ -271,10 +271,9 @@ def test_mul_rule_names_the_planted_pair(monkeypatch):
     from ptalgebra.oracle import generator_index
     from ptalgebra.permutations import Permutation, lehmer_rank
 
-    # Move a one of W((1 2)) in its row lists only: the check reads those
-    # for the left factor, and (1 2) is a generator, so exactly the pairs
-    # (1 2) * rho fail.
-    planted = Permutation.from_cycles(3, [(1, 2)])
+    # Move a one of W((1 3))^{t_n} in its row lists only: the check reads
+    # those for the left factor, so exactly the pairs (1 3) * rho fail.
+    planted = Permutation.from_cycles(3, [(1, 3)])
     real = generator_index(3, 2)
     k = lehmer_rank(np.array(planted.images) - 1)
     row_cols = real.row_cols.copy()

@@ -235,6 +235,41 @@ def test_an_identity_that_is_not_one_is_caught_on_its_row(monkeypatch):
     assert report.details == "worst at () * ()"
 
 
+def test_row_lists_that_are_not_their_entries_join_with_their_row_and_column(monkeypatch):
+    # move a one of W(sigma)^{t_n}, sigma of a longest word at (4, 2), in
+    # its row lists only: no generator row reads them on the left
+    import dataclasses
+
+    from reference_rows import word_lengths
+
+    n, d = 4, 2
+    count = math.factorial(n)
+    real = generator_index(n, d)
+    generators, _first, rest = generator_words(n)
+    k = int(np.argmax(word_lengths(rest)))
+    assert k not in generators
+    row_cols = real.row_cols.copy()
+    assert row_cols[0, k, 0] >= 0 and 1 not in row_cols[:, k, 0]
+    row_cols[0, k, 0] = 1
+    broken = dataclasses.replace(real, row_cols=row_cols)
+    assert list(np.flatnonzero(~broken.derived())) == [k]
+    sent = []
+    spied = GeneratorIndex.law_mismatches
+
+    def spy(self, left, right, scale, target):
+        sent.append(len(left))
+        return spied(self, left, right, scale, target)
+
+    monkeypatch.setattr(GeneratorIndex, "law_mismatches", spy)
+    monkeypatch.setattr(checks, "generator_index", lambda n, d, cap=None: broken)
+    report = check_mul_rule(n, d)
+    # the generator rows, the row of sigma, and its column off both
+    assert sum(sent) == (n - 1) * count + 2 * count - n
+    perms = list(Permutation.all(n))
+    assert report.passed is False and report.max_residual >= 0.5
+    assert report.details.startswith(f"worst at {perms[k]} * ")
+
+
 def test_corrupted_index_entry_is_caught_and_named(monkeypatch):
     # move one of the D ones of W((1 2 4))^{t_n} at (4, 2) to a free spot
     n, d = 4, 2
