@@ -12,6 +12,14 @@ generators is again d^0 or d^1 times a generator:
         W(sigma) W(rho) = d^{delta_aq} W((sigma(q) n) sigma rho (p n)),
     where a transposition (x n) with x = n denotes the identity.
 
+A whole row of the law, W(sigma) against every rho, needs the three cases
+on n columns only.  Every rho is (q n) rho^ with q = rho(n) and rho^ =
+(q n) rho fixing n, and W(rho) = W((q n)) W(rho^) is plain composition with
+power 0, since one factor fixes n.  So W(sigma) W(rho) = d^P W(sigma'_q rho^)
+with (P, sigma'_q) the product of W(sigma) and W((q n)): ``law_rows`` takes
+those n coset columns from ``mul_generators`` and the rest is plain
+composition with all of S(n-1).
+
 The formal span is kept purely syntactic: for d < n the generators are
 linearly dependent as operators, and only the tensor oracle may decide
 linear (in)dependence.  Coefficients are floats at fixed d or DPoly in
@@ -103,6 +111,51 @@ def mul_generators(sigma, rho):
 
 
 @cache
+def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``law_rows`` reads at degree n, built on first use: the
+    ``(n, n)`` images of the coset representatives (q n), q = 1..n; the
+    ``(n, (n-1)!)`` weights n^{rho^^-1(m)} of every rho^ in S(n-1), 0 at
+    m = n, so that images(sigma') @ weights is the base-n code of every
+    sigma' rho^ over its first n-1 images; the ``(n!,)`` position in that
+    (q, rho^) grid of every rho, in ``Permutation.all`` order; and the
+    int32 table of n^{n-1} entries from a code to its position."""
+    last = n - 1
+    # float64 holds the codes exactly: 8^7 at n = 8
+    assert n**last < 2**53, f"base-{n} codes of S({n}) exceed float64's integers"
+    images = image_array(n)
+    points = np.arange(n)
+    swaps = np.where(points == points[:, None], last,
+                     np.where(points == last, points[:, None], points))
+    weights = np.zeros((n, factorial(last)))
+    weights[:last] = (n ** np.argsort(image_array(last), axis=1)).T
+    q = images[:, last]
+    hat = swaps[q[:, None], images]  # (q n) rho swaps the values q and n
+    columns = q * factorial(last) + lehmer_rank(hat[:, :last])
+    table = np.full(n**last, -1, dtype=np.int32)
+    table[images[:, :last] @ n ** np.arange(last)] = np.arange(len(images))
+    return swaps, weights, columns, table
+
+
+def law_rows(n: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The law of W(sigma) against every rho, for each sigma at the
+    positions ``rows``: the ``(len(rows), n!)`` arrays of the powers of d
+    and of the positions of the products, columns in ``Permutation.all``
+    order, so that W(sigma) W(rho) = d^powers[i, j] W(positions[i, j]).
+
+    By the row identity of the module docstring, one ``mul_generators``
+    call on the n coset columns (q n) gives (P, sigma'_q); every product
+    is then sigma'_q rho^, whose base-n codes for a block of rows are one
+    exact float64 product images(sigma'_q) @ weights (``_row_tables``).
+    """
+    swaps, weights, columns, table = _row_tables(n)
+    sigma = image_array(n)[np.asarray(rows, dtype=np.intp)]
+    powers, primed = mul_generators(sigma[:, None], swaps)
+    codes = primed.reshape(-1, n) @ weights  # row i n + q, column rho^
+    codes = codes.reshape(len(sigma), len(columns))[:, columns]
+    return powers[:, image_array(n)[:, -1]], table[codes.astype(np.intp)]
+
+
+@cache
 def generator_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A fixed word in the algebra's generators for every sigma in S(n).
 
@@ -113,22 +166,23 @@ def generator_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one of the generators and sigma' = ``rest[k]`` has a word one letter
     shorter; the identity, position 0, has the empty word and
     ``first[0] = rest[0] = -1``.  A breadth-first search from the identity
-    builds it, one ``mul_generators`` call per level on the whole frontier;
-    among the products of one level the first new one, generator by
-    generator, fixes the word.  Read-only arrays, cached by n.
+    builds it, one gather per level of the frontier's columns from the
+    generator rows of ``law_rows``; among the products of one level the
+    first new one, generator by generator, fixes the word.  Read-only
+    arrays, cached by n.
     """
-    images = image_array(n)
+    count = factorial(n)
     gens = np.array([Permutation.transposition(n, i, i + 1).images
                      for i in range(1, n)], dtype=np.intp) - 1
     generators = lehmer_rank(gens)
-    first = np.full(len(images), -1, dtype=np.intp)
+    step_powers, step = law_rows(n, generators)
+    first = np.full(count, -1, dtype=np.intp)
     rest = first.copy()
-    seen = np.zeros(len(images), dtype=bool)
+    seen = np.zeros(count, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.intp)
     while frontier.size:
-        powers, products = mul_generators(gens[:, None], images[frontier])
-        ranks = lehmer_rank(products)
+        powers, ranks = step_powers[:, frontier], step[:, frontier]
         g, k = np.nonzero((powers == 0) & ~seen[ranks])
         fresh, where = np.unique(ranks[g, k], return_index=True)
         first[fresh], rest[fresh] = generators[g[where]], frontier[k[where]]

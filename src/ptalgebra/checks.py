@@ -21,18 +21,21 @@ and as built one by one.  The law on the oracle and the homomorphism of
 every irrep run on the n-1 generator rows (g, rho) only, plus the pairs
 that ``law_sweep`` flags: its one integer sweep of the law along the
 words of ``generator_words`` is the premise of the induction that extends
-them to every pair.
+them to every pair.  All three read the law off whole rows of
+``algebra.law_rows``, a flagged pair off the row of its left factor, so
+the sweep and the checks it vouches for read one law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
-from .algebra import (AlgebraContext, AlgebraElement, generator_words, mul_generators,
-                      u_element, u_terms)
+from .algebra import (AlgebraContext, AlgebraElement, generator_words, law_rows,
+                      mul_generators, u_element, u_terms)
 from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                       q_via_induced, z_matrix)
 from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
@@ -109,17 +112,19 @@ def _perm(image: np.ndarray) -> Permutation:
 def law_sweep(n: int, law) -> np.ndarray:
     """The pairs of S(n) at which ``law`` differs from its value along the words.
 
-    For every pair (sigma, rho), the direct law(sigma, rho) = (p, tau) is
-    compared, in integers, with its value along the word W(sigma) =
-    W(g_1) ... W(g_k) of ``generator_words``: rho, then g_k rho, ..., up to
-    g_1, each step a gather through the generator rows law(g, .), the
-    powers added.  The rows are built level by level of word length and
-    compared in blocks of rows with at most ``LAW_CHUNK_ENTRIES`` pairs.
-    The identity has the empty word, so its row compares law(1, rho) with
-    (0, rho).  Returns sorted positions sigma n! + rho: every pair that
-    differs, and every pair of a row whose word does not give (0, sigma)
-    at rho = 1.  Read-only; the last (n, law) is cached, so that
-    ``run_suite`` sweeps once for ``check_mul_rule`` and ``check_irreps``.
+    ``law(n, rows)`` gives whole rows of the law, as ``algebra.law_rows``
+    does.  For every pair (sigma, rho), the direct value (p, tau) of the
+    row of sigma is compared, in integers, with its value along the word
+    W(sigma) = W(g_1) ... W(g_k) of ``generator_words``: rho, then g_k rho,
+    ..., up to g_1, each step a gather through the generator rows
+    law(g, .), the powers added.  The rows are built level by level of
+    word length and compared in blocks of rows with at most
+    ``LAW_CHUNK_ENTRIES`` pairs.  The identity has the empty word, so its
+    row compares law(1, rho) with (0, rho).  Returns sorted positions
+    sigma n! + rho: every pair that differs, and every pair of a row whose
+    word does not give (0, sigma) at rho = 1.  Read-only; the last
+    (n, law) is cached, so that ``run_suite`` sweeps once for
+    ``check_mul_rule`` and ``check_irreps``.
 
     This is the premise of the induction by which those checks test a
     representation W, the oracle or an irrep, on the generator rows
@@ -131,14 +136,10 @@ def law_sweep(n: int, law) -> np.ndarray:
     the row is not flagged; so every pair that is not flagged holds:
     W(sigma) W(rho) = W(g_1) ... W(g_k) W(rho) = d^p W(tau) = law(sigma, rho).
     """
-    images = image_array(n)
-    count = len(images)
-    digits = n ** np.arange(n)  # a permutation's images as one base-n number
-    codes = images @ digits
+    count = factorial(n)
     generators, first, rest = generator_words(n)
     kind = np.min_scalar_type(count - 1)  # a power is at most a word length
-    powers, products = law(images[generators][:, None], images)
-    step_power, step = powers.astype(kind), lehmer_rank(products).astype(kind)
+    step_power, step = (x.astype(kind) for x in law(n, generators))
     slot = np.zeros(count, dtype=np.intp)
     slot[generators] = np.arange(len(generators))
     level = np.zeros(1, dtype=np.intp)  # the identity
@@ -148,8 +149,8 @@ def law_sweep(n: int, law) -> np.ndarray:
         for start in range(0, len(level), block):
             rows = level[start:start + block]
             v, w = value[start:start + block], power[start:start + block]
-            p, tau = law(images[rows][:, None], images)
-            bad = (p != w) | (tau @ digits != codes[v])
+            p, tau = law(n, rows)
+            bad = (p != w) | (tau != v)
             bad |= ((v[:, 0] != rows) | (w[:, 0] != 0))[:, None]
             r, c = np.nonzero(bad)
             flagged.append(rows[r] * count + c)
@@ -160,6 +161,25 @@ def law_sweep(n: int, law) -> np.ndarray:
     flagged = np.sort(np.concatenate(flagged))
     flagged.flags.writeable = False
     return flagged
+
+
+def _law_at(n: int, pairs: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, rho, p, tau) of ``law_rows`` at sorted positions
+    sigma n! + rho, read off the rows of their sigma, a block of at most
+    ``LAW_CHUNK_ENTRIES`` row entries at a time."""
+    count = factorial(n)
+    left, right = np.divmod(pairs, count)
+    rows, starts = np.unique(left, return_index=True)
+    ends = np.append(starts[1:], len(pairs))
+    powers, taus = np.empty(len(pairs), np.intp), np.empty(len(pairs), np.intp)
+    block = max(1, LAW_CHUNK_ENTRIES // count)
+    for s in range(0, len(rows), block):
+        part = slice(starts[s], ends[min(s + block, len(rows)) - 1])
+        p, tau = law_rows(n, rows[s:s + block])
+        at = (np.searchsorted(rows, left[part]) - s, right[part])
+        powers[part], taus[part] = p[at], tau[at]
+    return left, right, powers, taus
 
 
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
@@ -173,16 +193,16 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     only, so the row and the column of every sigma whose lists are not
     the ones its entries give (``GeneratorIndex.derived``) join as well:
     every pair that reads its lists, as when all pairs were checked.
-    For a chunk of them, one ``mul_generators`` call gives d^p W(tau), and
-    the integer index form of the transposed generators checks these
-    exactly, without a float operator; ``check_adjoint_transport`` ties
-    that form to the float operators.  Only mismatched pairs get their
-    exact max entry difference, from the index form's one entry-sum
-    routine, so a pass reads 0.
+    For a chunk of them, the rows of ``law_rows``, the one law that the
+    sweep also reads, give d^p W(tau), and the integer index form of the
+    transposed generators checks these exactly, without a float operator;
+    ``check_adjoint_transport`` ties that form to the float operators.
+    Only mismatched pairs get their exact max entry difference, from the
+    index form's one entry-sum routine, so a pass reads 0.
     """
     index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
     perms = list(Permutation.all(n))
-    images, count = image_array(n), len(perms)
+    count = len(perms)
     rows, everyone = generator_words(n)[0], np.arange(count)
     if not ((index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()):
         rows = np.append(rows, 0)
@@ -190,12 +210,11 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     rows = np.union1d(rows, stray)
     pairs = np.union1d(np.append((rows[:, None] * count + everyone).ravel(),
                                  everyone[:, None] * count + stray),
-                       law_sweep(n, mul_generators))
+                       law_sweep(n, law_rows))
     worst, culprit, chunk = 0.0, "", index.law_chunk()
     for start in range(0, len(pairs), chunk):
-        left, right = np.divmod(pairs[start:start + chunk], count)
-        powers, products = mul_generators(images[left], images[right])
-        scale, tau = d**powers, lehmer_rank(products)
+        left, right, powers, tau = _law_at(n, pairs[start:start + chunk])
+        scale = d**powers
         flagged = np.flatnonzero(index.law_mismatches(left, right, scale, tau))
         if flagged.size:
             value, (p,) = _worst(index.law_residuals(
@@ -457,11 +476,12 @@ def check_irreps(n: int, d: int) -> CheckReport:
     """Homomorphism property of every irrep, plus kind-specific claims.
 
     Each irrep's generator images are stacked in ``Permutation.all``
-    order.  psi(sigma) psi(rho) = d^p psi(tau) is checked on the rows
-    (g, rho) of the n-1 generators g of ``generator_words``, one batched
-    matmul per row, and on the pairs that ``law_sweep`` flags, in blocks
-    of n! pairs; the identity row joins them when psi(1) is not exactly
-    the identity.  By the induction of ``law_sweep`` that is every pair.
+    order.  psi(sigma) psi(rho) = d^p psi(tau), with (p, tau) read off the
+    rows of ``law_rows``, is checked on the rows (g, rho) of the n-1
+    generators g of ``generator_words``, one batched matmul per row, and
+    on the pairs that ``law_sweep`` flags, in blocks of n! pairs; the
+    identity row joins them when psi(1) is not exactly the identity.  By
+    the induction of ``law_sweep`` that is every pair.
     A failure names the irrep and the pair of the worst residual.
     """
     perms = list(Permutation.all(n))
@@ -481,19 +501,21 @@ def check_irreps(n: int, d: int) -> CheckReport:
                                    f"dimension {rep.dimension} != rank {expected}",
                                    HOM_TOL)
 
-    def row(left, right):  # a generator row has one left factor
-        powers, products = mul_generators(images[left], images[right])
-        return left, right, (d**powers)[:, None, None], lehmer_rank(products)
-
     everyone = np.arange(count)
-    rows = [row(g, everyone) for g in generator_words(n)[0]]
-    flagged = law_sweep(n, mul_generators)
-    rows += [row(*np.divmod(flagged[s:s + count], count))
-             for s in range(0, len(flagged), count)]
+
+    def generator_rows(generators):  # each row has one left factor
+        return [(g, everyone, (d**p)[:, None, None], tau)
+                for g, p, tau in zip(generators, *law_rows(n, generators))]
+
+    rows = generator_rows(generator_words(n)[0])
+    left, right, powers, tau = _law_at(n, law_sweep(n, law_rows))
+    rows += [(left[s:s + count], right[s:s + count],
+              (d**powers[s:s + count])[:, None, None], tau[s:s + count])
+             for s in range(0, len(left), count)]
     worst, culprit = 0.0, ""
     for rep, stack in zip(reps, stacks):
         unit = np.array_equal(stack[0], np.eye(rep.dimension))
-        for left, right, scale, tau in rows if unit else [row(0, everyone)] + rows:
+        for left, right, scale, tau in rows if unit else generator_rows([0]) + rows:
             value, (k,) = _worst(
                 np.abs(stack[left] @ stack[right] - scale * stack[tau]).max(axis=(1, 2)))
             if value > worst:

@@ -85,7 +85,8 @@ class AlgebraIrrep:
             "dimension": self.dimension,
             "basis_tag": self.basis_tag,
             "images": {
-                sigma.cycle_string(): [float(x) for x in self.image(sigma).ravel()]
+                sigma.cycle_string():
+                    self.image(sigma).astype(float, copy=False).ravel().tolist()
                 for sigma in Permutation.all(self.n)
             },
         }

@@ -551,10 +551,11 @@ def generator_stack(n: int, d: int, transposed: bool = False,
 # examines per call: under 8 MB of temporaries at d = 2.  On the failure
 # path ``law_residuals`` lists d + 1 signed entries per support entry, so
 # while D <= 2^18 a chunk sorts at most (d + 1) 2^18 entries.
-# ``checks.law_sweep`` reads the same number in another unit: as pairs
-# (sigma, rho), a block of rows of n! pairs each, whose ``mul_generators``
-# temporaries are a few (pairs, n) intp arrays, 15 MB each at n = 7; with
-# the two word levels it holds, they set the sweep's peak, 92 MB at n = 7.
+# ``checks.law_sweep`` and ``checks._law_at`` read the same number in
+# another unit: as pairs (sigma, rho), a block of rows of n! pairs each,
+# whose ``algebra.law_rows`` temporaries are a few arrays of one number per
+# pair, 7 MB in all at n = 7; with the two word levels it holds, the
+# sweep's peak is 33 MB at n = 7 (tracemalloc).
 LAW_CHUNK_ENTRIES = 2**18
 
 

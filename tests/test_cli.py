@@ -14,6 +14,7 @@ from ptalgebra.checks import CheckReport
 from ptalgebra.cli import build_mul_table, main
 from ptalgebra.dpoly import DPoly
 from ptalgebra.oracle import SizeCapError
+from ptalgebra.partitions import Partition
 from ptalgebra.permutations import Permutation
 
 
@@ -233,6 +234,17 @@ def test_irrep_csv_holds_the_json_entries():
         assert [float(cell) for cell in row[1:]] == record["images"][row[0]]
     assert any(not x.is_integer() and abs(x) > 1e5
                for flat in record["images"].values() for x in flat)
+
+
+def test_irrep_json_has_the_bytes_of_the_per_entry_float_form():
+    result = run("irrep", "--n", "6", "--d", "3", "--kind", "m", "--alpha", "2,2",
+                 "--basis", "e", "--format", "json")
+    assert result.exit_code == 0, result.output
+    rep = irreps.irrep_M_e(Partition.parse("2,2"), 3, 6)
+    record = rep.to_dict() | {"images": {
+        sigma.cycle_string(): [float(x) for x in rep.image(sigma).ravel()]
+        for sigma in Permutation.all(6)}}
+    assert result.output == json.dumps(record) + "\n"
 
 
 def test_irrep_text_prints_integral_entries_in_full():

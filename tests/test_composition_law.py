@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference_law import reference_mul_generators
-from ptalgebra.algebra import mul_generators
+from ptalgebra.algebra import law_rows, mul_generators
 from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 
 
@@ -54,6 +54,38 @@ def test_random_pairs_match_the_reference(n, seed):
         reference_mul_generators(s, r) for s, r in zip(sigmas, rhos)]
     # both kinds of pair are well represented
     assert 0 < powers.sum() < len(powers)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_law_rows_match_the_pair_law_and_the_reference_on_every_pair(n):
+    perms = list(Permutation.all(n))
+    images = image_array(n)
+    powers, positions = law_rows(n, np.arange(len(perms)))
+    assert powers.shape == positions.shape == (len(perms), len(perms))
+    pair_powers, products = mul_generators(images[:, None], images)
+    assert np.array_equal(powers, pair_powers)
+    assert np.array_equal(positions, lehmer_rank(products))
+    expected = [reference_mul_generators(s, r) for s in perms for r in perms]
+    assert powers.ravel().tolist() == [power for power, _ in expected]
+    assert [perms[k] for k in positions.ravel().tolist()] == [tau for _, tau in expected]
+
+
+@pytest.mark.parametrize("n, seed", [(7, 7), (8, 8)])
+def test_law_rows_match_the_pair_law_on_sampled_rows(n, seed):
+    images = image_array(n)
+    rows = np.append(np.random.default_rng(seed).integers(len(images), size=5),
+                     [0, len(images) - 1])
+    powers, positions = law_rows(n, rows)
+    pair_powers, products = mul_generators(images[rows][:, None], images)
+    assert np.array_equal(powers, pair_powers)
+    assert np.array_equal(positions, lehmer_rank(products))
+    assert 0 < powers.sum() < powers.size
+
+
+def test_law_rows_refuse_codes_beyond_float64_integers():
+    # 17^16 > 2^53: refused before any S(17) array is built
+    with pytest.raises(AssertionError, match="exceed float64"):
+        law_rows(17, [0])
 
 
 def test_array_degree_mismatch():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ptalgebra.checks as checks
 import ptalgebra.oracle as oracle
-from ptalgebra.algebra import generator_words, mul_generators
+from ptalgebra.algebra import generator_words, law_rows, mul_generators
 from ptalgebra.checks import (HOM_TOL, ORACLE_TOL, check_irreps, check_mul_rule,
                               law_sweep, run_suite)
 from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError, _family,
@@ -91,13 +91,26 @@ def test_mul_rule_agrees_with_the_dense_row_check(n, d):
     assert report.max_residual == residual == 0.0
 
 
-def _planted_law(sigma0: Permutation, rho0: Permutation, flip: bool = False,
-                 product: Permutation | None = None):
-    """``mul_generators`` with the power flipped, or the product replaced,
-    at the single pair (sigma0, rho0)."""
+def _planted_laws(sigma0: Permutation, rho0: Permutation, flip: bool = False,
+                  product: Permutation | None = None):
+    """The power flipped, or the product replaced, at the single pair
+    (sigma0, rho0): planted in the row law ``law_rows``, which the checks
+    and ``law_sweep`` read, and in the pair law ``mul_generators``, which
+    the references read."""
     s0, r0 = (np.array(p.images) - 1 for p in (sigma0, rho0))
+    left, right = (int(lehmer_rank(x)) for x in (s0, r0))
 
-    def law(sigma, rho):
+    def rows_law(n, rows):
+        powers, positions = law_rows(n, rows)
+        hit = (np.asarray(rows)[:, None] == left) & (np.arange(powers.shape[1]) == right)
+        if flip:
+            powers = np.where(hit, 1 - powers, powers)
+        if product is not None:
+            tau = lehmer_rank(np.array(product.images) - 1)
+            positions = np.where(hit, tau, positions)
+        return powers, positions
+
+    def pair_law(sigma, rho):
         power, out = mul_generators(sigma, rho)
         hit = np.broadcast_to((np.asarray(sigma) == s0).all(axis=-1)
                               & (np.asarray(rho) == r0).all(axis=-1), power.shape)
@@ -107,7 +120,7 @@ def _planted_law(sigma0: Permutation, rho0: Permutation, flip: bool = False,
             out = np.where(hit[..., None], np.array(product.images) - 1, out)
         return power, out
 
-    return law
+    return rows_law, pair_law
 
 
 PLANTS = [
@@ -120,25 +133,41 @@ PLANTS = [
 ]
 
 
+def _plants(n, sigma, rho, flip, product):
+    sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
+    laws = _planted_laws(sigma0, rho0, flip,
+                         None if product is None else Permutation.parse(product, n))
+    return sigma0, rho0, *laws
+
+
+@pytest.mark.parametrize("n,d,sigma,rho,flip,product", PLANTS)
+def test_the_row_and_pair_plants_are_the_same_law(n, d, sigma, rho, flip, product):
+    _sigma0, _rho0, rows_law, pair_law = _plants(n, sigma, rho, flip, product)
+    images = image_array(n)
+    powers, positions = rows_law(n, np.arange(len(images)))
+    pair_powers, products = pair_law(images[:, None], images)
+    assert np.array_equal(powers, pair_powers)
+    assert np.array_equal(positions, lehmer_rank(products))
+    assert np.count_nonzero(powers != law_rows(n, np.arange(len(images)))[0]) == flip
+
+
 @pytest.mark.parametrize("n,d,sigma,rho,flip,product", PLANTS)
 def test_planted_law_defect_is_caught_and_named(monkeypatch, n, d, sigma, rho,
                                                 flip, product):
-    sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
-    law = _planted_law(sigma0, rho0, flip,
-                       None if product is None else Permutation.parse(product, n))
-    monkeypatch.setattr(checks, "mul_generators", law)
+    sigma0, rho0, rows_law, pair_law = _plants(n, sigma, rho, flip, product)
+    monkeypatch.setattr(checks, "law_rows", rows_law)
     report = check_mul_rule(n, d)
-    residual, culprit = reference_mul_rule(n, d, law)
+    residual, culprit = reference_mul_rule(n, d, pair_law)
     assert report.passed is False and report.max_residual >= 1
     assert report.max_residual == residual
     assert report.details == f"worst at {sigma0} * {rho0}" == f"worst at {culprit}"
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_the_law_sweep_flags_nothing_on_the_law(n):
-    flagged = law_sweep(n, mul_generators)
+    flagged = law_sweep(n, law_rows)
     assert flagged.size == 0 and not flagged.flags.writeable
-    assert law_sweep(n, mul_generators) is flagged
+    assert law_sweep(n, law_rows) is flagged
 
 
 @pytest.mark.parametrize("n,d,sigma,rho", [
@@ -152,12 +181,12 @@ def test_the_sweep_flags_a_planted_power_off_the_generator_rows(monkeypatch, n, 
     sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
     left, right = (int(lehmer_rank(np.array(p.images) - 1)) for p in (sigma0, rho0))
     assert left not in generator_words(n)[0]
-    law = _planted_law(sigma0, rho0, flip=True)
+    rows_law, pair_law = _planted_laws(sigma0, rho0, flip=True)
     # the words use the generator rows only, so the pair alone is flagged
-    assert law_sweep(n, law).tolist() == [left * math.factorial(n) + right]
-    monkeypatch.setattr(checks, "mul_generators", law)
+    assert law_sweep(n, rows_law).tolist() == [left * math.factorial(n) + right]
+    monkeypatch.setattr(checks, "law_rows", rows_law)
     report = check_mul_rule(n, d)
-    residual, culprit = reference_mul_rule(n, d, law)
+    residual, culprit = reference_mul_rule(n, d, pair_law)
     assert report.passed is False and report.max_residual == residual >= 1
     assert report.details == f"worst at {sigma0} * {rho0}" == f"worst at {culprit}"
 
@@ -172,11 +201,11 @@ def test_a_broken_word_flags_its_whole_row(monkeypatch):
     _generators, first, rest = generator_words(n)
     k = int(np.flatnonzero(rest > 0)[0])
     g, below = (Permutation((images[x] + 1).tolist()) for x in (first[k], rest[k]))
-    law = _planted_law(g, below, product=Permutation.identity(n))
+    law, _pair_law = _planted_laws(g, below, product=Permutation.identity(n))
     flagged = law_sweep(n, law)
     for row in [k, *np.flatnonzero(rest == k)]:
         assert np.isin(row * count + np.arange(count), flagged).all()
-    monkeypatch.setattr(checks, "mul_generators", law)
+    monkeypatch.setattr(checks, "law_rows", law)
     report = check_mul_rule(n, d)
     assert report.passed is False and report.details == f"worst at {g} * {below}"
 
@@ -187,11 +216,11 @@ def test_a_planted_law_fails_the_irreps_through_the_sweep(monkeypatch):
     # the main ideal, where psi((1243)) != 0, see the wrong power
     n, d, sigma, rho = 4, 2, "(13)", "(124)"
     sigma0, rho0 = Permutation.parse(sigma, n), Permutation.parse(rho, n)
-    law = _planted_law(sigma0, rho0, flip=True)
-    monkeypatch.setattr(checks, "mul_generators", law)
+    rows_law, pair_law = _planted_laws(sigma0, rho0, flip=True)
+    monkeypatch.setattr(checks, "law_rows", rows_law)
     report = check_irreps(n, d)
     assert report.passed is False
-    assert report.max_residual == pytest.approx(reference_irreps(n, d, law))
+    assert report.max_residual == pytest.approx(reference_irreps(n, d, pair_law))
     culprit = report.details.split("; ")[0]
     assert culprit.startswith("worst at M:") and culprit.endswith(f" {sigma0} * {rho0}")
 
@@ -383,7 +412,11 @@ def test_law_chunks_stay_within_their_bound(monkeypatch):
 def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
     # every power flipped: every pair fails, and the flagged pairs of a chunk
     # share one sparse product
-    def law(sigma, rho):
+    def rows_law(n, rows):
+        powers, positions = law_rows(n, rows)
+        return 1 - powers, positions
+
+    def pair_law(sigma, rho):
         power, out = mul_generators(sigma, rho)
         return 1 - power, out
 
@@ -394,10 +427,10 @@ def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
         calls.append(len(args[0]))
         return real(self, *args)
 
-    monkeypatch.setattr(checks, "mul_generators", law)
+    monkeypatch.setattr(checks, "law_rows", rows_law)
     monkeypatch.setattr(GeneratorIndex, "law_residuals", spy)
     report = check_mul_rule(5, 2)
-    residual, culprit = reference_mul_rule(5, 2, law)
+    residual, culprit = reference_mul_rule(5, 2, pair_law)
     assert report.passed is False and report.max_residual == residual == 1.0
     assert report.details == f"worst at {culprit}"
     index = generator_index(5, 2)

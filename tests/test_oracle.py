@@ -350,13 +350,13 @@ def test_dense_side_never_imports_scipy_sparse():
             "assert 'scipy.sparse' not in sys.modules\n"
             # a failing law pair gets its residual without scipy too
             "import ptalgebra.checks as checks\n"
-            "real = checks.mul_generators\n"
-            "def law(sigma, rho):\n"
-            "    power, out = real(sigma, rho)\n"
+            "real = checks.law_rows\n"
+            "def law(n, rows):\n"
+            "    power, out = real(n, rows)\n"
             "    power = power.copy()\n"
-            "    power[0] = 1 - power[0]\n"
+            "    power[0, 0] = 1 - power[0, 0]\n"
             "    return power, out\n"
-            "checks.mul_generators = law\n"
+            "checks.law_rows = law\n"
             "report = checks.check_mul_rule(3, 2)\n"
             "assert not report.passed and report.max_residual >= 1, report\n"
             "assert 'scipy.sparse' not in sys.modules\n")
