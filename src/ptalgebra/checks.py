@@ -441,32 +441,38 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
 
 
 def check_spectra(n: int, d: int) -> CheckReport:
-    """Closed-form eigenvalues, the two Q constructions, and the reduction."""
-    worst, details = 0.0, []
+    """Closed-form eigenvalues, the two Q constructions, and the reduction.
+
+    Z^T Ind(sigma) Z is compared with the block sum of psi_nu(sigma) at 1
+    and the s_k only: both sides multiply along the chains of
+    ``yor.descent_image`` and Z is square, so Z^T Z = 1 carries agreement
+    there to all of S(n-1).  A failure names its alpha and worst claim."""
+    m = n - 1
+    elements = [("1", Permutation.identity(m))] + [
+        (f"s_{k}", Permutation.transposition(m, k, k + 1)) for k in range(1, m)]
+    worst, culprit = 0.0, ""
     for alpha in partitions_of(n - 2):
-        q_num = q_matrix(alpha, d, n)
-        worst = max(worst, np.abs(q_num - q_num.T).max())
-        worst = max(worst, np.abs(q_num - q_via_induced(alpha, d, n)).max())
-        closed = np.sort(np.concatenate([
-            np.full(mult, lam) for _nu, lam, mult in
-            eigenvalues_closed_form(alpha, d, n)
-        ]))
-        numeric = np.sort(np.linalg.eigvalsh(q_num))
-        worst = max(worst, np.abs(closed - numeric).max())
-        z, labels = z_matrix(alpha, n)
-        worst = max(worst, np.abs(z.T @ z - np.eye(z.shape[0])).max())
-        lam_by_label = dict(
-            (nu, lam) for nu, lam, _m in eigenvalues_closed_form(alpha, d, n))
-        diag = np.array([lam_by_label[nu] for nu, _j in labels])
-        worst = max(worst, np.abs(z.T @ q_num @ z - np.diag(diag)).max())
+        q_num, (z, labels) = q_matrix(alpha, d, n), z_matrix(alpha, n)
+        pairs = eigenvalues_closed_form(alpha, d, n)
+        closed = np.sort([lam for _nu, lam, mult in pairs for _ in range(mult)])
+        lam_of = {nu: lam for nu, lam, _mult in pairs}
         rep = InducedRep(alpha, n)
         psis = [sym_irrep(nu) for nu, _row, _e in rep.decomposition]
-        for sigma in Permutation.all(n - 1):
-            reduced = z.T @ rep.matrix(sigma) @ z
-            worst = max(worst, np.abs(reduced - direct_sum(psis, sigma)).max())
-        details.append(str(alpha))
+        residuals = {
+            "Q symmetric": np.abs(q_num - q_num.T).max(),
+            "Q vs induced": np.abs(q_num - q_via_induced(alpha, d, n)).max(),
+            "closed-form eigenvalues": np.abs(closed - np.linalg.eigvalsh(q_num)).max(),
+            "Z^T Z": np.abs(z.T @ z - np.eye(len(z))).max(),
+            "Z^T Q Z diagonal": np.abs(
+                z.T @ q_num @ z - np.diag([lam_of[nu] for nu, _j in labels])).max(),
+        } | {f"Z^T Ind({name}) Z": np.abs(z.T @ rep.matrix(sigma) @ z
+                                          - direct_sum(psis, sigma)).max()
+             for name, sigma in elements}
+        claim = max(residuals, key=residuals.get)
+        if residuals[claim] > worst:
+            worst, culprit = residuals[claim], f"alpha {alpha}: {claim}"
     return _report("spectra", {"n": n, "d": d}, worst, SPECTRA_TOL,
-                   "alphas " + "; ".join(details))
+                   "alphas " + "; ".join(map(str, partitions_of(n - 2))), culprit)
 
 
 # -- irreps ----------------------------------------------------------------

@@ -12,6 +12,9 @@ Branching from S(n-2) to S(n-1) is multiplicity-free, so each block of Z
 is the unique intertwiner from the grown irrep into the induced
 representation; in Young's orthogonal form it is written down directly
 from the grown irrep's images of the coset representatives.
+
+``InducedRep`` is given on the s_k = (k k+1) of S(n-1) by its block
+formula, and reads every other image by the rule of ``yor.descent_image``.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ import numpy as np
 from .dpoly import DPoly
 from .partitions import Partition, add_box
 from .permutations import Permutation
-from .yor import irrep, transposition_character_frobenius
+from .yor import descent_image, irrep, transposition_character_frobenius
 
 NULL_EIGENVALUE_TOL = 1e-7
 # Exact zeros of Z come out of products of Young matrices as rounding noise
-# (below 5e-17 for n <= 9), while its smallest nonzero entry is 3.7e-4 at
-# n = 9; the block sign rule reads the first entry above this threshold.
+# (at most 4.7e-17 for n <= 9), while its smallest nonzero entry is 3.7e-4
+# at n = 9; the block sign rule reads the first entry above this threshold.
 Z_ZERO_TOL = 1e-9
-# Entries of Q are products of Young matrices: for n <= 8 the integer ones
-# come out within 6e-17 of their value and the others at least 0.02 from
-# any integer, so q_matrix_poly stores entries within this as integers.
+# Entries of Q are products of Young matrices: for n <= 9 the integer ones
+# come out within 6.1e-17 of their value and the others at least 4e-3 from
+# any integer (0.02 for n <= 8); q_matrix_poly snaps those within this.
 INTEGER_SNAP_TOL = 1e-12
 
 
@@ -54,27 +57,28 @@ class InducedRep:
         self.w = self.phi.dim
         self.block_dim = (n - 1) * self.w
         self.decomposition = add_box(alpha)
-        self._images: dict[Permutation, np.ndarray] = {}
+        self._adjacent = [self.block_formula(Permutation.transposition(n - 1, k, k + 1))
+                          for k in range(1, n - 1)]
+        self._images = {tuple(range(1, n)): np.eye(self.block_dim)}
 
     def coset_rep(self, a: int) -> Permutation:
         return Permutation.transposition(self.n - 1, a, self.n - 1)
 
-    def matrix(self, sigma: Permutation) -> np.ndarray:
+    def block_formula(self, sigma: Permutation) -> np.ndarray:
         """Block matrix with (a,b) block delta_{a,sigma(b)} phi[(sigma(b) n-1) sigma (b n-1)]."""
-        if sigma.degree != self.n - 1:
-            raise ValueError(f"need a permutation of degree {self.n - 1}")
-        cached = self._images.get(sigma)
-        if cached is not None:
-            return cached
-        m = self.n - 1
         out = np.zeros((self.block_dim, self.block_dim))
-        for b in range(1, m + 1):
+        for b in range(1, self.n):
             a = sigma(b)
             tau = self.coset_rep(a) * sigma * self.coset_rep(b)
             block = self.phi.image(tau.restrict(self.n - 2))
             out[(a - 1) * self.w:a * self.w, (b - 1) * self.w:b * self.w] = block
-        self._images[sigma] = out
         return out
+
+    def matrix(self, sigma: Permutation) -> np.ndarray:
+        """Image of sigma, multiplicative for composition (right factor first)."""
+        if sigma.degree != self.n - 1:
+            raise ValueError(f"need a permutation of degree {self.n - 1}")
+        return descent_image(sigma, self._images, self._adjacent)
 
 
 def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ The basis is indexed by standard tableaux in last-letter order (tableaux
 compared by the row of m, then of m-1, ...).  In this order the image of an
 adjacent transposition (k, k+1) is the classical real orthogonal matrix
 built from inverse axial distances, and the restriction to S(m-1) is block
-diagonal.  Images of arbitrary permutations are obtained by factoring into
-adjacent transpositions.
+diagonal.  All other images follow by one rule, ``descent_image``:
+image(p) = image(p s_k) image(s_k), s_k = (k k+1) and k the first descent
+of p.  ``induced.InducedRep`` reads it from its own images of the s_k.
 """
 
 from __future__ import annotations
@@ -39,15 +40,9 @@ def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
                 tab[i].pop()
 
     fill([[] for _ in range(rows)], 1)
-    out.sort(key=lambda tab: tuple(_row_of(tab, v) for v in range(shape.weight, 0, -1)))
+    out.sort(key=lambda tab: tuple(_position(tab, v)[0]
+                                   for v in range(shape.weight, 0, -1)))
     return out
-
-
-def _row_of(tab, value: int) -> int:
-    for i, row in enumerate(tab):
-        if value in row:
-            return i
-    raise ValueError(f"{value} not in tableau")
 
 
 def _position(tab, value: int) -> tuple[int, int]:
@@ -68,7 +63,7 @@ class SymmetricGroupIrrep:
         self.dim = len(self.tableaux)
         assert self.dim == label.hook_dimension()
         self._adjacent = [self._adjacent_image(k) for k in range(1, self.m)]
-        self._images: dict[Permutation, np.ndarray] = {}
+        self._images = {tuple(range(1, self.m + 1)): np.eye(self.dim)}
         self._characters: dict[tuple[int, ...], float] = {}
 
     def _adjacent_image(self, k: int) -> np.ndarray:
@@ -92,19 +87,7 @@ class SymmetricGroupIrrep:
         """Matrix of p; multiplicative for composition (right factor first)."""
         if p.degree != self.m:
             raise ValueError(f"degree {p.degree} != weight {self.m}")
-        cached = self._images.get(p)
-        if cached is None:
-            cached = self._compute_image(p)
-            self._images[p] = cached
-        return cached
-
-    def _compute_image(self, p: Permutation) -> np.ndarray:
-        # Sorting the one-line form by adjacent position swaps w1..wl means
-        # p = s_{wl} ∘ ... ∘ s_{w1}, so the images multiply left to right.
-        mat = np.eye(self.dim)
-        for k_swap in _bubble_word(list(p.images)):
-            mat = self._adjacent[k_swap - 1] @ mat
-        return mat
+        return descent_image(p, self._images, self._adjacent)
 
     def character(self, p: Permutation) -> float:
         key = p.cycle_type()
@@ -113,18 +96,25 @@ class SymmetricGroupIrrep:
         return self._characters[key]
 
 
-def _bubble_word(line: list[int]) -> list[int]:
-    """Adjacent swaps (as positions k, in applied order) sorting ``line``."""
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(line) - 1):
-            if line[k] > line[k + 1]:
-                line[k], line[k + 1] = line[k + 1], line[k]
-                word.append(k + 1)
-                changed = True
-    return word
+def descent_image(p: Permutation, images: dict[tuple[int, ...], np.ndarray],
+                  adjacent: list[np.ndarray]) -> np.ndarray:
+    """image(p) = image(p s_k) image(s_k), k the first descent of p.
+
+    ``images`` caches by one-line tuple and holds the identity, and
+    ``adjacent[k - 1]`` is the image of s_k = (k k+1).  p s_k swaps the
+    entries k, k+1 of p, so the walk down ends at a cached image; only p is
+    added.  p s_k precedes p in ``Permutation.all`` order, so a traversal
+    in that order takes one product per image.
+    """
+    line, descents = p.images, []
+    while (image := images.get(line)) is None:
+        k = next(k for k in range(len(line) - 1) if line[k] > line[k + 1])
+        line = line[:k] + (line[k + 1], line[k]) + line[k + 2:]
+        descents.append(k)
+    for k in reversed(descents):
+        image = image @ adjacent[k]
+    images[p.images] = image
+    return image
 
 
 @cache

@@ -11,10 +11,12 @@ from ptalgebra.checks import (HOM_TOL, CheckReport, check_adjoint_transport,
                               check_matrix_operators, check_mul_rule,
                               check_reduced_matrix_units, check_spectra,
                               check_u_structure, check_unit_of_m, run_suite)
-from ptalgebra.irreps import (AlgebraIrrep, all_irreps, block_labels, irrep_M_f,
-                              irrep_S, structure_report)
+from ptalgebra.induced import InducedRep
+from ptalgebra.irreps import (AlgebraIrrep, all_irreps, block_labels, direct_sum,
+                              irrep_M_f, irrep_S, structure_report)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
+from ptalgebra.yor import irrep as sym_irrep
 
 
 def test_individual_checks_pass():
@@ -116,6 +118,54 @@ def test_associativity_invariant_grid(n, d):
 
     report = check_associativity(n, d)
     assert report.passed and report.max_residual < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_spectra_at_n8(d):
+    report = check_spectra(8, d)
+    assert report.passed, report
+    assert report.details == "alphas " + "; ".join(map(str, partitions_of(6)))
+
+
+def test_check_spectra_names_a_planted_q_via_induced(monkeypatch):
+    import ptalgebra.checks as checks
+
+    n, d, planted = 5, 2, Partition([2, 1])
+    real = checks.q_via_induced
+
+    def perturbed(alpha, d_, n_):
+        out = real(alpha, d_, n_)
+        if alpha == planted:
+            out[0, -1] += 0.5
+        return out
+
+    monkeypatch.setattr(checks, "q_via_induced", perturbed)
+    report = check_spectra(n, d)
+    assert report.passed is False and report.max_residual == pytest.approx(0.5)
+    assert report.details.startswith(f"worst at alpha {planted}: Q vs induced;")
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_check_spectra_names_a_planted_adjacent_image(monkeypatch, k):
+    # 1.5 Ind(s_k) for one alpha: only the reduction at s_k can see it
+    import ptalgebra.checks as checks
+
+    n, d, planted = 5, 2, Partition([2, 1])
+
+    class Planted(InducedRep):
+        def __init__(self, alpha, n_):
+            super().__init__(alpha, n_)
+            if alpha == planted:
+                self._adjacent[k - 1] = 1.5 * self._adjacent[k - 1]
+
+    monkeypatch.setattr(checks, "InducedRep", Planted)
+    report = check_spectra(n, d)
+    rep = InducedRep(planted, n)
+    psis = [sym_irrep(nu) for nu, _row, _e in rep.decomposition]
+    s_k = Permutation.transposition(n - 1, k, k + 1)
+    assert report.passed is False
+    assert report.max_residual == pytest.approx(0.5 * np.abs(direct_sum(psis, s_k)).max())
+    assert report.details.startswith(f"worst at alpha {planted}: Z^T Ind(s_{k}) Z;")
 
 
 def test_check_irreps_reports_a_broken_image(monkeypatch):

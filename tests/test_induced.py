@@ -39,6 +39,14 @@ def test_induced_is_representation():
                               - rep.matrix(p) @ rep.matrix(q)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_induced_images_are_the_block_formula(n):
+    for alpha in partitions_of(n - 2):
+        rep = InducedRep(alpha, n)
+        for sigma in Permutation.all(n - 1):
+            assert np.abs(rep.matrix(sigma) - rep.block_formula(sigma)).max() < 1e-12
+
+
 def test_induced_characters_branch():
     # traces over S(3) equal the summed characters of the grown labels
     rep = InducedRep(Partition([2]), 4)

@@ -1,5 +1,6 @@
 """Every function and method that perfbench/tracer.py wraps still exists,
-and the small oracle workload still calls every layer it is meant to.
+and the small oracle workload and the spectra suite still call every
+layer they are meant to.
 
 The tracer binds its targets by name, so a rename in ``src/`` would only
 show up in the slow perfbench run; installing it once here is quick.
@@ -42,19 +43,34 @@ def test_tracer_installs_every_target(monkeypatch):
     assert vars(AlgebraIrrep)["image"] is image
 
 
+def _traced_metrics(monkeypatch, args):
+    """The tracer's metrics over one in-process CLI run that passes."""
+    module = _tracer_module(monkeypatch)
+    with module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as exited:  # the number of failed checks
+            tracer.span(module.COMMAND_GROUP, main, args + ["--format", "json"],
+                        standalone_mode=False)
+    assert exited.value.code == 0
+    return tracer.metrics()
+
+
 def test_oracle_small_records_every_layer_it_covers(monkeypatch):
     # COVERAGE in perfbench/tests/test_tracer.py: layer metric -> workloads
     tree = ast.parse((ROOT / "perfbench" / "tests" / "test_tracer.py").read_text())
     coverage = next(ast.literal_eval(node.value) for node in tree.body
                     if isinstance(node, ast.Assign)
                     and getattr(node.targets[0], "id", None) == "COVERAGE")
-    module = _tracer_module(monkeypatch)
-    args = ["verify", "--n", "5", "--d", "2", "--suite", "all", "--format", "json"]
-    with module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
-        with pytest.raises(SystemExit) as exited:  # the number of failed checks
-            tracer.span(module.COMMAND_GROUP, main, args, standalone_mode=False)
-    assert exited.value.code == 0
-    metrics = tracer.metrics()
+    metrics = _traced_metrics(
+        monkeypatch, ["verify", "--n", "5", "--d", "2", "--suite", "all"])
     required = [name for name, workloads in coverage.items() if "oracle_small" in workloads]
     assert "algebra.u_element.calls" in required
     assert [name for name in required if not metrics[name] > 0] == []
+
+
+def test_spectra_suite_records_the_image_layers(monkeypatch):
+    # the spectra_n7 rows of COVERAGE that Young and induced images feed
+    metrics = _traced_metrics(
+        monkeypatch, ["verify", "--n", "5", "--d", "3", "--suite", "spectra"])
+    names = ["yor.image.calls", "induced.matrix.calls", "induced.z_matrix.calls",
+             "permutations.compose.calls"]
+    assert [name for name in names if not metrics[name] > 0] == []

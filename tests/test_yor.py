@@ -7,7 +7,7 @@ import pytest
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
 from ptalgebra.yor import (SymmetricGroupIrrep, character, class_sum_scalar,
-                           irrep, multiplicity_in_V,
+                           descent_image, irrep, multiplicity_in_V,
                            transposition_character_frobenius)
 
 TOL = 1e-10
@@ -50,6 +50,39 @@ def test_image_multiplicative_exhaustive(m):
             for b, q in enumerate(perms):
                 expected = stack[index[p * q]]
                 assert np.abs(products[a, b] - expected).max() < TOL
+
+
+def test_a_sparse_image_caches_only_itself():
+    rep = SymmetricGroupIrrep(Partition([3, 2]))
+    longest = Permutation(range(5, 0, -1))
+    rep.image(longest)
+    assert set(rep._images) == {tuple(range(1, 6)), longest.images}
+
+
+class _ProductSpy:
+    """An adjacent image that counts the products taken with it on the right."""
+
+    __array_ufunc__ = None  # lets ndarray @ spy fall through to __rmatmul__
+
+    def __init__(self, mat, products):
+        self.mat, self.products = mat, products
+
+    def __rmatmul__(self, other):
+        self.products.append(1)
+        return other @ self.mat
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_a_traversal_in_all_order_takes_one_product_per_image(m):
+    for alpha in partitions_of(m):
+        rep = SymmetricGroupIrrep(alpha)
+        products = []
+        adjacent = [_ProductSpy(mat, products) for mat in rep._adjacent]
+        images = {tuple(range(1, m + 1)): np.eye(rep.dim)}
+        for p in Permutation.all(m):
+            # the chain from p is fixed, so the cache state never changes a bit
+            assert np.array_equal(descent_image(p, images, adjacent), rep.image(p))
+        assert len(products) == len(images) - 1 == factorial(m) - 1
 
 
 def test_trivial_and_sign_representations():
