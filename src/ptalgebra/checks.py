@@ -368,9 +368,8 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     if same:
         images = image_array(n)
         target, scale, tau = _left_action(images, d)
-        phi = sym_irrep(alpha)
         # phi(tau)^T of every (sigma, p): [sigma, p, k, t] = phi_tk(tau)
-        transposed = np.stack([phi.image(g).T for g in Permutation.all(n - 2)])[tau]
+        transposed = sym_irrep(alpha).image(image_array(n - 2)).transpose(0, 2, 1)[tau]
         scaled = scale[..., None, None] * transposed
         generators, first, rest = generator_words(n)
         # 0-based (p, k, q, l) of every block u_kl^pq
@@ -481,8 +480,9 @@ def check_spectra(n: int, d: int) -> CheckReport:
 def check_irreps(n: int, d: int) -> CheckReport:
     """Homomorphism property of every irrep, plus kind-specific claims.
 
-    Each irrep's generator images are stacked in ``Permutation.all``
-    order.  psi(sigma) psi(rho) = d^p psi(tau), with (p, tau) read off the
+    Each irrep's generator images are one batch ``image`` of all of S(n),
+    in ``Permutation.all`` order, held while that irrep is checked.
+    psi(sigma) psi(rho) = d^p psi(tau), with (p, tau) read off the
     rows of ``law_rows``, is checked on the rows (g, rho) of the n-1
     generators g of ``generator_words``, one batched matmul per row, and
     on the pairs that ``law_sweep`` flags, in blocks of n! pairs; the
@@ -490,23 +490,9 @@ def check_irreps(n: int, d: int) -> CheckReport:
     the induction of ``law_sweep`` that is every pair.
     A failure names the irrep and the pair of the worst residual.
     """
-    perms = list(Permutation.all(n))
-    images, count = image_array(n), len(perms)
+    images = image_array(n)
+    count = len(images)
     transposed = images[:, -1] != n - 1
-    reps = all_irreps(n, d)
-    stacks = [np.stack([rep.image(p) for p in perms]) for rep in reps]
-    for rep, stack in zip(reps, stacks):
-        if rep.kind == "S" and stack[transposed].any():
-            return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                               f"kind-S block {rep.label} not exactly zero on M",
-                               HOM_TOL)
-        if rep.kind == "M":
-            expected = rank_of_q(rep.label, d, n)
-            if rep.dimension != expected:
-                return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                                   f"dimension {rep.dimension} != rank {expected}",
-                                   HOM_TOL)
-
     everyone = np.arange(count)
 
     def generator_rows(generators):  # each row has one left factor
@@ -518,15 +504,29 @@ def check_irreps(n: int, d: int) -> CheckReport:
     rows += [(left[s:s + count], right[s:s + count],
               (d**powers[s:s + count])[:, None, None], tau[s:s + count])
              for s in range(0, len(left), count)]
+    reps = all_irreps(n, d)
     worst, culprit = 0.0, ""
-    for rep, stack in zip(reps, stacks):
+    for rep in reps:
+        stack = rep.image(images)
+        if rep.kind == "S" and stack[transposed].any():
+            return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
+                               f"kind-S block {rep.label} not exactly zero on M",
+                               HOM_TOL)
+        if rep.kind == "M":
+            expected = rank_of_q(rep.label, d, n)
+            if rep.dimension != expected:
+                return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
+                                   f"dimension {rep.dimension} != rank {expected}",
+                                   HOM_TOL)
         unit = np.array_equal(stack[0], np.eye(rep.dimension))
         for left, right, scale, tau in rows if unit else generator_rows([0]) + rows:
             value, (k,) = _worst(
                 np.abs(stack[left] @ stack[right] - scale * stack[tau]).max(axis=(1, 2)))
             if value > worst:
-                sigma, rho = perms[np.broadcast_to(left, right.shape)[k]], perms[right[k]]
+                sigma, rho = (_perm(images[x[k]])
+                              for x in (np.broadcast_to(left, right.shape), right))
                 worst, culprit = value, f"{rep.kind}:{rep.label} {sigma} * {rho}"
+        del stack  # before the next irrep builds its own
     details = [f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in reps]
     return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details),
                    culprit=culprit)
@@ -591,6 +591,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     alphas = list(partitions_of(m))
     families = [matrix_operators_E(images, alpha) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
+    stacks = [phi.image(image_array(m)) for phi in phis]  # [g, i, j] = phi_ij(g)
     # (alpha, i, j) of every block of the concatenated families, 1-based
     labels = [(alpha, i, j) for alpha, phi in zip(alphas, phis)
               for i in range(1, phi.dim + 1) for j in range(1, phi.dim + 1)]
@@ -601,8 +602,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
 
     # (I) D(g) = sum phi_ij(g) E_ij, over every family at once
     everything = OperatorStack.concat(families)
-    weights = np.array([np.concatenate([phi.image(g).ravel() for phi in phis])
-                        for g in group])
+    weights = np.concatenate([stack.reshape(len(group), -1) for stack in stacks], axis=1)
     recovered = everything.combine(np.arange(len(labels)), weights)
     worst, (g,) = _worst(recovered.residuals(images))
     culprit = f"D({group[g]}) = sum phi_ij(g) E_ij"
@@ -616,7 +616,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     if value > worst:
         worst, culprit = value, f"<{e_name(labels[r])}, {e_name(labels[c])}>"
 
-    for alpha, phi, family in zip(alphas, phis, families):
+    for alpha, phi, stack, family in zip(alphas, phis, stacks, families):
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
         # E_ij E_kl = delta_jk E_il
@@ -629,7 +629,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
         # D(h) E_ij = sum_k phi_ki(h) E_kj, one row per block D(h) of images
         covariance = family.action_residuals(
             images, np.arange(w) * w + j[:, None],
-            np.array([phi.image(h)[:, i].T for h in group]))
+            stack[:, :, i].transpose(0, 2, 1))
         value, (h, r) = _worst(covariance)
         if value > worst:
             worst, culprit = value, (f"D({group[h]}) "

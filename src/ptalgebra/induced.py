@@ -14,7 +14,9 @@ representation; in Young's orthogonal form it is written down directly
 from the grown irrep's images of the coset representatives.
 
 ``InducedRep`` is given on the s_k = (k k+1) of S(n-1) by its block
-formula, and reads every other image by the rule of ``yor.descent_image``.
+formula, and reads every other image by the rule of ``yor.descent_image``:
+one Permutation by its sparse walk, a batch ``(k, n-1)`` of 0-based images
+from the stack of all of S(n-1), built one inversion count at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .dpoly import DPoly
 from .partitions import Partition, add_box
-from .permutations import Permutation
+from .permutations import Permutation, degree
 from .yor import descent_image, irrep, transposition_character_frobenius
 
 NULL_EIGENVALUE_TOL = 1e-7
@@ -74,9 +76,10 @@ class InducedRep:
             out[(a - 1) * self.w:a * self.w, (b - 1) * self.w:b * self.w] = block
         return out
 
-    def matrix(self, sigma: Permutation) -> np.ndarray:
-        """Image of sigma, multiplicative for composition (right factor first)."""
-        if sigma.degree != self.n - 1:
+    def matrix(self, sigma: Permutation | np.ndarray) -> np.ndarray:
+        """Image of sigma, or the stack of a batch of 0-based images;
+        multiplicative for composition (right factor first)."""
+        if degree(sigma) != self.n - 1:
             raise ValueError(f"need a permutation of degree {self.n - 1}")
         return descent_image(sigma, self._images, self._adjacent)
 
@@ -119,13 +122,20 @@ def q_matrix_poly(alpha: Partition, n: int) -> np.ndarray:
 
 def q_via_induced(alpha: Partition, d: float, n: int) -> np.ndarray:
     """Independent construction: transposition class sum of the induced rep
-    plus (d - F) times the identity, F = ((n-2)(n-3)/2) chi(12)/dim."""
+    plus (d - F) times the identity, F = ((n-2)(n-3)/2) chi(12)/dim.
+
+    Each (a b+1) = s_b (a b) s_b is two products from the one before it,
+    starting at (a a+1) = s_a."""
     rep = InducedRep(alpha, n)
     m = n - 1
+    adjacent = [rep.matrix(Permutation.transposition(m, k, k + 1)) for k in range(1, m)]
     total = np.zeros((rep.block_dim, rep.block_dim))
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            total += rep.matrix(Permutation.transposition(m, a, b))
+    for a in range(1, m):
+        image = adjacent[a - 1]
+        total += image
+        for b in range(a + 1, m):
+            image = adjacent[b - 1] @ image @ adjacent[b - 1]
+            total += image
     pair_count = (n - 2) * (n - 3) // 2
     f_shift = 0.0
     if pair_count:

@@ -13,6 +13,11 @@ n-1 with height strictly below d; they restrict irreducibly to S(n-1)
 and V', hence every generator that moves the last point, acts as zero.
 ``block_labels`` is the one place that applies these two height bounds.
 The unit of M sums Q(alpha)^+ against the u terms: one einsum per alpha.
+
+``AlgebraIrrep.image`` takes one Permutation or a batch ``(k, n)`` of
+0-based images.  A batch reads rho of all of S(n-1) once, as one batch of
+``yor`` or ``induced`` (whose stacks are built one inversion count at a
+time), and multiplies the rows with sigma(a) = n by T[a], one product per a.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .algebra import AlgebraContext, AlgebraElement, u_terms
 from .induced import InducedRep, SpectralQ, q_matrix, spectral_q, zero_condition
 from .partitions import Partition, partitions_of
-from .permutations import Permutation, image_array, lehmer_rank
+from .permutations import Permutation, degree, image_array, lehmer_rank
 from .yor import SymmetricGroupIrrep, irrep as sym_irrep
 
 
@@ -60,11 +65,21 @@ class AlgebraIrrep:
         swaps = [rho(Permutation.transposition(n - 1, a, n - 1)) for a in range(1, n)]
         self._transposition_images = [s @ contraction @ s for s in swaps]
 
-    def image(self, sigma: Permutation) -> np.ndarray:
-        """Image of the generator W(sigma), transposed when sigma moves n."""
+    def image(self, sigma: Permutation | np.ndarray) -> np.ndarray:
+        """Image of the generator W(sigma), transposed when sigma moves n,
+        or the stack of the images of a batch ``(k, n)`` of 0-based images."""
         n = self.n
-        if sigma.degree != n:
-            raise ValueError(f"degree {sigma.degree} != n = {n}")
+        if degree(sigma) != n:
+            raise ValueError(f"degree {degree(sigma)} != n = {n}")
+        if not isinstance(sigma, Permutation):
+            a = np.argmax(sigma == n - 1, axis=1)  # 0-based a; n - 1 when sigma fixes n
+            hat = sigma.copy()  # sigma_hat = sigma (a n), which fixes n
+            hat[np.arange(len(sigma)), a] = sigma[:, -1]
+            out = self.rho(image_array(n - 1))[lehmer_rank(hat[:, :-1])]
+            for point, t_a in enumerate(self._transposition_images):
+                rows = np.flatnonzero(a == point)
+                out[rows] = out[rows] @ t_a
+            return out
         if sigma.fixes_last():
             return self.rho(sigma.restrict(n - 1))
         a, _b = sigma.classify()
@@ -118,14 +133,17 @@ def _check_m_label(alpha: Partition, d: int, n: int) -> None:
         )
 
 
-def direct_sum(reps: list[SymmetricGroupIrrep], tau: Permutation) -> np.ndarray:
-    """The block-diagonal matrix of the images of tau under reps."""
+def direct_sum(reps: list[SymmetricGroupIrrep],
+               tau: Permutation | np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the images of tau under reps, or their
+    stack over a batch of 0-based images."""
     blocks = [psi.image(tau) for psi in reps]
-    out = np.zeros((sum(map(len, blocks)),) * 2)
+    sizes = [block.shape[-1] for block in blocks]
+    out = np.zeros(blocks[0].shape[:-2] + (sum(sizes),) * 2)
     pos = 0
-    for block in blocks:
-        out[pos:pos + len(block), pos:pos + len(block)] = block
-        pos += len(block)
+    for block, size in zip(blocks, sizes):
+        out[..., pos:pos + size, pos:pos + size] = block
+        pos += size
     return out
 
 

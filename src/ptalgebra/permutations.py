@@ -10,6 +10,8 @@ For whole-group work the same permutations are also held as integer
 arrays of 0-based one-line images, ``images[..., i]`` being the image of
 point ``i``: ``image_array(m)`` stacks all of S(m) in ``Permutation.all``
 order and ``lehmer_rank`` maps any stack back to positions in that order.
+``descent_levels`` orders them by inversion count, each with the position
+of its parent under the first-descent rule of ``yor.descent_image``.
 """
 
 from __future__ import annotations
@@ -212,3 +214,34 @@ def lehmer_rank(images: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(m, 1)
     weights = np.array([factorial(m - 1 - k) for k in i], dtype=np.intp)
     return (images[..., i] > images[..., j]) @ weights
+
+
+@cache
+def descent_levels(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """S(m) by inversion count, one read-only ``(rows, parents, descents)``
+    per level above the identity: the positions p of the level in
+    ``Permutation.all`` order, the positions of p s_k, and k - 1, with
+    s_k = (k k+1) and k the first descent of p.  p s_k has one inversion
+    less, so each level reads only the levels below it."""
+    if m < 2:
+        return ()
+    images = image_array(m)
+    first = np.argmax(images[:, :-1] > images[:, 1:], axis=1)
+    swap = (np.arange(len(images))[:, None], first[:, None] + [0, 1])
+    parents = images.copy()
+    parents[swap] = images[swap][:, ::-1]
+    i, j = np.triu_indices(m, 1)
+    inversions = (images[:, i] > images[:, j]).sum(axis=1)
+    levels = []
+    for level in range(1, inversions.max() + 1):
+        rows = np.flatnonzero(inversions == level)
+        arrays = (rows, lehmer_rank(parents[rows]), first[rows])
+        for array in arrays:
+            array.flags.writeable = False
+        levels.append(arrays)
+    return tuple(levels)
+
+
+def degree(p: Permutation | np.ndarray) -> int:
+    """The degree of a Permutation, or of a batch ``(k, m)`` of 0-based images."""
+    return p.degree if isinstance(p, Permutation) else np.shape(p)[-1]

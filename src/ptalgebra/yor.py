@@ -7,6 +7,12 @@ built from inverse axial distances, and the restriction to S(m-1) is block
 diagonal.  All other images follow by one rule, ``descent_image``:
 image(p) = image(p s_k) image(s_k), s_k = (k k+1) and k the first descent
 of p.  ``induced.InducedRep`` reads it from its own images of the s_k.
+
+``image`` takes one Permutation or a batch: an int array ``(k, m)`` of
+0-based one-line images, whose ``(k, dim, dim)`` images are read off the
+stack of all of S(m), built by the same rule one inversion count at a time
+(``permutations.descent_levels``), one batched product per level.  The
+stack lives for the call; a Permutation keeps the sparse walk and its cache.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from math import sqrt
 import numpy as np
 
 from .partitions import Partition
-from .permutations import Permutation
+from .permutations import (Permutation, degree, descent_levels, image_array,
+                           lehmer_rank)
 
 
 def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -83,10 +90,11 @@ class SymmetricGroupIrrep:
                 mat[index[swapped], t] = sqrt(1.0 - 1.0 / dist**2)
         return mat
 
-    def image(self, p: Permutation) -> np.ndarray:
-        """Matrix of p; multiplicative for composition (right factor first)."""
-        if p.degree != self.m:
-            raise ValueError(f"degree {p.degree} != weight {self.m}")
+    def image(self, p: Permutation | np.ndarray) -> np.ndarray:
+        """Matrix of p, or the stack of a batch of 0-based images;
+        multiplicative for composition (right factor first)."""
+        if degree(p) != self.m:
+            raise ValueError(f"degree {degree(p)} != weight {self.m}")
         return descent_image(p, self._images, self._adjacent)
 
     def character(self, p: Permutation) -> float:
@@ -96,7 +104,8 @@ class SymmetricGroupIrrep:
         return self._characters[key]
 
 
-def descent_image(p: Permutation, images: dict[tuple[int, ...], np.ndarray],
+def descent_image(p: Permutation | np.ndarray,
+                  images: dict[tuple[int, ...], np.ndarray],
                   adjacent: list[np.ndarray]) -> np.ndarray:
     """image(p) = image(p s_k) image(s_k), k the first descent of p.
 
@@ -105,7 +114,20 @@ def descent_image(p: Permutation, images: dict[tuple[int, ...], np.ndarray],
     entries k, k+1 of p, so the walk down ends at a cached image; only p is
     added.  p s_k precedes p in ``Permutation.all`` order, so a traversal
     in that order takes one product per image.
+
+    A batch ``(k, m)`` of 0-based images builds the stack of every image of
+    S(m) from the identity, level by level of ``descent_levels``, with the
+    same products, reads it at the ranks of the batch and caches nothing.
     """
+    if not isinstance(p, Permutation):
+        m = np.shape(p)[-1]
+        identity = images[tuple(range(1, m + 1))]
+        stack = np.empty((len(image_array(m)),) + identity.shape)
+        stack[0] = identity
+        moves = np.array(adjacent).reshape((-1,) + identity.shape)
+        for rows, parents, descents in descent_levels(m):
+            stack[rows] = stack[parents] @ moves[descents]
+        return stack[lehmer_rank(p)]
     line, descents = p.images, []
     while (image := images.get(line)) is None:
         k = next(k for k in range(len(line) - 1) if line[k] > line[k + 1])
@@ -127,9 +149,8 @@ def averaging_weights(alpha: Partition) -> np.ndarray:
     ``Permutation.all`` order: the weights of the averaged matrix operators
     E_ij = sum_g weights[i, j, g] D(g) and of the u terms."""
     phi = irrep(alpha)
-    group = list(Permutation.all(alpha.weight))
-    inverse_images = np.stack([phi.image(g.inverse()) for g in group])
-    return (phi.dim / len(group)) * inverse_images.transpose(2, 1, 0)
+    inverses = np.argsort(image_array(alpha.weight), axis=1)
+    return (phi.dim / len(inverses)) * phi.image(inverses).transpose(2, 1, 0)
 
 
 def character(alpha: Partition, p: Permutation) -> float:

@@ -168,6 +168,28 @@ def test_check_spectra_names_a_planted_adjacent_image(monkeypatch, k):
     assert report.details.startswith(f"worst at alpha {planted}: Z^T Ind(s_{k}) Z;")
 
 
+def test_check_irreps_reads_one_batch_of_images_per_irrep(monkeypatch):
+    n, d = 5, 3
+    calls = []
+    real = AlgebraIrrep.image
+
+    def spy(self, sigma):
+        calls.append((self.kind, self.label, type(sigma)))
+        return real(self, sigma)
+
+    monkeypatch.setattr(AlgebraIrrep, "image", spy)
+    assert check_irreps(n, d).passed
+    assert calls == [(rep.kind, rep.label, np.ndarray) for rep in all_irreps(n, d)]
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_check_irreps_passes_at_n7(d):
+    report = check_irreps(7, d)
+    assert report.passed is True, report
+    assert report.details == "; ".join(
+        f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in all_irreps(7, d))
+
+
 def test_check_irreps_reports_a_broken_image(monkeypatch):
     import ptalgebra.checks as checks
 
@@ -185,13 +207,18 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
 
 def _plant_image(monkeypatch, n, d, planted, factor, which=0):
     """Let ``checks.all_irreps`` serve irrep ``which`` with the image of
-    ``planted`` scaled by ``factor``; the others are real."""
+    ``planted`` scaled by ``factor``, alone (as the reference reads it) and
+    as its row of a batch (as ``check_irreps`` reads it); the others are
+    real."""
     import ptalgebra.checks as checks
 
     class Planted(AlgebraIrrep):
         def image(self, sigma):
             out = super().image(sigma)
-            return factor * out if sigma == planted else out
+            if isinstance(sigma, Permutation):
+                return factor * out if sigma == planted else out
+            out[(sigma + 1 == planted.images).all(axis=1)] *= factor
+            return out
 
     def serve(n_, d_):
         reps = all_irreps(n_, d_)

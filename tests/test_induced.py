@@ -10,7 +10,7 @@ from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                                q_matrix_poly, q_via_induced,
                                spectral_q, z_matrix, zero_condition)
 from ptalgebra.partitions import Partition, add_box, partitions_of
-from ptalgebra.permutations import Permutation
+from ptalgebra.permutations import Permutation, image_array
 from ptalgebra.yor import character, irrep
 
 
@@ -45,6 +45,14 @@ def test_induced_images_are_the_block_formula(n):
         rep = InducedRep(alpha, n)
         for sigma in Permutation.all(n - 1):
             assert np.abs(rep.matrix(sigma) - rep.block_formula(sigma)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_batch_of_induced_images_is_the_stack_of_the_single_images(n):
+    for alpha in partitions_of(n - 2):
+        single = np.stack([InducedRep(alpha, n).matrix(p) for p in Permutation.all(n - 1)])
+        batch = image_array(n - 1)[::-1]
+        assert np.array_equal(InducedRep(alpha, n).matrix(batch), single[::-1])
 
 
 def test_induced_characters_branch():

@@ -14,7 +14,7 @@ from ptalgebra.oracle import (OperatorStack, element_operator, generator_stack,
                               identity_operator, span_dimension,
                               transposed_perm_operator)
 from ptalgebra.partitions import Partition, add_box, partitions_of
-from ptalgebra.permutations import Permutation
+from ptalgebra.permutations import Permutation, image_array
 from ptalgebra.yor import character
 
 
@@ -190,6 +190,18 @@ def test_homomorphism_suite(n, d):
                 residual = np.abs(rep.image(sigma) @ rep.image(rho)
                                   - (d**power) * rep.image(result)).max()
                 assert residual < 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 4))
+def test_a_batch_of_images_is_the_stack_of_the_single_images(n, d):
+    perms = list(Permutation.all(n))
+    reps = all_irreps(n, d) + [irrep_M_e(alpha, d, n) for alpha in partitions_of(n - 2)
+                               if alpha.height <= d and zero_condition(alpha, d) is None]
+    for rep in reps:
+        single = np.stack([rep.image(sigma) for sigma in perms])
+        assert np.array_equal(rep.image(image_array(n)), single), rep
+        assert np.array_equal(rep.image(image_array(n)[1::2]), single[1::2]), rep
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3)])

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ptalgebra.cli import main
-from ptalgebra.irreps import AlgebraIrrep
+from ptalgebra.irreps import AlgebraIrrep, all_irreps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,4 +73,14 @@ def test_spectra_suite_records_the_image_layers(monkeypatch):
         monkeypatch, ["verify", "--n", "5", "--d", "3", "--suite", "spectra"])
     names = ["yor.image.calls", "induced.matrix.calls", "induced.z_matrix.calls",
              "permutations.compose.calls"]
+    assert [name for name in names if not metrics[name] > 0] == []
+
+
+def test_irreps_suite_reads_one_traced_batch_per_irrep(monkeypatch):
+    # the generators_n6 verify command: the batches go through the traced
+    # image methods, so their per-layer rows stay live
+    metrics = _traced_metrics(
+        monkeypatch, ["verify", "--n", "5", "--d", "3", "--suite", "irreps"])
+    assert metrics["irreps.image.calls"] == len(all_irreps(5, 3))
+    names = ["irreps.image.self_s", "yor.image.self_s", "permutations.compose.calls"]
     assert [name for name in names if not metrics[name] > 0] == []

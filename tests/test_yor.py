@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ptalgebra.partitions import Partition, partitions_of
-from ptalgebra.permutations import Permutation
-from ptalgebra.yor import (SymmetricGroupIrrep, character, class_sum_scalar,
-                           descent_image, irrep, multiplicity_in_V,
+from ptalgebra.permutations import Permutation, image_array
+from ptalgebra.yor import (SymmetricGroupIrrep, averaging_weights, character,
+                           class_sum_scalar, descent_image, irrep, multiplicity_in_V,
                            transposition_character_frobenius)
 
 TOL = 1e-10
@@ -83,6 +83,28 @@ def test_a_traversal_in_all_order_takes_one_product_per_image(m):
             # the chain from p is fixed, so the cache state never changes a bit
             assert np.array_equal(descent_image(p, images, adjacent), rep.image(p))
         assert len(products) == len(images) - 1 == factorial(m) - 1
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_a_batch_is_the_stack_of_the_single_images(m):
+    perms = list(Permutation.all(m))
+    rng = np.random.default_rng(m)
+    shuffled = rng.permutation(len(perms))
+    for alpha in partitions_of(m):
+        single = np.stack([SymmetricGroupIrrep(alpha).image(p) for p in perms])
+        rep = SymmetricGroupIrrep(alpha)
+        assert np.array_equal(rep.image(image_array(m)), single)
+        assert np.array_equal(rep.image(image_array(m)[shuffled]), single[shuffled])
+        assert set(rep._images) == {tuple(range(1, m + 1))}  # a batch caches nothing
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_averaging_weights_are_the_images_of_the_inverses(m):
+    for alpha in partitions_of(m):
+        phi = irrep(alpha)
+        inverse_images = np.stack([phi.image(g.inverse()) for g in Permutation.all(m)])
+        expected = (phi.dim / len(inverse_images)) * inverse_images.transpose(2, 1, 0)
+        assert np.array_equal(averaging_weights(alpha), expected)
 
 
 def test_trivial_and_sign_representations():
