@@ -20,14 +20,14 @@ from .oracle import (TensorOp, element_operator, matrix_operators_E,
 from .partitions import Partition, add_box, partitions_of
 from .permutations import Permutation, compose
 from .reduction import ReducedBasis, xa_reduce
-from .yor import (SymmetricGroupIrrep, character, class_sum_scalar, irrep,
-                  multiplicity_in_V, transposition_character_frobenius)
+from .yor import (SymmetricGroupIrrep, irrep, multiplicity_in_V,
+                  transposition_character_frobenius)
 
 __all__ = [
     "AlgebraContext", "AlgebraElement", "AlgebraIrrep", "DPoly", "InducedRep",
     "Partition", "Permutation", "ReducedBasis", "SpectralQ", "StructureReport",
     "SymmetricGroupIrrep", "TensorOp", "add_box", "algebra_dimension_formula",
-    "all_irreps", "block_labels", "character", "class_sum_scalar", "compose",
+    "all_irreps", "block_labels", "compose",
     "eigenvalues_closed_form", "element_operator", "irrep", "irrep_M_e",
     "irrep_M_f", "irrep_S", "matrix_operators_E", "mul_generators",
     "multiplicity_in_V", "partial_transpose_last", "partitions_of",

@@ -495,8 +495,8 @@ def check_irreps(n: int, d: int) -> CheckReport:
     transposed = images[:, -1] != n - 1
     everyone = np.arange(count)
 
-    def generator_rows(generators):  # each row has one left factor
-        return [(g, everyone, (d**p)[:, None, None], tau)
+    def generator_rows(generators):  # one left factor, and every rho on the right
+        return [(g, slice(None), (d**p)[:, None, None], tau)
                 for g, p, tau in zip(generators, *law_rows(n, generators))]
 
     rows = generator_rows(generator_words(n)[0])
@@ -520,11 +520,12 @@ def check_irreps(n: int, d: int) -> CheckReport:
                                    HOM_TOL)
         unit = np.array_equal(stack[0], np.eye(rep.dimension))
         for left, right, scale, tau in rows if unit else generator_rows([0]) + rows:
-            value, (k,) = _worst(
-                np.abs(stack[left] @ stack[right] - scale * stack[tau]).max(axis=(1, 2)))
+            residual = stack[left] @ stack[right]  # stack[:] is a view, not a copy
+            residual -= scale * stack[tau]
+            value, (k,) = _worst(np.abs(residual).max(axis=(1, 2)))
             if value > worst:
-                sigma, rho = (_perm(images[x[k]])
-                              for x in (np.broadcast_to(left, right.shape), right))
+                sigma, rho = (_perm(images[np.broadcast_to(x, len(residual))[k]])
+                              for x in (left, everyone[right]))
                 worst, culprit = value, f"{rep.kind}:{rep.label} {sigma} * {rho}"
         del stack  # before the next irrep builds its own
     details = [f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in reps]

@@ -14,9 +14,10 @@ representation; in Young's orthogonal form it is written down directly
 from the grown irrep's images of the coset representatives.
 
 ``InducedRep`` is given on the s_k = (k k+1) of S(n-1) by its block
-formula, and reads every other image by the rule of ``yor.descent_image``:
-one Permutation by its sparse walk, a batch ``(k, n-1)`` of 0-based images
-from the stack of all of S(n-1), built one inversion count at a time.
+formula, and reads every other image by the rule of ``yor.descent_image``,
+with no cache: one Permutation by its first-descent chain from the
+identity, a batch ``(k, n-1)`` of 0-based images from the stack of all of
+S(n-1), built one inversion count at a time for the call.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class InducedRep:
         self.decomposition = add_box(alpha)
         self._adjacent = [self.block_formula(Permutation.transposition(n - 1, k, k + 1))
                           for k in range(1, n - 1)]
-        self._images = {tuple(range(1, n)): np.eye(self.block_dim)}
 
     def coset_rep(self, a: int) -> Permutation:
         return Permutation.transposition(self.n - 1, a, self.n - 1)
@@ -81,7 +81,7 @@ class InducedRep:
         multiplicative for composition (right factor first)."""
         if degree(sigma) != self.n - 1:
             raise ValueError(f"need a permutation of degree {self.n - 1}")
-        return descent_image(sigma, self._images, self._adjacent)
+        return descent_image(sigma, self._adjacent, self.block_dim)
 
 
 def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:

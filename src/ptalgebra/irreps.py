@@ -14,10 +14,10 @@ and V', hence every generator that moves the last point, acts as zero.
 ``block_labels`` is the one place that applies these two height bounds.
 The unit of M sums Q(alpha)^+ against the u terms: one einsum per alpha.
 
-``AlgebraIrrep.image`` takes one Permutation or a batch ``(k, n)`` of
-0-based images.  A batch reads rho of all of S(n-1) once, as one batch of
-``yor`` or ``induced`` (whose stacks are built one inversion count at a
-time), and multiplies the rows with sigma(a) = n by T[a], one product per a.
+``AlgebraIrrep.image`` takes a batch ``(k, n)`` of 0-based images only.
+It reads rho of all of S(n-1) once, as one batch of ``yor`` or ``induced``
+(whose stacks are built one inversion count at a time for the call), and
+multiplies the rows with sigma(a) = n by T[a], one product per a.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class AlgebraIrrep:
     ``rho`` maps tau in S(n-1) to its image and ``contraction`` is the
     image of V' = W((n-1 n))^{t_n}.  A generator W(sigma) with sigma
     fixing n is rho(sigma restricted to S(n-1)).  Otherwise let
-    (a, b) = sigma.classify() and sigma_hat = sigma (a n), which fixes n.
-    Then
+    sigma(a) = n and sigma_hat = sigma (a n), which fixes n.  Then
 
         W(sigma)^{t_n} = W(sigma_hat) W((a n-1)) V' W((a n-1)),
 
@@ -65,26 +64,21 @@ class AlgebraIrrep:
         swaps = [rho(Permutation.transposition(n - 1, a, n - 1)) for a in range(1, n)]
         self._transposition_images = [s @ contraction @ s for s in swaps]
 
-    def image(self, sigma: Permutation | np.ndarray) -> np.ndarray:
-        """Image of the generator W(sigma), transposed when sigma moves n,
-        or the stack of the images of a batch ``(k, n)`` of 0-based images."""
+    def image(self, sigma: np.ndarray) -> np.ndarray:
+        """The stack of the images of the generators W(sigma), transposed when
+        sigma moves n, over a batch ``(k, n)`` of 0-based images."""
         n = self.n
-        if degree(sigma) != n:
-            raise ValueError(f"degree {degree(sigma)} != n = {n}")
-        if not isinstance(sigma, Permutation):
-            a = np.argmax(sigma == n - 1, axis=1)  # 0-based a; n - 1 when sigma fixes n
-            hat = sigma.copy()  # sigma_hat = sigma (a n), which fixes n
-            hat[np.arange(len(sigma)), a] = sigma[:, -1]
-            out = self.rho(image_array(n - 1))[lehmer_rank(hat[:, :-1])]
-            for point, t_a in enumerate(self._transposition_images):
-                rows = np.flatnonzero(a == point)
-                out[rows] = out[rows] @ t_a
-            return out
-        if sigma.fixes_last():
-            return self.rho(sigma.restrict(n - 1))
-        a, _b = sigma.classify()
-        sigma_hat = sigma * Permutation.transposition(n, a, n)
-        return self.rho(sigma_hat.restrict(n - 1)) @ self._transposition_images[a - 1]
+        sigma = np.asarray(sigma)
+        if (m := degree(sigma)) != n:
+            raise ValueError(f"degree {m} != n = {n}")
+        a = np.argmax(sigma == n - 1, axis=1)  # 0-based a; n - 1 when sigma fixes n
+        hat = sigma.copy()  # sigma_hat = sigma (a n), which fixes n
+        hat[np.arange(len(sigma)), a] = sigma[:, -1]
+        out = self.rho(image_array(n - 1))[lehmer_rank(hat[:, :-1])]
+        for point, t_a in enumerate(self._transposition_images):
+            rows = np.flatnonzero(a == point)
+            out[rows] = out[rows] @ t_a
+        return out
 
     def __repr__(self) -> str:
         tag = f", basis={self.basis_tag}" if self.basis_tag else ""
@@ -100,9 +94,9 @@ class AlgebraIrrep:
             "dimension": self.dimension,
             "basis_tag": self.basis_tag,
             "images": {
-                sigma.cycle_string():
-                    self.image(sigma).astype(float, copy=False).ravel().tolist()
-                for sigma in Permutation.all(self.n)
+                sigma.cycle_string(): image.ravel().tolist()
+                for sigma, image in zip(Permutation.all(self.n),
+                                        self.image(image_array(self.n)))
             },
         }
 

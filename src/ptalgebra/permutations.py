@@ -243,5 +243,20 @@ def descent_levels(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
 
 
 def degree(p: Permutation | np.ndarray) -> int:
-    """The degree of a Permutation, or of a batch ``(k, m)`` of 0-based images."""
-    return p.degree if isinstance(p, Permutation) else np.shape(p)[-1]
+    """The degree of a Permutation, or of a batch ``(k, m)`` of 0-based images.
+
+    Every image method reads its input through here, so this is where a batch
+    is checked: a 2-D integer array whose rows are permutations of 0..m-1.
+    Anything else raises a ValueError that names the first bad row."""
+    if isinstance(p, Permutation):
+        return p.degree
+    batch = np.asarray(p)
+    if batch.ndim != 2 or not np.issubdtype(batch.dtype, np.integer):
+        raise ValueError(f"a batch is a 2-D integer array of 0-based images, "
+                         f"not {batch.dtype} of shape {batch.shape}")
+    m = batch.shape[1]
+    bad = np.flatnonzero((np.sort(batch, axis=1) != np.arange(m)).any(axis=1))
+    if len(bad):
+        raise ValueError(f"row {bad[0]} of the batch, {batch[bad[0]].tolist()}, "
+                         f"is not a permutation of 0..{m - 1}")
+    return m

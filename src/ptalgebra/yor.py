@@ -8,11 +8,12 @@ diagonal.  All other images follow by one rule, ``descent_image``:
 image(p) = image(p s_k) image(s_k), s_k = (k k+1) and k the first descent
 of p.  ``induced.InducedRep`` reads it from its own images of the s_k.
 
-``image`` takes one Permutation or a batch: an int array ``(k, m)`` of
+``image`` takes one Permutation, whose image is its first-descent chain
+multiplied up from the identity, or a batch: an int array ``(k, m)`` of
 0-based one-line images, whose ``(k, dim, dim)`` images are read off the
 stack of all of S(m), built by the same rule one inversion count at a time
-(``permutations.descent_levels``), one batched product per level.  The
-stack lives for the call; a Permutation keeps the sparse walk and its cache.
+(``permutations.descent_levels``), one batched product per level.  Nothing
+is cached: the stack lives for the call.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _position(tab, value: int) -> tuple[int, int]:
 
 
 class SymmetricGroupIrrep:
-    """The irrep of S(m) labelled by a partition of m, with cached images."""
+    """The irrep of S(m) labelled by a partition of m, on its adjacent images."""
 
     def __init__(self, label: Partition):
         self.label = label
@@ -70,8 +71,6 @@ class SymmetricGroupIrrep:
         self.dim = len(self.tableaux)
         assert self.dim == label.hook_dimension()
         self._adjacent = [self._adjacent_image(k) for k in range(1, self.m)]
-        self._images = {tuple(range(1, self.m + 1)): np.eye(self.dim)}
-        self._characters: dict[tuple[int, ...], float] = {}
 
     def _adjacent_image(self, k: int) -> np.ndarray:
         """Image of (k, k+1): diagonal 1/axial distance, off-diagonal sqrt."""
@@ -93,49 +92,44 @@ class SymmetricGroupIrrep:
     def image(self, p: Permutation | np.ndarray) -> np.ndarray:
         """Matrix of p, or the stack of a batch of 0-based images;
         multiplicative for composition (right factor first)."""
-        if degree(p) != self.m:
-            raise ValueError(f"degree {degree(p)} != weight {self.m}")
-        return descent_image(p, self._images, self._adjacent)
-
-    def character(self, p: Permutation) -> float:
-        key = p.cycle_type()
-        if key not in self._characters:
-            self._characters[key] = float(np.trace(self.image(p)))
-        return self._characters[key]
+        if (m := degree(p)) != self.m:
+            raise ValueError(f"degree {m} != weight {self.m}")
+        return descent_image(p, self._adjacent, self.dim)
 
 
-def descent_image(p: Permutation | np.ndarray,
-                  images: dict[tuple[int, ...], np.ndarray],
-                  adjacent: list[np.ndarray]) -> np.ndarray:
+def descent_image(p: Permutation | np.ndarray, adjacent: list[np.ndarray],
+                  dim: int) -> np.ndarray:
     """image(p) = image(p s_k) image(s_k), k the first descent of p.
 
-    ``images`` caches by one-line tuple and holds the identity, and
-    ``adjacent[k - 1]`` is the image of s_k = (k k+1).  p s_k swaps the
-    entries k, k+1 of p, so the walk down ends at a cached image; only p is
-    added.  p s_k precedes p in ``Permutation.all`` order, so a traversal
-    in that order takes one product per image.
+    ``adjacent[k - 1]`` is the ``(dim, dim)`` image of s_k = (k k+1).  p s_k
+    swaps the entries k, k+1 of p and has one inversion less, so a
+    Permutation walks its chain down to the identity and multiplies back up
+    from it: one product per inversion of p.  The entries before the first
+    descent are sorted, so the chain is the swaps of an insertion sort.
 
     A batch ``(k, m)`` of 0-based images builds the stack of every image of
     S(m) from the identity, level by level of ``descent_levels``, with the
-    same products, reads it at the ranks of the batch and caches nothing.
+    same products, so each row is bitwise the image of its Permutation, and
+    reads it at the ranks of the batch.
     """
+    image = np.eye(dim)
     if not isinstance(p, Permutation):
         m = np.shape(p)[-1]
-        identity = images[tuple(range(1, m + 1))]
-        stack = np.empty((len(image_array(m)),) + identity.shape)
-        stack[0] = identity
-        moves = np.array(adjacent).reshape((-1,) + identity.shape)
+        stack = np.empty((len(image_array(m)), dim, dim))
+        stack[0] = image
+        moves = np.array(adjacent).reshape(-1, dim, dim)
         for rows, parents, descents in descent_levels(m):
             stack[rows] = stack[parents] @ moves[descents]
         return stack[lehmer_rank(p)]
-    line, descents = p.images, []
-    while (image := images.get(line)) is None:
-        k = next(k for k in range(len(line) - 1) if line[k] > line[k + 1])
-        line = line[:k] + (line[k + 1], line[k]) + line[k + 2:]
-        descents.append(k)
+    line, descents = list(p.images), []
+    for j in range(1, len(line)):
+        for k in range(j - 1, -1, -1):
+            if line[k] < line[k + 1]:
+                break
+            line[k], line[k + 1] = line[k + 1], line[k]
+            descents.append(k)
     for k in reversed(descents):
         image = image @ adjacent[k]
-    images[p.images] = image
     return image
 
 
@@ -153,12 +147,6 @@ def averaging_weights(alpha: Partition) -> np.ndarray:
     return (phi.dim / len(inverses)) * phi.image(inverses).transpose(2, 1, 0)
 
 
-def character(alpha: Partition, p: Permutation) -> float:
-    if alpha.weight != p.degree:
-        raise ValueError(f"weight {alpha.weight} != degree {p.degree}")
-    return irrep(alpha).character(p)
-
-
 def transposition_character_frobenius(alpha: Partition) -> float:
     """Character value on the class of transpositions, from the Frobenius
     coordinates: (dim / m(m-1)) * sum_i (b_i(b_i+1) - a_i(a_i+1))."""
@@ -168,11 +156,6 @@ def transposition_character_frobenius(alpha: Partition) -> float:
     legs, arms = alpha.characteristic
     total = sum(b * (b + 1) - a * (a + 1) for a, b in zip(legs, arms))
     return alpha.hook_dimension() * total / (m * (m - 1))
-
-
-def class_sum_scalar(alpha: Partition, class_rep: Permutation, class_size: int) -> float:
-    """The scalar by which a conjugacy-class sum acts in the irrep alpha."""
-    return class_size * character(alpha, class_rep) / alpha.hook_dimension()
 
 
 def multiplicity_in_V(alpha: Partition, d: int) -> int:

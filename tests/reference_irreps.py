@@ -23,6 +23,11 @@ from ptalgebra.permutations import Permutation
 from ptalgebra.yor import irrep
 
 
+def image_of(rep, sigma: Permutation) -> np.ndarray:
+    """``rep.image`` of one generator, read as a batch of one row."""
+    return rep.image(np.array([sigma.images]) - 1)[0]
+
+
 def _swap(m: int, x: int, y: int) -> Permutation:
     return Permutation.transposition(m, x, y)
 

@@ -88,9 +88,9 @@ def reference_irreps(n: int, d: int, law=mul_generators) -> float:
     of ``checks.all_irreps``, read at call time so that a planted irrep
     reaches both forms, and every pair (sigma, rho), with (p, tau) from
     ``law``: one row of n! products per sigma."""
-    perms = list(Permutation.all(n))
     images = image_array(n)
-    stacks = [np.stack([rep.image(p) for p in perms]) for rep in checks.all_irreps(n, d)]
+    stacks = [np.concatenate([rep.image(row[None]) for row in images])
+              for rep in checks.all_irreps(n, d)]
     worst = 0.0
     for s, sigma in enumerate(images):
         powers, products = law(sigma, images)

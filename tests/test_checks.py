@@ -207,16 +207,13 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
 
 def _plant_image(monkeypatch, n, d, planted, factor, which=0):
     """Let ``checks.all_irreps`` serve irrep ``which`` with the image of
-    ``planted`` scaled by ``factor``, alone (as the reference reads it) and
-    as its row of a batch (as ``check_irreps`` reads it); the others are
-    real."""
+    ``planted`` scaled by ``factor`` in every batch that holds it, as the
+    reference and ``check_irreps`` read it; the others are real."""
     import ptalgebra.checks as checks
 
     class Planted(AlgebraIrrep):
         def image(self, sigma):
             out = super().image(sigma)
-            if isinstance(sigma, Permutation):
-                return factor * out if sigma == planted else out
             out[(sigma + 1 == planted.images).all(axis=1)] *= factor
             return out
 

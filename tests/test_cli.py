@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldens
+from reference_irreps import image_of
 from reference_law import reference_mul_generators
 from ptalgebra import checks, cli, irreps
 from ptalgebra.checks import CheckReport
@@ -242,7 +243,7 @@ def test_irrep_json_has_the_bytes_of_the_per_entry_float_form():
     assert result.exit_code == 0, result.output
     rep = irreps.irrep_M_e(Partition.parse("2,2"), 3, 6)
     record = rep.to_dict() | {"images": {
-        sigma.cycle_string(): [float(x) for x in rep.image(sigma).ravel()]
+        sigma.cycle_string(): [float(x) for x in image_of(rep, sigma).ravel()]
         for sigma in Permutation.all(6)}}
     assert result.output == json.dumps(record) + "\n"
 

@@ -11,7 +11,7 @@ from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
                                spectral_q, z_matrix, zero_condition)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation, image_array
-from ptalgebra.yor import character, irrep
+from ptalgebra.yor import irrep
 
 
 def test_induced_identity_is_identity():
@@ -55,11 +55,18 @@ def test_a_batch_of_induced_images_is_the_stack_of_the_single_images(n):
         assert np.array_equal(InducedRep(alpha, n).matrix(batch), single[::-1])
 
 
+@pytest.mark.parametrize("batch,row", [([[0, 0, 1]], 0), ([[0, 1, 2], [0, 1, 3]], 1)])
+def test_a_malformed_batch_of_induced_images_is_refused(batch, row):
+    with pytest.raises(ValueError, match=f"row {row} of the batch"):
+        InducedRep(Partition([1, 1]), 4).matrix(np.array(batch))
+
+
 def test_induced_characters_branch():
     # traces over S(3) equal the summed characters of the grown labels
     rep = InducedRep(Partition([2]), 4)
     for sigma in Permutation.all(3):
-        total = sum(character(nu, sigma) for nu, _i, _e in add_box(Partition([2])))
+        total = sum(np.trace(irrep(nu).image(sigma))
+                    for nu, _i, _e in add_box(Partition([2])))
         assert np.trace(rep.matrix(sigma)) == pytest.approx(total)
 
 

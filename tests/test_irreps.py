@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import goldens
-from reference_irreps import reference_e_images, reference_f_images
+from reference_irreps import image_of, reference_e_images, reference_f_images
 from ptalgebra.algebra import AlgebraContext, AlgebraElement, mul_generators
 from ptalgebra.induced import eigenvalues_closed_form, zero_condition
-from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
-                              irrep_M_e, irrep_M_f, irrep_S,
+from ptalgebra.irreps import (algebra_dimension_formula, all_irreps, block_labels,
+                              direct_sum, irrep_M_e, irrep_M_f, irrep_S,
                               rank_of_q, structure_report, unit_of_M)
 from ptalgebra.oracle import (OperatorStack, element_operator, generator_stack,
                               identity_operator, span_dimension,
                               transposed_perm_operator)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation, image_array
-from ptalgebra.yor import character
+from ptalgebra.yor import irrep
 
 
 def cyc(n, *cycles):
@@ -31,14 +31,14 @@ def test_mf_golden_n3(d):
     adapter = goldens.SIGN_ADAPTER_N3
     published = goldens.mf_n3(d)
     for code, expected in published.items():
-        ours = rep.image(Permutation.parse(f"({code})", 3))
+        ours = image_of(rep, Permutation.parse(f"({code})", 3))
         assert np.abs(adapter @ ours @ adapter - expected).max() < 1e-9
     # untransposed subgroup: diagonal trivial + sign blocks
-    assert np.abs(rep.image(cyc(3, (1, 2)))
+    assert np.abs(image_of(rep, cyc(3, (1, 2)))
                   - goldens.mf_n3_untransposed(-1.0)).max() < 1e-12
-    assert np.abs(rep.image(Permutation.identity(3)) - np.eye(2)).max() < 1e-12
+    assert np.abs(image_of(rep, Permutation.identity(3)) - np.eye(2)).max() < 1e-12
     # the remaining transposed three-cycle is the adjoint of (123)
-    ours_132 = rep.image(cyc(3, (1, 3, 2)))
+    ours_132 = image_of(rep, cyc(3, (1, 3, 2)))
     assert np.abs(adapter @ ours_132 @ adapter
                   - goldens.mf_n3(d)["123"].T).max() < 1e-9
 
@@ -50,7 +50,7 @@ def test_me_golden_n3(d):
     for code, expected in goldens.phi_n3(d).items():
         perm = Permutation.identity(3) if not code else Permutation.parse(
             f"({code})", 3)
-        ours = rep.image(perm)
+        ours = image_of(rep, perm)
         assert np.abs(adapter @ ours @ adapter - expected).max() < 1e-12
 
 
@@ -61,11 +61,11 @@ def test_semi_trivial_golden_n3():
         for p in Permutation.all(3):
             if p.fixes_last():
                 expected = 1.0 if p.is_identity() else p.restrict(2).sign()
-                assert triv.image(p)[0, 0] == pytest.approx(1.0)
-                assert sign.image(p)[0, 0] == pytest.approx(expected)
+                assert image_of(triv, p)[0, 0] == pytest.approx(1.0)
+                assert image_of(sign, p)[0, 0] == pytest.approx(expected)
             else:
-                assert triv.image(p)[0, 0] == 0.0
-                assert sign.image(p)[0, 0] == 0.0
+                assert image_of(triv, p)[0, 0] == 0.0
+                assert image_of(sign, p)[0, 0] == 0.0
 
 
 def test_semi_trivial_sign_requires_d3():
@@ -81,11 +81,11 @@ def test_semi_trivial_sign_requires_d3():
 def test_me_golden_n4(d):
     rep_id = irrep_M_e(Partition([2]), d, 4)
     for code, expected in goldens.me_n4_id(d).items():
-        assert np.abs(rep_id.image(Permutation.parse(f"({code})", 4))
+        assert np.abs(image_of(rep_id, Permutation.parse(f"({code})", 4))
                       - expected).max() < 1e-12
     # untransposed action is the natural permutation representation
     for sigma in Permutation.all(3):
-        mat = rep_id.image(sigma.embed(4))
+        mat = image_of(rep_id, sigma.embed(4))
         expected = np.zeros((3, 3))
         for a in range(1, 4):
             expected[sigma(a) - 1, a - 1] = 1.0
@@ -95,12 +95,12 @@ def test_me_golden_n4(d):
         return  # the sign-label e-basis needs det Q != 0
     rep_sgn = irrep_M_e(Partition([1, 1]), d, 4)
     for code, expected in goldens.me_n4_sgn(d).items():
-        assert np.abs(rep_sgn.image(Permutation.parse(f"({code})", 4))
+        assert np.abs(image_of(rep_sgn, Permutation.parse(f"({code})", 4))
                       - expected).max() < 1e-12
     # untransposed action carries the sign twist
     sign_rep = Partition([1, 1])
     for sigma in Permutation.all(3):
-        mat = rep_sgn.image(sigma.embed(4))
+        mat = image_of(rep_sgn, sigma.embed(4))
         expected = np.zeros((3, 3))
         for a in range(1, 4):
             twist = (Permutation.transposition(3, sigma(a), 3) * sigma
@@ -133,7 +133,7 @@ def test_mf_equivalence_to_published_complex_basis_n4(d):
     for alpha, published in [(Partition([2]), goldens.mf_n4_id(d)),
                              (Partition([1, 1]), goldens.mf_n4_sgn(d))]:
         rep = irrep_M_f(alpha, d, 4)
-        ours = {code: rep.image(Permutation.parse(f"({code})", 4))
+        ours = {code: image_of(rep, Permutation.parse(f"({code})", 4))
                 for code in published}
         for code, theirs in published.items():
             assert np.trace(ours[code]) == pytest.approx(np.trace(theirs).real,
@@ -152,7 +152,7 @@ def test_mf_rank_deficient_block_n4_d2():
     rep = irrep_M_f(Partition([1, 1]), 2, 4)
     assert rep.dimension == 2
     published = goldens.mf_n4_sgn_d2()
-    ours = {code: rep.image(Permutation.parse(f"({code})", 4))
+    ours = {code: image_of(rep, Permutation.parse(f"({code})", 4))
             for code in published}
     for code, theirs in published.items():
         assert np.trace(ours[code]) == pytest.approx(np.trace(theirs).real,
@@ -184,11 +184,12 @@ def test_m_blocks_absent_below_height():
 def test_homomorphism_suite(n, d):
     perms = list(Permutation.all(n))
     for rep in all_irreps(n, d):
+        image = {sigma: image_of(rep, sigma) for sigma in perms}
         for sigma in perms:
             for rho in perms:
                 power, result = mul_generators(sigma, rho)
-                residual = np.abs(rep.image(sigma) @ rep.image(rho)
-                                  - (d**power) * rep.image(result)).max()
+                residual = np.abs(image[sigma] @ image[rho]
+                                  - (d**power) * image[result]).max()
                 assert residual < 1e-8
 
 
@@ -199,9 +200,33 @@ def test_a_batch_of_images_is_the_stack_of_the_single_images(n, d):
     reps = all_irreps(n, d) + [irrep_M_e(alpha, d, n) for alpha in partitions_of(n - 2)
                                if alpha.height <= d and zero_condition(alpha, d) is None]
     for rep in reps:
-        single = np.stack([rep.image(sigma) for sigma in perms])
+        single = np.stack([image_of(rep, sigma) for sigma in perms])
         assert np.array_equal(rep.image(image_array(n)), single), rep
         assert np.array_equal(rep.image(image_array(n)[1::2]), single[1::2]), rep
+
+
+@pytest.mark.parametrize("build", [irrep_M_f, irrep_M_e])
+@pytest.mark.parametrize("batch,row", [([[0, 0, 1]], 0), ([[0, 1, 3]], 0),
+                                       ([[2, 1, 0], [1, 1, 1]], 1)])
+def test_a_malformed_batch_of_algebra_images_is_refused(build, batch, row):
+    rep = build(Partition([1]), 3, 3)
+    with pytest.raises(ValueError, match=f"row {row} of the batch"):
+        rep.image(np.array(batch))
+
+
+def test_algebra_images_take_batches_only():
+    rep = irrep_S(Partition([2]), 3, 3)
+    with pytest.raises(ValueError, match="2-D integer array"):
+        rep.image(Permutation.identity(3))
+    with pytest.raises(ValueError, match="degree 2 != n = 3"):
+        rep.image(np.array([[1, 0]]))
+
+
+def test_a_malformed_batch_of_a_direct_sum_is_refused():
+    reps = [irrep(Partition([2, 1])), irrep(Partition([3]))]
+    assert direct_sum(reps, image_array(3)).shape == (6, 3, 3)
+    with pytest.raises(ValueError, match="row 1 of the batch"):
+        direct_sum(reps, np.array([[0, 1, 2], [0, 2, 2]]))
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3)])
@@ -212,15 +237,14 @@ def test_f_and_e_bases_have_equal_traces(n, d):
         rep_f = irrep_M_f(alpha, d, n)
         rep_e = irrep_M_e(alpha, d, n)
         for sigma in Permutation.all(n):
-            assert np.trace(rep_f.image(sigma)) == pytest.approx(
-                np.trace(rep_e.image(sigma)), abs=1e-8)
+            assert np.trace(image_of(rep_f, sigma)) == pytest.approx(
+                np.trace(image_of(rep_e, sigma)), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_images_match_the_explicit_matrix_elements(n):
     # the kind-M images built from rho and the contraction V' equal the
     # paper's direct formulas for every generator, in both bases
-    perms = list(Permutation.all(n))
     for d in range(1, 5):
         for alpha in partitions_of(n - 2):
             if alpha.height > d:
@@ -229,8 +253,7 @@ def test_images_match_the_explicit_matrix_elements(n):
             if zero_condition(alpha, d) is None:
                 pairs.append((irrep_M_e(alpha, d, n), reference_e_images(alpha, d, n)))
             for rep, expected in pairs:
-                for sigma, image in zip(perms, expected):
-                    assert np.abs(rep.image(sigma) - image).max() < 1e-12
+                assert np.abs(rep.image(image_array(n)) - expected).max() < 1e-12
 
 
 def test_kind_s_annihilates_main_ideal_exactly():
@@ -240,7 +263,7 @@ def test_kind_s_annihilates_main_ideal_exactly():
                 continue
             for sigma in Permutation.all(n):
                 if not sigma.fixes_last():
-                    assert not rep.image(sigma).any()
+                    assert not image_of(rep, sigma).any()
 
 
 def test_restriction_branching():
@@ -250,8 +273,8 @@ def test_restriction_branching():
                         (Partition([1, 1]), 3, 4)]:
         rep = irrep_M_f(alpha, d, n)
         for sigma in Permutation.all(n - 1):
-            expected = sum(character(nu, sigma) for nu, _i, _e in add_box(alpha))
-            assert np.trace(rep.image(sigma.embed(n))) == pytest.approx(
+            expected = sum(np.trace(irrep(nu).image(sigma)) for nu, _i, _e in add_box(alpha))
+            assert np.trace(image_of(rep, sigma.embed(n))) == pytest.approx(
                 expected, abs=1e-9)
 
 
@@ -324,9 +347,9 @@ def test_all_irreps_n2():
         irreps = all_irreps(2, d)
         assert [(rep.kind, rep.label, rep.dimension) for rep in irreps] == (
             [("M", Partition(()), 1)] + [("S", Partition((1,)), 1)] * (d > 1))
-        assert [rep.image(swap).tolist() for rep in irreps] == (
+        assert [image_of(rep, swap).tolist() for rep in irreps] == (
             [[[float(d)]]] + [[[0.0]]] * (d > 1))
-        assert all(rep.image(one).tolist() == [[1.0]] for rep in irreps)
+        assert all(image_of(rep, one).tolist() == [[1.0]] for rep in irreps)
         assert structure_report(2, d).dim_total == len(irreps)
 
 
@@ -399,7 +422,23 @@ def test_irrep_to_dict_shape():
     assert set(record["images"].keys()) == {
         p.cycle_string() for p in Permutation.all(3)}
     mat = np.array(record["images"]["(13)"]).reshape(2, 2)
-    assert np.abs(mat - rep.image(cyc(3, (1, 3)))).max() < 1e-15
+    assert np.abs(mat - image_of(rep, cyc(3, (1, 3)))).max() < 1e-15
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 3)])
+def test_to_dict_lists_every_generator_in_order_as_its_one_row_batch(n, d):
+    m_labels, s_labels = block_labels(n, d)
+    reps = ([irrep_M_f(alpha, d, n) for alpha in m_labels]
+            + [irrep_M_e(alpha, d, n) for alpha in m_labels
+               if zero_condition(alpha, d) is None]
+            + [irrep_S(nu, d, n) for nu in s_labels])
+    assert {(rep.kind, rep.basis_tag) for rep in reps} == {("M", "f"), ("M", "e"), ("S", None)}
+    for rep in reps:
+        images = rep.to_dict()["images"]
+        perms = list(Permutation.all(n))
+        assert list(images) == [sigma.cycle_string() for sigma in perms]
+        for sigma, flat in zip(perms, images.values()):
+            assert np.array(flat).tobytes() == image_of(rep, sigma).tobytes(), (rep, sigma)
 
 
 def test_irrep_json_roundtrip():
@@ -410,4 +449,4 @@ def test_irrep_json_roundtrip():
             record["dimension"]) == ("M", rep.label, 2)
     for sigma in Permutation.all(3):
         image = np.array(record["images"][sigma.cycle_string()]).reshape(2, 2)
-        assert np.abs(image - rep.image(sigma)).max() < 1e-15
+        assert np.abs(image - image_of(rep, sigma)).max() < 1e-15

@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from ptalgebra.partitions import Partition, partitions_of
-from ptalgebra.permutations import Permutation, image_array
-from ptalgebra.yor import (SymmetricGroupIrrep, averaging_weights, character,
-                           class_sum_scalar, descent_image, irrep, multiplicity_in_V,
-                           transposition_character_frobenius)
+from ptalgebra.permutations import Permutation, descent_levels, image_array
+from ptalgebra.yor import (SymmetricGroupIrrep, averaging_weights, descent_image,
+                           irrep, multiplicity_in_V, transposition_character_frobenius)
 
 TOL = 1e-10
+
+
+def character(alpha: Partition, p: Permutation) -> float:
+    return float(np.trace(irrep(alpha).image(p)))
+
+
+def class_sum_scalar(alpha: Partition, members: list[Permutation]) -> float:
+    """The scalar of the class sum over ``members`` in alpha, by Schur's lemma
+    the class size times the trace of one member over the dimension."""
+    return len(members) * character(alpha, members[0]) / alpha.hook_dimension()
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -52,13 +61,6 @@ def test_image_multiplicative_exhaustive(m):
                 assert np.abs(products[a, b] - expected).max() < TOL
 
 
-def test_a_sparse_image_caches_only_itself():
-    rep = SymmetricGroupIrrep(Partition([3, 2]))
-    longest = Permutation(range(5, 0, -1))
-    rep.image(longest)
-    assert set(rep._images) == {tuple(range(1, 6)), longest.images}
-
-
 class _ProductSpy:
     """An adjacent image that counts the products taken with it on the right."""
 
@@ -72,17 +74,25 @@ class _ProductSpy:
         return other @ self.mat
 
 
+def _inversions(p: Permutation) -> int:
+    return sum(x > y for i, x in enumerate(p.images) for y in p.images[i + 1:])
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_a_traversal_in_all_order_takes_one_product_per_image(m):
+    # a single image walks from the identity, one product per inversion; the
+    # batch of the whole traversal takes one product per image, one level of
+    # descent_levels at a time
+    assert sum(len(rows) for rows, _parents, _k in descent_levels(m)) == factorial(m) - 1
     for alpha in partitions_of(m):
         rep = SymmetricGroupIrrep(alpha)
         products = []
         adjacent = [_ProductSpy(mat, products) for mat in rep._adjacent]
-        images = {tuple(range(1, m + 1)): np.eye(rep.dim)}
-        for p in Permutation.all(m):
-            # the chain from p is fixed, so the cache state never changes a bit
-            assert np.array_equal(descent_image(p, images, adjacent), rep.image(p))
-        assert len(products) == len(images) - 1 == factorial(m) - 1
+        batch = rep.image(image_array(m))
+        for p, image in zip(Permutation.all(m), batch):
+            products.clear()
+            assert np.array_equal(descent_image(p, adjacent, rep.dim), image)
+            assert len(products) == _inversions(p)
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -95,7 +105,22 @@ def test_a_batch_is_the_stack_of_the_single_images(m):
         rep = SymmetricGroupIrrep(alpha)
         assert np.array_equal(rep.image(image_array(m)), single)
         assert np.array_equal(rep.image(image_array(m)[shuffled]), single[shuffled])
-        assert set(rep._images) == {tuple(range(1, m + 1))}  # a batch caches nothing
+
+
+@pytest.mark.parametrize("batch,row", [
+    ([[0, 0, 1]], 0), ([[0, 1, 5]], 0), ([[0, 1, 2], [2, 1, 1]], 1),
+    ([[0, 1, 2], [1, 2, 3]], 1), ([[-1, 0, 1]], 0)])
+def test_a_malformed_batch_is_refused_by_its_first_bad_row(batch, row):
+    with pytest.raises(ValueError, match=f"row {row} of the batch"):
+        irrep(Partition([2, 1])).image(np.array(batch))
+
+
+@pytest.mark.parametrize("batch", [
+    np.array([0, 1, 2]), np.array([[[0, 1, 2]]]), np.array([[0.0, 1.0, 2.0]]),
+    np.array([[True, False, True]])])
+def test_a_batch_that_is_not_a_2d_integer_array_is_refused(batch):
+    with pytest.raises(ValueError, match="2-D integer array"):
+        irrep(Partition([2, 1])).image(batch)
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -165,23 +190,21 @@ def test_class_sum_scalar_against_explicit_sum(m):
         rep = irrep(alpha)
         for members in classes.values():
             total = sum(rep.image(p) for p in members)
-            scalar = class_sum_scalar(alpha, members[0], len(members))
+            scalar = class_sum_scalar(alpha, members)
             assert np.abs(total - scalar * np.eye(rep.dim)).max() < 1e-9
 
 
 def test_class_sum_scalar_examples():
     assert class_sum_scalar(
-        Partition([2, 1]), Permutation.identity(3), 1) == pytest.approx(1.0)
+        Partition([2, 1]), [Permutation.identity(3)]) == pytest.approx(1.0)
     # three-cycles in S(3) acting in the 2-dim block: 2 * (-1) / 2 = -1
-    assert class_sum_scalar(
-        Partition([2, 1]), Permutation.from_cycles(3, [(1, 2, 3)]), 2
-    ) == pytest.approx(-1.0)
-    # transpositions: (m(m-1)/2) chi(12) / dim
+    three_cycles = [Permutation.from_cycles(3, [c]) for c in [(1, 2, 3), (1, 3, 2)]]
+    assert class_sum_scalar(Partition([2, 1]), three_cycles) == pytest.approx(-1.0)
+    # transpositions: (m(m-1)/2) chi(12) / dim, chi(12) by Frobenius
+    swaps = [Permutation.transposition(4, x, y) for x in range(1, 5) for y in range(x + 1, 5)]
     for alpha in partitions_of(4):
-        expected = 6 * character(alpha, Permutation.transposition(4, 1, 2)) \
-            / alpha.hook_dimension()
-        assert class_sum_scalar(
-            alpha, Permutation.transposition(4, 1, 2), 6) == pytest.approx(expected)
+        expected = 6 * transposition_character_frobenius(alpha) / alpha.hook_dimension()
+        assert class_sum_scalar(alpha, swaps) == pytest.approx(expected)
 
 
 def test_multiplicity_symmetric_and_antisymmetric():
