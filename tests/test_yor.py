@@ -78,6 +78,22 @@ def _inversions(p: Permutation) -> int:
     return sum(x > y for i, x in enumerate(p.images) for y in p.images[i + 1:])
 
 
+def test_a_sparse_image_caches_only_itself():
+    # the longest element of S(5) walks its own chain, ten products, and
+    # leaves the irrep as it found it
+    rep = SymmetricGroupIrrep(Partition([3, 2]))
+    longest = Permutation(range(5, 0, -1))
+    state = dict(vars(rep))
+    products = []
+    adjacent = [_ProductSpy(mat, products) for mat in rep._adjacent]
+    image = descent_image(longest, adjacent, rep.dim)
+    assert len(products) == _inversions(longest) == 10
+    assert np.array_equal(image, rep.image(longest))
+    assert np.array_equal(image, rep.image(image_array(5))[-1])
+    assert vars(rep).keys() == state.keys()
+    assert all(vars(rep)[key] is value for key, value in state.items())
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_a_traversal_in_all_order_takes_one_product_per_image(m):
     # a single image walks from the identity, one product per inversion; the
