@@ -11,19 +11,19 @@ Such a claim needs no row per left factor: the left actions of the u
 family run on the n-1 generators of the algebra, and compose along the
 word of every sigma on the abstract side, and the law
 x_IJ x_KL = A_JK x_IL of the u, E and f families on 2s pivot rows of its
-s^2 left factors (``_x_claim``).  Single generators are built only by the
-adjoint check and once for the contraction V' of the unit check.  The composition law and
-associativity are checked exactly on the oracle's integer index form of
-the transposed generators instead, not on the stacks, so their residuals
-are integers (0 on a pass) judged against the same tolerances; the
-adjoint check ties that index form to the float generators, as stacked
-and as built one by one.  The law on the oracle and the homomorphism of
-every irrep run on the n-1 generator rows (g, rho) only, plus the pairs
-that ``law_sweep`` flags: its one integer sweep of the law along the
-words of ``generator_words`` is the premise of the induction that extends
-them to every pair.  All three read the law off whole rows of
-``algebra.law_rows``, a flagged pair off the row of its left factor, so
-the sweep and the checks it vouches for read one law.
+s^2 left factors (``_x_claim``).  Only the adjoint check (all of S(n), one
+batch) and the unit check (V', one row) build generators apart from the
+cached stacks.  The composition law and associativity are checked exactly
+on the oracle's integer index form of the transposed generators instead,
+so their residuals are integers (0 on a pass, at least 1 on a fail) judged
+against ``ORACLE_TOL``; the adjoint check ties that form to the float
+generators, as cached and as built apart.  The law on the oracle and the
+homomorphism of every irrep run on the n-1 generator rows (g, rho) only,
+plus the pairs that ``law_sweep`` flags: its one integer sweep of the law
+along the words of ``generator_words`` is the premise of the induction
+that extends them to every pair.  All three read the law off whole rows
+of ``algebra.law_rows``, a flagged pair off the row of its left factor,
+so the sweep and the checks it vouches for read one law.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .yor import multiplicity_in_V
 
 HOM_TOL = 1e-8
 ORACLE_TOL = 1e-10
-ASSOCIATIVITY_TOL = 1e-9
 SPECTRA_TOL = 1e-8
 APPC_TOL = 1e-9
 # Fixed samples of the randomized oracle checks, so that reports reproduce.
@@ -244,7 +243,7 @@ def check_associativity(n: int, d: int, cap: int | None = None) -> CheckReport:
     worst, (t,) = _worst(distances)
     culprit = " * ".join(str(_perm(images[k])) for k in picks[t])
     params = {"n": n, "d": d, "triples": ASSOCIATIVITY_TRIPLES}
-    return _report("associativity", params, worst, ASSOCIATIVITY_TOL, culprit=culprit)
+    return _report("associativity", params, worst, ORACLE_TOL, culprit=culprit)
 
 
 def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None) -> OperatorStack:
@@ -412,7 +411,7 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     by the composition law that ``check_mul_rule`` checks; S is spanned by
     the W(s) with s in S(n-1), and W((a n-1)) W(s) (1 - e) is again one of
     the W(s') (1 - e).  So M S(1 - e) = 0 holds iff V' W(s) (1 - e) = 0
-    for every s in S(n-1): one row, with V' built on its own.
+    for every s in S(n-1): one row, with V' built on its own as one row.
     """
     perms = list(Permutation.all(n))
     e_op = element_operator(unit_of_M(n, d), cap)
@@ -429,7 +428,7 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     complement = identity_operator(n, d, cap) - e_op
     s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
     contraction = Permutation.transposition(n, n - 1, n)
-    v_prime = OperatorStack.of(transposed_perm_operator(contraction, d, n, cap))
+    v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n, cap)
     value, (_, r) = _worst(s_part.action_residuals(v_prime, np.zeros(0, int), np.zeros(0)))
     if value > worst:
         worst, culprit = value, f"{contraction} * {perms[in_s[r]]}(1 - e)"
@@ -509,9 +508,10 @@ def check_irreps(n: int, d: int) -> CheckReport:
     for rep in reps:
         stack = rep.image(images)
         if rep.kind == "S" and stack[transposed].any():
+            first = np.flatnonzero(transposed & stack.any(axis=(1, 2)))[0]
             return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
-                               f"kind-S block {rep.label} not exactly zero on M",
-                               HOM_TOL)
+                               f"kind-S block {rep.label} not exactly zero on M, "
+                               f"first at W{_perm(images[first])}^t", HOM_TOL)
         if rep.kind == "M":
             expected = rank_of_q(rep.label, d, n)
             if rep.dimension != expected:
@@ -691,13 +691,13 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
 def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Oracle images of elements: their generators, and the adjoint.
 
-    Every W(sigma)^{t_n}, as the block of the transposed generator stack
-    that element images combine and as ``transposed_perm_operator`` builds
-    it apart from that stack, must equal the 0/1 matrix of the index form
-    on which ``check_mul_rule`` checks the composition law; a failure names
-    the generator.  Twenty random elements and their products with a random
-    generator are one element stack, and their adjoints another, whose
-    image must be the conjugate transpose.
+    Every W(sigma)^{t_n}, in the cached transposed stack that element images
+    combine and in the stack of S(n) that ``transposed_perm_operator`` builds
+    apart from it, must equal the 0/1 matrix of the index form on which
+    ``check_mul_rule`` checks the law, one ``stack_residuals`` per stack; a
+    failure names the generator.  Twenty random elements and their products
+    with a random generator are one element stack, and their adjoints
+    another, whose image must be the conjugate transpose.
     """
     rng = np.random.default_rng(ADJOINT_SEED)
     perms = list(Permutation.all(n))
@@ -715,9 +715,7 @@ def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckRepo
     index = generator_index(n, d, cap)
     generators = np.maximum(
         index.stack_residuals(generator_stack(n, d, transposed=True, cap=cap)),
-        [index.stack_residuals(OperatorStack.of(
-            transposed_perm_operator(sigma, d, n, cap)), k)[0]
-         for k, sigma in enumerate(perms)])
+        index.stack_residuals(transposed_perm_operator(image_array(n), d, n, cap)))
     value, (k,) = _worst(generators)
     if value > worst:
         worst, culprit = value, f"W{perms[k]}^t"

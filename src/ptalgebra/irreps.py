@@ -16,8 +16,8 @@ The unit of M sums Q(alpha)^+ against the u terms: one einsum per alpha.
 
 ``AlgebraIrrep.image`` takes a batch ``(k, n)`` of 0-based images only.
 It reads rho of all of S(n-1) once, as one batch of ``yor`` or ``induced``
-(whose stacks are built one inversion count at a time for the call), and
-multiplies the rows with sigma(a) = n by T[a], one product per a.
+(whose stacks are built one inversion count at a time for the call), reads
+each T[a] off it, and multiplies the rows with sigma(a) = n by T[a].
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class AlgebraIrrep:
     because (a n) = (a n-1)(n-1 n)(a n-1), and the partial transpose on
     the last factor commutes with multiplying, on either side, by an
     operator A (x) 1 that acts on the first n-1 factors only.  So the image
-    is rho(sigma_hat) T[a] with T[a] = rho((a n-1)) V' rho((a n-1)), and
-    the n-1 matrices T[a] are computed once, here.
+    is rho(sigma_hat) T[a] with T[a] = rho((a n-1)) V' rho((a n-1)), all read
+    off the one S(n-1) stack of each ``image`` call; the constructor reads none.
     """
 
     def __init__(self, kind: str, label: Partition, n: int, d: int,
@@ -61,8 +61,6 @@ class AlgebraIrrep:
         self.basis_tag = basis_tag
         self.rho = rho
         self.contraction = contraction
-        swaps = [rho(Permutation.transposition(n - 1, a, n - 1)) for a in range(1, n)]
-        self._transposition_images = [s @ contraction @ s for s in swaps]
 
     def image(self, sigma: np.ndarray) -> np.ndarray:
         """The stack of the images of the generators W(sigma), transposed when
@@ -74,10 +72,13 @@ class AlgebraIrrep:
         a = np.argmax(sigma == n - 1, axis=1)  # 0-based a; n - 1 when sigma fixes n
         hat = sigma.copy()  # sigma_hat = sigma (a n), which fixes n
         hat[np.arange(len(sigma)), a] = sigma[:, -1]
-        out = self.rho(image_array(n - 1))[lehmer_rank(hat[:, :-1])]
-        for point, t_a in enumerate(self._transposition_images):
+        group = self.rho(image_array(n - 1))
+        swaps = group[lehmer_rank(np.array(
+            [Permutation.transposition(n - 1, a, n - 1).images for a in range(1, n)]) - 1)]
+        out = group[lehmer_rank(hat[:, :-1])]
+        for point, swap in enumerate(swaps):  # T[a] = rho((a n-1)) V' rho((a n-1))
             rows = np.flatnonzero(a == point)
-            out[rows] = out[rows] @ t_a
+            out[rows] = out[rows] @ (swap @ self.contraction @ swap)
         return out
 
     def __repr__(self) -> str:

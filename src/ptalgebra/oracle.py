@@ -49,10 +49,13 @@ larger.  One routine, ``_largest_sums``, gives every exact entry difference
 on it: of a failing law pair, of two bracketings, and in ``stack_residuals``
 of the float generators, which stay tied to the form the law is checked on.
 
-``generator_stack`` gives W(sigma), or its partial transposes, for all of
-S(n) in ``Permutation.all`` order, built once per (n, d) and read-only
-on the dense side.  ``perm_operator`` and ``transposed_perm_operator``
-build one generator afresh from the same basis digits, with no cache.
+One builder, ``_generators``, makes W(sigma), or its partial transpose,
+from basis digits for every row of a ``(K, n)`` batch of 0-based images.
+``generator_stack`` is its cached call on all of S(n), in
+``Permutation.all`` order, built once per (n, d) and read-only on the
+dense side.  ``perm_operator`` and ``transposed_perm_operator`` call it
+afresh, with no cache: a batch gives its stack, and a Permutation row 0
+of a one-row batch, as a ``TensorOp``.
 The images of algebra elements are one ``combine`` of the transposed
 stack: ``element_stack`` maps a list of elements to a stack, and
 ``element_operator`` is its one-element case.
@@ -72,7 +75,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .partitions import Partition
-from .permutations import Permutation, image_array, lehmer_rank
+from .permutations import Permutation, degree, image_array, lehmer_rank
 from .yor import averaging_weights
 
 DEFAULT_CAP = 4096
@@ -198,13 +201,6 @@ class OperatorStack:
 
     def __len__(self) -> int:
         return self.size
-
-    @staticmethod
-    def of(op: TensorOp) -> "OperatorStack":
-        """The one-block stack of ``op``, sharing its storage."""
-        matrix = op.matrix
-        return OperatorStack(op.n, op.d, matrix[None] if isinstance(matrix, np.ndarray)
-                             else matrix)
 
     def _new(self, data) -> "OperatorStack":
         if not isinstance(data, np.ndarray):
@@ -430,18 +426,6 @@ def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
             out += scratch
 
 
-def _from_entries(n: int, d: int, rows: np.ndarray, cols: np.ndarray,
-                  values: np.ndarray) -> TensorOp:
-    """Store the operator with the given nonzero entries in the format for d^n."""
-    dim = d**n
-    if _is_dense(dim):
-        matrix = np.zeros((dim, dim))
-        matrix[rows, cols] = values
-    else:
-        matrix = _sparse().csr_matrix((values, (rows, cols)), shape=(dim, dim))
-    return TensorOp(n, d, matrix)
-
-
 def _transpose_last_indices(rows: np.ndarray, cols: np.ndarray,
                             d: int) -> tuple[np.ndarray, np.ndarray]:
     r_low, c_low = rows % d, cols % d
@@ -475,13 +459,13 @@ def _generator_entries(images: np.ndarray, d: int,
     return rows, cols
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
-    """All of W(S(n)), or all their partial transposes, in ``Permutation.all``
-    order; read-only on the dense side."""
+def _generators(images: np.ndarray, d: int, transposed: bool) -> "OperatorStack":
+    """W(sigma), or its partial transpose, for each row sigma of a ``(K, n)``
+    array of 0-based images, built afresh from their d^n unit entries: a
+    new stack, shared with nothing."""
+    count, n = images.shape
     dim = d**n
-    rows, cols = _generator_entries(image_array(n), d, transposed)
-    count = rows.shape[0]
+    rows, cols = _generator_entries(images, d, transposed)
     if not _is_dense(dim):
         offset = np.arange(count, dtype=rows.dtype)[:, None] * dim
         data = _sparse().csr_matrix(
@@ -490,21 +474,17 @@ def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
         return OperatorStack(n, d, data)
     data = np.zeros((count, dim, dim))
     data[np.arange(count)[:, None], rows, cols] = 1.0
-    data.flags.writeable = False
     return OperatorStack(n, d, data)
 
 
-def _generator(sigma: Permutation, d: int, transposed: bool) -> TensorOp:
-    """W(sigma), or its partial transpose, built afresh from its d^n unit entries."""
-    rows, cols = _generator_entries(np.asarray(sigma.images)[None, :] - 1, d,
-                                    transposed)
-    return _from_entries(sigma.degree, d, rows[0], cols[0], np.ones(rows.shape[1]))
-
-
-def _check_generator(sigma: Permutation, d: int, n: int | None, cap: int | None):
-    if n is not None and sigma.degree != n:
-        raise ValueError("degree mismatch")
-    _check_family(sigma.degree, d, cap)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
+    """All of W(S(n)), or all their partial transposes, in ``Permutation.all``
+    order; read-only on the dense side."""
+    family = _generators(image_array(n), d, transposed)
+    if isinstance(family.data, np.ndarray):
+        family.data.flags.writeable = False
+    return family
 
 
 def _check_family(n: int, d: int, cap: int | None):
@@ -513,11 +493,32 @@ def _check_family(n: int, d: int, cap: int | None):
     _check_cap(d**n, cap)
 
 
-def perm_operator(sigma: Permutation, d: int, n: int | None = None,
-                  cap: int | None = None) -> TensorOp:
-    """The operator sending e_{i_1}..e_{i_n} to e_{i_{s^{-1}(1)}}..e_{i_{s^{-1}(n)}}."""
-    _check_generator(sigma, d, n, cap)
-    return _generator(sigma, d, False)
+def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | None,
+           transposed: bool) -> "TensorOp | OperatorStack":
+    """``perm_operator`` or ``transposed_perm_operator``: the cap, checked before
+    the input is read, then ``_generators`` of a batch or of a Permutation's row."""
+    single = isinstance(sigma, Permutation)
+    images = np.asarray(sigma.images)[None] - 1 if single else np.asarray(sigma)
+    _check_family(images.shape[-1], d, cap)
+    m = degree(images)
+    if n is not None and m != n:
+        raise ValueError(f"degree mismatch: {m} != n = {n}")
+    stack = _generators(images, d, transposed)
+    return stack.op(0) if single else stack
+
+
+def perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
+                  cap: int | None = None) -> "TensorOp | OperatorStack":
+    """The operator sending e_{i_1}..e_{i_n} to e_{i_{s^{-1}(1)}}..e_{i_{s^{-1}(n)}},
+    built afresh: a TensorOp for a Permutation, and for a batch ``(k, n)`` of
+    0-based images the stack of its k operators."""
+    return _fresh(sigma, d, n, cap, False)
+
+
+def transposed_perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
+                             cap: int | None = None) -> "TensorOp | OperatorStack":
+    """The partial transpose of ``perm_operator(sigma, d)`` on the last factor."""
+    return _fresh(sigma, d, n, cap, True)
 
 
 def partial_transpose_last(op: TensorOp) -> TensorOp:
@@ -529,14 +530,8 @@ def partial_transpose_last(op: TensorOp) -> TensorOp:
             blocks.transpose(0, 3, 2, 1)).reshape(dim, dim))
     coo = op.matrix.tocoo()
     rows, cols = _transpose_last_indices(coo.row, coo.col, d)
-    return _from_entries(op.n, d, rows, cols, coo.data)
-
-
-def transposed_perm_operator(sigma: Permutation, d: int, n: int | None = None,
-                             cap: int | None = None) -> TensorOp:
-    """The partial transpose of ``perm_operator(sigma, d)`` on the last factor."""
-    _check_generator(sigma, d, n, cap)
-    return _generator(sigma, d, True)
+    return TensorOp(op.n, d, _sparse().csr_matrix((coo.data, (rows, cols)),
+                                                  shape=(dim, dim)))
 
 
 def generator_stack(n: int, d: int, transposed: bool = False,

@@ -205,6 +205,48 @@ def test_check_irreps_reports_a_broken_image(monkeypatch):
     assert report.passed is False and report.max_residual > 0.1
 
 
+def test_check_irreps_names_the_first_transposed_generator_of_a_kind_s_block_off_zero(
+        monkeypatch):
+    # a kind-S irrep with V' = 1 sends every W(sigma)^t to a nonzero image;
+    # the first sigma that moves n, in Permutation.all order, is (34)
+    import ptalgebra.checks as checks
+
+    n, d = 4, 3
+
+    def planted(n_, d_):
+        reps = all_irreps(n_, d_)
+        k = [rep.kind for rep in reps].index("S")
+        rep = reps[k]
+        reps[k] = AlgebraIrrep("S", rep.label, n_, d_, None, rep.rho,
+                               np.eye(rep.dimension))
+        return reps
+
+    monkeypatch.setattr(checks, "all_irreps", planted)
+    label = block_labels(n, d)[1][0]
+    report = check_irreps(n, d)
+    assert report.passed is False and report.max_residual == 1.0
+    assert report.details == f"kind-S block {label} not exactly zero on M, first at W(34)^t"
+
+
+def test_check_irreps_refuses_a_kind_m_irrep_off_the_rank_of_q(monkeypatch):
+    import ptalgebra.checks as checks
+    from ptalgebra.irreps import rank_of_q
+
+    n, d = 4, 2
+    alpha = block_labels(n, d)[0][0]
+    rank = rank_of_q(alpha, d, n)
+
+    def planted(n_, d_):
+        reps = all_irreps(n_, d_)
+        reps[0].dimension = rank + 1
+        return reps
+
+    monkeypatch.setattr(checks, "all_irreps", planted)
+    report = check_irreps(n, d)
+    assert report.passed is False and report.max_residual == 1.0
+    assert report.details == f"dimension {rank + 1} != rank {rank}"
+
+
 def _plant_image(monkeypatch, n, d, planted, factor, which=0):
     """Let ``checks.all_irreps`` serve irrep ``which`` with the image of
     ``planted`` scaled by ``factor`` in every batch that holds it, as the
@@ -297,7 +339,7 @@ def test_reports_carry_their_tolerance():
     from ptalgebra import checks
 
     expected = {"mul_rule": checks.ORACLE_TOL,
-                "associativity": checks.ASSOCIATIVITY_TOL,
+                "associativity": checks.ORACLE_TOL,
                 "adjoint_transport": checks.ORACLE_TOL,
                 "spectra": checks.SPECTRA_TOL, "irreps": HOM_TOL,
                 "dimensions": None, "matrix_operators": checks.APPC_TOL,
@@ -588,26 +630,24 @@ def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
 
 def test_suite_builds_single_generators_only_for_adjoint_transport_and_v_prime(
         monkeypatch):
-    # every other claim takes its left factors from a stack that it holds
-    import math
-
-    import ptalgebra.checks as checks
+    # every other claim takes its left factors from a stack that it holds;
+    # the cached families are built before the spy, so it sees fresh builds
+    # only: the S(5) batch of the adjoint check and the one row of V'
     import ptalgebra.oracle as oracle
+    from ptalgebra.oracle import generator_stack
 
-    calls = {"perm_operator": 0, "transposed_perm_operator": 0}
+    n, d = 5, 2
+    for transposed in (False, True):
+        generator_stack(n, d, transposed)
+    built, real = [], oracle._generators
 
-    def counting(name, build):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return build(*args, **kwargs)
-        return counted
+    def spy(images, d_, transposed):
+        built.append((images.shape, transposed))
+        return real(images, d_, transposed)
 
-    for name in calls:
-        monkeypatch.setattr(checks, name,
-                            counting(name, getattr(oracle, name)), raising=False)
-    assert all(report.passed for report in run_suite(5, 2, "all"))
-    # n! generators for the adjoint check, and V' once
-    assert calls == {"perm_operator": 0, "transposed_perm_operator": math.factorial(5) + 1}
+    monkeypatch.setattr(oracle, "_generators", spy)
+    assert all(report.passed for report in run_suite(n, d, "all"))
+    assert built == [((120, n), True), ((1, n), True)]
 
 
 def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(

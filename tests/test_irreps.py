@@ -206,6 +206,26 @@ def test_a_batch_of_images_is_the_stack_of_the_single_images(n, d):
 
 
 @pytest.mark.parametrize("build", [irrep_M_f, irrep_M_e])
+def test_an_irrep_reads_its_images_only_in_image(build):
+    # T[a] = rho((a n-1)) V' rho((a n-1)) comes off the one S(n-1) stack
+    # that each image call reads, so the constructor reads none
+    from ptalgebra.irreps import AlgebraIrrep
+
+    n, d = 5, 3
+    real = build(Partition([2, 1]), d, n)
+    calls = []
+
+    def rho(batch):
+        calls.append(batch.shape)
+        return real.rho(batch)
+
+    rep = AlgebraIrrep(real.kind, real.label, n, d, real.basis_tag, rho, real.contraction)
+    assert calls == []
+    assert np.array_equal(rep.image(image_array(n)), real.image(image_array(n)))
+    assert calls == [(24, 4)]
+
+
+@pytest.mark.parametrize("build", [irrep_M_f, irrep_M_e])
 @pytest.mark.parametrize("batch,row", [([[0, 0, 1]], 0), ([[0, 1, 3]], 0),
                                        ([[2, 1, 0], [1, 1, 1]], 1)])
 def test_a_malformed_batch_of_algebra_images_is_refused(build, batch, row):

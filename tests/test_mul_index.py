@@ -482,12 +482,17 @@ def test_adjoint_check_names_a_moved_one_in_the_generator_stack(monkeypatch, n, 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 8)])
 def test_adjoint_check_names_a_scaled_single_generator(monkeypatch, n, d):
+    # the block of the planted sigma in the batch built apart from the
+    # cached stack is scaled by 1.5; the cached stack stays exact
     planted = Permutation.from_cycles(n, [(2, 3)])
+    k = int(lehmer_rank(np.array(planted.images) - 1))
     real = checks.transposed_perm_operator
 
     def build(sigma, *args, **kwargs):
-        op = real(sigma, *args, **kwargs)
-        return 1.5 * op if sigma == planted else op
+        stack = real(sigma, *args, **kwargs)
+        weights = np.ones((len(stack), 1))
+        weights[k] = 1.5
+        return stack.combine(np.arange(len(stack))[:, None], weights)
 
     monkeypatch.setattr(checks, "transposed_perm_operator", build)
     report = checks.check_adjoint_transport(n, d)

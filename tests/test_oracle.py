@@ -18,7 +18,7 @@ from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, GeneratorIndex,
                               perm_operator, span_dimension,
                               transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import Partition, partitions_of
-from ptalgebra.permutations import Permutation
+from ptalgebra.permutations import Permutation, image_array
 from ptalgebra.yor import SymmetricGroupIrrep, multiplicity_in_V
 
 
@@ -310,6 +310,61 @@ def test_size_cap_is_checked_before_the_cache():
         perm_operator(sigma, 2, cap=4)
     with pytest.raises(SizeCapError, match="cap 4"):
         transposed_perm_operator(sigma, 2, cap=4)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
+@pytest.mark.parametrize("build", [perm_operator, transposed_perm_operator])
+def test_block_k_of_a_batch_is_the_single_build_of_row_k(n, d, build):
+    batch = image_array(n)[::-1]
+    stack = build(batch, d, n)
+    assert isinstance(stack, OperatorStack) and len(stack) == len(batch)
+    assert isinstance(stack.data, np.ndarray) == (d**n <= DENSE_MAX_DIM)
+    for k, images in enumerate(batch):
+        single = build(Permutation((images + 1).tolist()), d).matrix
+        block = stack.op(k).matrix
+        if isinstance(single, np.ndarray):
+            assert np.array_equal(block, single), k
+        else:
+            assert np.array_equal(block.indptr, single.indptr), k
+            assert np.array_equal(block.indices, single.indices), k
+            assert np.array_equal(block.data, single.data), k
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_a_batch_is_built_apart_from_the_cached_family(n, d, transposed):
+    build = transposed_perm_operator if transposed else perm_operator
+    family = generator_stack(n, d, transposed)
+    batch = build(image_array(n), d, n)
+    assert batch is not family and batch.data is not family.data
+    assert np.array_equal(batch.residuals(family), np.zeros(len(family)))
+    if isinstance(batch.data, np.ndarray):
+        assert batch.data.flags.writeable and not family.data.flags.writeable
+        assert not np.shares_memory(batch.data, family.data)
+
+
+@pytest.mark.parametrize("build", [perm_operator, transposed_perm_operator])
+@pytest.mark.parametrize("batch,row", [([[0, 0, 1]], 0), ([[0, 1, 3]], 0),
+                                       ([[2, 1, 0], [1, 1, 1]], 1)])
+def test_a_malformed_batch_of_generators_is_refused(build, batch, row):
+    with pytest.raises(ValueError, match=f"row {row} of the batch"):
+        build(np.array(batch), 2)
+    with pytest.raises(ValueError, match="degree mismatch: 3 != n = 4"):
+        build(image_array(3), 2, 4)
+
+
+@pytest.mark.parametrize("build", [perm_operator, transposed_perm_operator])
+def test_a_batch_above_the_cap_builds_nothing(monkeypatch, build):
+    import ptalgebra.oracle as oracle
+
+    def refuse(*args):
+        raise AssertionError("built above the cap")
+
+    monkeypatch.setattr(oracle, "_generators", refuse)
+    with pytest.raises(SizeCapError, match="d\\^n = 8 exceeds the oracle size cap 4"):
+        build(image_array(3), 2, cap=4)
+    with pytest.raises(SizeCapError):  # before the malformed row is read
+        build(np.array([[0, 0, 1]]), 2, cap=4)
 
 
 def test_invalid_cap_environment_is_rejected(monkeypatch):

@@ -19,8 +19,20 @@ ROOT = Path(__file__).resolve().parents[1]
      "  [vanishing: 1,1,1]"),
 ], ids=["structure_scan", "structure_scan_n2", "spectra_scan"])
 def test_script_runs(script, args, line):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert line in _run(script, args)
+
+
+def test_structure_scan_leaves_the_cap_to_the_oracle():
+    # under a cap of 8 the oracle refuses d^n = 16, and the line says nothing of it
+    lines = _run("structure_scan.py", ["4", "2"], PTALGEBRA_CAP="8")
+    assert "n=3 d=2: M ~ M(2) | S ~ M(1) | dim=5 oracle=5" in lines
+    assert "n=4 d=2: M ~ M(3) + M(2) | S ~ M(1) | dim=14" in lines
+
+
+def _run(script, args, **env) -> list[str]:
+    """The stdout lines of a script run to exit 0, with ``env`` added."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert line in result.stdout.splitlines()
+    return result.stdout.splitlines()

@@ -20,14 +20,19 @@ from ptalgebra.yor import SymmetricGroupIrrep
 SIZES = [(5, 2), (3, 5), (4, 4)]
 
 
-def _integer_operator(n, d, seed):
-    """An element operator with small integer coefficients on five generators."""
+def _integer_element(n, d, seed):
+    """An element with small integer coefficients on five generators."""
     rng = np.random.default_rng(seed)
     perms = list(Permutation.all(n))
     ctx = AlgebraContext(n, d)
     terms = {perms[rng.integers(len(perms))]: float(rng.integers(-3, 4))
              for _ in range(5)}
-    return element_operator(AlgebraElement(ctx, terms))
+    return AlgebraElement(ctx, terms)
+
+
+def _integer_operator(n, d, seed):
+    """The oracle image of ``_integer_element``."""
+    return element_operator(_integer_element(n, d, seed))
 
 
 def _combination(ops, index, weights):
@@ -145,8 +150,8 @@ def test_action_residuals_match_per_pair(n, d):
     perms = list(Permutation.all(n))
     ops = [transposed_perm_operator(p, d) for p in perms]
     family = generator_stack(n, d, transposed=True)
-    lefts = [_integer_operator(n, d, seed) for seed in range(3)]
-    left = OperatorStack.concat([OperatorStack.of(a) for a in lefts])
+    left = element_stack([_integer_element(n, d, seed) for seed in range(3)])
+    lefts = [left.op(r) for r in range(len(left))]
     rng = np.random.default_rng(11)
     index = rng.integers(len(ops), size=(len(lefts), len(ops), 2))
     weights = rng.integers(-2, 3, size=(len(lefts), len(ops), 2)).astype(float)
