@@ -120,13 +120,15 @@ def q_matrix_poly(alpha: Partition, n: int) -> np.ndarray:
     return out
 
 
-def q_via_induced(alpha: Partition, d: float, n: int) -> np.ndarray:
+def q_via_induced(alpha: Partition, d: float, n: int,
+                  rep: InducedRep | None = None) -> np.ndarray:
     """Independent construction: transposition class sum of the induced rep
-    plus (d - F) times the identity, F = ((n-2)(n-3)/2) chi(12)/dim.
+    (``rep``, built when not given) plus (d - F) times the identity,
+    F = ((n-2)(n-3)/2) chi(12)/dim.
 
     Each (a b+1) = s_b (a b) s_b is two products from the one before it,
     starting at (a a+1) = s_a."""
-    rep = InducedRep(alpha, n)
+    rep = InducedRep(alpha, n) if rep is None else rep
     m = n - 1
     adjacent = [rep.matrix(Permutation.transposition(m, k, k + 1)) for k in range(1, m)]
     total = np.zeros((rep.block_dim, rep.block_dim))

@@ -1,64 +1,62 @@
-"""Dense/sparse ground truth on (C^d)^{tensor n}.
+"""Dense/sparse ground truth on (C^d)^{tensor n}, on one faithful weight sector.
 
 Everything the abstract layer claims is re-checkable here: permutation
 operators move tensor factors, the partial transpose swaps the last index
 pair, and spans are measured by Gram-matrix rank.
 
-Storage depends only on D = d^n.  Up to ``DENSE_MAX_DIM`` = 64 an operator
-is a float64 numpy array: at that size a product costs less than the
-bookkeeping of a sparse one.  Above it operators are scipy CSR matrices,
-because a dense product costs D^3 and the n! dense generators of
-(n, d) = (7, 2) alone would take 660 MB; with 64 the largest dense family
-is the 720 generators of (6, 2), 24 MB.  ``TensorOp`` (one operator) and
-``OperatorStack`` (a family) hide the choice, and ``scipy.sparse`` is
-imported only when a CSR operator is built.  The size cap (default
-d^n <= 4096) is checked on every call, before any cache is consulted.
+Every W(sigma) commutes with U^{tensor n} and every W(sigma)^{t_n} with
+U^{tensor (n-1)} (x) conj(U), so each keeps the span of the basis strings x
+of one weight: count(x_1..x_n), or count(x_1..x_{n-1}) - e_{x_n} for the
+transposed family.  ``sector`` lists such a basis as sorted digit-string
+indices, by default of the balanced weight, with entries floor(m/d) or one
+more (m = n or n - 2).  It is dominated by the highest weight of every
+block of the algebra (Kostka), so the restriction is faithful: a linear
+claim holds there iff it holds on the whole space, and
+``checks.check_dimensions`` proves the faithfulness at run time by rank.
+The cached families and the index form live on the balanced sectors, with
+s = 10 of the d^n = 32 states at (5, 2) and 210 of 2187 at (7, 3);
+``perm_operator`` and its kin build on the basis they are given, the whole
+space by default.
 
-An ``OperatorStack`` holds K operators as one ``(K, D, D)`` array on the
-dense side and as the D x K*D CSR block row [B_1 | ... | B_K] above it.
-Its operations are whole-family ones: A B_k (and B_k A) for every k in
-one product, linear combinations sum_i C[j, i] B_i, every B_k^T,
+Storage follows s.  Up to ``DENSE_MAX_DIM`` = 64 an operator is a float64
+numpy array: at that size a product costs less than the bookkeeping of a
+sparse one.  Above it operators are scipy CSR matrices, imported only
+then.  ``TensorOp`` (one operator) and ``OperatorStack`` (a family) hide
+the choice.  The size cap (default d^n <= 4096) bounds the whole space
+and is checked on every call, before any cache is consulted.
+
+An ``OperatorStack`` holds K operators as one ``(K, s, s)`` array on the
+dense side and as the s x K*s CSR block row [B_1 | ... | B_K] above it.
+Its operations are whole-family ones: B_k A for every k in one product, linear combinations sum_i C[j, i] B_i, every B_k^T,
 per-block residuals max |X_k - Y_k|, and the Gram matrix.  A combination
 whose rows each list their own blocks (a gather and a scale when C is
 monomial, as in d^p W(tau), or the terms of element images) adds its terms
 one at a time, so each block is bitwise the sum of its scaled terms; one
 whose rows share their blocks (the averaged families, the y and f units)
-is one product with the blocks read as vectors of length D^2, and is not
+is one product with the blocks read as vectors of length s^2, and is not
 bitwise that sum.  ``action_residuals`` fuses them for claims of the form
 "L_r B_k = sum_i C[r, k, i] B_i for every k", one call for all left
-factors L_r, themselves the blocks of a stack, with C given as arrays; it
-reuses two dense buffers for all rows because a fresh (K, D, D) array per
-row costs more than the work in it.
-The checks of the u structure constants and left actions, of the unit of
-M, of the reduced matrix units, and of the averaged matrix operators
-(``matrix_operators_E``, behind the dimension and appendix checks) all run
-on stacks, so ``checks`` never branches on the storage; they pick the left
-factors of a claim as a few blocks of a stack (generator rows, pivot rows),
-not every block.
+factors L_r, themselves the blocks of a stack, with C given as arrays.
+The checks pick those left factors as a few blocks of a stack (generator
+rows, pivot rows) and never branch on the storage.
 
 ``generator_index`` gives the transposed generators as integer index
-lists instead (``GeneratorIndex``): each W(sigma)^{t_n} is a 0/1 matrix
-with D ones and at most d per row or column, stored as the columns of the
-ones in each row and the rows of the ones in each column, padded to d.
-It is built from basis digits like the stacks, never from the
-composition law, and checks the law W(sigma) W(rho) = d^p W(tau) and the
-associativity of sampled triples exactly, in integers, with no float
-operator.  The law runs in chunks of generator pairs with at most
-``LAW_CHUNK_ENTRIES`` support entries each, or one pair when D alone is
-larger.  One routine, ``_largest_sums``, gives every exact entry difference
-on it: of a failing law pair, of two bracketings, and in ``stack_residuals``
-of the float generators, which stay tied to the form the law is checked on.
+lists instead (``GeneratorIndex``), built from basis digits like the
+stacks, never from the composition law.  It checks the law
+W(sigma) W(rho) = d^p W(tau) and the associativity of sampled triples
+exactly, in integers, in chunks of at most ``LAW_CHUNK_ENTRIES`` listed
+ones.  One routine, ``_largest_sums``, gives every exact entry difference
+on it: of a failing law pair, of two bracketings, and in
+``stack_residuals`` of the float generators, which stay tied to the form
+the law is checked on.
 
 One builder, ``_generators``, makes W(sigma), or its partial transpose,
-from basis digits for every row of a ``(K, n)`` batch of 0-based images.
+on a basis, for every row of a ``(K, n)`` batch of 0-based images.
 ``generator_stack`` is its cached call on all of S(n), in
-``Permutation.all`` order, built once per (n, d) and read-only on the
-dense side.  ``perm_operator`` and ``transposed_perm_operator`` call it
-afresh, with no cache: a batch gives its stack, and a Permutation row 0
-of a one-row batch, as a ``TensorOp``.
-The images of algebra elements are one ``combine`` of the transposed
-stack: ``element_stack`` maps a list of elements to a stack, and
-``element_operator`` is its one-element case.
+``Permutation.all`` order, read-only on the dense side; ``perm_operator``
+and ``transposed_perm_operator`` call it afresh: a batch gives its stack,
+and a Permutation row 0 of a one-row batch, as a ``TensorOp``.  Element
+images are one ``combine`` of the transposed stack (``element_stack``).
 
 Basis vectors are flattened big-endian: factor 1 is the most significant
 digit, so the partial transpose acts on the least significant one.
@@ -81,8 +79,10 @@ from .yor import averaging_weights
 DEFAULT_CAP = 4096
 CAP_ENV_VAR = "PTALGEBRA_CAP"
 DENSE_MAX_DIM = 64
-# Generator stacks, plain and transposed: dense at most 24 MB each ((6, 2)).
+# Generator stacks, plain and transposed: dense at most 49 MB each ((7, 2)).
 FAMILY_CACHE_SIZE = 8
+# Entries of a full CSR product that ``OperatorStack.action_residuals`` forms at once.
+PRODUCT_CHUNK_ENTRIES = 2**22
 
 
 class SizeCapError(ValueError):
@@ -102,10 +102,12 @@ def size_cap() -> int:
     return cap
 
 
-def _check_cap(dim: int, cap: int | None):
+def _check_family(n: int, d: int, cap: int | None):
+    if d < 1:
+        raise ValueError("d must be >= 1")
     limit = size_cap() if cap is None else cap
-    if dim > limit:
-        raise SizeCapError(f"d^n = {dim} exceeds the oracle size cap {limit}; "
+    if d**n > limit:
+        raise SizeCapError(f"d^n = {d**n} exceeds the oracle size cap {limit}; "
                            f"raise it with --cap or ${CAP_ENV_VAR}")
 
 
@@ -121,9 +123,9 @@ def _is_dense(dim: int) -> bool:
 
 @dataclass(frozen=True)
 class TensorOp:
-    """An operator on (C^d)^{tensor n}.
+    """An operator on the span of a basis of (C^d)^{tensor n}, of size ``dim``.
 
-    ``matrix`` is a float64 ndarray when d^n <= DENSE_MAX_DIM and a scipy
+    ``matrix`` is a float64 ndarray when dim <= DENSE_MAX_DIM and a scipy
     CSR matrix above, so operands of + and @ always share one storage.
     """
 
@@ -133,7 +135,7 @@ class TensorOp:
 
     @property
     def dim(self) -> int:
-        return self.d**self.n
+        return self.matrix.shape[0]
 
     def _new(self, matrix) -> "TensorOp":
         if not isinstance(matrix, np.ndarray):
@@ -180,24 +182,24 @@ class TensorOp:
         return np.array(m) if isinstance(m, np.ndarray) else m.toarray()
 
     def _check(self, other: "TensorOp"):
-        if (self.n, self.d) != (other.n, other.d):
+        if (self.n, self.d, self.dim) != (other.n, other.d, other.dim):
             raise ValueError("operator shape mismatch")
 
 
 class OperatorStack:
-    """K operators B_1..B_K on (C^d)^{tensor n}, held as one array.
+    """K operators B_1..B_K on the span of a basis of s states, held as one array.
 
-    ``data`` is a float64 ``(K, D, D)`` ndarray when D = d^n <= DENSE_MAX_DIM
-    and the D x K*D CSR block row [B_1 | ... | B_K] above, so one product
-    or one gather covers the whole family.  Methods return new stacks and
+    ``data`` is a float64 ``(K, s, s)`` ndarray when s <= DENSE_MAX_DIM and
+    the s x K*s CSR block row [B_1 | ... | B_K] above, so one product or
+    one gather covers the whole family.  Methods return new stacks and
     never write to ``data``.
     """
 
     def __init__(self, n: int, d: int, data):
         self.n, self.d, self.data = n, d, data
-        self.dim = d**n
-        self.size = (data.shape[0] if isinstance(data, np.ndarray)
-                     else data.shape[1] // self.dim)
+        dense = isinstance(data, np.ndarray)
+        self.dim = data.shape[1] if dense else data.shape[0]
+        self.size = data.shape[0] if dense else data.shape[1] // self.dim
 
     def __len__(self) -> int:
         return self.size
@@ -222,12 +224,6 @@ class OperatorStack:
             return TensorOp(self.n, self.d, self.data[k])
         return TensorOp(self.n, self.d,
                         self.data[:, k * self.dim:(k + 1) * self.dim].tocsr())
-
-    def left_mul(self, a: TensorOp) -> "OperatorStack":
-        """A B_k for every k."""
-        if isinstance(self.data, np.ndarray):
-            return self._new(np.matmul(a.matrix, self.data))
-        return self._new(a.matrix @ self.data)
 
     def right_mul(self, a: TensorOp) -> "OperatorStack":
         """B_k A for every k."""
@@ -322,9 +318,15 @@ class OperatorStack:
         dense side every row reuses the same two ``(K, D, D)`` buffers,
         because a fresh array of that size per row costs more than the work
         in it.  On the CSR side L_r is a block column of one CSC copy of
-        ``left``, turned back to CSR: a slice of the block row would scan
-        the whole family, and a CSC left factor multiplies more slowly.
+        ``left``, turned back to CSR (a CSC left factor multiplies more
+        slowly), and it multiplies ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks
+        at a time, so that full products stay bounded.
         """
+        if (not isinstance(self.data, np.ndarray)
+                and 4 * self.data.nnz >= self.size * self.dim**2):
+            # a block row that stores a quarter of its entries multiplies faster dense
+            return OperatorStack(self.n, self.d, self._blocks()).action_residuals(
+                OperatorStack(left.n, left.d, left._blocks()), index, weights)
         count = len(left)
         shape = np.broadcast_shapes(np.shape(index), np.shape(weights),
                                     (count, self.size, 1))
@@ -340,11 +342,20 @@ class OperatorStack:
                 out[r] = self._block_max(product)
             return out
         columns, dim = left.data.tocsc(), self.dim
-        for r in range(count):
-            a = columns[:, r * dim:(r + 1) * dim].tocsr()
-            out[r] = self._block_max(
-                a @ self.data - self.data @ self._combination(index[r], weights[r]))
+        step = max(1, PRODUCT_CHUNK_ENTRIES // dim**2)
+        for r, k in np.ndindex(count, -(-self.size // step)):
+            a, part = columns[:, r * dim:(r + 1) * dim].tocsr(), slice(k * step, (k + 1) * step)
+            out[r, part] = self._block_max(
+                a @ self.data[:, part.start * dim:part.stop * dim]
+                - self.data @ self._combination(index[r, part], weights[r, part]))
         return out
+
+    def _blocks(self) -> np.ndarray:
+        """The blocks as one ``(K, s, s)`` ndarray."""
+        if isinstance(self.data, np.ndarray):
+            return self.data
+        return np.ascontiguousarray(self.data.toarray().reshape(
+            self.dim, self.size, self.dim).transpose(1, 0, 2))
 
     def nonzeros(self) -> tuple[np.ndarray, ...]:
         """(block, row, col, value) of every stored nonzero entry."""
@@ -355,28 +366,19 @@ class OperatorStack:
         block, col = np.divmod(coo.col, self.dim)
         return block, coo.row, col, coo.data
 
-    def holds_ones(self, rows: np.ndarray, cols: np.ndarray) -> bool:
-        """Whether every block B_k is exactly the 0/1 matrix with ones at
-        ``(rows[k], cols[k])``, two ``(K, m)`` arrays of distinct positions."""
-        count, width = rows.shape
-        if isinstance(self.data, np.ndarray):
-            values = self.data[np.arange(count)[:, None], rows, cols]
-            stored = np.count_nonzero(self.data.reshape(count, -1), axis=1)
-        else:
-            offset = np.arange(count)[:, None] * self.dim
-            values = np.asarray(self.data[rows.ravel(), (cols + offset).ravel()])
-            stored = np.bincount(self.data.indices // self.dim,
-                                 self.data.data != 0, minlength=count)
-        return bool(np.all(values == 1.0) and np.all(stored == width))
-
     def gram(self) -> np.ndarray:
-        """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k)."""
+        """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k) = V^T V."""
+        v = self._vectors()
+        gram = v.T @ v
+        return gram if isinstance(gram, np.ndarray) else gram.toarray()
+
+    def _vectors(self):
+        """V, whose column k is block k read as a vector: of all s^2 entries
+        on the dense side, and on the CSR side of the positions (r, c) that
+        some block occupies, built by sorting the entries of the block row
+        by position, so that no array of size s^2 is ever made."""
         if isinstance(self.data, np.ndarray):
-            flat = self.data.reshape(self.size, self.dim * self.dim)
-            return flat @ flat.T
-        # G = V^T V, where V has one row per position (r, c) that some block
-        # occupies and one column per block, built by sorting the entries of
-        # the block row by position: no array of size D^2 is ever made.
+            return self.data.reshape(self.size, self.dim * self.dim).T
         dim, data = self.dim, self.data
         block, col = np.divmod(data.indices, dim)
         row = np.repeat(np.arange(dim, dtype=np.int64), np.diff(data.indptr))
@@ -384,10 +386,9 @@ class OperatorStack:
         order = np.argsort(position)
         position = position[order]
         starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
-        v = _sparse().csr_matrix(
+        return _sparse().csr_matrix(
             (data.data[order], block[order], np.r_[starts, position.size]),
             shape=(starts.size, self.size))
-        return (v.T @ v).toarray()
 
     def _combination(self, index: np.ndarray, weights: np.ndarray):
         """The K*D x J*D CSR matrix that maps the block row to
@@ -426,75 +427,96 @@ def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
             out += scratch
 
 
-def _transpose_last_indices(rows: np.ndarray, cols: np.ndarray,
-                            d: int) -> tuple[np.ndarray, np.ndarray]:
-    r_low, c_low = rows % d, cols % d
-    return rows - r_low + c_low, cols - c_low + r_low
-
-
-def _generator_entries(images: np.ndarray, d: int,
-                       transposed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the d^n unit entries of W(sigma), or of its
-    partial transpose, for each row sigma of a ``(K, n)`` array of 0-based
-    images: two ``(K, d^n)`` arrays."""
-    count, n = images.shape
-    dim = d**n
-    # Indices in the type CSR stores: int64 temporaries interleaved with the
-    # stored arrays fragment the heap, about 12 MB of extra peak memory for
-    # the 720 generators of (n, d) = (6, 4).
-    index = np.int32 if count * dim <= np.iinfo(np.int32).max else np.int64
-    cols = np.arange(dim, dtype=index)
-    digits = np.empty((n, dim), dtype=index)
-    rest = cols
+def _digits(n: int, d: int, indices: np.ndarray) -> np.ndarray:
+    """The base-d digits of basis indices, an ``(n, len)`` array, factor 1 first."""
+    digits = np.empty((n, len(indices)), dtype=indices.dtype)
     for k in range(n - 1, -1, -1):
-        digits[k] = rest % d
-        rest = rest // d
-    inverse = np.argsort(images, axis=1)  # 0-based sigma^-1
-    rows = np.zeros((count, dim), dtype=index)
-    for k in range(n):
-        rows = rows * d + digits[inverse[:, k]]
-    cols = np.broadcast_to(cols, rows.shape)
-    if transposed:
-        rows, cols = _transpose_last_indices(rows, cols, d)
-    return rows, cols
+        indices, digits[k] = np.divmod(indices, d)
+    return digits
 
 
-def _generators(images: np.ndarray, d: int, transposed: bool) -> "OperatorStack":
-    """W(sigma), or its partial transpose, for each row sigma of a ``(K, n)``
-    array of 0-based images, built afresh from their d^n unit entries: a
-    new stack, shared with nothing."""
+@lru_cache(maxsize=4 * FAMILY_CACHE_SIZE)
+def sector(n: int, d: int, transposed: bool = False,
+           weight: tuple[int, ...] | None = None) -> np.ndarray:
+    """The sorted indices of the basis strings x of weight count(x_1..x_n),
+    or count(x_1..x_{n-1}) - e_{x_n} when ``transposed`` (a d-tuple; by
+    default the balanced one, larger entries first).  Read-only."""
+    if weight is None:
+        q, r = divmod(n - 2 if transposed else n, d)
+        weight = (q + 1,) * r + (q,) * (d - r)
+    digits = _digits(n, d, np.arange(d**n))
+    counts = (digits[..., None] == np.arange(d)).sum(axis=0)
+    counts -= 2 * transposed * (digits[-1, :, None] == np.arange(d))  # - e_{x_n}
+    basis = np.flatnonzero((counts == weight).all(axis=1))
+    basis.flags.writeable = False
+    return basis
+
+
+def _generator_entries(images: np.ndarray, d: int, transposed: bool,
+                       basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ones of W(sigma), or of its partial transpose, on the span of
+    ``basis``, for each row sigma of a ``(K, n)`` array of 0-based images:
+    two ``(K, P)`` arrays of the positions in ``basis`` of their rows and
+    columns, padded with -1.  Column c of W(sigma) has its one at sigma c,
+    and of the partial transpose at (sigma x)_1..(sigma x)_{n-1} t for each
+    x = c_1..c_{n-1} t with (sigma x)_n = c_n."""
     count, n = images.shape
-    dim = d**n
-    rows, cols = _generator_entries(images, d, transposed)
+    dim = len(basis)
+    digits = _digits(n, d, basis)
+    inverse = np.argsort(images, axis=1)  # 0-based sigma^-1
+    rows, kept = [], []
+    for last in range(d) if transposed else [digits[-1]]:
+        x = digits.copy()
+        x[-1] = last
+        row = np.zeros((count, dim), dtype=np.intp)
+        for k in range(n - 1):
+            row = row * d + x[inverse[:, k]]
+        moved = x[inverse[:, -1]]  # (sigma x)_n
+        rows.append(row * d + (last if transposed else moved))
+        kept.append(moved == digits[-1] if transposed else np.ones(moved.shape, bool))
+    rows, kept = (np.stack(a, axis=1).reshape(count, -1) for a in (rows, kept))
+    at = np.searchsorted(basis, rows)
+    if (kept & (basis.take(at, mode="clip") != rows)).any():
+        raise ValueError("the basis does not span an invariant subspace")
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max(initial=0)]
+    kept = np.take_along_axis(kept, order, axis=1)
+    # the type CSR stores: int64 temporaries among its arrays fragment the heap
+    index = np.int32 if count * dim <= np.iinfo(np.int32).max else np.int64
+    return (np.where(kept, np.take_along_axis(at, order, axis=1), -1).astype(index),
+            np.where(kept, order % dim, -1).astype(index))
+
+
+def _generators(images: np.ndarray, d: int, transposed: bool,
+                basis: np.ndarray) -> "OperatorStack":
+    """W(sigma), or its partial transpose, on the span of ``basis``, for each
+    row sigma of a ``(K, n)`` array of 0-based images: a new stack."""
+    count, n = images.shape
+    dim = len(basis)
+    rows, cols = _generator_entries(images, d, transposed, basis)
+    keep = cols >= 0
+    block = np.broadcast_to(np.arange(count, dtype=rows.dtype)[:, None], rows.shape)[keep]
+    rows, cols = rows[keep], cols[keep]
     if not _is_dense(dim):
-        offset = np.arange(count, dtype=rows.dtype)[:, None] * dim
-        data = _sparse().csr_matrix(
-            (np.ones(rows.size), (rows.ravel(), (cols + offset).ravel())),
-            shape=(dim, count * dim))
+        data = _sparse().csr_matrix((np.ones(rows.size), (rows, cols + block * dim)),
+                                    shape=(dim, count * dim))
         return OperatorStack(n, d, data)
     data = np.zeros((count, dim, dim))
-    data[np.arange(count)[:, None], rows, cols] = 1.0
+    data[block, rows, cols] = 1.0
     return OperatorStack(n, d, data)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
-    """All of W(S(n)), or all their partial transposes, in ``Permutation.all``
-    order; read-only on the dense side."""
-    family = _generators(image_array(n), d, transposed)
+    """All of W(S(n)), or all their partial transposes, on the balanced
+    sector, in ``Permutation.all`` order; read-only on the dense side."""
+    family = _generators(image_array(n), d, transposed, sector(n, d, transposed))
     if isinstance(family.data, np.ndarray):
         family.data.flags.writeable = False
     return family
 
 
-def _check_family(n: int, d: int, cap: int | None):
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _check_cap(d**n, cap)
-
-
 def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | None,
-           transposed: bool) -> "TensorOp | OperatorStack":
+           transposed: bool, basis: np.ndarray | None) -> "TensorOp | OperatorStack":
     """``perm_operator`` or ``transposed_perm_operator``: the cap, checked before
     the input is read, then ``_generators`` of a batch or of a Permutation's row."""
     single = isinstance(sigma, Permutation)
@@ -503,95 +525,98 @@ def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | No
     m = degree(images)
     if n is not None and m != n:
         raise ValueError(f"degree mismatch: {m} != n = {n}")
-    stack = _generators(images, d, transposed)
+    stack = _generators(images, d, transposed,
+                        np.arange(d**m) if basis is None else np.asarray(basis))
     return stack.op(0) if single else stack
 
 
 def perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
-                  cap: int | None = None) -> "TensorOp | OperatorStack":
+                  cap: int | None = None, basis: np.ndarray | None = None
+                  ) -> "TensorOp | OperatorStack":
     """The operator sending e_{i_1}..e_{i_n} to e_{i_{s^{-1}(1)}}..e_{i_{s^{-1}(n)}},
-    built afresh: a TensorOp for a Permutation, and for a batch ``(k, n)`` of
-    0-based images the stack of its k operators."""
-    return _fresh(sigma, d, n, cap, False)
+    built afresh on the span of ``basis`` (the whole space by default): a
+    TensorOp for a Permutation, the stack of a ``(k, n)`` batch of images."""
+    return _fresh(sigma, d, n, cap, False, basis)
 
 
 def transposed_perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
-                             cap: int | None = None) -> "TensorOp | OperatorStack":
+                             cap: int | None = None, basis: np.ndarray | None = None
+                             ) -> "TensorOp | OperatorStack":
     """The partial transpose of ``perm_operator(sigma, d)`` on the last factor."""
-    return _fresh(sigma, d, n, cap, True)
+    return _fresh(sigma, d, n, cap, True, basis)
 
 
 def partial_transpose_last(op: TensorOp) -> TensorOp:
-    """Transpose the last tensor index pair; an involution."""
+    """Transpose the last tensor index pair of an operator on the whole
+    space; an involution."""
     d, dim = op.d, op.dim
+    if dim != d**op.n:
+        raise ValueError("the partial transpose needs the whole space")
     if isinstance(op.matrix, np.ndarray):
         blocks = op.matrix.reshape(dim // d, d, dim // d, d)
         return TensorOp(op.n, d, np.ascontiguousarray(
             blocks.transpose(0, 3, 2, 1)).reshape(dim, dim))
     coo = op.matrix.tocoo()
-    rows, cols = _transpose_last_indices(coo.row, coo.col, d)
-    return TensorOp(op.n, d, _sparse().csr_matrix((coo.data, (rows, cols)),
-                                                  shape=(dim, dim)))
+    r_low, c_low = coo.row % d, coo.col % d
+    return TensorOp(op.n, d, _sparse().csr_matrix(
+        (coo.data, (coo.row - r_low + c_low, coo.col - c_low + r_low)), shape=(dim, dim)))
 
 
 def generator_stack(n: int, d: int, transposed: bool = False,
                     cap: int | None = None) -> "OperatorStack":
     """W(sigma), or its partial transpose, for every sigma in S(n), in
-    ``Permutation.all`` order.  Shared and cached: never write to it."""
+    ``Permutation.all`` order, on the balanced sector of the family.
+    Shared and cached: never write to it."""
     _check_family(n, d, cap)
     return _family(n, d, transposed)
 
 
-# Support entries (pairs times D) that ``GeneratorIndex.law_mismatches``
-# examines per call: under 8 MB of temporaries at d = 2.  On the failure
-# path ``law_residuals`` lists d + 1 signed entries per support entry, so
-# while D <= 2^18 a chunk sorts at most (d + 1) 2^18 entries.
-# ``checks.law_sweep`` and ``checks._law_at`` read the same number in
-# another unit: as pairs (sigma, rho), a block of rows of n! pairs each,
-# whose ``algebra.law_rows`` temporaries are a few arrays of one number per
-# pair, 7 MB in all at n = 7; with the two word levels it holds, the
-# sweep's peak is 33 MB at n = 7 (tracemalloc).
+# Listed ones (pairs times the width of ``GeneratorIndex.rows``) that
+# ``GeneratorIndex.law_mismatches`` examines per call: under 8 MB of
+# temporaries at d = 2; ``law_residuals`` sorts at most d + 1 entries per
+# listed one.  ``checks.law_sweep`` and ``checks._law_at`` read it as pairs
+# (sigma, rho): their ``algebra.law_rows`` temporaries are a few numbers
+# per pair, and the sweep's peak is 33 MB at n = 7 (tracemalloc).
 LAW_CHUNK_ENTRIES = 2**18
 
 
-def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, pad: int
+def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, dim: int, pad: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group ``values`` by ``keys`` in each row k of two ``(K, D)`` arrays of
-    indices below D: the ``(d, K, D)`` array whose ``[i, k, g]`` is the i-th
-    value of group g (``pad`` past the last), in the type of ``values``,
-    and the ``(K, D)`` group sizes, in the smallest unsigned type that
-    holds d."""
-    count, dim = keys.shape
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
-    line = np.arange(count)[:, None]
-    sizes = np.bincount((keys + line * dim).ravel(),
-                        minlength=count * dim).reshape(count, dim)
-    starts = np.cumsum(sizes, axis=1) - sizes
-    slots = np.full((d, count, dim), pad, dtype=values.dtype)
-    slots[np.arange(dim) - np.take_along_axis(starts, keys, axis=1), line, keys] = (
-        np.take_along_axis(values, order, axis=1))
-    return slots, sizes.astype(np.min_scalar_type(d))
+    """Group ``values`` by ``keys`` (below ``dim``; a negative key is a pad)
+    in each row k of two ``(K, P)`` arrays: the ``(d, K, dim)`` array whose
+    ``[i, k, g]`` is the i-th value of group g (``pad`` past the last), in
+    the type of ``values``, and the ``(K, dim)`` group sizes, in the
+    smallest unsigned type that holds d."""
+    keep = keys >= 0
+    count, group = len(keys), (np.nonzero(keep)[0] * dim + keys[keep])
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    sizes = np.bincount(group, minlength=count * dim)
+    slots = np.full((d, count * dim), pad, dtype=values.dtype)
+    slots[np.arange(group.size) - (np.cumsum(sizes) - sizes)[group], group] = (
+        values[keep][order])
+    return (slots.reshape(d, count, dim),
+            sizes.reshape(count, dim).astype(np.min_scalar_type(d)))
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorIndex:
     """The transposed generators W(sigma)^{t_n} of S(n), in ``Permutation.all``
-    order, as integer index lists: no float operator is built.
+    order, on the span of ``dim`` basis states, as integer index lists.
 
-    Each W(sigma)^{t_n} is a 0/1 matrix with exactly D = d^n ones and at
-    most d in any row or column.  For generator k, ``rows[k]`` and
-    ``cols[k]`` hold the positions of its D ones; ``row_cols[i, k, r]`` is
-    the column of the i-th one in row r and ``col_rows[i, k, c]`` the row of
-    the i-th one in column c, padded with -1 and -2 so that pads never
-    match; ``row_count`` and ``col_count`` count the ones of every row and
-    column.  The positions and slot lists share the smallest signed type
-    that holds -D, so offsets past D are formed in intp.  All of it comes
-    from ``_generator_entries``, that is from basis digits, and never from
-    the composition law it is used to check.
+    Each W(sigma)^{t_n} is a 0/1 matrix with at most d ones in any row or
+    column.  For generator k, ``rows[k]`` and ``cols[k]`` hold the positions
+    of its ones, padded with -1 in both; ``row_cols[i, k, r]`` is the column
+    of the i-th one in row r and ``col_rows[i, k, c]`` the row of the i-th
+    one in column c, padded with -1 and -2 so that pads never match;
+    ``row_count`` and ``col_count`` count the ones of every row and column.
+    The positions and slot lists share the smallest signed type that holds
+    -dim, so offsets past dim are formed in intp.  All of it comes from
+    basis digits, never from the composition law it is used to check.
     """
 
     d: int
+    dim: int
     rows: np.ndarray
     cols: np.ndarray
     row_cols: np.ndarray
@@ -600,30 +625,26 @@ class GeneratorIndex:
     col_count: np.ndarray
 
     @classmethod
-    def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray
+    def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray, dim: int
                      ) -> "GeneratorIndex":
-        """The index form of the 0/1 matrices with ones at ``(rows[k], cols[k])``."""
-        kind = np.min_scalar_type(-rows.shape[1])
+        """The index form of the dim x dim 0/1 matrices with ones at
+        ``(rows[k], cols[k])``, padded with -1."""
+        kind = np.min_scalar_type(-dim)
         rows, cols = rows.astype(kind), cols.astype(kind)
-        row_cols, row_count = _slot_lists(rows, cols, d, -1)
-        col_rows, col_count = _slot_lists(cols, rows, d, -2)
+        row_cols, row_count = _slot_lists(rows, cols, d, dim, -1)
+        col_rows, col_count = _slot_lists(cols, rows, d, dim, -2)
         arrays = (rows, cols, row_cols, col_rows, row_count, col_count)
         for array in arrays:
             array.flags.writeable = False
-        return cls(d, *arrays)
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+        return cls(d, dim, *arrays)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     def derived(self) -> np.ndarray:
         """Whether the slot lists and counts of each generator are the ones
-        ``from_entries`` derives from its ``rows`` and ``cols``: a bool
-        array, all true for an index built by ``from_entries``."""
-        fresh = GeneratorIndex.from_entries(self.d, self.rows, self.cols)
+        ``from_entries`` derives from its ``rows`` and ``cols`` (bool array)."""
+        fresh = GeneratorIndex.from_entries(self.d, self.rows, self.cols, self.dim)
         same = np.ones(len(self), dtype=bool)
         for mine, theirs in ((self.row_cols, fresh.row_cols), (self.col_rows, fresh.col_rows)):
             same &= (mine == theirs).all(axis=(0, 2))
@@ -634,23 +655,24 @@ class GeneratorIndex:
 
     def law_chunk(self) -> int:
         """Generator pairs per ``law_mismatches`` call: ``LAW_CHUNK_ENTRIES``
-        support entries, or one pair when D alone exceeds that."""
-        return max(1, LAW_CHUNK_ENTRIES // self.dim)
+        listed ones, or one pair when one generator lists more."""
+        return max(1, LAW_CHUNK_ENTRIES // self.rows.shape[1])
 
     def law_mismatches(self, left: np.ndarray, right: np.ndarray,
                        scale: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Whether W(left[p]) W(right[p]) != scale[p] W(target[p]) for each
         pair p: a bool array.
 
-        Exact integer work.  On each of the D ones (i, j) of W(target) the
+        Exact integer work.  On each of the ones (i, j) of W(target) the
         product entry is the number of shared indices of row i of the left
         factor and column j of the right one, which must equal the scale.
         The total of the product, sum_m col_count[left](m) row_count[right](m),
-        must equal scale * D.  Every entry is nonnegative, so together the
-        two conditions are equality.
+        must equal the scale times the number of ones.  Every entry is
+        nonnegative, so together the two conditions are equality.
         """
         dim = self.dim
         left, right, scale = (np.asarray(a, dtype=np.intp) for a in (left, right, scale))
+        ones = self.cols[target] >= 0  # a pad reads a stray slot, never judged
         left_rows = self.rows[target] + (left * dim)[:, None]
         right_cols = self.cols[target] + (right * dim)[:, None]
         theirs = [slots.ravel().take(right_cols) for slots in self.col_rows]
@@ -661,15 +683,16 @@ class GeneratorIndex:
                 shared += mine == other
         total = np.einsum("pm,pm->p", self.col_count[left], self.row_count[right],
                           dtype=np.int64)
-        return (shared != scale[:, None]).any(axis=1) | (total != scale * dim)
+        return (((shared != scale[:, None]) & ones).any(axis=1)
+                | (total != scale * ones.sum(axis=1)))
 
     def law_residuals(self, left: np.ndarray, right: np.ndarray,
                       scale: np.ndarray, target: np.ndarray) -> np.ndarray:
         """max |W(left[p]) W(right[p]) - scale[p] W(target[p])| for each pair
-        p, exact, through ``_largest_sums``: the D d ones (i, j) of the
+        p, exact, through ``_largest_sums``: the ones (i, j) of the
         product, one for each one (i, m) of the left factor (``rows``,
         ``cols``) and each one (m, j) of the right one (``row_cols``), and
-        -scale[p] at the D ones of W(target[p])."""
+        -scale[p] at the ones of W(target[p])."""
         line = np.arange(len(left))[:, None]
         rows, middle = self.rows[left], self.cols[left]
         product = [(line, rows, slots[right[:, None], middle], 1)
@@ -679,7 +702,7 @@ class GeneratorIndex:
 
     def distances(self, scale_a, target_a, scale_b, target_b) -> np.ndarray:
         """max |scale_a[t] W(target_a[t]) - scale_b[t] W(target_b[t])| for
-        every t, exact, through ``_largest_sums`` over the two sets of D ones."""
+        every t, exact, through ``_largest_sums`` over the two sets of ones."""
         line = np.arange(len(target_a))[:, None]
         return _largest_sums(len(target_a), self.dim, [
             (line, self.rows[target_a], self.cols[target_a], np.asarray(scale_a)[:, None]),
@@ -688,28 +711,25 @@ class GeneratorIndex:
     def stack_residuals(self, stack: OperatorStack, first: int = 0) -> np.ndarray:
         """max |B_j - W(first + j)^{t_n}| for every block j of a float stack,
         exact, through ``_largest_sums`` over the stored nonzeros of the stack
-        and -1 at the D ones of each generator: this ties the float operators
-        to the index form.  A stack that ``holds_ones`` of the index form
-        reads 0 at once."""
+        and -1 at the ones of each generator: this ties the float operators
+        to the index form."""
         count = len(stack)
         rows, cols = self.rows[first:first + count], self.cols[first:first + count]
-        if stack.holds_ones(rows, cols):
-            return np.zeros(count)
         return _largest_sums(count, self.dim, [
             stack.nonzeros(), (np.arange(count)[:, None], rows, cols, -1)])
 
 
 def _largest_sums(count: int, dim: int, entries) -> np.ndarray:
     """The largest |sum of the values at one position| in each of ``count``
-    D x D blocks, given signed entries: ``entries`` lists ``(block, row,
-    col, value)`` arrays that broadcast together, and an entry whose column
-    is negative is a pad of the slot lists and dropped.  Integer and
+    dim x dim blocks, given signed entries: ``entries`` lists ``(block, row,
+    col, value)`` arrays that broadcast together, and an entry whose row or
+    column is negative is a pad and dropped.  Integer and
     power-of-d values sum exactly in float64; a float stack entry and -1
     round once, as in any difference."""
     keys, values = [], []
     for block, row, col, value in entries:
         block, row, col, value = np.broadcast_arrays(block, row, col, value)
-        keep = col >= 0
+        keep = (row >= 0) & (col >= 0)
         keys.append((block[keep].astype(np.int64) * dim + row[keep]) * dim + col[keep])
         values.append(value[keep])
     unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
@@ -721,12 +741,15 @@ def _largest_sums(count: int, dim: int, entries) -> np.ndarray:
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _generator_index(n: int, d: int) -> GeneratorIndex:
-    return GeneratorIndex.from_entries(d, *_generator_entries(image_array(n), d, True))
+    basis = sector(n, d, True)
+    return GeneratorIndex.from_entries(
+        d, *_generator_entries(image_array(n), d, True, basis), len(basis))
 
 
 def generator_index(n: int, d: int, cap: int | None = None) -> GeneratorIndex:
     """The index form of W(sigma)^{t_n} for every sigma in S(n), in
-    ``Permutation.all`` order.  Shared and cached: never write to it."""
+    ``Permutation.all`` order, on the balanced sector of ``generator_stack``.
+    Shared and cached: never write to it."""
     _check_family(n, d, cap)
     return _generator_index(n, d)
 
@@ -761,17 +784,21 @@ def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
     return element_stack([elem], cap).op(0)
 
 
-def zero_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
-    dim = d**n
-    _check_cap(dim, cap)
+def zero_operator(n: int, d: int, cap: int | None = None,
+                  basis: np.ndarray | None = None) -> TensorOp:
+    """0 on the span of ``basis``, the whole space by default."""
+    _check_family(n, d, cap)
+    dim = d**n if basis is None else len(basis)
     if _is_dense(dim):
         return TensorOp(n, d, np.zeros((dim, dim)))
     return TensorOp(n, d, _sparse().csr_matrix((dim, dim)))
 
 
-def identity_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
-    dim = d**n
-    _check_cap(dim, cap)
+def identity_operator(n: int, d: int, cap: int | None = None,
+                      basis: np.ndarray | None = None) -> TensorOp:
+    """1 on the span of ``basis``, the whole space by default."""
+    _check_family(n, d, cap)
+    dim = d**n if basis is None else len(basis)
     if _is_dense(dim):
         return TensorOp(n, d, np.eye(dim))
     return TensorOp(n, d, _sparse().identity(dim, format="csr"))
@@ -780,9 +807,18 @@ def identity_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
 RANK_RTOL = 1e-8
 
 
-def span_dimension(family: OperatorStack) -> int:
-    """Numerical rank of the Gram matrix, relative threshold ``RANK_RTOL``."""
-    eigs = np.linalg.eigvalsh(family.gram())
+def span_dimension(family: OperatorStack, weights: np.ndarray | None = None) -> int:
+    """Numerical rank (relative threshold ``RANK_RTOL``) of the blocks B_k,
+    or of the sum_k weights[j, k] B_k, never built: with V the blocks as
+    columns (``OperatorStack.gram``), of M = V C^T, read off the smaller of
+    C V^T V C^T and M M^T, which share their nonzero eigenvalues."""
+    v = family._vectors()
+    if v.shape[0] < (family.size if weights is None else len(weights)):
+        m = v if weights is None else v @ weights.T
+        small = m @ m.T
+    else:
+        small = family.gram() if weights is None else weights @ family.gram() @ weights.T
+    eigs = np.linalg.eigvalsh(small if isinstance(small, np.ndarray) else small.toarray())
     top = eigs.max(initial=0.0)
     if top <= 0:
         return 0

@@ -23,7 +23,7 @@ from ptalgebra.induced import (InducedRep, eigenvalues_closed_form, q_matrix,
 from ptalgebra.irreps import (algebra_dimension_formula, all_irreps,
                               irrep_M_e, irrep_M_f, rank_of_q, unit_of_M)
 from ptalgebra.oracle import (element_operator, generator_stack,
-                              identity_operator, span_dimension,
+                              identity_operator, sector, span_dimension,
                               transposed_perm_operator)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation
@@ -260,10 +260,11 @@ def test_criterion_8_unit_idempotent():
         for n, d in [(3, 2), (3, 3), (4, 2)]:
             e_op = element_operator(unit_of_M(n, d))
             assert (e_op @ e_op).distance(e_op) < 1e-8
-            complement = identity_operator(n, d) - e_op
+            basis = sector(n, d, True)  # the faithful sector of element images
+            complement = identity_operator(n, d, basis=basis) - e_op
             s_gens = []
             for sigma in Permutation.all(n):
-                op = transposed_perm_operator(sigma, d)
+                op = transposed_perm_operator(sigma, d, basis=basis)
                 if sigma.fixes_last():
                     s_gens.append(op @ complement)
                     continue
@@ -272,6 +273,6 @@ def test_criterion_8_unit_idempotent():
             for sigma in Permutation.all(n):
                 if sigma.fixes_last():
                     continue
-                m_op = transposed_perm_operator(sigma, d)
+                m_op = transposed_perm_operator(sigma, d, basis=basis)
                 for s_gen in s_gens:
                     assert (m_op @ s_gen).max_abs() < 1e-8

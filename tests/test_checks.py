@@ -133,8 +133,8 @@ def test_check_spectra_names_a_planted_q_via_induced(monkeypatch):
     n, d, planted = 5, 2, Partition([2, 1])
     real = checks.q_via_induced
 
-    def perturbed(alpha, d_, n_):
-        out = real(alpha, d_, n_)
+    def perturbed(alpha, d_, n_, rep=None):
+        out = real(alpha, d_, n_, rep)
         if alpha == planted:
             out[0, -1] += 0.5
         return out
@@ -147,8 +147,10 @@ def test_check_spectra_names_a_planted_q_via_induced(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_check_spectra_names_a_planted_adjacent_image(monkeypatch, k):
-    # 1.5 Ind(s_k) for one alpha: only the reduction at s_k can see it
+    # 1.5 Ind(s_k) for one alpha: the reduction at s_k sees it, and so does
+    # Q via the induced rep, which reads the same rep; the worst is named
     import ptalgebra.checks as checks
+    from ptalgebra.induced import q_matrix, q_via_induced
 
     n, d, planted = 5, 2, Partition([2, 1])
 
@@ -163,9 +165,14 @@ def test_check_spectra_names_a_planted_adjacent_image(monkeypatch, k):
     rep = InducedRep(planted, n)
     psis = [sym_irrep(nu) for nu, _row, _e in rep.decomposition]
     s_k = Permutation.transposition(n - 1, k, k + 1)
+    residuals = {  # in the order of the check, which names the first of a tie
+        "Q vs induced": np.abs(q_matrix(planted, d, n) - q_via_induced(
+            planted, d, n, Planted(planted, n))).max(),
+        f"Z^T Ind(s_{k}) Z": 0.5 * np.abs(direct_sum(psis, s_k)).max()}
+    claim = max(residuals, key=residuals.get)
     assert report.passed is False
-    assert report.max_residual == pytest.approx(0.5 * np.abs(direct_sum(psis, s_k)).max())
-    assert report.details.startswith(f"worst at alpha {planted}: Z^T Ind(s_{k}) Z;")
+    assert report.max_residual == pytest.approx(residuals[claim])
+    assert report.details.startswith(f"worst at alpha {planted}: {claim};")
 
 
 def test_check_irreps_reads_one_batch_of_images_per_irrep(monkeypatch):
@@ -429,14 +436,17 @@ def test_associativity_names_a_planted_non_associative_triple(monkeypatch):
 
 
 def test_u_structure_names_the_planted_left_action(monkeypatch):
+    from ptalgebra.algebra import AlgebraContext, u_element
+    from ptalgebra.oracle import element_operator
     from ptalgebra.permutations import Permutation
 
     # no u term reads the block of (12) in S(n-1), so only its action row
-    # fails; every u of that row misses by 0.5, and the first is named
+    # fails; u^11_11 misses by half its largest entry, and is named first
     planted = Permutation.from_cycles(4, [(1, 2)])
+    u_11 = element_operator(u_element(Partition([2]), 1, 1, 1, 1, AlgebraContext(4, 2)))
     _scale_generator(monkeypatch, 4, 2, True, planted)
     report = check_u_structure(Partition([2]), Partition([2]), 4, 2)
-    assert report.passed is False and report.max_residual == 0.5
+    assert report.passed is False and report.max_residual == 0.5 * u_11.max_abs()
     assert report.details == f"worst at {planted} * u^11_11"
 
 
@@ -527,8 +537,8 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
     perms = list(Permutation.all(n))
     planted = Permutation.from_cycles(n, [(1, 2) if side == "annihilation" else (1, 4)])
     e_op = element_operator(unit_of_M(n, d))
-    noise = np.random.default_rng(0).standard_normal((d**n, d**n))
     data = generator_stack(n, d, transposed=True).data.copy()
+    noise = np.random.default_rng(0).standard_normal(data.shape[1:])
     k = perms.index(planted)
     data[k] += 0.5 * {"right": e_op.matrix @ noise, "left": noise @ e_op.matrix,
                       "annihilation": noise}[side]
@@ -544,11 +554,23 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
 def test_matrix_operators_names_the_planted_generator(monkeypatch):
     from ptalgebra.permutations import Permutation
 
-    # a scaled D((12)) changes every family built from the images; the
-    # norm of E^2_11 moves most
+    # a scaled D((12)) changes every family built from the images, in the
+    # cached stack and in the images that the norms build on every weight
+    # sector; the norm of E^2_11 moves most
+    import ptalgebra.checks as checks
+
     n, d = 4, 2
     planted = Permutation.from_cycles(n - 2, [(1, 2)])
     _scale_generator(monkeypatch, n, d, False, planted.embed(n))
+    real = checks.perm_operator
+
+    def build(images, *args, **kwargs):
+        stack = real(images, *args, **kwargs)
+        weights = np.ones((len(stack), 1))
+        weights[list(Permutation.all(n - 2)).index(planted)] = 1.5
+        return stack.combine(np.arange(len(stack))[:, None], weights)
+
+    monkeypatch.setattr(checks, "perm_operator", build)
     report = check_matrix_operators(n, d)
     assert report.passed is False
     assert report.details == "worst at <E^2_11, E^2_11>", report.details
@@ -572,7 +594,8 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
     m, w = n - 1, alpha.hook_dimension()
     reduced = xa_reduce(q_matrix(alpha, d, n))
     s, r = (reduced.rank, 0) if direction == "null" else (0, 1)
-    noise = 1e-3 * np.random.default_rng(1).standard_normal((d**n, d**n))
+    dim = checks.generator_stack(n, d, True).dim  # the sector of the u stacks
+    noise = 1e-3 * np.random.default_rng(1).standard_normal((dim, dim))
     real = checks._u_stack
 
     def planted(beta, ctx, cap):
@@ -628,26 +651,30 @@ def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
     assert report.passed is False and report.max_residual == pytest.approx(1e-3)
 
 
-def test_suite_builds_single_generators_only_for_adjoint_transport_and_v_prime(
+def test_suite_builds_single_generators_only_for_adjoint_v_prime_and_trace_sectors(
         monkeypatch):
     # every other claim takes its left factors from a stack that it holds;
     # the cached families are built before the spy, so it sees fresh builds
-    # only: the S(5) batch of the adjoint check and the one row of V'
+    # only: the S(5) batch of the adjoint check, the S(3) images of the
+    # trace claim on one plain weight sector per orbit, (5, 0), (4, 1) and
+    # (3, 2), and the one row of V'
     import ptalgebra.oracle as oracle
-    from ptalgebra.oracle import generator_stack
+    from ptalgebra.oracle import generator_stack, sector
 
     n, d = 5, 2
     for transposed in (False, True):
         generator_stack(n, d, transposed)
     built, real = [], oracle._generators
 
-    def spy(images, d_, transposed):
-        built.append((images.shape, transposed))
-        return real(images, d_, transposed)
+    def spy(images, d_, transposed, basis):
+        built.append((images.shape, transposed, len(basis)))
+        return real(images, d_, transposed, basis)
 
     monkeypatch.setattr(oracle, "_generators", spy)
     assert all(report.passed for report in run_suite(n, d, "all"))
-    assert built == [((120, n), True), ((1, n), True)]
+    s = len(sector(n, d, True))
+    assert built == [((120, n), True, s), ((6, n), False, 1), ((6, n), False, 5),
+                     ((6, n), False, 10), ((1, n), True, s)]
 
 
 def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(

@@ -11,7 +11,7 @@ from ptalgebra.irreps import (algebra_dimension_formula, all_irreps, block_label
                               direct_sum, irrep_M_e, irrep_M_f, irrep_S,
                               rank_of_q, structure_report, unit_of_M)
 from ptalgebra.oracle import (OperatorStack, element_operator, generator_stack,
-                              identity_operator, span_dimension,
+                              identity_operator, sector, span_dimension,
                               transposed_perm_operator)
 from ptalgebra.partitions import Partition, add_box, partitions_of
 from ptalgebra.permutations import Permutation, image_array
@@ -392,12 +392,13 @@ def test_n2_oracle_split():
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
 def test_unit_of_m_oracle(n, d):
     e_op = element_operator(unit_of_M(n, d))
-    ident = identity_operator(n, d)
+    basis = sector(n, d, True)  # the faithful sector of element images
+    ident = identity_operator(n, d, basis=basis)
     assert (e_op @ e_op).distance(e_op) < 1e-8
     complement = ident - e_op
     assert (complement @ complement).distance(complement) < 1e-8
     for sigma in Permutation.all(n):
-        op = transposed_perm_operator(sigma, d)
+        op = transposed_perm_operator(sigma, d, basis=basis)
         if sigma.fixes_last():
             continue
         assert (e_op @ op).distance(op) < 1e-8
@@ -409,8 +410,9 @@ def test_unit_of_m_spans_s_complement():
     # the complement generators span a space of dimension dim S
     n, d = 3, 2
     e_op = element_operator(unit_of_M(n, d))
-    complement = identity_operator(n, d) - e_op
-    s_gens = np.stack([(transposed_perm_operator(p, d) @ complement).matrix
+    basis = sector(n, d, True)
+    complement = identity_operator(n, d, basis=basis) - e_op
+    s_gens = np.stack([(transposed_perm_operator(p, d, basis=basis) @ complement).matrix
                        for p in Permutation.all(n) if p.fixes_last()])
     assert span_dimension(OperatorStack(n, d, s_gens)) == structure_report(n, d).dim_S
 

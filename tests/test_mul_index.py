@@ -57,12 +57,16 @@ def test_index_form_lists_the_ones_of_the_generator_stack(n, d):
     index = generator_index(n, d)
     stack = generator_stack(n, d, transposed=True)
     expected = _stack_ones(stack)
-    count, dim = len(stack), d**n
-    assert index.rows.shape == index.cols.shape == (count, dim)
+    count, dim = len(stack), stack.dim
+    assert index.dim == dim and len(index) == count
+    assert index.rows.shape == index.cols.shape and len(index.rows) == count
+    assert np.array_equal(index.rows < 0, index.cols < 0)  # pads in both
+    assert np.all(index.rows >= -1) and np.all(index.cols >= -1)
     assert index.rows.dtype == index.cols.dtype == index.row_cols.dtype
     assert index.rows.dtype == np.min_scalar_type(-dim)
     line = np.arange(count)[:, None]
-    entries = np.sort(((line * dim + index.rows) * dim + index.cols).ravel())
+    ones = index.cols >= 0
+    entries = np.sort(((line * dim + index.rows) * dim + index.cols)[ones])
     assert np.array_equal(entries, expected)
     assert np.array_equal(_listed(index.row_cols, -1, False), expected)
     assert np.array_equal(_listed(index.col_rows, -2, True), expected)
@@ -249,14 +253,16 @@ def test_the_law_runs_on_generator_rows_and_sweeps_once(monkeypatch):
 
 
 def test_an_identity_that_is_not_one_is_caught_on_its_row(monkeypatch):
-    # At n = 2 the one generator V' = W((12))^t has ones at rows and
-    # columns 00 and 11 only, so the swap P of 01 and 10 has V' P = V' and
-    # passes both generator rows; as W(1), only W(1) W(1) = 1 != P shows it
+    # At n = 2 the sector is {00, 11}, where the one generator
+    # V' = W((12))^t is all ones, so the swap P of 00 and 11 has V' P = V'
+    # and passes both generator rows; as W(1), only W(1) W(1) = 1 != P
+    # shows it
     n, d = 2, 2
     real = generator_index(n, d)
+    assert real.dim == 2
     rows, cols = np.array(real.rows), np.array(real.cols)
-    rows[0], cols[0] = [0, 1, 2, 3], [0, 2, 1, 3]
-    broken = GeneratorIndex.from_entries(d, rows, cols)
+    rows[0, :2], cols[0, :2] = [0, 1], [1, 0]
+    broken = GeneratorIndex.from_entries(d, rows, cols, real.dim)
     assert np.array_equal(broken.rows[1], real.rows[1])
     monkeypatch.setattr(checks, "generator_index", lambda n, d, cap=None: broken)
     report = check_mul_rule(n, d)
@@ -278,8 +284,9 @@ def test_row_lists_that_are_not_their_entries_join_with_their_row_and_column(mon
     k = int(np.argmax(word_lengths(rest)))
     assert k not in generators
     row_cols = real.row_cols.copy()
-    assert row_cols[0, k, 0] >= 0 and 1 not in row_cols[:, k, 0]
-    row_cols[0, k, 0] = 1
+    r = int(np.flatnonzero(row_cols[0, k] >= 0)[0])
+    free = np.setdiff1d(np.arange(real.dim), row_cols[:, k, r])
+    row_cols[0, k, r] = free[0]
     broken = dataclasses.replace(real, row_cols=row_cols)
     assert list(np.flatnonzero(~broken.derived())) == [k]
     sent = []
@@ -300,16 +307,16 @@ def test_row_lists_that_are_not_their_entries_join_with_their_row_and_column(mon
 
 
 def test_corrupted_index_entry_is_caught_and_named(monkeypatch):
-    # move one of the D ones of W((1 2 4))^{t_n} at (4, 2) to a free spot
+    # move one of the ones of W((1 2 4))^{t_n} at (4, 2) to a free spot
     n, d = 4, 2
     real = generator_index(n, d)
     planted = Permutation.from_cycles(n, [(1, 2, 4)])
     k = int(lehmer_rank(np.array(planted.images) - 1))
     rows, cols = np.array(real.rows), np.array(real.cols)
     free = np.flatnonzero((real.col_count[k] < d)
-                          & ~np.isin(np.arange(d**n), cols[k][rows[k] == rows[k, 0]]))
+                          & ~np.isin(np.arange(real.dim), cols[k][rows[k] == rows[k, 0]]))
     cols[k, 0] = free[0]
-    broken = GeneratorIndex.from_entries(d, rows, cols)
+    broken = GeneratorIndex.from_entries(d, rows, cols, real.dim)
     monkeypatch.setattr(checks, "generator_index", lambda n, d, cap=None: broken)
     report = check_mul_rule(n, d)
     assert report.passed is False and report.max_residual >= 1
@@ -322,7 +329,7 @@ def test_total_mass_catches_what_the_support_misses():
     # L = [[1, 0], [1, 0]] and R = [[1, 1], [0, 0]]: L R is all ones, so it
     # matches 1 * R on both ones of R and differs only off them
     index = GeneratorIndex.from_entries(2, np.array([[0, 1], [0, 0]]),
-                                        np.array([[0, 0], [0, 1]]))
+                                        np.array([[0, 0], [0, 1]]), 2)
     left, right = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     flagged = index.law_mismatches(left, right, np.ones(4, int), np.array([0, 1, 1, 1]))
     assert flagged.tolist() == [False, True, True, False]
@@ -396,7 +403,7 @@ def test_law_chunks_stay_within_their_bound(monkeypatch):
     real = GeneratorIndex.law_mismatches
 
     def spy(self, left, right, scale, target):
-        seen.append(len(left) * self.dim)
+        seen.append(len(left) * self.rows.shape[1])
         return real(self, left, right, scale, target)
 
     monkeypatch.setattr(GeneratorIndex, "law_mismatches", spy)
@@ -404,9 +411,11 @@ def test_law_chunks_stay_within_their_bound(monkeypatch):
     for n, d in [(4, 2), (5, 2), (4, 8)]:
         seen.clear()
         assert check_mul_rule(n, d).passed
-        assert max(seen) <= max(2**12, d**n)
+        index = generator_index(n, d)
+        width = index.rows.shape[1]  # the most ones of one generator
+        assert max(seen) <= max(2**12, width)
         # the n-1 generator rows: the real law flags no pair
-        assert sum(seen) == (n - 1) * len(generator_index(n, d)) * d**n
+        assert sum(seen) == (n - 1) * len(index) * width
 
 
 def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
@@ -462,7 +471,9 @@ def _moved_one(stack: OperatorStack, k: int) -> OperatorStack:
 def test_float_generators_hold_the_ones_of_the_index_form(n, d):
     index = generator_index(n, d)
     stack = generator_stack(n, d, transposed=True)
-    assert stack.holds_ones(index.rows, index.cols)
+    line, ones = np.arange(len(index))[:, None], index.cols >= 0
+    listed = ((line * index.dim + index.rows) * index.dim + index.cols)[ones]
+    assert np.array_equal(_stack_ones(stack), np.sort(listed))
     assert index.stack_residuals(stack).tolist() == [0.0] * len(index)
 
 

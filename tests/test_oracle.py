@@ -15,11 +15,18 @@ from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, GeneratorIndex,
                               element_operator, element_stack,
                               generator_stack, identity_operator,
                               matrix_operators_E, partial_transpose_last,
-                              perm_operator, span_dimension,
+                              perm_operator, sector, span_dimension,
                               transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import Partition, partitions_of
 from ptalgebra.permutations import Permutation, image_array
 from ptalgebra.yor import SymmetricGroupIrrep, multiplicity_in_V
+from whole_space import whole_space
+
+
+@pytest.fixture
+def on_the_whole_space():
+    with whole_space():
+        yield
 
 
 def test_identity_operator():
@@ -132,8 +139,11 @@ def test_element_operator_linear():
     x = AlgebraElement.generator(ctx, Permutation.from_cycles(3, [(1, 3)]))
     y = AlgebraElement.generator(ctx, Permutation.from_cycles(3, [(1, 2)]))
     combo = 2 * x - 0.5 * y
-    expected = (2 * transposed_perm_operator(Permutation.from_cycles(3, [(1, 3)]), 2)
-                - 0.5 * perm_operator(Permutation.from_cycles(3, [(1, 2)]).embed(3), 2))
+    basis = sector(3, 2, True)  # the sector of element images
+    expected = (2 * transposed_perm_operator(Permutation.from_cycles(3, [(1, 3)]), 2,
+                                             basis=basis)
+                - 0.5 * perm_operator(Permutation.from_cycles(3, [(1, 2)]).embed(3), 2,
+                                      basis=basis))
     assert element_operator(combo).distance(expected) < 1e-12
 
 
@@ -159,9 +169,10 @@ def test_adjoint_transport():
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 5)])
-def test_element_images_are_the_summed_generators_bitwise(n, d):
+def test_element_images_are_the_summed_generators_bitwise(on_the_whole_space, n, d):
     # each block is the scaled generators added in term order, one TensorOp
-    # at a time, to the last bit, on the dense side and on the CSR side
+    # at a time, to the last bit, on the dense side and, on the whole space,
+    # on the CSR side
     ctx = AlgebraContext(n, d)
     perms = list(Permutation.all(n))
     rng = np.random.default_rng(n)
@@ -212,8 +223,9 @@ def test_E_vanishing_family_when_not_contained():
     assert family.residuals().max() < 1e-12
 
 
-def test_E_composition_and_independence_equivalence():
-    # E_ij E_kl = delta_jk E_il, and the E family spans exactly what D spans
+def test_E_composition_and_independence_equivalence(on_the_whole_space):
+    # E_ij E_kl = delta_jk E_il, and the E family spans exactly what D spans;
+    # the norms are traces, so the family is on the whole space
     d = 2
     plain = generator_stack(3, d)
     families = {alpha: matrix_operators_E(plain, alpha)
@@ -277,8 +289,9 @@ def test_generators_match_reference_on_both_storages(n, d):
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
-def test_gram_counts_cycles_on_both_storages(n, d):
-    # tr(W(s)^T W(r)) = d^{cycles(s^-1 r)}, and the partial transpose keeps it
+def test_gram_counts_cycles_on_both_storages(on_the_whole_space, n, d):
+    # tr(W(s)^T W(r)) = d^{cycles(s^-1 r)}, and the partial transpose keeps
+    # it: a trace over the whole space
     perms = list(Permutation.all(n))
     expected = np.array([[d ** (s.inverse() * r).cycle_count() for r in perms]
                          for s in perms], dtype=float)
@@ -335,7 +348,7 @@ def test_block_k_of_a_batch_is_the_single_build_of_row_k(n, d, build):
 def test_a_batch_is_built_apart_from_the_cached_family(n, d, transposed):
     build = transposed_perm_operator if transposed else perm_operator
     family = generator_stack(n, d, transposed)
-    batch = build(image_array(n), d, n)
+    batch = build(image_array(n), d, n, basis=sector(n, d, transposed))
     assert batch is not family and batch.data is not family.data
     assert np.array_equal(batch.residuals(family), np.zeros(len(family)))
     if isinstance(batch.data, np.ndarray):
@@ -382,7 +395,7 @@ def test_matrix_operators_E_matches_per_entry_reference():
     # the family is one product over the group, not summed term by term, so
     # each entry may differ by a rounding per term of weight at most 1
     d = 2
-    group = {g: perm_operator(g, d) for g in Permutation.all(3)}
+    group = {g: perm_operator(g, d, basis=sector(3, d)) for g in Permutation.all(3)}
     for alpha in partitions_of(3):
         phi = SymmetricGroupIrrep(alpha)
         scale = phi.dim / len(group)

@@ -2,7 +2,9 @@
 
 The operands have small integer entries, so both routes are exact and the
 comparisons are entry by entry, on the dense side (5, 2) and on the CSR
-side (3, 5) and (4, 4).
+side (3, 5) and (4, 4).  The arithmetic does not depend on the basis, so
+the cached families are built on the whole space here (``whole_space``),
+where those sizes reach the CSR storage.
 """
 
 import numpy as np
@@ -16,8 +18,15 @@ from ptalgebra.oracle import (DENSE_MAX_DIM, OperatorStack, SizeCapError,
 from ptalgebra.partitions import partitions_of
 from ptalgebra.permutations import Permutation
 from ptalgebra.yor import SymmetricGroupIrrep
+from whole_space import whole_space
 
 SIZES = [(5, 2), (3, 5), (4, 4)]
+
+
+@pytest.fixture(autouse=True)
+def _on_the_whole_space():
+    with whole_space():
+        yield
 
 
 def _integer_element(n, d, seed):
@@ -79,7 +88,6 @@ def test_products_match_per_pair(n, d):
     ops = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
     family = generator_stack(n, d, transposed=True)
     a = _integer_operator(n, d, seed=n + d)
-    _assert_blocks(family.left_mul(a), [a @ op for op in ops])
     _assert_blocks(family.right_mul(a), [op @ a for op in ops])
 
 
@@ -128,20 +136,20 @@ def test_residuals_and_gram_match_per_pair(n, d):
     ops = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
     family = generator_stack(n, d, transposed=True)
     a = _integer_operator(n, d, seed=3)
-    product = family.left_mul(a)
-    expected = [(a @ op).distance(op) for op in ops]
+    product = family.right_mul(a)
+    expected = [(op @ a).distance(op) for op in ops]
     assert np.array_equal(product.residuals(family), expected)
-    assert np.array_equal(product.residuals(), [(a @ op).max_abs() for op in ops])
+    assert np.array_equal(product.residuals(), [(op @ a).max_abs() for op in ops])
     gram = np.array([[(x.adjoint() @ y).trace() for y in ops] for x in ops])
     assert np.array_equal(family.gram(), gram)
 
 
 @pytest.mark.parametrize("n,d", SIZES)
 def test_adjoint_matches_per_pair(n, d):
-    # A W(sigma) is not symmetric, so each block must be transposed in place
+    # W(sigma) A is not symmetric, so each block must be transposed in place
     a = _integer_operator(n, d, seed=5)
-    ops = [a @ perm_operator(p, d) for p in Permutation.all(n)]
-    _assert_blocks(generator_stack(n, d).left_mul(a).adjoint(),
+    ops = [perm_operator(p, d) @ a for p in Permutation.all(n)]
+    _assert_blocks(generator_stack(n, d).right_mul(a).adjoint(),
                    [op.adjoint() for op in ops])
 
 
@@ -165,6 +173,23 @@ def test_action_residuals_match_per_pair(n, d):
             claimed = _combination(ops, row_index[r], row_weights[r])
             expected = [(a @ op).distance(c) for op, c in zip(ops, claimed)]
             assert np.array_equal(residuals[r], expected)
+
+
+@pytest.mark.parametrize("n,d", [(3, 5), (4, 4)])
+def test_action_residuals_in_chunks_of_blocks_match_one_product(monkeypatch, n, d):
+    # on the CSR side a product holds PRODUCT_CHUNK_ENTRIES / D^2 blocks:
+    # here 5 of them, so the last chunk is short at n! = 6 and 24
+    import ptalgebra.oracle as oracle
+
+    family = generator_stack(n, d, transposed=True)
+    assert not isinstance(family.data, np.ndarray)
+    left = element_stack([_integer_element(n, d, seed) for seed in range(2)])
+    rng = np.random.default_rng(3)
+    index = rng.integers(len(family), size=(2, len(family), 2))
+    weights = rng.integers(-2, 3, size=(2, len(family), 2)).astype(float)
+    whole = family.action_residuals(left, index, weights)
+    monkeypatch.setattr(oracle, "PRODUCT_CHUNK_ENTRIES", 5 * family.dim**2)
+    assert np.array_equal(family.action_residuals(left, index, weights), whole)
 
 
 @pytest.mark.parametrize("n,d", SIZES)
