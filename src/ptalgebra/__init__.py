@@ -2,8 +2,8 @@
 
 The package builds the abstract algebra from its composition law, computes
 the complete block structure and every irreducible representation in
-explicit matrix form, and verifies all of it against dense tensor-space
-ground truth.
+explicit matrix form, and verifies all of it against tensor-space ground
+truth on a faithful weight sector of (C^d)^{tensor n}.
 """
 
 from .algebra import AlgebraContext, AlgebraElement, mul_generators, u_element

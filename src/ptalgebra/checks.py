@@ -14,9 +14,8 @@ x_IJ x_KL = A_JK x_IL of the u, E and f families on 2s pivot rows of its
 s^2 left factors (``_x_claim``).  The stacks live on the oracle's balanced
 sectors.  Only the adjoint check (all of S(n), one batch), the unit check
 (V', one row) and the norms of the matrix operators (S(n-2) on a sector per
-weight orbit) build generators apart from the cached stacks.  The
-composition law and associativity are checked exactly
-on the oracle's integer index form of the transposed generators instead,
+weight orbit) build generators apart from the cached stacks.  The law and
+associativity are checked exactly on the oracle's integer index form instead,
 so their residuals are integers (0 on a pass, at least 1 on a fail) judged
 against ``ORACLE_TOL``; the adjoint check ties that form to the float
 generators, as cached and as built apart.  The law on the oracle and the
@@ -43,7 +42,7 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
 from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
                      rank_of_q, structure_report, unit_of_M)
 from .oracle import (LAW_CHUNK_ENTRIES, OperatorStack, SizeCapError, element_stack,
-                     generator_index, generator_stack, identity_operator,
+                     generator_index, generator_stack, gram_rank, identity_operator,
                      matrix_operators_E, perm_operator, sector, span_dimension,
                      transposed_perm_operator)
 from .partitions import Partition, partitions_of
@@ -422,7 +421,8 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     """e^2 = e, em = me = m on the main ideal, and M annihilates S(1 - e).
 
     The generator stack gives e W(sigma) and, through the transposes,
-    W(sigma) e for every sigma at once.  M is the two-sided ideal generated by V' = W((n-1 n))^{t_n}, and
+    W(sigma) e for every sigma at once.  M is the two-sided ideal generated
+    by V' = W((n-1 n))^{t_n}, and
     every transposed generator of M factors as W(sigma)^{t_n} =
     W(sigma^) W((a n-1)) V' W((a n-1)) with sigma^ and (a n-1) in S(n-1),
     by the composition law that ``check_mul_rule`` checks; S is spanned by
@@ -443,12 +443,11 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
         value, (g,) = _worst(residuals[0, in_m])
         if value > worst:
             worst, culprit = value, name.format(perms[in_m[g]])
-    basis = sector(n, d, True)
-    complement = identity_operator(n, d, cap, basis) - e_op
+    complement = identity_operator(n, d, cap, family.basis) - e_op
     s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
     contraction = Permutation.transposition(n, n - 1, n)
     v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n, cap,
-                                       basis)
+                                       family.basis)
     value, (_, r) = _worst(s_part.action_residuals(v_prime, np.zeros(0, int), np.zeros(0)))
     if value > worst:
         worst, culprit = value, f"{contraction} * {perms[in_s[r]]}(1 - e)"
@@ -565,6 +564,8 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     this also measures the transposed and plain spans, and confirms that the
     group-averaged operator families span exactly what the permutation
     operators span, so one family is linearly independent iff the other is.
+    Those families are C times the K = n! plain blocks; they are built only
+    when their K s^2 entries are fewer than the K^2 of their Gram C G C^T.
     On the sectors of the stacks, a rank equal to the formula proves the
     restriction faithful, and a shortfall is named.  Above the cap the
     oracle part is skipped and said so in the details.
@@ -582,9 +583,13 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     else:
         measured_t = span_dimension(transposed)
         plain_dim = span_dimension(plain)
-        # the blocks of every matrix_operators_E(plain, mu), as weights
-        e_span = span_dimension(plain, np.concatenate(
-            [averaging_weights(mu).reshape(-1, len(plain)) for mu in partitions_of(n)]))
+        if plain.dim**2 < len(plain):
+            e_span = span_dimension(OperatorStack.concat(
+                [matrix_operators_E(plain, mu) for mu in partitions_of(n)]))
+        else:
+            weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
+                                      for mu in partitions_of(n)])
+            e_span = gram_rank(weights @ plain.gram() @ weights.T)
         passed = (passed and measured_t == expected and plain_dim == expected
                   and e_span == expected)
         details += (f"; oracle transposed {measured_t}, plain {plain_dim}, "

@@ -11,12 +11,12 @@ transposed family.  ``sector`` lists such a basis as sorted digit-string
 indices, by default of the balanced weight, with entries floor(m/d) or one
 more (m = n or n - 2).  It is dominated by the highest weight of every
 block of the algebra (Kostka), so the restriction is faithful: a linear
-claim holds there iff it holds on the whole space, and
-``checks.check_dimensions`` proves the faithfulness at run time by rank.
-The cached families and the index form live on the balanced sectors, with
-s = 10 of the d^n = 32 states at (5, 2) and 210 of 2187 at (7, 3);
-``perm_operator`` and its kin build on the basis they are given, the whole
-space by default.
+claim holds there iff it holds on the whole space (``check_dimensions``
+proves it by rank).  The cached families and the index form live on the
+balanced sectors, with s = 10 of d^n = 32 states at (5, 2);
+``perm_operator`` and its kin take a basis, the whole space by default.
+Every operator carries its basis (None: the whole space), and combining
+two on different bases raises ``ValueError``.
 
 Storage follows s.  Up to ``DENSE_MAX_DIM`` = 64 an operator is a float64
 numpy array: at that size a product costs less than the bookkeeping of a
@@ -27,8 +27,9 @@ and is checked on every call, before any cache is consulted.
 
 An ``OperatorStack`` holds K operators as one ``(K, s, s)`` array on the
 dense side and as the s x K*s CSR block row [B_1 | ... | B_K] above it.
-Its operations are whole-family ones: B_k A for every k in one product, linear combinations sum_i C[j, i] B_i, every B_k^T,
-per-block residuals max |X_k - Y_k|, and the Gram matrix.  A combination
+Its operations are whole-family ones: B_k A for every k in one product,
+linear combinations sum_i C[j, i] B_i, every B_k^T, per-block residuals
+max |X_k - Y_k|, and the Gram matrix.  A combination
 whose rows each list their own blocks (a gather and a scale when C is
 monomial, as in d^p W(tau), or the terms of element images) adds its terms
 one at a time, so each block is bitwise the sum of its scaled terms; one
@@ -121,9 +122,18 @@ def _is_dense(dim: int) -> bool:
     return dim <= DENSE_MAX_DIM
 
 
+def _check(a: "TensorOp | OperatorStack", b: "TensorOp | OperatorStack"):
+    """Refuse to combine two operators of different shapes or bases."""
+    if (a.n, a.d, a.dim) != (b.n, b.d, b.dim):
+        raise ValueError("operator shape mismatch")
+    if a.basis is not b.basis and not np.array_equal(a.basis, b.basis):
+        raise ValueError("operators on different bases")
+
+
 @dataclass(frozen=True)
 class TensorOp:
-    """An operator on the span of a basis of (C^d)^{tensor n}, of size ``dim``.
+    """An operator on the span of ``basis``, sorted indices of basis strings
+    of (C^d)^{tensor n} (None: the whole space), of size ``dim``.
 
     ``matrix`` is a float64 ndarray when dim <= DENSE_MAX_DIM and a scipy
     CSR matrix above, so operands of + and @ always share one storage.
@@ -132,6 +142,7 @@ class TensorOp:
     n: int
     d: int
     matrix: Any = field(compare=False)
+    basis: Any = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -140,10 +151,10 @@ class TensorOp:
     def _new(self, matrix) -> "TensorOp":
         if not isinstance(matrix, np.ndarray):
             matrix = matrix.tocsr()
-        return TensorOp(self.n, self.d, matrix)
+        return TensorOp(self.n, self.d, matrix, self.basis)
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        self._check(other)
+        _check(self, other)
         return self._new(self.matrix + other.matrix)
 
     def __radd__(self, other) -> "TensorOp":
@@ -152,14 +163,14 @@ class TensorOp:
         return NotImplemented
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        self._check(other)
+        _check(self, other)
         return self._new(self.matrix - other.matrix)
 
     def __rmul__(self, scalar) -> "TensorOp":
         return self._new(scalar * self.matrix)
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
-        self._check(other)
+        _check(self, other)
         return self._new(self.matrix @ other.matrix)
 
     def adjoint(self) -> "TensorOp":
@@ -181,13 +192,9 @@ class TensorOp:
         m = self.matrix
         return np.array(m) if isinstance(m, np.ndarray) else m.toarray()
 
-    def _check(self, other: "TensorOp"):
-        if (self.n, self.d, self.dim) != (other.n, other.d, other.dim):
-            raise ValueError("operator shape mismatch")
-
 
 class OperatorStack:
-    """K operators B_1..B_K on the span of a basis of s states, held as one array.
+    """K operators B_1..B_K on the span of s states ``basis``, held as one array.
 
     ``data`` is a float64 ``(K, s, s)`` ndarray when s <= DENSE_MAX_DIM and
     the s x K*s CSR block row [B_1 | ... | B_K] above, so one product or
@@ -195,8 +202,9 @@ class OperatorStack:
     never write to ``data``.
     """
 
-    def __init__(self, n: int, d: int, data):
+    def __init__(self, n: int, d: int, data, basis=None):
         self.n, self.d, self.data = n, d, data
+        self.basis = None if basis is None or len(basis) == d**n else basis
         dense = isinstance(data, np.ndarray)
         self.dim = data.shape[1] if dense else data.shape[0]
         self.size = data.shape[0] if dense else data.shape[1] // self.dim
@@ -207,26 +215,29 @@ class OperatorStack:
     def _new(self, data) -> "OperatorStack":
         if not isinstance(data, np.ndarray):
             data = data.tocsr()
-        return OperatorStack(self.n, self.d, data)
+        return OperatorStack(self.n, self.d, data, self.basis)
 
     @staticmethod
     def concat(stacks: list["OperatorStack"]) -> "OperatorStack":
         first = stacks[0]
+        for stack in stacks[1:]:
+            _check(first, stack)
         if isinstance(first.data, np.ndarray):
             data = np.concatenate([s.data for s in stacks])
         else:
             data = _sparse().hstack([s.data for s in stacks], format="csr")
-        return OperatorStack(first.n, first.d, data)
+        return OperatorStack(first.n, first.d, data, first.basis)
 
     def op(self, k: int) -> TensorOp:
         """B_k as a TensorOp; on the dense side a view, read-only if the stack is."""
         if isinstance(self.data, np.ndarray):
-            return TensorOp(self.n, self.d, self.data[k])
+            return TensorOp(self.n, self.d, self.data[k], self.basis)
         return TensorOp(self.n, self.d,
-                        self.data[:, k * self.dim:(k + 1) * self.dim].tocsr())
+                        self.data[:, k * self.dim:(k + 1) * self.dim].tocsr(), self.basis)
 
     def right_mul(self, a: TensorOp) -> "OperatorStack":
         """B_k A for every k."""
+        _check(self, a)
         if isinstance(self.data, np.ndarray):
             return self._new(np.matmul(self.data, a.matrix))
         sp = _sparse()
@@ -305,6 +316,7 @@ class OperatorStack:
         if other is None:
             diff = self.data.copy()
         else:
+            _check(self, other)
             diff = self.data - other.data
         return self._block_max(diff)
 
@@ -315,16 +327,18 @@ class OperatorStack:
         L_r B_k = sum_t weights[r, k, t] B[index[r, k, t]] for every k, each
         row in the form of ``combine``.  Returns the ``(R, K)`` array of
         max |L_r B_k - sum_t weights[r, k, t] B[index[r, k, t]]|.  On the
-        dense side every row reuses the same two ``(K, D, D)`` buffers,
+        dense side every row reuses the same two ``(K, s, s)`` buffers,
         because a fresh array of that size per row costs more than the work
-        in it.  On the CSR side L_r is a block column of one CSC copy of
-        ``left``, turned back to CSR (a CSC left factor multiplies more
-        slowly), and it multiplies ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks
-        at a time, so that full products stay bounded.
+        in it.  A CSR block row storing a quarter of its entries goes dense:
+        the f and y units store 91-100 % (12 s dense at (6, 4), 282 s CSR),
+        the other CSR stacks met at most 18 %.  Otherwise L_r is a block
+        column of one CSC copy of ``left``, turned back to CSR, times
+        ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks at a time: e W(sigma) is full,
+        and at (7, 3) the unit check peaks at 1.1 GB in chunks, 2.7 GB without.
         """
+        _check(self, left)
         if (not isinstance(self.data, np.ndarray)
                 and 4 * self.data.nnz >= self.size * self.dim**2):
-            # a block row that stores a quarter of its entries multiplies faster dense
             return OperatorStack(self.n, self.d, self._blocks()).action_residuals(
                 OperatorStack(left.n, left.d, left._blocks()), index, weights)
         count = len(left)
@@ -351,9 +365,7 @@ class OperatorStack:
         return out
 
     def _blocks(self) -> np.ndarray:
-        """The blocks as one ``(K, s, s)`` ndarray."""
-        if isinstance(self.data, np.ndarray):
-            return self.data
+        """The blocks of a CSR stack as one ``(K, s, s)`` ndarray."""
         return np.ascontiguousarray(self.data.toarray().reshape(
             self.dim, self.size, self.dim).transpose(1, 0, 2))
 
@@ -499,10 +511,10 @@ def _generators(images: np.ndarray, d: int, transposed: bool,
     if not _is_dense(dim):
         data = _sparse().csr_matrix((np.ones(rows.size), (rows, cols + block * dim)),
                                     shape=(dim, count * dim))
-        return OperatorStack(n, d, data)
+        return OperatorStack(n, d, data, basis)
     data = np.zeros((count, dim, dim))
     data[block, rows, cols] = 1.0
-    return OperatorStack(n, d, data)
+    return OperatorStack(n, d, data, basis)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -515,6 +527,14 @@ def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
     return family
 
 
+def _basis(n: int, d: int, basis: np.ndarray | None) -> np.ndarray:
+    """A basis argument, checked: the whole space by default."""
+    basis = np.arange(d**n) if basis is None else np.asarray(basis)
+    if basis.ndim != 1 or (np.diff(basis) <= 0).any() or ((basis < 0) | (basis >= d**n)).any():
+        raise ValueError(f"a basis lists strictly increasing indices below d^n = {d**n}")
+    return basis
+
+
 def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | None,
            transposed: bool, basis: np.ndarray | None) -> "TensorOp | OperatorStack":
     """``perm_operator`` or ``transposed_perm_operator``: the cap, checked before
@@ -525,8 +545,7 @@ def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | No
     m = degree(images)
     if n is not None and m != n:
         raise ValueError(f"degree mismatch: {m} != n = {n}")
-    stack = _generators(images, d, transposed,
-                        np.arange(d**m) if basis is None else np.asarray(basis))
+    stack = _generators(images, d, transposed, _basis(m, d, basis))
     return stack.op(0) if single else stack
 
 
@@ -550,7 +569,7 @@ def partial_transpose_last(op: TensorOp) -> TensorOp:
     """Transpose the last tensor index pair of an operator on the whole
     space; an involution."""
     d, dim = op.d, op.dim
-    if dim != d**op.n:
+    if op.basis is not None or dim != d**op.n:
         raise ValueError("the partial transpose needs the whole space")
     if isinstance(op.matrix, np.ndarray):
         blocks = op.matrix.reshape(dim // d, d, dim // d, d)
@@ -565,8 +584,8 @@ def partial_transpose_last(op: TensorOp) -> TensorOp:
 def generator_stack(n: int, d: int, transposed: bool = False,
                     cap: int | None = None) -> "OperatorStack":
     """W(sigma), or its partial transpose, for every sigma in S(n), in
-    ``Permutation.all`` order, on the balanced sector of the family.
-    Shared and cached: never write to it."""
+    ``Permutation.all`` order, on the balanced ``sector(n, d, transposed)``,
+    its basis.  Shared and cached: never write to it."""
     _check_family(n, d, cap)
     return _family(n, d, transposed)
 
@@ -757,7 +776,8 @@ def generator_index(n: int, d: int, cap: int | None = None) -> GeneratorIndex:
 def element_stack(elems: list[AlgebraElement], cap: int | None = None
                   ) -> "OperatorStack":
     """Oracle images of formal combinations of transposed generators, one
-    block per element, as one ``combine`` of the transposed generator stack.
+    block per element, as one ``combine`` of the transposed generator stack,
+    on its basis ``sector(n, d, True)``, not on the whole space.
 
     Row j of the combination lists the terms of element j in dict order,
     padded with zero weights on block 0, so on the dense side each block is
@@ -780,15 +800,14 @@ def element_stack(elems: list[AlgebraElement], cap: int | None = None
 
 
 def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
-    """Oracle image of a formal combination of transposed generators."""
+    """Oracle image of a formal combination of transposed generators, on the
+    balanced transposed sector ``sector(n, d, True)`` (see ``element_stack``)."""
     return element_stack([elem], cap).op(0)
 
 
-def zero_operator(n: int, d: int, cap: int | None = None,
-                  basis: np.ndarray | None = None) -> TensorOp:
-    """0 on the span of ``basis``, the whole space by default."""
+def zero_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
     _check_family(n, d, cap)
-    dim = d**n if basis is None else len(basis)
+    dim = d**n
     if _is_dense(dim):
         return TensorOp(n, d, np.zeros((dim, dim)))
     return TensorOp(n, d, _sparse().csr_matrix((dim, dim)))
@@ -798,31 +817,28 @@ def identity_operator(n: int, d: int, cap: int | None = None,
                       basis: np.ndarray | None = None) -> TensorOp:
     """1 on the span of ``basis``, the whole space by default."""
     _check_family(n, d, cap)
-    dim = d**n if basis is None else len(basis)
-    if _is_dense(dim):
-        return TensorOp(n, d, np.eye(dim))
-    return TensorOp(n, d, _sparse().identity(dim, format="csr"))
+    dim = len(basis := _basis(n, d, basis))
+    eye = np.eye(dim)[None] if _is_dense(dim) else _sparse().identity(dim, format="csr")
+    return OperatorStack(n, d, eye, basis).op(0)
 
 
 RANK_RTOL = 1e-8
 
 
-def span_dimension(family: OperatorStack, weights: np.ndarray | None = None) -> int:
-    """Numerical rank (relative threshold ``RANK_RTOL``) of the blocks B_k,
-    or of the sum_k weights[j, k] B_k, never built: with V the blocks as
-    columns (``OperatorStack.gram``), of M = V C^T, read off the smaller of
-    C V^T V C^T and M M^T, which share their nonzero eigenvalues."""
+def span_dimension(family: OperatorStack) -> int:
+    """``gram_rank`` of the blocks B_k: with V the blocks as columns
+    (``OperatorStack.gram``), of the smaller of V^T V and V V^T, which share
+    their nonzero eigenvalues."""
     v = family._vectors()
-    if v.shape[0] < (family.size if weights is None else len(weights)):
-        m = v if weights is None else v @ weights.T
-        small = m @ m.T
-    else:
-        small = family.gram() if weights is None else weights @ family.gram() @ weights.T
-    eigs = np.linalg.eigvalsh(small if isinstance(small, np.ndarray) else small.toarray())
+    small = v @ v.T if v.shape[0] < family.size else v.T @ v
+    return gram_rank(small if isinstance(small, np.ndarray) else small.toarray())
+
+
+def gram_rank(gram: np.ndarray) -> int:
+    """Numerical rank of a Gram matrix, relative threshold ``RANK_RTOL``."""
+    eigs = np.linalg.eigvalsh(gram)
     top = eigs.max(initial=0.0)
-    if top <= 0:
-        return 0
-    return int((eigs > RANK_RTOL * top).sum())
+    return int((eigs > RANK_RTOL * top).sum()) if top > 0 else 0
 
 
 def matrix_operators_E(rep_images: OperatorStack, alpha: Partition) -> OperatorStack:

@@ -372,6 +372,7 @@ def _scale_generator(monkeypatch, n, d, transposed, planted):
     from ptalgebra.permutations import Permutation
 
     real = checks.generator_stack
+    basis = real(n, d, transposed).basis
     data = real(n, d, transposed).data.copy()
     data[list(Permutation.all(n)).index(planted)] *= 1.5
 
@@ -379,7 +380,7 @@ def _scale_generator(monkeypatch, n, d, transposed, planted):
 
     def serve(n_, d_, transposed=False, cap=None):
         if transposed == planted_side:
-            return OperatorStack(n, d, data)
+            return OperatorStack(n, d, data, basis)
         return real(n_, d_, transposed, cap)
 
     monkeypatch.setattr(checks, "generator_stack", serve)
@@ -470,7 +471,7 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
         stack = real(beta, ctx, cap)
         data = stack.data.copy()
         data[block] *= 1.5
-        return OperatorStack(n, d, data)
+        return OperatorStack(n, d, data, stack.basis)
 
     monkeypatch.setattr(checks, "_u_stack", planted)
     report = check_u_structure(alpha, alpha, n, d)
@@ -537,13 +538,14 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
     perms = list(Permutation.all(n))
     planted = Permutation.from_cycles(n, [(1, 2) if side == "annihilation" else (1, 4)])
     e_op = element_operator(unit_of_M(n, d))
-    data = generator_stack(n, d, transposed=True).data.copy()
+    family = generator_stack(n, d, transposed=True)
+    data = family.data.copy()
     noise = np.random.default_rng(0).standard_normal(data.shape[1:])
     k = perms.index(planted)
     data[k] += 0.5 * {"right": e_op.matrix @ noise, "left": noise @ e_op.matrix,
                       "annihilation": noise}[side]
     monkeypatch.setattr(checks, "generator_stack",
-                        lambda *args, **kwargs: OperatorStack(n, d, data))
+                        lambda *args, **kwargs: OperatorStack(n, d, data, family.basis))
     report = check_unit_of_m(n, d)
     assert report.passed is False
     expected = {"right": f"{planted} * e", "left": f"e * {planted}",
@@ -605,7 +607,7 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
         # x_IJ is block I (n-1) w + J
         rows, cols = np.divmod(np.arange(len(stack)), m * w)
         scale = reduced.z[rows, s] * reduced.z[cols, r]
-        return OperatorStack(n, d, stack.data + scale[:, None, None] * noise)
+        return OperatorStack(n, d, stack.data + scale[:, None, None] * noise, stack.basis)
 
     monkeypatch.setattr(checks, "_u_stack", planted)
     report = check_reduced_matrix_units(n, d)
@@ -643,7 +645,7 @@ def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
             return stack
         data = stack.data.copy()
         data[3, 0, 1] += 1e-3
-        return OperatorStack(stack.n, stack.d, data)
+        return OperatorStack(stack.n, stack.d, data, stack.basis)
 
     monkeypatch.setattr(checks, "element_stack", planted)
     report = check_adjoint_transport(3, 2)

@@ -461,10 +461,10 @@ def _moved_one(stack: OperatorStack, k: int) -> OperatorStack:
     if isinstance(stack.data, np.ndarray):
         data = np.zeros(stack.data.shape)
         data[block, row, col] = value
-        return OperatorStack(stack.n, stack.d, data)
+        return OperatorStack(stack.n, stack.d, data, stack.basis)
     import scipy.sparse as sp
     return OperatorStack(stack.n, stack.d, sp.csr_matrix(
-        (value, (row, block * stack.dim + col)), shape=stack.data.shape))
+        (value, (row, block * stack.dim + col)), shape=stack.data.shape), stack.basis)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 3), (4, 8)])

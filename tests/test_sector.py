@@ -18,10 +18,17 @@ import numpy as np
 import pytest
 
 import ptalgebra.oracle as oracle
+from ptalgebra.algebra import AlgebraContext, AlgebraElement
 from ptalgebra.checks import check_dimensions, run_suite
-from ptalgebra.oracle import (RANK_RTOL, generator_stack, perm_operator, sector,
-                              span_dimension, transposed_perm_operator)
-from ptalgebra.permutations import image_array
+from ptalgebra.irreps import algebra_dimension_formula
+from ptalgebra.oracle import (RANK_RTOL, OperatorStack, element_operator,
+                              generator_stack, gram_rank, identity_operator,
+                              matrix_operators_E, partial_transpose_last,
+                              perm_operator, sector, span_dimension,
+                              transposed_perm_operator)
+from ptalgebra.partitions import partitions_of
+from ptalgebra.permutations import Permutation, image_array
+from ptalgebra.yor import averaging_weights
 from whole_space import whole_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +55,31 @@ def test_a_basis_that_is_not_invariant_is_refused():
         perm_operator(image_array(3), 2, 3, basis=np.array([1]))
     with pytest.raises(ValueError, match="invariant"):
         transposed_perm_operator(image_array(3), 2, 3, basis=np.array([0]))
+
+    # an invariant basis, given out of order or with an index past d^n
+    basis = sector(3, 2)
+    for bad in (basis[::-1], np.append(basis, 2**3)):
+        with pytest.raises(ValueError, match="strictly increasing indices below"):
+            perm_operator(image_array(3), 2, 3, basis=bad)
+
+
+def test_operators_on_two_bases_do_not_combine():
+    # at (5, 2) the plain sector (3, 2) and the transposed sector both hold
+    # 10 states, so only the basis each operator carries tells them apart
+    ctx = AlgebraContext(5, 2)
+    e = element_operator(AlgebraElement(ctx, {Permutation.identity(5): 1.0}))
+    plain = perm_operator(Permutation.identity(5), 2, basis=sector(5, 2))
+    assert plain.dim == e.dim == 10
+    with pytest.raises(ValueError, match="different bases"):
+        plain @ e
+    with pytest.raises(ValueError, match="different bases"):
+        OperatorStack.concat([generator_stack(5, 2), generator_stack(5, 2, True)])
+    with pytest.raises(ValueError, match="whole space"):
+        partial_transpose_last(e)
+    assert (e @ identity_operator(5, 2, basis=sector(5, 2, True))).distance(e) == 0
+    whole = perm_operator(Permutation.identity(5), 2)
+    assert whole.basis is None
+    assert partial_transpose_last(whole).distance(whole) == 0
 
 
 GRID = ([(n, 2) for n in range(3, 7)] + [(n, 3) for n in range(3, 6)]
@@ -111,6 +143,18 @@ def test_span_ranks_read_off_either_gram_agree(n, d, whole, smaller):
         small = small if isinstance(small, np.ndarray) else small.toarray()
         ranks = {_rank(np.linalg.eigvalsh(stack.gram())), _rank(np.linalg.eigvalsh(small))}
         assert ranks == {span_dimension(stack)}
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (4, 3), (5, 3), (4, 4)])
+def test_averaged_families_rank_the_same_built_or_through_the_plain_gram(n, d):
+    # check_dimensions builds the families when s^2 < n! ((5, 2), (6, 2)) and
+    # reads C G C^T otherwise; both give the formula on either route
+    plain = generator_stack(n, d)
+    built = OperatorStack.concat([matrix_operators_E(plain, mu) for mu in partitions_of(n)])
+    weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
+                              for mu in partitions_of(n)])
+    expected = algebra_dimension_formula(n, d)
+    assert span_dimension(built) == gram_rank(weights @ plain.gram() @ weights.T) == expected
 
 
 def _run(args, env=None, limit=None, timeout=120):

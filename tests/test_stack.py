@@ -192,6 +192,33 @@ def test_action_residuals_in_chunks_of_blocks_match_one_product(monkeypatch, n, 
     assert np.array_equal(family.action_residuals(left, index, weights), whole)
 
 
+def test_action_residuals_of_a_full_csr_stack_multiply_dense(monkeypatch):
+    # a CSR block row that stores a quarter of its entries or more takes the
+    # dense route; on integer entries its residuals are the per-pair ones
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(5)
+    count, dim = 6, DENSE_MAX_DIM + 6
+    blocks = rng.integers(-2, 3, size=(count, dim, dim)).astype(float)
+    blocks[:, :, ::2] = 0
+
+    def block_row(b):
+        return sp.csr_matrix(b.transpose(1, 0, 2).reshape(dim, -1))
+
+    stack, left = OperatorStack(4, 3, block_row(blocks)), OperatorStack(4, 3, block_row(blocks[:2]))
+    index = rng.integers(count, size=(2, count, 2))
+    weights = rng.integers(-2, 3, size=(2, count, 2)).astype(float)
+    dense_calls = []
+    real = OperatorStack._blocks
+    monkeypatch.setattr(OperatorStack, "_blocks",
+                        lambda self: dense_calls.append(1) or real(self))
+    expected = [[np.abs(blocks[r] @ blocks[k]
+                        - np.tensordot(weights[r, k], blocks[index[r, k]], axes=1)).max()
+                 for k in range(count)] for r in range(2)]
+    assert np.array_equal(stack.action_residuals(left, index, weights), expected)
+    assert len(dense_calls) == 2
+
+
 @pytest.mark.parametrize("n,d", SIZES)
 def test_of_and_concat_keep_the_order(n, d):
     # stacks made of the first two and of the remaining generators, from
