@@ -56,7 +56,9 @@ def test_a_basis_that_is_not_invariant_is_refused():
     with pytest.raises(ValueError, match="invariant"):
         transposed_perm_operator(image_array(3), 2, 3, basis=np.array([0]))
 
-    # an invariant basis, given out of order or with an index past d^n
+
+def test_a_basis_out_of_order_or_past_the_space_is_refused():
+    # an invariant basis, reversed, or with an index past d^n
     basis = sector(3, 2)
     for bad in (basis[::-1], np.append(basis, 2**3)):
         with pytest.raises(ValueError, match="strictly increasing indices below"):
