@@ -217,8 +217,8 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     index form's one entry-sum routine, so a pass reads 0.
     """
     index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
-    perms = list(Permutation.all(n))
-    count = len(perms)
+    images = image_array(n)
+    count = len(images)
     rows, everyone = generator_words(n)[0], np.arange(count)
     if not ((index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()):
         rows = np.append(rows, 0)
@@ -235,8 +235,8 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
             value, (p,) = _worst(index.law_residuals(
                 left[flagged], right[flagged], scale[flagged], tau[flagged]))
             if value > worst:
-                pair = flagged[p]
-                worst, culprit = value, f"{perms[left[pair]]} * {perms[right[pair]]}"
+                sigma, rho = (_perm(images[x[flagged[p]]]) for x in (left, right))
+                worst, culprit = value, f"{sigma} * {rho}"
     return _report("mul_rule", {"n": n, "d": d}, worst, ORACLE_TOL, culprit=culprit)
 
 
@@ -430,10 +430,10 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     the W(s') (1 - e).  So M S(1 - e) = 0 holds iff V' W(s) (1 - e) = 0
     for every s in S(n-1): one row, with V' built on its own as one row.
     """
-    perms = list(Permutation.all(n))
     e = element_stack([unit_of_M(n, d)], cap)
     e_op, family = e.op(0), generator_stack(n, d, transposed=True, cap=cap)
-    fixes_last = image_array(n)[:, -1] == n - 1
+    images = image_array(n)
+    fixes_last = images[:, -1] == n - 1
     in_m, in_s = np.flatnonzero(~fixes_last), np.flatnonzero(fixes_last)
     worst, culprit = (e_op @ e_op).distance(e_op), "e * e"
     every = np.arange(len(family))[:, None]  # W e = W as e^T W^T = W^T
@@ -442,7 +442,7 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
             (family.adjoint().action_residuals(e.adjoint(), every, 1.0), "{} * e")):
         value, (g,) = _worst(residuals[0, in_m])
         if value > worst:
-            worst, culprit = value, name.format(perms[in_m[g]])
+            worst, culprit = value, name.format(_perm(images[in_m[g]]))
     complement = identity_operator(n, d, cap, family.basis) - e_op
     s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
     contraction = Permutation.transposition(n, n - 1, n)
@@ -450,7 +450,7 @@ def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
                                        family.basis)
     value, (_, r) = _worst(s_part.action_residuals(v_prime, np.zeros(0, int), np.zeros(0)))
     if value > worst:
-        worst, culprit = value, f"{contraction} * {perms[in_s[r]]}(1 - e)"
+        worst, culprit = value, f"{contraction} * {_perm(images[in_s[r]])}(1 - e)"
     return _report("unit_of_M", {"n": n, "d": d}, worst, HOM_TOL, culprit=culprit)
 
 
@@ -565,7 +565,9 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     group-averaged operator families span exactly what the permutation
     operators span, so one family is linearly independent iff the other is.
     Those families are C times the K = n! plain blocks; they are built only
-    when their K s^2 entries are fewer than the K^2 of their Gram C G C^T.
+    when their K s^2 entries are fewer than the K^2 of their Gram C G C^T,
+    and then their span is the rank of V V^T, with V their blocks as
+    columns: a sum of one s^2 x s^2 product per family, built one at a time.
     On the sectors of the stacks, a rank equal to the formula proves the
     restriction faithful, and a shortfall is named.  Above the cap the
     oracle part is skipped and said so in the details.
@@ -584,8 +586,9 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
         measured_t = span_dimension(transposed)
         plain_dim = span_dimension(plain)
         if plain.dim**2 < len(plain):
-            e_span = span_dimension(OperatorStack.concat(
-                [matrix_operators_E(plain, mu) for mu in partitions_of(n)]))
+            vectors = (matrix_operators_E(plain, mu).data.reshape(-1, plain.dim**2)
+                       for mu in partitions_of(n))
+            e_span = gram_rank(sum(v.T @ v for v in vectors))
         else:
             weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
                                       for mu in partitions_of(n)])
@@ -616,13 +619,14 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     """
     plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
-    group = list(Permutation.all(m))
-    ranks = lehmer_rank(np.array([g.embed(n).images for g in group]) - 1)
+    group = image_array(m)  # embedded in S(n), fixing n-1 and n
+    ranks = lehmer_rank(np.concatenate([group, np.broadcast_to([m, m + 1], (len(group), 2))],
+                                       axis=1))
     images = plain.combine(ranks[:, None], np.ones((len(group), 1)))
     alphas = list(partitions_of(m))
     families = [matrix_operators_E(images, alpha) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
-    stacks = [phi.image(image_array(m)) for phi in phis]  # [g, i, j] = phi_ij(g)
+    stacks = [phi.image(group) for phi in phis]  # [g, i, j] = phi_ij(g)
     # (alpha, i, j) of every block of the concatenated families, 1-based
     labels = [(alpha, i, j) for alpha, phi in zip(alphas, phis)
               for i in range(1, phi.dim + 1) for j in range(1, phi.dim + 1)]
@@ -636,7 +640,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     weights = np.concatenate([stack.reshape(len(group), -1) for stack in stacks], axis=1)
     recovered = everything.combine(np.arange(len(labels)), weights)
     worst, (g,) = _worst(recovered.residuals(images))
-    culprit = f"D({group[g]}) = sum phi_ij(g) E_ij"
+    culprit = f"D({_perm(group[g])}) = sum phi_ij(g) E_ij"
 
     # (II) orthogonality with the multiplicity as norm; here D restricted to
     # S(n-2) contains each alpha with multiplicity d^2 * (its multiplicity
@@ -673,7 +677,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
             stack[:, :, i].transpose(0, 2, 1))
         value, (h, r) = _worst(covariance)
         if value > worst:
-            worst, culprit = value, (f"D({group[h]}) "
+            worst, culprit = value, (f"D({_perm(group[h])}) "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
 
     return _report("matrix_operators", {"n": n, "d": d}, worst, APPC_TOL,
@@ -740,25 +744,24 @@ def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckRepo
     one element stack, and their adjoints another, whose image must be the
     conjugate transpose.
     """
-    perms = list(Permutation.all(n))
-    ctx = AlgebraContext(n, d)
+    ctx, table = AlgebraContext(n, d), image_array(n)
     elems = []
     for draw in _picks(20 * 7, ADJOINT_SEED).reshape(20, 7):
-        terms = {perms[k % len(perms)]: 2 * float(x) / LEHMER_MODULUS - 1
+        terms = {_perm(table[k % len(table)]): 2 * float(x) / LEHMER_MODULUS - 1
                  for k, x in draw[:6].reshape(3, 2)}
         elem = AlgebraElement(ctx, terms)
-        elems += [elem, elem * AlgebraElement(ctx, {perms[draw[6] % len(perms)]: 1.0})]
+        elems += [elem, elem * AlgebraElement(ctx, {_perm(table[draw[6] % len(table)]): 1.0})]
     images = element_stack(elems, cap)
     adjoints = element_stack([elem.adjoint() for elem in elems], cap)
     worst, culprit = adjoints.residuals(images.adjoint()).max(), ""
     index = generator_index(n, d, cap)
     generators = np.maximum(
         index.stack_residuals(generator_stack(n, d, transposed=True, cap=cap)),
-        index.stack_residuals(transposed_perm_operator(image_array(n), d, n, cap,
+        index.stack_residuals(transposed_perm_operator(table, d, n, cap,
                                                        sector(n, d, True))))
     value, (k,) = _worst(generators)
     if value > worst:
-        worst, culprit = value, f"W{perms[k]}^t"
+        worst, culprit = value, f"W{_perm(table[k])}^t"
     return _report("adjoint_transport", {"n": n, "d": d}, worst, ORACLE_TOL,
                    culprit=culprit)
 

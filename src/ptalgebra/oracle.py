@@ -18,19 +18,24 @@ balanced sectors, with s = 10 of d^n = 32 states at (5, 2);
 Every operator carries its basis (None: the whole space), and combining
 two on different bases raises ``ValueError``.
 
-Storage follows s.  Up to ``DENSE_MAX_DIM`` = 64 an operator is a float64
-numpy array: at that size a product costs less than the bookkeeping of a
-sparse one.  Above it operators are scipy CSR matrices, imported only
-then.  ``TensorOp`` (one operator) and ``OperatorStack`` (a family) hide
-the choice.  The size cap (default d^n <= 4096) bounds the whole space
-and is checked on every call, before any cache is consulted.
+Only built generators may be sparse.  Every operator is a float64 numpy
+array, except the generators that ``_generators`` builds on more than
+``DENSE_MAX_DIM`` = 64 states, which are scipy CSR matrices, imported only
+then: a generator has at most d ones in a row or column, while the
+combinations that the checks read fill from a tenth (the u stacks) to all
+(the f units) of their s^2 entries, where a dense product costs less than
+the bookkeeping of a sparse one.  ``TensorOp`` (one operator) and
+``OperatorStack`` (a family) hide the choice; arithmetic of a CSR
+generator with a dense operator gives a plain ndarray.  The size cap
+(default d^n <= 4096) bounds the whole space and is checked on every call,
+before any cache is consulted.
 
-An ``OperatorStack`` holds K operators as one ``(K, s, s)`` array on the
-dense side and as the s x K*s CSR block row [B_1 | ... | B_K] above it.
-Its operations are whole-family ones: B_k A for every k in one product,
-linear combinations sum_i C[j, i] B_i, every B_k^T, per-block residuals
-max |X_k - Y_k|, and the Gram matrix.  A combination
-whose rows each list their own blocks (a gather and a scale when C is
+An ``OperatorStack`` holds K operators as one ``(K, s, s)`` array, and CSR
+generators as the (K s) x s block column [B_1; ...; B_K].  Its operations
+are whole-family ones: B_k A for every k in one product, linear
+combinations sum_i C[j, i] B_i, every B_k^T, per-block residuals
+max |X_k - Y_k|, and the Gram matrix.  Every combination is a dense stack.
+One whose rows each list their own blocks (a gather and a scale when C is
 monomial, as in d^p W(tau), or the terms of element images) adds its terms
 one at a time, so each block is bitwise the sum of its scaled terms; one
 whose rows share their blocks (the averaged families, the y and f units)
@@ -82,7 +87,8 @@ CAP_ENV_VAR = "PTALGEBRA_CAP"
 DENSE_MAX_DIM = 64
 # Generator stacks, plain and transposed: dense at most 49 MB each ((7, 2)).
 FAMILY_CACHE_SIZE = 8
-# Entries of a full CSR product that ``OperatorStack.action_residuals`` forms at once.
+# Entries of the dense product of a chunk of CSR generators that
+# ``OperatorStack.action_residuals`` forms at once.
 PRODUCT_CHUNK_ENTRIES = 2**22
 
 
@@ -118,10 +124,6 @@ def _sparse():
     return scipy.sparse
 
 
-def _is_dense(dim: int) -> bool:
-    return dim <= DENSE_MAX_DIM
-
-
 def _check(a: "TensorOp | OperatorStack", b: "TensorOp | OperatorStack"):
     """Refuse to combine two operators of different shapes or bases."""
     if (a.n, a.d, a.dim) != (b.n, b.d, b.dim):
@@ -135,8 +137,9 @@ class TensorOp:
     """An operator on the span of ``basis``, sorted indices of basis strings
     of (C^d)^{tensor n} (None: the whole space), of size ``dim``.
 
-    ``matrix`` is a float64 ndarray when dim <= DENSE_MAX_DIM and a scipy
-    CSR matrix above, so operands of + and @ always share one storage.
+    ``matrix`` is a float64 ndarray, or a scipy CSR matrix for a generator
+    on more than ``DENSE_MAX_DIM`` states.  Arithmetic on two CSR operands
+    stays CSR; any other result is a plain ndarray, never ``np.matrix``.
     """
 
     n: int
@@ -149,8 +152,7 @@ class TensorOp:
         return self.matrix.shape[0]
 
     def _new(self, matrix) -> "TensorOp":
-        if not isinstance(matrix, np.ndarray):
-            matrix = matrix.tocsr()
+        matrix = np.asarray(matrix) if isinstance(matrix, np.ndarray) else matrix.tocsr()
         return TensorOp(self.n, self.d, matrix, self.basis)
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
@@ -196,123 +198,84 @@ class TensorOp:
 class OperatorStack:
     """K operators B_1..B_K on the span of s states ``basis``, held as one array.
 
-    ``data`` is a float64 ``(K, s, s)`` ndarray when s <= DENSE_MAX_DIM and
-    the s x K*s CSR block row [B_1 | ... | B_K] above, so one product or
-    one gather covers the whole family.  Methods return new stacks and
-    never write to ``data``.
+    ``data`` is a float64 ``(K, s, s)`` ndarray, except for the generators
+    that ``_generators`` builds on more than ``DENSE_MAX_DIM`` states: those
+    are the (K s) x s CSR block column [B_1; ...; B_K], whose rows k s to
+    (k + 1) s are block k, and so are the ``op`` and ``adjoint`` of such a
+    stack.  Every other result is a dense stack.  Methods return new stacks
+    and never write to ``data``.
     """
 
     def __init__(self, n: int, d: int, data, basis=None):
         self.n, self.d, self.data = n, d, data
         self.basis = None if basis is None or len(basis) == d**n else basis
-        dense = isinstance(data, np.ndarray)
-        self.dim = data.shape[1] if dense else data.shape[0]
-        self.size = data.shape[0] if dense else data.shape[1] // self.dim
+        self.dim = data.shape[-1]
+        self.size = len(data) if isinstance(data, np.ndarray) else data.shape[0] // self.dim
 
     def __len__(self) -> int:
         return self.size
 
     def _new(self, data) -> "OperatorStack":
-        if not isinstance(data, np.ndarray):
-            data = data.tocsr()
         return OperatorStack(self.n, self.d, data, self.basis)
 
     @staticmethod
     def concat(stacks: list["OperatorStack"]) -> "OperatorStack":
+        """The blocks of dense stacks, one after the other."""
         first = stacks[0]
         for stack in stacks[1:]:
             _check(first, stack)
-        if isinstance(first.data, np.ndarray):
-            data = np.concatenate([s.data for s in stacks])
-        else:
-            data = _sparse().hstack([s.data for s in stacks], format="csr")
-        return OperatorStack(first.n, first.d, data, first.basis)
+        return first._new(np.concatenate([s.data for s in stacks]))
 
     def op(self, k: int) -> TensorOp:
         """B_k as a TensorOp; on the dense side a view, read-only if the stack is."""
-        if isinstance(self.data, np.ndarray):
-            return TensorOp(self.n, self.d, self.data[k], self.basis)
-        return TensorOp(self.n, self.d,
-                        self.data[:, k * self.dim:(k + 1) * self.dim].tocsr(), self.basis)
+        rows = self.data.reshape(-1, self.dim)  # [B_1; ...; B_K] on both storages
+        return TensorOp(self.n, self.d, rows[k * self.dim:(k + 1) * self.dim], self.basis)
 
     def right_mul(self, a: TensorOp) -> "OperatorStack":
-        """B_k A for every k."""
+        """B_k A for every k: one product of the block column with A."""
         _check(self, a)
-        if isinstance(self.data, np.ndarray):
-            return self._new(np.matmul(self.data, a.matrix))
-        sp = _sparse()
-        return self._new(self.data @ sp.kron(sp.identity(self.size), a.matrix,
-                                             format="csr"))
+        return self._new(np.reshape(self.data @ a.dense(), (self.size, self.dim, self.dim)))
 
     def adjoint(self) -> "OperatorStack":
         """B_k^dagger = B_k^T for every k (the entries are real)."""
         if isinstance(self.data, np.ndarray):
             return self._new(np.ascontiguousarray(self.data.transpose(0, 2, 1)))
-        coo = self.data.tocoo()
-        block, col = np.divmod(coo.col, self.dim)
+        block, row, col, value = self.nonzeros()
         return self._new(_sparse().csr_matrix(
-            (coo.data, (col, block * self.dim + coo.row)), shape=self.data.shape))
+            (value, (block * self.dim + col, row)), shape=self.data.shape))
 
     def combine(self, index, weights) -> "OperatorStack":
-        """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]].
+        """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]], a dense stack.
 
         ``weights`` is ``(J, m)``: row j lists the coefficients of C_j, and
         ``index`` their blocks, either per row ``(J, m)`` or shared by every
-        row ``(m,)``.  With a per-row index, terms are added in t order on
-        both storages, each term a gather and scale, so C_j is bitwise the
-        sum of its scaled blocks added one at a time; the gather-and-scale
-        d^p W(tau) is the case m = 1.  A shared index, as in a dense
-        coefficient matrix C = ``combine(arange(K), C)``, is one product of
-        the weights with the blocks read as vectors of length D^2: a
-        ``tensordot`` on the dense side, and on the CSR side a sparse product
-        of the vectorised family, one row per entry (r, c) that some block
-        stores and one column per block, with the K x J coefficients, so its
-        cost follows the stack's nonzeros and not D^2.  Its sums are not added
-        term by term, so they can differ from the per-term ones in the last
-        bits.
+        row ``(m,)``.  With a per-row index, terms are added in t order, each
+        term a gather and scale of dense blocks, or the stored entries of CSR
+        ones scattered into C_j, so C_j is bitwise the sum of its scaled
+        blocks added one at a time; the gather-and-scale d^p W(tau) is the
+        case m = 1.  A shared index, as in a dense coefficient matrix
+        C = ``combine(arange(K), C)``, is one product of the weights with
+        the m blocks it names, read as vectors of length s^2 (sparse ones
+        for CSR blocks).  Its sums are not added term by term, so they can
+        differ from the per-term ones in the last bits.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
-        dense = isinstance(self.data, np.ndarray)
-        if index.ndim == 1 and dense:
-            return self._new(np.tensordot(weights, self.data[index], axes=1))
+        dim = self.dim
         if index.ndim == 1:
-            sp, dim = _sparse(), self.dim
-            # row u of the vectorised family: the entry (r, c) of every block,
-            # over the entries that some block stores, in (r, c) order
-            coo = self.data.tocoo()
-            block, col = np.divmod(coo.col, dim)
-            entries, u = np.unique(coo.row.astype(np.int64) * dim + col,
-                                   return_inverse=True)
-            vectors = sp.csr_matrix((coo.data, (u, block)),
-                                    shape=(len(entries), self.size))
-            coefficients = np.zeros((self.size, weights.shape[0]))
-            np.add.at(coefficients, index, weights.T)
-            out = vectors @ sp.csr_matrix(coefficients)
-            # row u of out holds entry (r, c) of every C_j, and the rows of
-            # one r are consecutive: they are row r of the block row
-            row, col = np.divmod(entries, dim)
-            return self._new(sp.csr_matrix(
-                (out.data, out.indices.astype(np.int64) * dim
-                 + np.repeat(col, np.diff(out.indptr)),
-                 out.indptr[np.searchsorted(row, np.arange(dim + 1))]),
-                shape=(dim, weights.shape[0] * dim)))
-        if dense:
-            out = np.zeros((weights.shape[0],) + self.data.shape[1:])
+            vectors = self.data.reshape(self.size, dim * dim)  # block k as row k
+            if not isinstance(vectors, np.ndarray):
+                vectors = vectors.tocsr()
+            return self._new(np.reshape(weights @ vectors[index], (-1, dim, dim)))
+        out = np.zeros((weights.shape[0], dim, dim))
+        if isinstance(self.data, np.ndarray):
             _accumulate(out, self.data, index, weights, np.empty_like(out))
-            return self._new(out)
-        # term t gathers block columns of the CSC form, so its cost follows
-        # the output and not the size of the whole family
-        csc, shift = self.data.tocsc(), np.arange(self.dim)
-        out = _sparse().csc_matrix((self.dim, weights.shape[0] * self.dim))
-        for t in range(weights.shape[1]):
-            term = csc[:, (index[:, t, None] * self.dim + shift).ravel()]
-            term.data *= np.repeat(np.repeat(weights[:, t], self.dim),
-                                   np.diff(term.indptr))
-            out = term if t == 0 else out + term
+        else:
+            _scatter(out, self.data, index, weights)
         return self._new(out)
 
     def residuals(self, other: "OperatorStack | None" = None) -> np.ndarray:
-        """max |X_k - Y_k| for every block k (against zero without ``other``)."""
+        """max |X_k - Y_k| for every block k of dense stacks (against zero
+        without ``other``)."""
         if other is None:
             diff = self.data.copy()
         else:
@@ -326,21 +289,17 @@ class OperatorStack:
         ``index`` and ``weights`` broadcast to ``(R, K, m)``: row r claims
         L_r B_k = sum_t weights[r, k, t] B[index[r, k, t]] for every k, each
         row in the form of ``combine``.  Returns the ``(R, K)`` array of
-        max |L_r B_k - sum_t weights[r, k, t] B[index[r, k, t]]|.  On the
-        dense side every row reuses the same two ``(K, s, s)`` buffers,
-        because a fresh array of that size per row costs more than the work
-        in it.  A CSR block row storing a quarter of its entries goes dense:
-        the f and y units store 91-100 % (12 s dense at (6, 4), 282 s CSR),
-        the other CSR stacks met at most 18 %.  Otherwise L_r is a block
-        column of one CSC copy of ``left``, turned back to CSR, times
-        ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks at a time: e W(sigma) is full,
-        and at (7, 3) the unit check peaks at 1.1 GB in chunks, 2.7 GB without.
+        max |L_r B_k - sum_t weights[r, k, t] B[index[r, k, t]]|.  Each L_r
+        is multiplied as a dense s x s array.  On a dense stack every row
+        reuses the same two ``(K, s, s)`` buffers, because a fresh array of
+        that size per row costs more than the work in it.  A generator
+        family held as CSR is read through its adjoint, in chunks of
+        ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks: each chunk is one sparse
+        product B_k^T L_r^T = (L_r B_k)^T, from which the claim, transposed,
+        is subtracted entry by entry.  e W(sigma) is full, and at (7, 3) the
+        unit check peaks at 0.6 GB in chunks, 1.9 GB without.
         """
         _check(self, left)
-        if (not isinstance(self.data, np.ndarray)
-                and 4 * self.data.nnz >= self.size * self.dim**2):
-            return OperatorStack(self.n, self.d, self._blocks()).action_residuals(
-                OperatorStack(left.n, left.d, left._blocks()), index, weights)
         count = len(left)
         shape = np.broadcast_shapes(np.shape(index), np.shape(weights),
                                     (count, self.size, 1))
@@ -350,24 +309,20 @@ class OperatorStack:
         if isinstance(self.data, np.ndarray):
             product, scratch = np.empty_like(self.data), np.empty_like(self.data)
             for r in range(count):
-                np.matmul(left.data[r], self.data, out=product)
+                np.matmul(left.op(r).dense(), self.data, out=product)
                 _accumulate(product, self.data, index[r], weights[r], scratch,
                             subtract=True)
                 out[r] = self._block_max(product)
             return out
-        columns, dim = left.data.tocsc(), self.dim
+        adjoint, dim = self.adjoint().data, self.dim
         step = max(1, PRODUCT_CHUNK_ENTRIES // dim**2)
         for r, k in np.ndindex(count, -(-self.size // step)):
-            a, part = columns[:, r * dim:(r + 1) * dim].tocsr(), slice(k * step, (k + 1) * step)
-            out[r, part] = self._block_max(
-                a @ self.data[:, part.start * dim:part.stop * dim]
-                - self.data @ self._combination(index[r, part], weights[r, part]))
+            part = slice(k * step, min((k + 1) * step, self.size))
+            product = np.reshape(adjoint[part.start * dim:part.stop * dim]
+                                 @ left.op(r).dense().T, (-1, dim, dim))
+            _scatter(product, adjoint, index[r, part], weights[r, part], subtract=True)
+            out[r, part] = self._block_max(product)
         return out
-
-    def _blocks(self) -> np.ndarray:
-        """The blocks of a CSR stack as one ``(K, s, s)`` ndarray."""
-        return np.ascontiguousarray(self.data.toarray().reshape(
-            self.dim, self.size, self.dim).transpose(1, 0, 2))
 
     def nonzeros(self) -> tuple[np.ndarray, ...]:
         """(block, row, col, value) of every stored nonzero entry."""
@@ -375,8 +330,8 @@ class OperatorStack:
             where = np.nonzero(self.data)
             return (*where, self.data[where])
         coo = self.data.tocoo()
-        block, col = np.divmod(coo.col, self.dim)
-        return block, coo.row, col, coo.data
+        block, row = np.divmod(coo.row, self.dim)
+        return block, row, coo.col, coo.data
 
     def gram(self) -> np.ndarray:
         """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k) = V^T V."""
@@ -387,43 +342,23 @@ class OperatorStack:
     def _vectors(self):
         """V, whose column k is block k read as a vector: of all s^2 entries
         on the dense side, and on the CSR side of the positions (r, c) that
-        some block occupies, built by sorting the entries of the block row
-        by position, so that no array of size s^2 is ever made."""
+        some block occupies, built by sorting the entries of the block
+        column by position, so that no array of size s^2 is ever made."""
         if isinstance(self.data, np.ndarray):
             return self.data.reshape(self.size, self.dim * self.dim).T
-        dim, data = self.dim, self.data
-        block, col = np.divmod(data.indices, dim)
-        row = np.repeat(np.arange(dim, dtype=np.int64), np.diff(data.indptr))
-        position = row * dim + col
+        block, row, col, value = self.nonzeros()
+        position = row.astype(np.int64) * self.dim + col
         order = np.argsort(position)
         position = position[order]
         starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
         return _sparse().csr_matrix(
-            (data.data[order], block[order], np.r_[starts, position.size]),
+            (value[order], block[order], np.r_[starts, position.size]),
             shape=(starts.size, self.size))
 
-    def _combination(self, index: np.ndarray, weights: np.ndarray):
-        """The K*D x J*D CSR matrix that maps the block row to
-        [C_1 | ... | C_J], C_j = sum_t weights[j, t] B[index[j, t]] with a
-        per-row index, by right multiplication (see ``action_residuals``)."""
-        dim = self.dim
-        row, term = np.nonzero(weights)
-        shift = np.arange(dim)
-        return _sparse().csr_matrix(
-            (np.repeat(weights[row, term], dim),
-             ((index[row, term][:, None] * dim + shift).ravel(),
-              (row[:, None] * dim + shift).ravel())),
-            shape=(self.size * dim, weights.shape[0] * dim))
-
-    def _block_max(self, diff) -> np.ndarray:
-        """max |entry| of every block of a difference the stack may overwrite."""
-        if isinstance(diff, np.ndarray):
-            np.abs(diff, out=diff)
-            return diff.reshape(len(diff), self.dim**2).max(axis=1, initial=0.0)
-        diff = diff.tocsr()
-        out = np.zeros(diff.shape[1] // self.dim)
-        np.maximum.at(out, diff.indices // self.dim, np.abs(diff.data))
-        return out
+    def _block_max(self, diff: np.ndarray) -> np.ndarray:
+        """max |entry| of every block of a dense difference the stack may overwrite."""
+        np.abs(diff, out=diff)
+        return diff.reshape(len(diff), self.dim**2).max(axis=1, initial=0.0)
 
 
 def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
@@ -431,12 +366,28 @@ def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
     """Add (or subtract) sum_t weights[j, t] data[index[j, t]] into out[j],
     one term t at a time, through ``scratch``."""
     for t in range(weights.shape[1]):
-        np.take(data, index[:, t], axis=0, out=scratch)
+        np.take(data, index[:, t], axis=0, out=scratch, mode="wrap")  # unbuffered
         scratch *= weights[:, t, None, None]
         if subtract:
             out -= scratch
         else:
             out += scratch
+
+
+def _scatter(out: np.ndarray, data, index: np.ndarray, weights: np.ndarray,
+             subtract: bool = False):
+    """``_accumulate`` from the CSR block column of a stack: term t adds (or
+    subtracts) the stored entries of rows index[j, t] s to (index[j, t] + 1) s,
+    scaled, into out[j], so only the entries of the blocks it names are read."""
+    dim, flat, indptr = data.shape[1], out.reshape(-1), data.indptr
+    for t in range(weights.shape[1]):
+        start, stop = indptr[index[:, t] * dim], indptr[(index[:, t] + 1) * dim]
+        count = stop - start
+        at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        row = np.searchsorted(indptr, at, side="right") - 1
+        target = (np.repeat(np.arange(len(out)), count) * dim + row % dim) * dim
+        value = np.repeat(weights[:, t], count) * data.data[at]
+        flat[target + data.indices[at]] += -value if subtract else value
 
 
 def _digits(n: int, d: int, indices: np.ndarray) -> np.ndarray:
@@ -452,14 +403,19 @@ def sector(n: int, d: int, transposed: bool = False,
            weight: tuple[int, ...] | None = None) -> np.ndarray:
     """The sorted indices of the basis strings x of weight count(x_1..x_n),
     or count(x_1..x_{n-1}) - e_{x_n} when ``transposed`` (a d-tuple; by
-    default the balanced one, larger entries first).  Read-only."""
+    default the balanced one, larger entries first).  Read-only.  A weight
+    that is not d entries long, or that no basis string has, is refused."""
     if weight is None:
         q, r = divmod(n - 2 if transposed else n, d)
         weight = (q + 1,) * r + (q,) * (d - r)
+    if len(weight) != d:
+        raise ValueError(f"weight {weight} does not have d = {d} entries")
     digits = _digits(n, d, np.arange(d**n))
     counts = (digits[..., None] == np.arange(d)).sum(axis=0)
     counts -= 2 * transposed * (digits[-1, :, None] == np.arange(d))  # - e_{x_n}
     basis = np.flatnonzero((counts == weight).all(axis=1))
+    if not basis.size:
+        raise ValueError(f"weight {weight} has no basis string of (n, d) = ({n}, {d})")
     basis.flags.writeable = False
     return basis
 
@@ -508,9 +464,9 @@ def _generators(images: np.ndarray, d: int, transposed: bool,
     keep = cols >= 0
     block = np.broadcast_to(np.arange(count, dtype=rows.dtype)[:, None], rows.shape)[keep]
     rows, cols = rows[keep], cols[keep]
-    if not _is_dense(dim):
-        data = _sparse().csr_matrix((np.ones(rows.size), (rows, cols + block * dim)),
-                                    shape=(dim, count * dim))
+    if dim > DENSE_MAX_DIM:
+        data = _sparse().csr_matrix((np.ones(rows.size), (block * dim + rows, cols)),
+                                    shape=(count * dim, dim))
         return OperatorStack(n, d, data, basis)
     data = np.zeros((count, dim, dim))
     data[block, rows, cols] = 1.0
@@ -806,20 +762,17 @@ def element_operator(elem: AlgebraElement, cap: int | None = None) -> TensorOp:
 
 
 def zero_operator(n: int, d: int, cap: int | None = None) -> TensorOp:
+    """0 on the whole space, dense."""
     _check_family(n, d, cap)
-    dim = d**n
-    if _is_dense(dim):
-        return TensorOp(n, d, np.zeros((dim, dim)))
-    return TensorOp(n, d, _sparse().csr_matrix((dim, dim)))
+    return TensorOp(n, d, np.zeros((d**n, d**n)))
 
 
 def identity_operator(n: int, d: int, cap: int | None = None,
                       basis: np.ndarray | None = None) -> TensorOp:
-    """1 on the span of ``basis``, the whole space by default."""
+    """1 on the span of ``basis``, the whole space by default, dense."""
     _check_family(n, d, cap)
-    dim = len(basis := _basis(n, d, basis))
-    eye = np.eye(dim)[None] if _is_dense(dim) else _sparse().identity(dim, format="csr")
-    return OperatorStack(n, d, eye, basis).op(0)
+    basis = _basis(n, d, basis)
+    return OperatorStack(n, d, np.eye(len(basis))[None], basis).op(0)
 
 
 RANK_RTOL = 1e-8

@@ -32,12 +32,7 @@ GRID = [(n, d) for n in (2, 3, 4, 5) for d in (1, 2, 3)]
 
 def _stack_ones(stack: OperatorStack) -> np.ndarray:
     """Sorted (k, r, c) of every nonzero entry of a stack; asserts they are 1."""
-    if isinstance(stack.data, np.ndarray):
-        k, r, c = np.nonzero(stack.data)
-        values = stack.data[k, r, c]
-    else:
-        coo = stack.data.tocoo()
-        (k, c), r, values = np.divmod(coo.col, stack.dim), coo.row, coo.data
+    k, r, c, values = stack.nonzeros()
     assert np.all(values == 1.0)
     return np.sort((k * stack.dim + r) * stack.dim + c)
 
@@ -464,7 +459,7 @@ def _moved_one(stack: OperatorStack, k: int) -> OperatorStack:
         return OperatorStack(stack.n, stack.d, data, stack.basis)
     import scipy.sparse as sp
     return OperatorStack(stack.n, stack.d, sp.csr_matrix(
-        (value, (row, block * stack.dim + col)), shape=stack.data.shape), stack.basis)
+        (value, (block * stack.dim + row, col)), shape=stack.data.shape), stack.basis)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 3), (4, 8)])

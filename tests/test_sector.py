@@ -49,6 +49,16 @@ def test_the_sectors_of_one_family_partition_the_space():
     assert np.array_equal(np.sort(parts), np.arange(d**n))
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_a_malformed_weight_is_refused_by_name(transposed):
+    with pytest.raises(ValueError, match=r"weight \(1, 1, 1\) does not have d = 2"):
+        sector(3, 2, transposed, weight=(1, 1, 1))
+    with pytest.raises(ValueError, match=r"weight \(4, -1\) has no basis string"):
+        sector(3, 2, transposed, weight=(4, -1))
+    with pytest.raises(ValueError, match=r"weight \(4, -1\)"):
+        perm_operator(image_array(3), 2, 3, basis=sector(3, 2, weight=(4, -1)))
+
+
 def test_a_basis_that_is_not_invariant_is_refused():
     # 001 alone: W((13)) maps it to 100, outside its span
     with pytest.raises(ValueError, match="invariant"):
@@ -149,14 +159,18 @@ def test_span_ranks_read_off_either_gram_agree(n, d, whole, smaller):
 
 @pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (4, 3), (5, 3), (4, 4)])
 def test_averaged_families_rank_the_same_built_or_through_the_plain_gram(n, d):
-    # check_dimensions builds the families when s^2 < n! ((5, 2), (6, 2)) and
-    # reads C G C^T otherwise; both give the formula on either route
+    # check_dimensions builds the families when s^2 < n! ((5, 2), (6, 2)),
+    # summing one V V^T per family, and reads C G C^T otherwise; every form
+    # gives the formula on either route
     plain = generator_stack(n, d)
-    built = OperatorStack.concat([matrix_operators_E(plain, mu) for mu in partitions_of(n)])
+    families = [matrix_operators_E(plain, mu) for mu in partitions_of(n)]
+    built = OperatorStack.concat(families)
+    summed = sum(v.T @ v for v in (f.data.reshape(len(f), -1) for f in families))
     weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
                               for mu in partitions_of(n)])
     expected = algebra_dimension_formula(n, d)
-    assert span_dimension(built) == gram_rank(weights @ plain.gram() @ weights.T) == expected
+    assert span_dimension(built) == gram_rank(summed) == expected
+    assert gram_rank(weights @ plain.gram() @ weights.T) == expected
 
 
 def _run(args, env=None, limit=None, timeout=120):

@@ -1,10 +1,13 @@
 """OperatorStack: every batched operation equals the per-pair TensorOp one.
 
 The operands have small integer entries, so both routes are exact and the
-comparisons are entry by entry, on the dense side (5, 2) and on the CSR
-side (3, 5) and (4, 4).  The arithmetic does not depend on the basis, so
+comparisons are entry by entry, with dense generators at (5, 2) and CSR
+ones at (3, 5) and (4, 4).  The arithmetic does not depend on the basis, so
 the cached families are built on the whole space here (``whole_space``),
-where those sizes reach the CSR storage.
+where those sizes reach the CSR storage.  The storage rule, that only
+built generators are CSR, is also checked on the transposed sector of
+(6, 3), s = 80 (``STORAGE``, whose third entry says whether the test runs
+on the whole space).
 """
 
 import numpy as np
@@ -12,8 +15,8 @@ import pytest
 
 from ptalgebra.algebra import AlgebraContext, AlgebraElement
 from ptalgebra.oracle import (DENSE_MAX_DIM, OperatorStack, SizeCapError,
-                              element_operator, element_stack,
-                              generator_stack, matrix_operators_E, perm_operator,
+                              element_operator, element_stack, generator_stack,
+                              identity_operator, matrix_operators_E, perm_operator,
                               transposed_perm_operator, zero_operator)
 from ptalgebra.partitions import partitions_of
 from ptalgebra.permutations import Permutation
@@ -21,10 +24,15 @@ from ptalgebra.yor import SymmetricGroupIrrep
 from whole_space import whole_space
 
 SIZES = [(5, 2), (3, 5), (4, 4)]
+STORAGE = [(3, 5, True), (4, 4, True), (6, 3, False)]
 
 
 @pytest.fixture(autouse=True)
-def _on_the_whole_space():
+def _on_the_whole_space(request):
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and not callspec.params.get("whole", True):
+        yield  # on the balanced sectors
+        return
     with whole_space():
         yield
 
@@ -138,7 +146,9 @@ def test_residuals_and_gram_match_per_pair(n, d):
     a = _integer_operator(n, d, seed=3)
     product = family.right_mul(a)
     expected = [(op @ a).distance(op) for op in ops]
-    assert np.array_equal(product.residuals(family), expected)
+    # residuals compare dense stacks: the family gathered as one
+    gathered = family.combine(np.arange(len(ops))[:, None], np.ones((len(ops), 1)))
+    assert np.array_equal(product.residuals(gathered), expected)
     assert np.array_equal(product.residuals(), [(op @ a).max_abs() for op in ops])
     gram = np.array([[(x.adjoint() @ y).trace() for y in ops] for x in ops])
     assert np.array_equal(family.gram(), gram)
@@ -192,44 +202,74 @@ def test_action_residuals_in_chunks_of_blocks_match_one_product(monkeypatch, n, 
     assert np.array_equal(family.action_residuals(left, index, weights), whole)
 
 
-def test_action_residuals_of_a_full_csr_stack_multiply_dense(monkeypatch):
-    # a CSR block row that stores a quarter of its entries or more takes the
-    # dense route; on integer entries its residuals are the per-pair ones
-    import scipy.sparse as sp
-
+@pytest.mark.parametrize("n,d,whole", STORAGE)
+def test_action_residuals_of_a_csr_left_factor_on_a_dense_stack(n, d, whole):
+    # V' = W((n-1 n))^{t_n} built on its own, as the unit check builds it, is
+    # a one-row CSR stack; it multiplies the dense blocks as a dense array
+    family = generator_stack(n, d, transposed=True)
+    contraction = Permutation.transposition(n, n - 1, n)
+    v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n,
+                                       basis=family.basis)
+    assert not isinstance(v_prime.data, np.ndarray)
+    stack = family.right_mul(_integer_operator(n, d, seed=2))
+    blocks = stack.data
     rng = np.random.default_rng(5)
-    count, dim = 6, DENSE_MAX_DIM + 6
-    blocks = rng.integers(-2, 3, size=(count, dim, dim)).astype(float)
-    blocks[:, :, ::2] = 0
+    index = rng.integers(len(stack), size=(1, len(stack), 2))
+    weights = rng.integers(-2, 3, size=(1, len(stack), 2)).astype(float)
+    v = v_prime.op(0).dense()
+    expected = [np.abs(v @ blocks[k]
+                       - np.tensordot(weights[0, k], blocks[index[0, k]], axes=1)).max()
+                for k in range(len(stack))]
+    assert np.array_equal(stack.action_residuals(v_prime, index, weights), [expected])
 
-    def block_row(b):
-        return sp.csr_matrix(b.transpose(1, 0, 2).reshape(dim, -1))
 
-    stack, left = OperatorStack(4, 3, block_row(blocks)), OperatorStack(4, 3, block_row(blocks[:2]))
-    index = rng.integers(count, size=(2, count, 2))
-    weights = rng.integers(-2, 3, size=(2, count, 2)).astype(float)
-    dense_calls = []
-    real = OperatorStack._blocks
-    monkeypatch.setattr(OperatorStack, "_blocks",
-                        lambda self: dense_calls.append(1) or real(self))
-    expected = [[np.abs(blocks[r] @ blocks[k]
-                        - np.tensordot(weights[r, k], blocks[index[r, k]], axes=1)).max()
-                 for k in range(count)] for r in range(2)]
-    assert np.array_equal(stack.action_residuals(left, index, weights), expected)
-    assert len(dense_calls) == 2
+@pytest.mark.parametrize("n,d,whole", STORAGE)
+def test_only_built_generators_are_csr(n, d, whole):
+    family = generator_stack(n, d, transposed=True)
+    count, dim = len(family), family.dim
+    assert dim > DENSE_MAX_DIM and not isinstance(family.data, np.ndarray)
+    one = family.op(1)
+    assert not isinstance(one.matrix, np.ndarray)
+    assert not isinstance(family.adjoint().data, np.ndarray)
+    rng = np.random.default_rng(13)
+    index, weights = rng.integers(count, size=(3, 2)), rng.standard_normal((3, 2))
+    image = element_operator(_integer_element(n, d, seed=4))
+    stacks = [family.combine(index, weights), family.combine(index[0], weights),
+              family.right_mul(image), family.right_mul(one),
+              family.combine(index, weights).right_mul(one),
+              element_stack([_integer_element(n, d, seed) for seed in range(2)])]
+    for stack in stacks:
+        assert type(stack.data) is np.ndarray and stack.data.shape[1:] == (dim, dim)
+    ops = [identity_operator(n, d, basis=family.basis), image, one - image,
+           image - one, one + image, one @ image, image @ one]
+    for op in ops:  # a mix of a CSR generator and a dense operator is never np.matrix
+        assert type(op.matrix) is np.ndarray and op.matrix.shape == (dim, dim)
+    assert np.array_equal((one - image).matrix, one.dense() - image.matrix)
+
+
+@pytest.mark.parametrize("n,d,whole", STORAGE)
+def test_a_per_row_combination_of_csr_generators_is_their_term_by_term_sum(n, d, whole):
+    # float weights, so the order of the additions shows in the last bits
+    family = generator_stack(n, d, transposed=True)
+    rng = np.random.default_rng(17)
+    index = rng.integers(len(family), size=(6, 4))
+    weights = rng.standard_normal((6, 4))
+    combined = family.combine(index, weights)
+    for j in range(len(index)):
+        acc = np.zeros((family.dim, family.dim))
+        for k, weight in zip(index[j], weights[j]):
+            acc = acc + weight * family.op(k).dense()
+        assert np.array_equal(combined.data[j], acc), j
 
 
 @pytest.mark.parametrize("n,d", SIZES)
 def test_of_and_concat_keep_the_order(n, d):
-    # stacks made of the first two and of the remaining generators, from
-    # their storage: (K, D, D) on the dense side, the block row above it
+    # dense stacks of the first two and of the remaining generators, gathered
     ops = [transposed_perm_operator(p, d) for p in Permutation.all(n)]
-    data, cut = generator_stack(n, d, transposed=True).data, 2 * d**n
-    if isinstance(data, np.ndarray):
-        first, rest = data[:2], data[2:]
-    else:
-        first, rest = data[:, :cut], data[:, cut:]
-    parts = [OperatorStack(n, d, first), OperatorStack(n, d, rest)]
+    family = generator_stack(n, d, transposed=True)
+    every = np.arange(len(ops))[:, None]
+    parts = [family.combine(every[:2], np.ones((2, 1))),
+             family.combine(every[2:], np.ones((len(ops) - 2, 1)))]
     assert [len(part) for part in parts] == [2, len(ops) - 2]
     _assert_blocks(OperatorStack.concat(parts), ops)
 
