@@ -25,8 +25,8 @@ then: a generator has at most d ones in a row or column, while the
 combinations that the checks read fill from a tenth (the u stacks) to all
 (the f units) of their s^2 entries, where a dense product costs less than
 the bookkeeping of a sparse one.  ``TensorOp`` (one operator) and
-``OperatorStack`` (a family) hide the choice; arithmetic of a CSR
-generator with a dense operator gives a plain ndarray.  The size cap
+``OperatorStack`` (a family) hide the choice; arithmetic on a CSR
+generator gives a plain ndarray.  The size cap
 (default d^n <= 4096) bounds the whole space and is checked on every call,
 before any cache is consulted.
 
@@ -138,8 +138,8 @@ class TensorOp:
     of (C^d)^{tensor n} (None: the whole space), of size ``dim``.
 
     ``matrix`` is a float64 ndarray, or a scipy CSR matrix for a generator
-    on more than ``DENSE_MAX_DIM`` states.  Arithmetic on two CSR operands
-    stays CSR; any other result is a plain ndarray, never ``np.matrix``.
+    built on more than ``DENSE_MAX_DIM`` states.  Every result of arithmetic
+    is a plain ndarray, never ``np.matrix``.
     """
 
     n: int
@@ -152,7 +152,7 @@ class TensorOp:
         return self.matrix.shape[0]
 
     def _new(self, matrix) -> "TensorOp":
-        matrix = np.asarray(matrix) if isinstance(matrix, np.ndarray) else matrix.tocsr()
+        matrix = np.asarray(matrix) if isinstance(matrix, np.ndarray) else matrix.toarray()
         return TensorOp(self.n, self.d, matrix, self.basis)
 
     def __add__(self, other: "TensorOp") -> "TensorOp":

@@ -241,8 +241,8 @@ def test_only_built_generators_are_csr(n, d, whole):
     for stack in stacks:
         assert type(stack.data) is np.ndarray and stack.data.shape[1:] == (dim, dim)
     ops = [identity_operator(n, d, basis=family.basis), image, one - image,
-           image - one, one + image, one @ image, image @ one]
-    for op in ops:  # a mix of a CSR generator and a dense operator is never np.matrix
+           image - one, one + image, one @ image, image @ one, one @ one, 2.0 * one]
+    for op in ops:  # arithmetic on a CSR generator is never np.matrix or CSR
         assert type(op.matrix) is np.ndarray and op.matrix.shape == (dim, dim)
     assert np.array_equal((one - image).matrix, one.dense() - image.matrix)
 
