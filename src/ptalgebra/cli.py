@@ -1,8 +1,13 @@
 """Command line surface: tables, spectra, irreps, structure, verification.
 
 Output formats: text (human), json (machine, round-trips), csv (flat).
-``mul-table`` keeps its n! x n! table as one integer array and renders
-each of its 2 n! distinct cells once; ``verify`` exits 255 on a crash.
+Every table is written as distinct texts and an integer array of codes:
+``mul-table`` keeps its n! x n! table as one such array and renders each
+of its 2 n! distinct cells once, and ``irrep`` renders each distinct
+float of its image stack once (by bit pattern).  Text widths and padding
+and CSV quoting are worked out per distinct text, and the rows go straight
+to ``sys.stdout``, without ``click.echo``'s per-chunk ANSI strip.
+``verify`` exits 255 on a crash.
 The oracle size cap defaults to d^n <= 4096 and can be overridden with
 --cap or the PTALGEBRA_CAP environment variable.  ``verify`` and
 ``structure`` resolve it once, before any work, so a malformed
@@ -19,6 +24,8 @@ import io
 import json
 import sys
 import traceback
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import factorial, isfinite
 
 import click
@@ -76,27 +83,96 @@ def build_mul_table(n: int, d: int | None) -> dict:
             "coeffs": [ctx.d_power(power) for power in (0, 1)], "cells": cells}
 
 
-def _render_cells(table: dict, render) -> list[list[str]]:
-    """Rows of strings: ``render(coeff, k)`` runs once per distinct cell."""
+def _write(chunks: Iterable[str]):
+    """Write the chunks to stdout as they come, then flush.  Unlike
+    ``click.echo``, which runs an ANSI strip over every chunk whenever
+    stdout is not a terminal, it writes the text as it is."""
+    out = sys.stdout
+    out.writelines(chunks)
+    out.flush()
+
+
+def _json_pieces(record: dict, members: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The text of ``json.dumps(record)`` and a newline, in pieces, where the
+    last value of ``record`` is an empty list or dict and each member is
+    the JSON text of one of its entries (``"key": value`` for a dict), as
+    pieces too, so that no row is copied into a longer string."""
+    text = json.dumps(record)
+    yield text[:-2]
+    for i, member in enumerate(members):
+        if i:
+            yield ", "
+        yield from member
+    yield text[-2:] + "\n"
+
+
+def _gather(texts: list[str], codes: np.ndarray) -> list:
+    """Nested lists of ``texts[code]`` in the shape of ``codes``."""
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _distinct_floats(stack: np.ndarray, render) -> tuple[list[str], np.ndarray]:
+    """``render(float(x))`` of each distinct bit pattern x of a float stack,
+    and the codes of its entries in its shape.  Bits, not values, so 0.0
+    and -0.0 keep their own text and no NaN payload is merged."""
+    bits = np.ascontiguousarray(stack, dtype=float).view(np.uint64)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return [render(float(x)) for x in distinct.view(float)], codes.reshape(stack.shape)
+
+
+def _cell_texts(table: dict, render) -> list[str]:
+    """``render(coeff, k)`` of each of the 2 n! distinct cells, indexed by
+    the cell codes."""
     size = len(table["order"])
-    distinct = [render(c, k) for c in table["coeffs"] for k in range(size)]
-    return np.array(distinct, dtype=object)[table["cells"]].tolist()
+    return [render(c, k) for c in table["coeffs"] for k in range(size)]
 
 
-def _print_grid(headers: list[str], rows: list[list[str]]):
-    widths = [max(len(headers[c]), max(len(r[c]) for r in rows))
-              for c in range(len(headers))]
-    click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+def _coded(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """Rows of strings as texts and codes, each cell its own text."""
+    texts = [cell for row in rows for cell in row]
+    return texts, np.arange(len(texts)).reshape(len(rows), -1)
 
 
-def _emit_csv(headers: list[str], rows: list[list[str]]):
+def _labelled(labels: list[str], texts: list[str], codes: np.ndarray):
+    """Texts and codes with a first column that holds each row's label."""
+    size = len(labels)
+    return labels + texts, np.hstack([np.arange(size)[:, None], codes + size])
+
+
+def _print_grid(headers: list[str], texts: list[str], codes: np.ndarray):
+    """Right-aligned columns two spaces apart under ``headers``, where cell
+    (i, c) is ``texts[codes[i, c]]``.  Widths and padding are worked out
+    once per distinct text, not per cell."""
+    lengths = np.array([len(text) for text in texts])
+    widths = np.maximum([len(h) for h in headers], lengths[codes].max(axis=0))
+    levels, level = np.unique(widths, return_inverse=True)
+    padded = np.array([[text.rjust(w) for w in levels.tolist()] for text in texts],
+                      dtype=object)
+    head = [h.rjust(w) for h, w in zip(headers, widths.tolist())]
+    _write(chain.from_iterable(("  ".join(row), "\n") for row
+                               in chain([head], padded[codes, level].tolist())))
+
+
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it among other fields of a row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    click.echo(buffer.getvalue().rstrip("\n"))
+    fields = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text, ""])
+        fields.append(buffer.getvalue()[:-3])  # less ",\r\n", the empty field's
+    return fields
+
+
+def _emit_csv(headers: list[str], texts: list[str], codes: np.ndarray):
+    """The bytes of ``csv.writer`` of ``headers`` and the rows of cells
+    ``texts[codes[i, c]]``; each distinct text is quoted once."""
+    fields = _csv_fields(headers + texts)
+    rows = _gather(fields[len(headers):], codes)
+    _write(chain.from_iterable((",".join(row), "\r\n") for row
+                               in chain([fields[:len(headers)]], rows)))
 
 
 class PartitionType(click.ParamType):
@@ -155,23 +231,17 @@ def cmd_mul_table(n: int, d: int | None, symbolic: bool, fmt: str):
             "table would exceed 720x720; restrict n or query products directly")
     table = build_mul_table(n, None if symbolic else d)
     if fmt == "json":  # the bytes of json.dumps of the record with its entries
-        rows = _render_cells(table, lambda c, k: json.dumps(
+        texts = _cell_texts(table, lambda c, k: json.dumps(
             {"coeff": list(c.coeffs) if symbolic else c, "perm": table["order"][k]}))
-        head = json.dumps({key: table[key] for key in ("n", "d", "order")}
-                          | {"entries": []})
-        click.echo(head[:-2], nl=False)  # row by row: no second copy of the text
-        for i, row in enumerate(rows):
-            click.echo(f"{', ' if i else ''}[{', '.join(row)}]", nl=False)
-        click.echo("]}")
+        head = {key: table[key] for key in ("n", "d", "order")} | {"entries": []}
+        rows = _gather(texts, table["cells"])
+        _write(_json_pieces(head, (("[", ", ".join(row), "]") for row in rows)))
         return
     perms = list(Permutation.all(n))
     labels = [_perm_label(p) for p in perms]
-    cells = _render_cells(table, lambda coeff, k: _cell_text(coeff, perms[k]))
-    rows = [[label] + row for label, row in zip(labels, cells)]
-    if fmt == "csv":
-        _emit_csv(["*"] + labels, rows)
-    else:
-        _print_grid(["*"] + labels, rows)
+    texts = _cell_texts(table, lambda coeff, k: _cell_text(coeff, perms[k]))
+    emit = _emit_csv if fmt == "csv" else _print_grid
+    emit(["*"] + labels, *_labelled(labels, texts, table["cells"]))
 
 
 @main.command("spectrum")
@@ -194,14 +264,14 @@ def cmd_spectrum(n: int, d: int, alpha: Partition, fmt: str):
     rows = [[str(e["nu"]), _number_text(e["lambda"]), str(e["multiplicity"])]
             for e in record["eigenpairs"]]
     if fmt == "csv":
-        _emit_csv(["nu", "lambda", "multiplicity"], rows)
+        _emit_csv(["nu", "lambda", "multiplicity"], *_coded(rows))
         return
     size = int(round(len(record["matrix"]) ** 0.5))
     click.echo(f"Q(alpha={record['alpha']}) at n={n}, d={d}:")
     matrix = np.array(record["matrix"]).reshape(size, size)
     for row in matrix:
         click.echo("  " + "  ".join(_number_text(x) for x in row))
-    _print_grid(["nu", "lambda", "mult"], rows)
+    _print_grid(["nu", "lambda", "mult"], *_coded(rows))
     click.echo(f"rank {record['rank']}"
                + (f", vanishing block {record['theta']}" if record["theta"] else ""))
 
@@ -240,22 +310,23 @@ def cmd_irrep(n: int, d: int, kind: str, alpha: Partition | None,
         rep = build(label, d, n)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=f"'--{option}'") from exc
-    record = rep.to_dict()
-    if fmt == "json":
-        click.echo(json.dumps(record))
+    head = rep.head()
+    names, stack = rep.named_images()
+    flat = stack.reshape(len(names), -1)
+    if fmt == "json":  # the bytes of json.dumps(rep.to_dict())
+        rows = _gather(*_distinct_floats(flat, json.dumps))
+        _write(_json_pieces(head | {"images": {}}, (
+            (json.dumps(name), ": [", ", ".join(row), "]") for name, row in zip(names, rows))))
         return
-    if fmt == "csv":
-        rows = [[name] + [repr(x) for x in flat]  # shortest round-trip text
-                for name, flat in record["images"].items()]
-        _emit_csv(["generator"] + [f"m{k}" for k in range(rep.dimension**2)], rows)
+    if fmt == "csv":  # repr is the shortest text that round-trips
+        _emit_csv(["generator"] + [f"m{k}" for k in range(flat.shape[1])],
+                  *_labelled(names, *_distinct_floats(flat, repr)))
         return
-    click.echo(f"kind {record['kind']}, label {record['label']}, "
-               f"dim {record['dimension']}, basis {record['basis_tag']}")
-    for name, flat in record["images"].items():
-        mat = np.array(flat).reshape(rep.dimension, rep.dimension)
-        click.echo(f"W({name}):")
-        for row in mat:
-            click.echo("  " + "  ".join(_number_text(x) for x in row))
+    matrices = _gather(*_distinct_floats(stack, _number_text))
+    _write(chain([f"kind {head['kind']}, label {head['label']}, "
+                  f"dim {head['dimension']}, basis {head['basis_tag']}\n"],
+                 (f"W({name}):\n" + "".join(f"  {'  '.join(row)}\n" for row in matrix)
+                  for name, matrix in zip(names, matrices))))
 
 
 @main.command("structure")
@@ -281,9 +352,9 @@ def cmd_structure(n: int, d: int, oracle: bool, cap: int | None, fmt: str):
     rows = ([["M", e["alpha"], str(e["rank"])] for e in record["m_blocks"]]
             + [["S", e["nu"], str(e["dim"])] for e in record["s_blocks"]])
     if fmt == "csv":
-        _emit_csv(["kind", "label", "size"], rows)
+        _emit_csv(["kind", "label", "size"], *_coded(rows))
         return
-    _print_grid(["kind", "label", "size"], rows)
+    _print_grid(["kind", "label", "size"], *_coded(rows))
     click.echo(f"dim M = {record['dim_M']}, dim S = {record['dim_S']}, "
                f"total = {record['dim_total']}"
                + (f", oracle = {record['oracle_dim']}" if oracle else ""))
@@ -324,9 +395,9 @@ def cmd_verify(n: int, d: int, suite: str, tol: float | None,
         click.echo(json.dumps([r.to_dict() for r in reports]))
     elif fmt == "csv":
         _emit_csv(["check", "passed", "max_residual", "tol", "details"],
-                  [[r.check, str(r.passed), f"{r.max_residual:.3e}",
-                    "" if r.tol is None else f"{r.tol:g}", r.details]
-                   for r in reports])
+                  *_coded([[r.check, str(r.passed), f"{r.max_residual:.3e}",
+                            "" if r.tol is None else f"{r.tol:g}", r.details]
+                           for r in reports]))
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

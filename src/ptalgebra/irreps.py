@@ -86,20 +86,21 @@ class AlgebraIrrep:
         return (f"AlgebraIrrep(kind={self.kind}, label={self.label}, "
                 f"n={self.n}, d={self.d}, dim={self.dimension}{tag})")
 
+    def head(self) -> dict:
+        """The fields of ``to_dict`` before its images."""
+        return {"kind": self.kind, "label": str(self.label), "n": self.n,
+                "d": self.d, "dimension": self.dimension, "basis_tag": self.basis_tag}
+
+    def named_images(self) -> tuple[list[str], np.ndarray]:
+        """The cycle names of ``Permutation.all(n)`` and the stack of their
+        images, read as one batch, in that order."""
+        return ([sigma.cycle_string() for sigma in Permutation.all(self.n)],
+                self.image(image_array(self.n)))
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": str(self.label),
-            "n": self.n,
-            "d": self.d,
-            "dimension": self.dimension,
-            "basis_tag": self.basis_tag,
-            "images": {
-                sigma.cycle_string(): image.ravel().tolist()
-                for sigma, image in zip(Permutation.all(self.n),
-                                        self.image(image_array(self.n)))
-            },
-        }
+        names, stack = self.named_images()
+        return self.head() | {"images": {
+            name: image.ravel().tolist() for name, image in zip(names, stack)}}
 
 
 def _theta_filtered(spectral: SpectralQ) -> tuple[list[int], list[float], list[Partition]]:

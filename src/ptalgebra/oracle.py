@@ -256,8 +256,10 @@ class OperatorStack:
         case m = 1.  A shared index, as in a dense coefficient matrix
         C = ``combine(arange(K), C)``, is one product of the weights with
         the m blocks it names, read as vectors of length s^2 (sparse ones
-        for CSR blocks).  Its sums are not added term by term, so they can
-        differ from the per-term ones in the last bits.
+        for CSR blocks); an index of every block in order, ``arange(K)``,
+        takes the stack's own vectors, with no gathered copy.  Its sums are
+        not added term by term, so they can differ from the per-term ones
+        in the last bits.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
         dim = self.dim
@@ -265,7 +267,9 @@ class OperatorStack:
             vectors = self.data.reshape(self.size, dim * dim)  # block k as row k
             if not isinstance(vectors, np.ndarray):
                 vectors = vectors.tocsr()
-            return self._new(np.reshape(weights @ vectors[index], (-1, dim, dim)))
+            if not np.array_equal(index, np.arange(self.size)):
+                vectors = vectors[index]
+            return self._new(np.reshape(weights @ vectors, (-1, dim, dim)))
         out = np.zeros((weights.shape[0], dim, dim))
         if isinstance(self.data, np.ndarray):
             _accumulate(out, self.data, index, weights, np.empty_like(out))

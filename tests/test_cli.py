@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -98,17 +99,23 @@ def test_mul_table_n6_json_bytes_are_pinned():
 
 
 @pytest.mark.parametrize("args, digest", [
-    (("--symbolic",),
+    (("--n", "4", "--symbolic"),
      "91450dbecb242bb86215566cb65347f2bd1b174f7f6f61c43b81e25a82d716d6"),
-    (("--symbolic", "--format", "csv"),
+    (("--n", "4", "--symbolic", "--format", "csv"),
      "11cb60c034b0f281127f3b507791d553f93467e826c795a86ff1c4f732619df5"),
-    (("--d", "3"),
+    (("--n", "4", "--d", "3"),
      "257448a54a114f7a76ec58858e8567020539f12bbef45edc96349053e427ef24"),
-    (("--d", "3", "--format", "csv"),
+    (("--n", "4", "--d", "3", "--format", "csv"),
      "8e3d46ce6f36bf32b6586237c6367d4ae16153a99d90a8587d4be079ca7b83f6"),
+    # the bytes of the per-cell padding and csv.writer that the distinct
+    # texts replaced
+    (("--n", "6", "--d", "2"),
+     "e6ece9d4e132db37a0e3cead2b4bfddd9f0790580d3996ebbbf59c495daeeab5"),
+    (("--n", "6", "--d", "2", "--format", "csv"),
+     "53aba9e167e9eb4e0a4721cb8794a3e5d457a64d8384428b679a21da7ae9d90e"),
 ])
 def test_mul_table_n4_text_and_csv_bytes_are_pinned(args, digest):
-    assert _digest("mul-table", "--n", "4", *args) == digest
+    assert _digest("mul-table", *args) == digest
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -237,15 +244,52 @@ def test_irrep_csv_holds_the_json_entries():
                for flat in record["images"].values() for x in flat)
 
 
-def test_irrep_json_has_the_bytes_of_the_per_entry_float_form():
-    result = run("irrep", "--n", "6", "--d", "3", "--kind", "m", "--alpha", "2,2",
-                 "--basis", "e", "--format", "json")
+@pytest.mark.parametrize("n, d, args, build", [
+    pytest.param(6, 3, ("m", "--alpha", "2,2", "--basis", "e"), irreps.irrep_M_e, id="m-e"),
+    pytest.param(6, 3, ("s", "--nu", "3,2"), irreps.irrep_S, id="s"),
+    # 6,532 distinct values
+    pytest.param(6, 3, ("m", "--alpha", "3,1"), irreps.irrep_M_f, id="m-f"),
+    pytest.param(2, 3, ("m", "--alpha", "()"), irreps.irrep_M_f, id="n2"),
+    pytest.param(3, 1234567, ("m", "--alpha", "1"), irreps.irrep_M_f, id="large-d"),
+])
+def test_irrep_json_has_the_bytes_of_the_per_entry_float_form(n, d, args, build):
+    result = run("irrep", "--n", str(n), "--d", str(d), "--kind", *args,
+                 "--format", "json")
     assert result.exit_code == 0, result.output
-    rep = irreps.irrep_M_e(Partition.parse("2,2"), 3, 6)
+    rep = build(Partition.parse(args[2]), d, n)
+    assert result.output == json.dumps(rep.to_dict()) + "\n"
     record = rep.to_dict() | {"images": {
         sigma.cycle_string(): [float(x) for x in image_of(rep, sigma).ravel()]
-        for sigma in Permutation.all(6)}}
+        for sigma in Permutation.all(n)}}
     assert result.output == json.dumps(record) + "\n"
+
+
+def _json_of(texts):
+    """The JSON text of nested lists of JSON texts."""
+    return texts if isinstance(texts, str) else f"[{', '.join(map(_json_of, texts))}]"
+
+
+def test_distinct_floats_print_each_entry_as_its_own_float():
+    # 0.0 and -0.0 compare equal, and so do no two NaNs; each keeps its text
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    values = [0.0, -0.0, 5e-324, 1 / 3, 1e16, np.nan, -np.nan, payload_nan,
+              np.inf, -np.inf, -617283.4999997976]
+    stack = np.random.default_rng(3).permutation(np.array(values * 6)).reshape(2, 3, 11)
+    assert _json_of(cli._gather(*cli._distinct_floats(stack, json.dumps))) == (
+        json.dumps(stack.tolist()))
+    assert cli._gather(*cli._distinct_floats(stack, repr)) == [
+        [[repr(x) for x in row] for row in image] for image in stack.tolist()]
+
+
+def test_csv_quotes_each_distinct_text_as_csv_writer_does():
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "", " lead", "cr\r"]
+    codes = np.random.default_rng(5).integers(len(texts), size=(6, 4))
+    headers = ["h,1", "h2", "", "h4"]
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([headers] + [[texts[k] for k in row] for row in codes])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit_csv(headers, texts, codes)
+    assert out.getvalue() == buffer.getvalue()
 
 
 def test_irrep_text_prints_integral_entries_in_full():

@@ -10,6 +10,8 @@ built generators are CSR, is also checked on the transposed sector of
 on the whole space).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,34 @@ def test_combinations_match_per_pair(n, d):
     weights = rng.integers(-4, 5, size=(4, 4)).astype(float)
     _assert_blocks(family.combine(index, weights),
                    _combination(ops, index, weights))
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_a_combination_of_every_block_in_order_is_the_gathered_product(n, d):
+    # float weights, so a change in how the sums are formed shows in the last bits
+    family = generator_stack(n, d, transposed=True)
+    every = np.arange(len(family))
+    weights = np.random.default_rng(19).standard_normal((5, len(family)))
+    vectors = family.data.reshape(len(family), -1)
+    if not isinstance(vectors, np.ndarray):
+        vectors = vectors.tocsr()
+    gathered = np.reshape(weights @ vectors[every], (-1, family.dim, family.dim))
+    assert np.array_equal(family.combine(every, weights).data, gathered)
+
+
+def test_a_combination_of_every_block_in_order_copies_no_block():
+    family = generator_stack(5, 2)
+    count, dim = len(family), family.dim
+    assert isinstance(family.data, np.ndarray)
+    weights = np.ones((2, count))
+    tracemalloc.start()
+    try:
+        family.combine(np.arange(count), weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a gathered (K, s^2) copy is 983,040 bytes; the result is 16,384
+    assert peak < count * dim * dim * 8 // 2, peak
 
 
 @pytest.mark.parametrize("n,d", SIZES)
