@@ -3,22 +3,23 @@
 Each check returns a report record {check, params, passed, max_residual,
 tol, details}; the CLI turns failures into a nonzero exit code.  A check
 that fails names its worst block (generator pair, u label, left factor)
-in ``details``.  Checks build operator families with the oracle's stacks
-and never branch on how the oracle stores them: a claim about left
-factors is one ``action_residuals`` call whose left factors are the blocks
-of a stack the check already holds and whose right-hand sides are arrays.
+in ``details``.  Checks build operator families with the oracle and never
+branch on how it stores them: a claim about left factors is one
+``action_residuals`` call whose left factors are the blocks of a family
+the check already holds, a dense stack or generators as index lists, and
+whose right-hand sides are arrays.
 Such a claim needs no row per left factor: the left actions of the u
 family run on the n-1 generators of the algebra, and compose along the
 word of every sigma on the abstract side, and the law
 x_IJ x_KL = A_JK x_IL of the u, E and f families on 2s pivot rows of its
-s^2 left factors (``_x_claim``).  The stacks live on the oracle's balanced
+s^2 left factors (``_x_claim``).  The families live on the oracle's balanced
 sectors.  Only the adjoint check (all of S(n), one batch), the unit check
 (V', one row) and the norms of the matrix operators (S(n-2) on a sector per
-weight orbit) build generators apart from the cached stacks.  The law and
-associativity are checked exactly on the oracle's integer index form instead,
+weight orbit) build generators apart from the cached families.  The law and
+associativity are checked exactly on the oracle's integer index form,
 so their residuals are integers (0 on a pass, at least 1 on a fail) judged
-against ``ORACLE_TOL``; the adjoint check ties that form to the float
-generators, as cached and as built apart.  The law on the oracle and the
+against ``ORACLE_TOL``; the adjoint check ties that form to the generator
+families, as cached and as built apart.  The law on the oracle and the
 homomorphism of every irrep run on the n-1 generator rows (g, rho) only,
 plus the pairs that ``law_sweep`` flags: its one integer sweep of the law
 along the words of ``generator_words`` is the premise of the induction
@@ -304,7 +305,7 @@ def _x_claim(x: OperatorStack, a_matrix: np.ndarray
     ks, ls = np.divmod(np.arange(s * s), s)
     index = (i[:, None] * s + ls)[..., None]
     weights = a_matrix[j[:, None], ks][..., None]
-    left = x.combine(rows[:, None], np.ones((len(rows), 1)))
+    left = x.take(rows)
     return rows, x.action_residuals(left, index, weights)
 
 
@@ -387,23 +388,17 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
         transposed = sym_irrep(alpha).image(image_array(n - 2)).transpose(0, 2, 1)[tau]
         scaled = scale[..., None, None] * transposed
         generators, first, rest = generator_words(n)
-        # 0-based (p, k, q, l) of every block u_kl^pq
-        (p, k), (q, l) = (np.divmod(x, w) for x in np.divmod(np.arange(len(u_a)), m * w))
-        # row g, block u_kl^pq: scale sum_t phi_tk(tau) u_tl^{target q},
-        # with (target, scale, tau) of g and label p
-        index = ((target[generators][:, p, None] * w + np.arange(w)) * m * w
-                 + (q * w + l)[:, None])
-        left = generator_stack(n, d, True, cap).combine(
-            generators[:, None], np.ones((m, 1)))
-        value, (g, r) = _worst(
-            u_a.action_residuals(left, index, scaled[generators][:, p, k]))
-        if value > worst:
-            worst, culprit = value, f"{_perm(images[generators[g]])} * {_u_name(r, w, m)}"
         # L_sigma[(target, t), (p, k)] = scale phi_tk(tau), over every sigma
         maps = np.zeros((len(images), m, w, m, w))
         maps[np.arange(len(images))[:, None], target, :, np.arange(m), :] = (
             scaled.transpose(0, 1, 3, 2))
         maps = maps.reshape(len(images), m * w, m * w)
+        # row g: W(g) x_IJ = sum_I' L_g[I', I] x_I'J, L_g^T on the index I
+        left = generator_stack(n, d, True, cap).take(generators)
+        value, (g, r) = _worst(
+            u_a.action_residuals(left, None, maps[generators].transpose(0, 2, 1)))
+        if value > worst:
+            worst, culprit = value, f"{_perm(images[generators[g]])} * {_u_name(r, w, m)}"
         composed = np.concatenate([np.eye(m * w)[None],
                                    maps[first[1:]] @ maps[rest[1:]]])
         value, (c,) = _worst(np.abs(maps - composed).max(axis=(1, 2)))
@@ -420,31 +415,31 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
 def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
     """e^2 = e, em = me = m on the main ideal, and M annihilates S(1 - e).
 
-    The generator stack gives e W(sigma) and, through the transposes,
-    W(sigma) e for every sigma at once.  M is the two-sided ideal generated
-    by V' = W((n-1 n))^{t_n}, and
-    every transposed generator of M factors as W(sigma)^{t_n} =
+    For every generator of M, W(sigma) e = W(sigma) is W(sigma) (1 - e) = 0
+    and e W(sigma) = W(sigma) its transpose (``right_mul_max``).  M is the
+    two-sided ideal generated by V' = W((n-1 n))^{t_n}, and every transposed
+    generator of M factors as W(sigma)^{t_n} =
     W(sigma^) W((a n-1)) V' W((a n-1)) with sigma^ and (a n-1) in S(n-1),
     by the composition law that ``check_mul_rule`` checks; S is spanned by
     the W(s) with s in S(n-1), and W((a n-1)) W(s) (1 - e) is again one of
     the W(s') (1 - e).  So M S(1 - e) = 0 holds iff V' W(s) (1 - e) = 0
     for every s in S(n-1): one row, with V' built on its own as one row.
     """
-    e = element_stack([unit_of_M(n, d)], cap)
-    e_op, family = e.op(0), generator_stack(n, d, transposed=True, cap=cap)
+    e_op = element_stack([unit_of_M(n, d)], cap).op(0)
+    family = generator_stack(n, d, transposed=True, cap=cap)
     images = image_array(n)
     fixes_last = images[:, -1] == n - 1
     in_m, in_s = np.flatnonzero(~fixes_last), np.flatnonzero(fixes_last)
     worst, culprit = (e_op @ e_op).distance(e_op), "e * e"
-    every = np.arange(len(family))[:, None]  # W e = W as e^T W^T = W^T
+    complement = identity_operator(n, d, cap, family.basis) - e_op
+    m_part = family.take(in_m)
     for residuals, name in (
-            (family.action_residuals(e, every, 1.0), "e * {}"),
-            (family.adjoint().action_residuals(e.adjoint(), every, 1.0), "{} * e")):
-        value, (g,) = _worst(residuals[0, in_m])
+            (m_part.adjoint().right_mul_max(complement.adjoint()), "e * {}"),
+            (m_part.right_mul_max(complement), "{} * e")):
+        value, (g,) = _worst(residuals)
         if value > worst:
             worst, culprit = value, name.format(_perm(images[in_m[g]]))
-    complement = identity_operator(n, d, cap, family.basis) - e_op
-    s_part = family.combine(in_s[:, None], np.ones((len(in_s), 1))).right_mul(complement)
+    s_part = family.take(in_s).right_mul(complement)
     contraction = Permutation.transposition(n, n - 1, n)
     v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n, cap,
                                        family.basis)
@@ -586,9 +581,10 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
         measured_t = span_dimension(transposed)
         plain_dim = span_dimension(plain)
         if plain.dim**2 < len(plain):
-            vectors = (matrix_operators_E(plain, mu).data.reshape(-1, plain.dim**2)
-                       for mu in partitions_of(n))
-            e_span = gram_rank(sum(v.T @ v for v in vectors))
+            every = np.arange(len(plain))[:, None]
+            images = plain.combine(every, np.ones(every.shape))  # once for every family
+            e_span = gram_rank(sum(matrix_operators_E(images, mu).gram(by_position=True)
+                                   for mu in partitions_of(n)))
         else:
             weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
                                       for mu in partitions_of(n)])
@@ -622,7 +618,8 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     group = image_array(m)  # embedded in S(n), fixing n-1 and n
     ranks = lehmer_rank(np.concatenate([group, np.broadcast_to([m, m + 1], (len(group), 2))],
                                        axis=1))
-    images = plain.combine(ranks[:, None], np.ones((len(group), 1)))
+    generators, every = plain.take(ranks), np.arange(len(group))[:, None]
+    images = generators.combine(every, np.ones(every.shape))
     alphas = list(partitions_of(m))
     families = [matrix_operators_E(images, alpha) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
@@ -654,7 +651,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
                    if mu.height <= d):
         orbit = factorial(d) // prod(factorial(weight.count(v)) for v in set(weight))
         on_sector = perm_operator(image_array(n)[ranks], d, n, cap,
-                                  sector(n, d, weight=weight))
+                                  sector(n, d, weight=weight)).combine(every, np.ones(every.shape))
         gram = gram + orbit * OperatorStack.concat(
             [matrix_operators_E(on_sector, alpha) for alpha in alphas]).gram()
     value, (r, c) = _worst(np.abs(gram - np.diag(norms)))
@@ -671,10 +668,9 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
         if value > worst:
             worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
                                      f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
-        # D(h) E_ij = sum_k phi_ki(h) E_kj, one row per block D(h) of images
-        covariance = family.action_residuals(
-            images, np.arange(w) * w + j[:, None],
-            stack[:, :, i].transpose(0, 2, 1))
+        # D(h) E_ij = sum_k phi_ki(h) E_kj, phi(h)^T on the index i, one row
+        # per generator D(h)
+        covariance = family.action_residuals(generators, None, stack.transpose(0, 2, 1))
         value, (h, r) = _worst(covariance)
         if value > worst:
             worst, culprit = value, (f"D({_perm(group[h])}) "
@@ -735,11 +731,11 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
 def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Oracle images of elements: their generators, and the adjoint.
 
-    Every W(sigma)^{t_n}, in the cached transposed stack that element images
-    combine and in the stack of S(n) that ``transposed_perm_operator`` builds
-    apart from it, must equal the 0/1 matrix of the index form on which
-    ``check_mul_rule`` checks the law, one ``stack_residuals`` per stack; a
-    failure names the generator.  Twenty sampled elements, with
+    Every W(sigma)^{t_n}, in the cached transposed family that element
+    images combine and in the family of S(n) that ``transposed_perm_operator``
+    builds apart from it, must list exactly the ones of the index form on
+    which ``check_mul_rule`` checks the law, one ``stack_residuals`` per
+    family; a failure names the generator.  Twenty sampled elements, with
     coefficients in [-1, 1), and their products with a sampled generator are
     one element stack, and their adjoints another, whose image must be the
     conjugate transpose.

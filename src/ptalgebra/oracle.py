@@ -1,4 +1,4 @@
-"""Dense/sparse ground truth on (C^d)^{tensor n}, on one faithful weight sector.
+"""Ground truth on (C^d)^{tensor n}, on one faithful weight sector.
 
 Everything the abstract layer claims is re-checkable here: permutation
 operators move tensor factors, the partial transpose swaps the last index
@@ -12,57 +12,33 @@ indices, by default of the balanced weight, with entries floor(m/d) or one
 more (m = n or n - 2).  It is dominated by the highest weight of every
 block of the algebra (Kostka), so the restriction is faithful: a linear
 claim holds there iff it holds on the whole space (``check_dimensions``
-proves it by rank).  The cached families and the index form live on the
-balanced sectors, with s = 10 of d^n = 32 states at (5, 2);
-``perm_operator`` and its kin take a basis, the whole space by default.
-Every operator carries its basis (None: the whole space), and combining
-two on different bases raises ``ValueError``.
+proves it by rank).  The cached families live on the balanced sectors, with
+s = 10 of d^n = 32 states at (5, 2); ``perm_operator`` and its kin take a
+basis, the whole space by default.  Every operator carries its basis (None:
+the whole space), and combining two on different bases raises
+``ValueError``.  The size cap (default d^n <= 4096) bounds the whole space
+and is checked on every call, before any cache is consulted.
 
-Only built generators may be sparse.  Every operator is a float64 numpy
-array, except the generators that ``_generators`` builds on more than
-``DENSE_MAX_DIM`` = 64 states, which are scipy CSR matrices, imported only
-then: a generator has at most d ones in a row or column, while the
-combinations that the checks read fill from a tenth (the u stacks) to all
-(the f units) of their s^2 entries, where a dense product costs less than
-the bookkeeping of a sparse one.  ``TensorOp`` (one operator) and
-``OperatorStack`` (a family) hide the choice; arithmetic on a CSR
-generator gives a plain ndarray.  The size cap
-(default d^n <= 4096) bounds the whole space and is checked on every call,
-before any cache is consulted.
+One storage per kind of operator.  A family of generators, W(sigma) or its
+partial transpose for every row of a ``(K, n)`` batch of 0-based images, is
+a ``GeneratorIndex``: the integer index lists of its ones, at most d in a
+row or column, made from basis digits by one builder, ``_generators``, and
+never from the composition law; ``generator_stack`` caches the family of all
+of S(n), in ``Permutation.all`` order.  Every other operator is a float64
+array: ``TensorOp`` one, ``OperatorStack`` K of them as one ``(K, s, s)``
+array.  Both families answer the same whole-family operations, so the
+checks never ask which they hold: combinations sum_i C[j, i] B_i (a dense
+stack), B_k A, B_k^T, a sub-family, the nonzero entries, the Gram matrix,
+and the left factors of ``OperatorStack.action_residuals``.  On the index
+lists these are scatters and gathers: W B is at most d row gathers of B,
+and the Gram matrix counts the ones two generators share.
 
-An ``OperatorStack`` holds K operators as one ``(K, s, s)`` array, and CSR
-generators as the (K s) x s block column [B_1; ...; B_K].  Its operations
-are whole-family ones: B_k A for every k in one product, linear
-combinations sum_i C[j, i] B_i, every B_k^T, per-block residuals
-max |X_k - Y_k|, and the Gram matrix.  Every combination is a dense stack.
-One whose rows each list their own blocks (a gather and a scale when C is
-monomial, as in d^p W(tau), or the terms of element images) adds its terms
-one at a time, so each block is bitwise the sum of its scaled terms; one
-whose rows share their blocks (the averaged families, the y and f units)
-is one product with the blocks read as vectors of length s^2, and is not
-bitwise that sum.  ``action_residuals`` fuses them for claims of the form
-"L_r B_k = sum_i C[r, k, i] B_i for every k", one call for all left
-factors L_r, themselves the blocks of a stack, with C given as arrays.
-The checks pick those left factors as a few blocks of a stack (generator
-rows, pivot rows) and never branch on the storage.
-
-``generator_index`` gives the transposed generators as integer index
-lists instead (``GeneratorIndex``), built from basis digits like the
-stacks, never from the composition law.  It checks the law
+The transposed family (``generator_index``) also checks the law
 W(sigma) W(rho) = d^p W(tau) and the associativity of sampled triples
 exactly, in integers, in chunks of at most ``LAW_CHUNK_ENTRIES`` listed
 ones.  One routine, ``_largest_sums``, gives every exact entry difference
 on it: of a failing law pair, of two bracketings, and in
-``stack_residuals`` of the float generators, which stay tied to the form
-the law is checked on.
-
-One builder, ``_generators``, makes W(sigma), or its partial transpose,
-on a basis, for every row of a ``(K, n)`` batch of 0-based images.
-``generator_stack`` is its cached call on all of S(n), in
-``Permutation.all`` order, read-only on the dense side; ``perm_operator``
-and ``transposed_perm_operator`` call it afresh: a batch gives its stack,
-and a Permutation row 0 of a one-row batch, as a ``TensorOp``.  Element
-images are one ``combine`` of the transposed stack (``element_stack``).
+``stack_residuals`` of a family given apart.
 
 Basis vectors are flattened big-endian: factor 1 is the most significant
 digit, so the partial transpose acts on the least significant one.
@@ -71,7 +47,7 @@ digit, so the partial transpose acts on the least significant one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any
 
@@ -84,12 +60,8 @@ from .yor import averaging_weights
 
 DEFAULT_CAP = 4096
 CAP_ENV_VAR = "PTALGEBRA_CAP"
-DENSE_MAX_DIM = 64
-# Generator stacks, plain and transposed: dense at most 49 MB each ((7, 2)).
+# Generator families, plain and transposed: 23 MB each at (7, 3).
 FAMILY_CACHE_SIZE = 8
-# Entries of the dense product of a chunk of CSR generators that
-# ``OperatorStack.action_residuals`` forms at once.
-PRODUCT_CHUNK_ENTRIES = 2**22
 
 
 class SizeCapError(ValueError):
@@ -118,14 +90,8 @@ def _check_family(n: int, d: int, cap: int | None):
                            f"raise it with --cap or ${CAP_ENV_VAR}")
 
 
-def _sparse():
-    import scipy.sparse
-
-    return scipy.sparse
-
-
-def _check(a: "TensorOp | OperatorStack", b: "TensorOp | OperatorStack"):
-    """Refuse to combine two operators of different shapes or bases."""
+def _check(a, b):
+    """Refuse to combine two operators or families of different shapes or bases."""
     if (a.n, a.d, a.dim) != (b.n, b.d, b.dim):
         raise ValueError("operator shape mismatch")
     if a.basis is not b.basis and not np.array_equal(a.basis, b.basis):
@@ -135,24 +101,19 @@ def _check(a: "TensorOp | OperatorStack", b: "TensorOp | OperatorStack"):
 @dataclass(frozen=True)
 class TensorOp:
     """An operator on the span of ``basis``, sorted indices of basis strings
-    of (C^d)^{tensor n} (None: the whole space), of size ``dim``.
-
-    ``matrix`` is a float64 ndarray, or a scipy CSR matrix for a generator
-    built on more than ``DENSE_MAX_DIM`` states.  Every result of arithmetic
-    is a plain ndarray, never ``np.matrix``.
-    """
+    of (C^d)^{tensor n} (None: the whole space), of size ``dim``: a float64
+    ndarray ``matrix``.  Every result of arithmetic is a plain ndarray."""
 
     n: int
     d: int
-    matrix: Any = field(compare=False)
+    matrix: np.ndarray = field(compare=False)
     basis: Any = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _new(self, matrix) -> "TensorOp":
-        matrix = np.asarray(matrix) if isinstance(matrix, np.ndarray) else matrix.toarray()
+    def _new(self, matrix: np.ndarray) -> "TensorOp":
         return TensorOp(self.n, self.d, matrix, self.basis)
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
@@ -182,35 +143,26 @@ class TensorOp:
         return float(self.matrix.trace())
 
     def max_abs(self) -> float:
-        m = self.matrix
-        values = m if isinstance(m, np.ndarray) else m.data
-        return float(np.abs(values).max(initial=0.0))
+        return float(np.abs(self.matrix).max(initial=0.0))
 
     def distance(self, other: "TensorOp") -> float:
         return (self - other).max_abs()
 
     def dense(self) -> np.ndarray:
         """A fresh, writable ndarray copy of the operator."""
-        m = self.matrix
-        return np.array(m) if isinstance(m, np.ndarray) else m.toarray()
+        return np.array(self.matrix)
 
 
 class OperatorStack:
-    """K operators B_1..B_K on the span of s states ``basis``, held as one array.
-
-    ``data`` is a float64 ``(K, s, s)`` ndarray, except for the generators
-    that ``_generators`` builds on more than ``DENSE_MAX_DIM`` states: those
-    are the (K s) x s CSR block column [B_1; ...; B_K], whose rows k s to
-    (k + 1) s are block k, and so are the ``op`` and ``adjoint`` of such a
-    stack.  Every other result is a dense stack.  Methods return new stacks
-    and never write to ``data``.
+    """K operators B_1..B_K on the span of s states ``basis``, held as one
+    float64 ``(K, s, s)`` array ``data``.  Methods return new stacks and
+    never write to ``data``.
     """
 
-    def __init__(self, n: int, d: int, data, basis=None):
+    def __init__(self, n: int, d: int, data: np.ndarray, basis=None):
         self.n, self.d, self.data = n, d, data
         self.basis = None if basis is None or len(basis) == d**n else basis
-        self.dim = data.shape[-1]
-        self.size = len(data) if isinstance(data, np.ndarray) else data.shape[0] // self.dim
+        self.size, self.dim = len(data), data.shape[-1]
 
     def __len__(self) -> int:
         return self.size
@@ -220,178 +172,134 @@ class OperatorStack:
 
     @staticmethod
     def concat(stacks: list["OperatorStack"]) -> "OperatorStack":
-        """The blocks of dense stacks, one after the other."""
+        """The blocks of the stacks, one after the other."""
         first = stacks[0]
         for stack in stacks[1:]:
             _check(first, stack)
         return first._new(np.concatenate([s.data for s in stacks]))
 
     def op(self, k: int) -> TensorOp:
-        """B_k as a TensorOp; on the dense side a view, read-only if the stack is."""
-        rows = self.data.reshape(-1, self.dim)  # [B_1; ...; B_K] on both storages
-        return TensorOp(self.n, self.d, rows[k * self.dim:(k + 1) * self.dim], self.basis)
+        """B_k as a TensorOp: a view, read-only if the stack is."""
+        return TensorOp(self.n, self.d, self.data[k], self.basis)
+
+    def take(self, index) -> "OperatorStack":
+        """The blocks B[index], in that order."""
+        return self._new(self.data[np.asarray(index)])
 
     def right_mul(self, a: TensorOp) -> "OperatorStack":
-        """B_k A for every k: one product of the block column with A."""
+        """B_k A for every k: one product of the block column [B_1; ...; B_K] with A."""
         _check(self, a)
-        return self._new(np.reshape(self.data @ a.dense(), (self.size, self.dim, self.dim)))
+        column = self.data.reshape(-1, self.dim)
+        return self._new(np.reshape(column @ a.matrix, (self.size, self.dim, self.dim)))
 
     def adjoint(self) -> "OperatorStack":
         """B_k^dagger = B_k^T for every k (the entries are real)."""
-        if isinstance(self.data, np.ndarray):
-            return self._new(np.ascontiguousarray(self.data.transpose(0, 2, 1)))
-        block, row, col, value = self.nonzeros()
-        return self._new(_sparse().csr_matrix(
-            (value, (block * self.dim + col, row)), shape=self.data.shape))
+        return self._new(np.ascontiguousarray(self.data.transpose(0, 2, 1)))
 
     def combine(self, index, weights) -> "OperatorStack":
-        """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]], a dense stack.
+        """The linear combinations C_j = sum_t weights[j, t] B[index[j, t]].
 
         ``weights`` is ``(J, m)``: row j lists the coefficients of C_j, and
         ``index`` their blocks, either per row ``(J, m)`` or shared by every
         row ``(m,)``.  With a per-row index, terms are added in t order, each
-        term a gather and scale of dense blocks, or the stored entries of CSR
-        ones scattered into C_j, so C_j is bitwise the sum of its scaled
-        blocks added one at a time; the gather-and-scale d^p W(tau) is the
-        case m = 1.  A shared index, as in a dense coefficient matrix
-        C = ``combine(arange(K), C)``, is one product of the weights with
-        the m blocks it names, read as vectors of length s^2 (sparse ones
-        for CSR blocks); an index of every block in order, ``arange(K)``,
-        takes the stack's own vectors, with no gathered copy.  Its sums are
-        not added term by term, so they can differ from the per-term ones
-        in the last bits.
+        a gather and scale of blocks, so C_j is bitwise the sum of its scaled
+        blocks added one at a time.  A shared index is one product of the
+        weights with the blocks it names, read as vectors of length s^2 (the
+        stack's own vectors for ``arange(K)``, with no gathered copy), and
+        can differ from the per-term sums in the last bits.
         """
         index, weights = np.asarray(index), np.asarray(weights, dtype=float)
         dim = self.dim
         if index.ndim == 1:
             vectors = self.data.reshape(self.size, dim * dim)  # block k as row k
-            if not isinstance(vectors, np.ndarray):
-                vectors = vectors.tocsr()
             if not np.array_equal(index, np.arange(self.size)):
                 vectors = vectors[index]
             return self._new(np.reshape(weights @ vectors, (-1, dim, dim)))
         out = np.zeros((weights.shape[0], dim, dim))
-        if isinstance(self.data, np.ndarray):
-            _accumulate(out, self.data, index, weights, np.empty_like(out))
-        else:
-            _scatter(out, self.data, index, weights)
+        _accumulate(out, self.data, index, weights, np.empty_like(out))
         return self._new(out)
 
     def residuals(self, other: "OperatorStack | None" = None) -> np.ndarray:
-        """max |X_k - Y_k| for every block k of dense stacks (against zero
-        without ``other``)."""
+        """max |X_k - Y_k| for every block k (against zero without ``other``)."""
         if other is None:
-            diff = self.data.copy()
-        else:
-            _check(self, other)
-            diff = self.data - other.data
-        return self._block_max(diff)
+            return self._block_max(self.data)
+        _check(self, other)
+        return self._block_max(self.data - other.data)
 
-    def action_residuals(self, left: "OperatorStack", index, weights) -> np.ndarray:
+    def action_residuals(self, left: "OperatorStack | GeneratorIndex", index,
+                         weights) -> np.ndarray:
         """Residuals of the left actions of the R blocks L_r of ``left``.
 
         ``index`` and ``weights`` broadcast to ``(R, K, m)``: row r claims
-        L_r B_k = sum_t weights[r, k, t] B[index[r, k, t]] for every k, each
-        row in the form of ``combine``.  Returns the ``(R, K)`` array of
-        max |L_r B_k - sum_t weights[r, k, t] B[index[r, k, t]]|.  Each L_r
-        is multiplied as a dense s x s array.  On a dense stack every row
-        reuses the same two ``(K, s, s)`` buffers, because a fresh array of
-        that size per row costs more than the work in it.  A generator
-        family held as CSR is read through its adjoint, in chunks of
-        ``PRODUCT_CHUNK_ENTRIES`` / s^2 blocks: each chunk is one sparse
-        product B_k^T L_r^T = (L_r B_k)^T, from which the claim, transposed,
-        is subtracted entry by entry.  e W(sigma) is full, and at (7, 3) the
-        unit check peaks at 0.6 GB in chunks, 1.9 GB without.
+        L_r B_k = sum_t weights[r, k, t] B[index[r, k, t]] for every k, in
+        the per-row form of ``combine``.  With ``index`` None, ``weights`` is
+        ``(R, o, o)`` and acts on the blocks read as an o x (K/o) grid, block
+        a K/o + b at (a, b): L_r B_(a,b) = sum_a' weights[r, a, a'] B_(a',b),
+        one product with the grid.  Returns the ``(R, K)`` array of
+        max |L_r B_k - claim_k|.  ``left`` forms every L_r B_k
+        (``_left_mul``): a dense L_r as one product, a generator as at most d
+        row gathers.  Every row reuses the same two ``(K, s, s)`` buffers,
+        because a fresh array of that size per row costs more than the work.
         """
         _check(self, left)
         count = len(left)
-        shape = np.broadcast_shapes(np.shape(index), np.shape(weights),
-                                    (count, self.size, 1))
-        index = np.broadcast_to(index, shape)
-        weights = np.broadcast_to(np.asarray(weights, dtype=float), shape)
         out = np.empty((count, self.size))
-        if isinstance(self.data, np.ndarray):
-            product, scratch = np.empty_like(self.data), np.empty_like(self.data)
-            for r in range(count):
-                np.matmul(left.op(r).dense(), self.data, out=product)
-                _accumulate(product, self.data, index[r], weights[r], scratch,
-                            subtract=True)
-                out[r] = self._block_max(product)
-            return out
-        adjoint, dim = self.adjoint().data, self.dim
-        step = max(1, PRODUCT_CHUNK_ENTRIES // dim**2)
-        for r, k in np.ndindex(count, -(-self.size // step)):
-            part = slice(k * step, min((k + 1) * step, self.size))
-            product = np.reshape(adjoint[part.start * dim:part.stop * dim]
-                                 @ left.op(r).dense().T, (-1, dim, dim))
-            _scatter(product, adjoint, index[r, part], weights[r, part], subtract=True)
-            out[r, part] = self._block_max(product)
+        product, scratch = np.empty_like(self.data), np.empty_like(self.data)
+        if index is None:
+            weights = np.broadcast_to(np.asarray(weights, dtype=float),
+                                      (count,) + np.shape(weights)[-2:])
+            grid, claim = (a.reshape(weights.shape[1], -1) for a in (self.data, scratch))
+        else:
+            shape = np.broadcast_shapes(np.shape(index), np.shape(weights),
+                                        (count, self.size, 1))
+            index = np.broadcast_to(index, shape)
+            weights = np.broadcast_to(np.asarray(weights, dtype=float), shape)
+        for r in range(count):
+            left._left_mul(r, self.data, product, scratch)
+            if index is None:
+                np.matmul(weights[r], grid, out=claim)
+                product -= scratch
+            else:  # x - w B is x + (-w) B, bit for bit
+                _accumulate(product, self.data, index[r], -weights[r], scratch)
+            out[r] = self._block_max(product)
         return out
 
+    def right_mul_max(self, a: TensorOp) -> np.ndarray:
+        """max |B_k A| for every k."""
+        return self.right_mul(a).residuals()
+
+    def _left_mul(self, r: int, data: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """B_r X_k into out[k] for every block X_k of ``data``: one product."""
+        np.matmul(self.data[r], data, out=out)
+
     def nonzeros(self) -> tuple[np.ndarray, ...]:
-        """(block, row, col, value) of every stored nonzero entry."""
-        if isinstance(self.data, np.ndarray):
-            where = np.nonzero(self.data)
-            return (*where, self.data[where])
-        coo = self.data.tocoo()
-        block, row = np.divmod(coo.row, self.dim)
-        return block, row, coo.col, coo.data
+        """(block, row, col, value) of every nonzero entry."""
+        where = np.nonzero(self.data)
+        return (*where, self.data[where])
 
-    def gram(self) -> np.ndarray:
-        """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k) = V^T V."""
-        v = self._vectors()
-        gram = v.T @ v
-        return gram if isinstance(gram, np.ndarray) else gram.toarray()
+    def gram(self, by_position: bool = False) -> np.ndarray:
+        """Hilbert-Schmidt Gram matrix <B_j, B_k> = tr(B_j^T B_k) = V^T V, with
+        V the blocks as columns of length s^2; ``by_position``: the s^2 x s^2
+        V V^T instead, which has the same nonzero eigenvalues."""
+        v = self.data.reshape(self.size, self.dim**2)  # V^T
+        return v.T @ v if by_position else v @ v.T
 
-    def _vectors(self):
-        """V, whose column k is block k read as a vector: of all s^2 entries
-        on the dense side, and on the CSR side of the positions (r, c) that
-        some block occupies, built by sorting the entries of the block
-        column by position, so that no array of size s^2 is ever made."""
-        if isinstance(self.data, np.ndarray):
-            return self.data.reshape(self.size, self.dim * self.dim).T
-        block, row, col, value = self.nonzeros()
-        position = row.astype(np.int64) * self.dim + col
-        order = np.argsort(position)
-        position = position[order]
-        starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
-        return _sparse().csr_matrix(
-            (value[order], block[order], np.r_[starts, position.size]),
-            shape=(starts.size, self.size))
-
-    def _block_max(self, diff: np.ndarray) -> np.ndarray:
-        """max |entry| of every block of a dense difference the stack may overwrite."""
-        np.abs(diff, out=diff)
-        return diff.reshape(len(diff), self.dim**2).max(axis=1, initial=0.0)
+    def _block_max(self, data: np.ndarray) -> np.ndarray:
+        """max |entry| of every block, as the larger of its max and -min (made
+        +0.0 where both are zero, as -min can be -0.0)."""
+        blocks = data.reshape(len(data), self.dim**2)
+        return np.abs(np.maximum(blocks.max(axis=1, initial=0.0),
+                                 -blocks.min(axis=1, initial=0.0)))
 
 
 def _accumulate(out: np.ndarray, data: np.ndarray, index: np.ndarray,
-                weights: np.ndarray, scratch: np.ndarray, subtract: bool = False):
-    """Add (or subtract) sum_t weights[j, t] data[index[j, t]] into out[j],
-    one term t at a time, through ``scratch``."""
+                weights: np.ndarray, scratch: np.ndarray):
+    """Add sum_t weights[j, t] data[index[j, t]] into out[j], one term t at a
+    time, through ``scratch``."""
     for t in range(weights.shape[1]):
         np.take(data, index[:, t], axis=0, out=scratch, mode="wrap")  # unbuffered
         scratch *= weights[:, t, None, None]
-        if subtract:
-            out -= scratch
-        else:
-            out += scratch
-
-
-def _scatter(out: np.ndarray, data, index: np.ndarray, weights: np.ndarray,
-             subtract: bool = False):
-    """``_accumulate`` from the CSR block column of a stack: term t adds (or
-    subtracts) the stored entries of rows index[j, t] s to (index[j, t] + 1) s,
-    scaled, into out[j], so only the entries of the blocks it names are read."""
-    dim, flat, indptr = data.shape[1], out.reshape(-1), data.indptr
-    for t in range(weights.shape[1]):
-        start, stop = indptr[index[:, t] * dim], indptr[(index[:, t] + 1) * dim]
-        count = stop - start
-        at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-        row = np.searchsorted(indptr, at, side="right") - 1
-        target = (np.repeat(np.arange(len(out)), count) * dim + row % dim) * dim
-        value = np.repeat(weights[:, t], count) * data.data[at]
-        flat[target + data.indices[at]] += -value if subtract else value
+        out += scratch
 
 
 def _digits(n: int, d: int, indices: np.ndarray) -> np.ndarray:
@@ -452,39 +360,23 @@ def _generator_entries(images: np.ndarray, d: int, transposed: bool,
         raise ValueError("the basis does not span an invariant subspace")
     order = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max(initial=0)]
     kept = np.take_along_axis(kept, order, axis=1)
-    # the type CSR stores: int64 temporaries among its arrays fragment the heap
-    index = np.int32 if count * dim <= np.iinfo(np.int32).max else np.int64
-    return (np.where(kept, np.take_along_axis(at, order, axis=1), -1).astype(index),
-            np.where(kept, order % dim, -1).astype(index))
+    return (np.where(kept, np.take_along_axis(at, order, axis=1), -1),
+            np.where(kept, order % dim, -1))
 
 
 def _generators(images: np.ndarray, d: int, transposed: bool,
-                basis: np.ndarray) -> "OperatorStack":
+                basis: np.ndarray) -> "GeneratorIndex":
     """W(sigma), or its partial transpose, on the span of ``basis``, for each
-    row sigma of a ``(K, n)`` array of 0-based images: a new stack."""
-    count, n = images.shape
-    dim = len(basis)
+    row sigma of a ``(K, n)`` array of 0-based images: a new index family."""
     rows, cols = _generator_entries(images, d, transposed, basis)
-    keep = cols >= 0
-    block = np.broadcast_to(np.arange(count, dtype=rows.dtype)[:, None], rows.shape)[keep]
-    rows, cols = rows[keep], cols[keep]
-    if dim > DENSE_MAX_DIM:
-        data = _sparse().csr_matrix((np.ones(rows.size), (block * dim + rows, cols)),
-                                    shape=(count * dim, dim))
-        return OperatorStack(n, d, data, basis)
-    data = np.zeros((count, dim, dim))
-    data[block, rows, cols] = 1.0
-    return OperatorStack(n, d, data, basis)
+    return GeneratorIndex.from_entries(d, rows, cols, len(basis), images.shape[1], basis)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family(n: int, d: int, transposed: bool) -> "OperatorStack":
+def _family(n: int, d: int, transposed: bool) -> "GeneratorIndex":
     """All of W(S(n)), or all their partial transposes, on the balanced
-    sector, in ``Permutation.all`` order; read-only on the dense side."""
-    family = _generators(image_array(n), d, transposed, sector(n, d, transposed))
-    if isinstance(family.data, np.ndarray):
-        family.data.flags.writeable = False
-    return family
+    sector, in ``Permutation.all`` order."""
+    return _generators(image_array(n), d, transposed, sector(n, d, transposed))
 
 
 def _basis(n: int, d: int, basis: np.ndarray | None) -> np.ndarray:
@@ -496,7 +388,7 @@ def _basis(n: int, d: int, basis: np.ndarray | None) -> np.ndarray:
 
 
 def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | None,
-           transposed: bool, basis: np.ndarray | None) -> "TensorOp | OperatorStack":
+           transposed: bool, basis: np.ndarray | None) -> "TensorOp | GeneratorIndex":
     """``perm_operator`` or ``transposed_perm_operator``: the cap, checked before
     the input is read, then ``_generators`` of a batch or of a Permutation's row."""
     single = isinstance(sigma, Permutation)
@@ -505,22 +397,22 @@ def _fresh(sigma: Permutation | np.ndarray, d: int, n: int | None, cap: int | No
     m = degree(images)
     if n is not None and m != n:
         raise ValueError(f"degree mismatch: {m} != n = {n}")
-    stack = _generators(images, d, transposed, _basis(m, d, basis))
-    return stack.op(0) if single else stack
+    family = _generators(images, d, transposed, _basis(m, d, basis))
+    return family.op(0) if single else family
 
 
 def perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
                   cap: int | None = None, basis: np.ndarray | None = None
-                  ) -> "TensorOp | OperatorStack":
+                  ) -> "TensorOp | GeneratorIndex":
     """The operator sending e_{i_1}..e_{i_n} to e_{i_{s^{-1}(1)}}..e_{i_{s^{-1}(n)}},
     built afresh on the span of ``basis`` (the whole space by default): a
-    TensorOp for a Permutation, the stack of a ``(k, n)`` batch of images."""
+    TensorOp for a Permutation, the index family of a ``(k, n)`` batch of images."""
     return _fresh(sigma, d, n, cap, False, basis)
 
 
 def transposed_perm_operator(sigma: Permutation | np.ndarray, d: int, n: int | None = None,
                              cap: int | None = None, basis: np.ndarray | None = None
-                             ) -> "TensorOp | OperatorStack":
+                             ) -> "TensorOp | GeneratorIndex":
     """The partial transpose of ``perm_operator(sigma, d)`` on the last factor."""
     return _fresh(sigma, d, n, cap, True, basis)
 
@@ -531,18 +423,13 @@ def partial_transpose_last(op: TensorOp) -> TensorOp:
     d, dim = op.d, op.dim
     if op.basis is not None or dim != d**op.n:
         raise ValueError("the partial transpose needs the whole space")
-    if isinstance(op.matrix, np.ndarray):
-        blocks = op.matrix.reshape(dim // d, d, dim // d, d)
-        return TensorOp(op.n, d, np.ascontiguousarray(
-            blocks.transpose(0, 3, 2, 1)).reshape(dim, dim))
-    coo = op.matrix.tocoo()
-    r_low, c_low = coo.row % d, coo.col % d
-    return TensorOp(op.n, d, _sparse().csr_matrix(
-        (coo.data, (coo.row - r_low + c_low, coo.col - c_low + r_low)), shape=(dim, dim)))
+    blocks = op.matrix.reshape(dim // d, d, dim // d, d)
+    return TensorOp(op.n, d, np.ascontiguousarray(
+        blocks.transpose(0, 3, 2, 1)).reshape(dim, dim))
 
 
 def generator_stack(n: int, d: int, transposed: bool = False,
-                    cap: int | None = None) -> "OperatorStack":
+                    cap: int | None = None) -> "GeneratorIndex":
     """W(sigma), or its partial transpose, for every sigma in S(n), in
     ``Permutation.all`` order, on the balanced ``sector(n, d, transposed)``,
     its basis.  Shared and cached: never write to it."""
@@ -556,42 +443,65 @@ def generator_stack(n: int, d: int, transposed: bool = False,
 # listed one.  ``checks.law_sweep`` and ``checks._law_at`` read it as pairs
 # (sigma, rho): their ``algebra.law_rows`` temporaries are a few numbers
 # per pair, and the sweep's peak is 33 MB at n = 7 (tracemalloc).
+# ``GeneratorIndex.gram`` counts shared ones, and the per-row
+# ``GeneratorIndex.combine`` scatters listed ones, in chunks of about as many.
 LAW_CHUNK_ENTRIES = 2**18
 
 
-def _slot_lists(keys: np.ndarray, values: np.ndarray, d: int, dim: int, pad: int
+def _slot_lists(keys: np.ndarray, values: np.ndarray, most: int, dim: int, pad: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Group ``values`` by ``keys`` (below ``dim``; a negative key is a pad)
-    in each row k of two ``(K, P)`` arrays: the ``(d, K, dim)`` array whose
+    in each row k of two ``(K, P)`` arrays: the ``(w, K, dim)`` array whose
     ``[i, k, g]`` is the i-th value of group g (``pad`` past the last), in
-    the type of ``values``, and the ``(K, dim)`` group sizes, in the
-    smallest unsigned type that holds d."""
+    the type of ``values``, with w the size of the largest group (at least
+    1), and the ``(K, dim)`` group sizes, in the smallest unsigned type that
+    holds ``most``."""
     keep = keys >= 0
     count, group = len(keys), (np.nonzero(keep)[0] * dim + keys[keep])
     order = np.argsort(group, kind="stable")
     group = group[order]
     sizes = np.bincount(group, minlength=count * dim)
-    slots = np.full((d, count * dim), pad, dtype=values.dtype)
+    slots = np.full((max(1, sizes.max(initial=0)), count * dim), pad, dtype=values.dtype)
     slots[np.arange(group.size) - (np.cumsum(sizes) - sizes)[group], group] = (
         values[keep][order])
-    return (slots.reshape(d, count, dim),
-            sizes.reshape(count, dim).astype(np.min_scalar_type(d)))
+    return (slots.reshape(-1, count, dim),
+            sizes.reshape(count, dim).astype(np.min_scalar_type(most)))
+
+
+def _shared_counts(lists: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """C[a, b] = the number of groups that hold both a and b, as floats.
+
+    Row a of ``lists`` names the groups of a, padded with G, and row g of
+    ``groups`` the members of group g, padded with A = len(lists); its last
+    row, G, is all pads.  Exact integer counts, in chunks of rows of C of
+    about ``LAW_CHUNK_ENTRIES`` member pairs."""
+    count = len(lists)
+    out = np.empty((count, count))
+    step = max(1, LAW_CHUNK_ENTRIES // (lists.shape[1] * groups.shape[1] + count))
+    for start in range(0, count, step):
+        keys = groups[lists[start:start + step]]  # the members of the groups of a
+        keys += (np.arange(len(keys)) * (count + 1))[:, None, None]
+        out[start:start + len(keys)] = np.bincount(
+            keys.ravel(), minlength=len(keys) * (count + 1)).reshape(-1, count + 1)[:, :count]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorIndex:
-    """The transposed generators W(sigma)^{t_n} of S(n), in ``Permutation.all``
-    order, on the span of ``dim`` basis states, as integer index lists.
+    """K 0/1 operators on the span of ``dim`` basis states, with at most d
+    ones in any row or column, as integer index lists: a family of
+    generators W(sigma), or of their partial transposes.
 
-    Each W(sigma)^{t_n} is a 0/1 matrix with at most d ones in any row or
-    column.  For generator k, ``rows[k]`` and ``cols[k]`` hold the positions
-    of its ones, padded with -1 in both; ``row_cols[i, k, r]`` is the column
-    of the i-th one in row r and ``col_rows[i, k, c]`` the row of the i-th
-    one in column c, padded with -1 and -2 so that pads never match;
-    ``row_count`` and ``col_count`` count the ones of every row and column.
-    The positions and slot lists share the smallest signed type that holds
-    -dim, so offsets past dim are formed in intp.  All of it comes from
-    basis digits, never from the composition law it is used to check.
+    For operator k, ``rows[k]`` and ``cols[k]`` hold the positions of its
+    ones, padded with -1 in both; ``row_cols[i, k, r]`` is the column of the
+    i-th one in row r and ``col_rows[i, k, c]`` the row of the i-th one in
+    column c, padded with -1 and -2 (the other way round on an adjoint) so
+    that pads never match, with a slot i for each one of the fullest row or
+    column; ``row_count`` and ``col_count`` count the ones of every row and
+    column.  The positions and slot lists share the smallest signed type
+    that holds -dim, so offsets past dim are formed in intp.  ``n`` and
+    ``basis`` (None: the whole space) place the family as in an
+    ``OperatorStack``.
     """
 
     d: int
@@ -602,12 +512,15 @@ class GeneratorIndex:
     col_rows: np.ndarray
     row_count: np.ndarray
     col_count: np.ndarray
+    n: int | None = None
+    basis: Any = None
 
     @classmethod
-    def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray, dim: int
+    def from_entries(cls, d: int, rows: np.ndarray, cols: np.ndarray, dim: int,
+                     n: int | None = None, basis: np.ndarray | None = None
                      ) -> "GeneratorIndex":
         """The index form of the dim x dim 0/1 matrices with ones at
-        ``(rows[k], cols[k])``, padded with -1."""
+        ``(rows[k], cols[k])``, padded with -1, on the span of ``basis``."""
         kind = np.min_scalar_type(-dim)
         rows, cols = rows.astype(kind), cols.astype(kind)
         row_cols, row_count = _slot_lists(rows, cols, d, dim, -1)
@@ -615,10 +528,110 @@ class GeneratorIndex:
         arrays = (rows, cols, row_cols, col_rows, row_count, col_count)
         for array in arrays:
             array.flags.writeable = False
-        return cls(d, dim, *arrays)
+        if basis is not None and len(basis) == d**n:
+            basis = None
+        return cls(d, dim, *arrays, n, basis)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    def op(self, k: int) -> TensorOp:
+        """W_k as a dense TensorOp."""
+        return self.combine([[k]], [[1.0]]).op(0)
+
+    def take(self, index) -> "GeneratorIndex":
+        """The operators W[index], in that order, with the slots they use."""
+        index = np.asarray(index)
+        row_count, col_count = self.row_count[index], self.col_count[index]
+        return replace(self, rows=self.rows[index], cols=self.cols[index],
+                       row_cols=self.row_cols[:max(1, row_count.max(initial=0)), index],
+                       col_rows=self.col_rows[:max(1, col_count.max(initial=0)), index],
+                       row_count=row_count, col_count=col_count)
+
+    def adjoint(self) -> "GeneratorIndex":
+        """W_k^T for every k: the rows and the columns swap."""
+        return replace(self, rows=self.cols, cols=self.rows, row_cols=self.col_rows,
+                       col_rows=self.row_cols, row_count=self.col_count,
+                       col_count=self.row_count)
+
+    def combine(self, index, weights) -> OperatorStack:
+        """``OperatorStack.combine`` of the 0/1 operators, a dense stack.
+
+        With a per-row index, one unbuffered ``np.add.at`` per chunk of rows
+        scatters the scaled ones of their terms in term order, so C_j is
+        bitwise the sum of its scaled operators added one at a time.  A
+        shared index is the product of the weights with the 0/1 vectors.
+        """
+        index, weights = np.asarray(index), np.asarray(weights, dtype=float)
+        if index.ndim == 1:
+            ones = self.combine(index[:, None], np.ones((len(index), 1)))
+            return ones.combine(np.arange(len(index)), weights)
+        out = np.zeros((len(weights), self.dim, self.dim))
+        step = max(1, LAW_CHUNK_ENTRIES // (index.shape[1] * self.rows.shape[1]))
+        for start in range(0, len(index), step):
+            part = index[start:start + step]
+            j, t, at = np.nonzero(self.cols[part] >= 0)  # row by row, term by term
+            k, j = part[j, t], j + start
+            np.add.at(out.reshape(-1), (j * self.dim + self.rows[k, at]) * self.dim
+                      + self.cols[k, at], weights[j, t])
+        return OperatorStack(self.n, self.d, out, self.basis)
+
+    def _row_sums(self, a: TensorOp) -> tuple[np.ndarray, np.ndarray]:
+        """Row i of W_k A sums the rows of A that row i of W_k lists: the sum
+        of every distinct list of the family, formed once, and for each row
+        i of each W_k the position of its list among them."""
+        _check(self, a)
+        lists = np.sort(np.maximum(self.row_cols, -1).reshape(len(self.row_cols), -1).T,
+                        axis=1)  # pads -1 first
+        order = np.lexsort(lists.T)
+        lists = lists[order]
+        first = np.append(True, (lists[1:] != lists[:-1]).any(axis=1))
+        at = np.empty(len(lists), dtype=np.intp)
+        at[order] = np.cumsum(first) - 1
+        padded = np.zeros((self.dim + 1, self.dim))  # a pad reads the zero row
+        padded[:self.dim] = a.matrix
+        return padded[lists[first]].sum(axis=1), at
+
+    def right_mul(self, a: TensorOp) -> OperatorStack:
+        """W_k A for every k, a dense stack of sums of rows of A."""
+        sums, at = self._row_sums(a)
+        return OperatorStack(self.n, self.d, sums[at].reshape(len(self), self.dim, self.dim),
+                             self.basis)
+
+    def right_mul_max(self, a: TensorOp) -> np.ndarray:
+        """max |W_k A| for every k, with no product held."""
+        sums, at = self._row_sums(a)
+        return np.abs(sums).max(axis=1)[at].reshape(len(self), self.dim).max(axis=1)
+
+    def _left_mul(self, r: int, data: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """W_r X_k into out[k] for every block X_k of ``data``: one gather of
+        rows of every block per slot that a row of W_r fills (at least one),
+        the rows that a slot leaves empty set to zero."""
+        for i, cols in enumerate(self.row_cols[:max(1, self.row_count[r].max()), r]):
+            target = scratch if i else out
+            np.take(data, cols, axis=1, out=target, mode="wrap")  # unbuffered
+            target[:, np.flatnonzero(cols < 0)] = 0.0
+            if i:
+                out += scratch
+
+    def nonzeros(self) -> tuple[np.ndarray, ...]:
+        """(block, row, col, value) of every one."""
+        ones = self.cols >= 0
+        return np.nonzero(ones)[0], self.rows[ones], self.cols[ones], np.ones(ones.sum())
+
+    def gram(self, by_position: bool = False) -> np.ndarray:
+        """``OperatorStack.gram``, exact: <W_j, W_k> counts the positions
+        (r, c) at which both have a one, and the entry of V V^T at two
+        positions (``by_position``) the operators with a one at both."""
+        count, square = len(self), self.dim**2
+        ones = np.where(self.cols >= 0, self.rows.astype(np.intp) * self.dim + self.cols, -1)
+        owner = np.arange(count).repeat(ones.shape[1])
+        # the operators with a one at each position, padded with count
+        members = _slot_lists(ones.reshape(1, -1), owner[None], count, square, count)[0][:, 0].T
+        ones[ones < 0] = square
+        if by_position:
+            return _shared_counts(members, np.vstack([ones, np.full(ones.shape[1], square)]))
+        return _shared_counts(ones, np.vstack([members, np.full(members.shape[1], count)]))
 
     def derived(self) -> np.ndarray:
         """Whether the slot lists and counts of each generator are the ones
@@ -687,11 +700,12 @@ class GeneratorIndex:
             (line, self.rows[target_a], self.cols[target_a], np.asarray(scale_a)[:, None]),
             (line, self.rows[target_b], self.cols[target_b], -np.asarray(scale_b)[:, None])])
 
-    def stack_residuals(self, stack: OperatorStack, first: int = 0) -> np.ndarray:
-        """max |B_j - W(first + j)^{t_n}| for every block j of a float stack,
-        exact, through ``_largest_sums`` over the stored nonzeros of the stack
-        and -1 at the ones of each generator: this ties the float operators
-        to the index form."""
+    def stack_residuals(self, stack: "OperatorStack | GeneratorIndex",
+                        first: int = 0) -> np.ndarray:
+        """max |B_j - W(first + j)| for every block j of a family given
+        apart, exact, through ``_largest_sums`` over its nonzero entries and
+        -1 at the ones of each generator: this ties that family to the index
+        form."""
         count = len(stack)
         rows, cols = self.rows[first:first + count], self.cols[first:first + count]
         return _largest_sums(count, self.dim, [
@@ -718,30 +732,21 @@ def _largest_sums(count: int, dim: int, entries) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _generator_index(n: int, d: int) -> GeneratorIndex:
-    basis = sector(n, d, True)
-    return GeneratorIndex.from_entries(
-        d, *_generator_entries(image_array(n), d, True, basis), len(basis))
-
-
 def generator_index(n: int, d: int, cap: int | None = None) -> GeneratorIndex:
-    """The index form of W(sigma)^{t_n} for every sigma in S(n), in
-    ``Permutation.all`` order, on the balanced sector of ``generator_stack``.
-    Shared and cached: never write to it."""
-    _check_family(n, d, cap)
-    return _generator_index(n, d)
+    """The transposed family ``generator_stack(n, d, True)``, on which the
+    law is checked.  Shared and cached: never write to it."""
+    return generator_stack(n, d, True, cap)
 
 
 def element_stack(elems: list[AlgebraElement], cap: int | None = None
-                  ) -> "OperatorStack":
+                  ) -> OperatorStack:
     """Oracle images of formal combinations of transposed generators, one
-    block per element, as one ``combine`` of the transposed generator stack,
+    block per element, as one ``combine`` of the transposed generator family,
     on its basis ``sector(n, d, True)``, not on the whole space.
 
     Row j of the combination lists the terms of element j in dict order,
-    padded with zero weights on block 0, so on the dense side each block is
-    bitwise the sum of its scaled generators added one at a time.
+    padded with zero weights on block 0, so each block is bitwise the sum of
+    its scaled generators added one at a time.
     """
     ctx = elems[0].ctx
     if ctx.symbolic:
@@ -782,13 +787,10 @@ def identity_operator(n: int, d: int, cap: int | None = None,
 RANK_RTOL = 1e-8
 
 
-def span_dimension(family: OperatorStack) -> int:
-    """``gram_rank`` of the blocks B_k: with V the blocks as columns
-    (``OperatorStack.gram``), of the smaller of V^T V and V V^T, which share
-    their nonzero eigenvalues."""
-    v = family._vectors()
-    small = v @ v.T if v.shape[0] < family.size else v.T @ v
-    return gram_rank(small if isinstance(small, np.ndarray) else small.toarray())
+def span_dimension(family: "OperatorStack | GeneratorIndex") -> int:
+    """``gram_rank`` of the blocks B_k, read off the smaller of V^T V and
+    V V^T (``gram``), which share their nonzero eigenvalues."""
+    return gram_rank(family.gram(by_position=family.dim**2 < len(family)))
 
 
 def gram_rank(gram: np.ndarray) -> int:
@@ -798,12 +800,13 @@ def gram_rank(gram: np.ndarray) -> int:
     return int((eigs > RANK_RTOL * top).sum()) if top > 0 else 0
 
 
-def matrix_operators_E(rep_images: OperatorStack, alpha: Partition) -> OperatorStack:
+def matrix_operators_E(rep_images: "OperatorStack | GeneratorIndex",
+                       alpha: Partition) -> OperatorStack:
     """Group-averaged matrix operators of an irrep inside a representation D.
 
     E_{ij} = (w/|G|) sum_g phi_{ji}(g^{-1}) D(g), over G = S(|alpha|).  The
     zero family is the legitimate outcome when alpha does not occur in D.
-    Given a stack whose block k is D(g) for the k-th g of G in
+    Given a family whose block k is D(g) for the k-th g of G in
     ``Permutation.all`` order, this returns the stack E_11, E_12, ..., E_ww
     as one shared-index ``combine``: one product of the weights with the
     family.

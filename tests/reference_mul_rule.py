@@ -1,9 +1,9 @@
 """The composition-law check on float operators, one dense row per left factor.
 
 An independent reference for ``ptalgebra.checks.check_mul_rule``: with the
-transposed generator stack as both the left factors and the family, row
-sigma multiplies W(sigma)^{t_n} into every block and subtracts the gathered
-d^p W(tau), so it shares no code with the integer index form.  ``law`` is
+dense stack of the transposed generators as both the left factors and the
+family, row sigma multiplies W(sigma)^{t_n} into every block and subtracts
+the gathered d^p W(tau), so it shares no code with the integer law check.  ``law`` is
 the composition law under test, ``mul_generators`` unless a test plants a
 broken one.
 """
@@ -20,7 +20,8 @@ def reference_mul_rule(n: int, d: int, law=mul_generators) -> tuple[float, str]:
     first pair that attains it, as ``"sigma * rho"``."""
     perms = list(Permutation.all(n))
     images = image_array(n)
-    family = generator_stack(n, d, transposed=True)
+    index = generator_stack(n, d, transposed=True)
+    family = index.combine(np.arange(len(index))[:, None], np.ones((len(index), 1)))
     rows = [law(image, images) for image in images]
     index = np.array([lehmer_rank(products) for _powers, products in rows])
     scale = np.array([d**powers for powers, _products in rows])

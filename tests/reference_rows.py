@@ -54,8 +54,8 @@ def reference_left_action(sigma: Permutation, p: int, d: int
 
 def reference_left_actions(alpha: Partition, n: int, d: int) -> np.ndarray:
     """The ``(n!, s^2)`` residuals of W(sigma) u_kl^pq = scale sum_t
-    phi_tk(tau) u_tl^{target q}, one row per sigma of the transposed
-    generator stack, with (target, scale, tau) the claim of
+    phi_tk(tau) u_tl^{target q}, one row per sigma of the dense stack of the
+    transposed generators, a product each, with (target, scale, tau) the claim of
     ``checks._left_action``, read at call time so that a planted claim
     reaches both forms."""
     m, w = n - 1, alpha.hook_dimension()
@@ -72,7 +72,9 @@ def reference_left_actions(alpha: Partition, n: int, d: int) -> np.ndarray:
             for t in range(w):
                 index[sigma, block, t] = (target[sigma, p] * w + t) * m * w + q * w + l
                 weights[sigma, block, t] = scale[sigma, p] * image[t, k]
-    return u.action_residuals(generator_stack(n, d, True), index, weights)
+    family = generator_stack(n, d, True)
+    dense = family.combine(np.arange(len(family))[:, None], np.ones((len(family), 1)))
+    return u.action_residuals(dense, index, weights)
 
 
 def reference_u_structure(alpha: Partition, n: int, d: int) -> float:

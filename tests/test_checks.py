@@ -365,23 +365,24 @@ def test_reports_carry_their_tolerance():
 
 
 def _scale_generator(monkeypatch, n, d, transposed, planted):
-    """Let ``checks.generator_stack`` serve the plain or transposed stack of
-    (n, d) with the block of ``planted`` scaled by 1.5; the other is real."""
+    """Let ``checks.generator_stack`` serve the plain or transposed family of
+    (n, d) as a dense stack with the block of ``planted`` scaled by 1.5; the
+    other is real."""
+    import numpy as np
+
     import ptalgebra.checks as checks
-    from ptalgebra.oracle import OperatorStack
     from ptalgebra.permutations import Permutation
 
     real = checks.generator_stack
-    basis = real(n, d, transposed).basis
-    data = real(n, d, transposed).data.copy()
-    data[list(Permutation.all(n)).index(planted)] *= 1.5
+    family = real(n, d, transposed)
+    weights = np.ones((len(family), 1))
+    weights[list(Permutation.all(n)).index(planted)] = 1.5
+    scaled = family.combine(np.arange(len(family))[:, None], weights)
 
     planted_side = transposed
 
     def serve(n_, d_, transposed=False, cap=None):
-        if transposed == planted_side:
-            return OperatorStack(n, d, data, basis)
-        return real(n_, d_, transposed, cap)
+        return scaled if transposed == planted_side else real(n_, d_, transposed, cap)
 
     monkeypatch.setattr(checks, "generator_stack", serve)
 
@@ -539,7 +540,8 @@ def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
     planted = Permutation.from_cycles(n, [(1, 2) if side == "annihilation" else (1, 4)])
     e_op = element_operator(unit_of_M(n, d))
     family = generator_stack(n, d, transposed=True)
-    data = family.data.copy()
+    every = np.arange(len(family))[:, None]
+    data = family.combine(every, np.ones((len(family), 1))).data
     noise = np.random.default_rng(0).standard_normal(data.shape[1:])
     k = perms.index(planted)
     data[k] += 0.5 * {"right": e_op.matrix @ noise, "left": noise @ e_op.matrix,

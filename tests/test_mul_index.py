@@ -1,13 +1,15 @@
 """The integer index form of the transposed generators, and the exact
 composition-law and associativity checks that run on it.
 
-The index form must list exactly the ones of the float generator stack,
-and the check must agree with the dense row-by-row check it replaced
+The index form must list exactly the ones of the dense generator stack
+that its combinations scatter, and the check must agree with the dense row-by-row check it replaced
 (``reference_mul_rule``), on passing grids and under planted defects.
 The law is checked on the generator rows and on the pairs that
 ``law_sweep`` flags; a defect off those rows must be flagged.
 """
 
+import contextlib
+import dataclasses
 import math
 import tracemalloc
 from functools import lru_cache
@@ -20,21 +22,25 @@ import ptalgebra.checks as checks
 import ptalgebra.oracle as oracle
 from ptalgebra.algebra import generator_words, law_rows, mul_generators
 from ptalgebra.checks import (HOM_TOL, ORACLE_TOL, check_irreps, check_mul_rule,
-                              law_sweep, run_suite)
-from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError, _family,
-                              _generator_index, generator_index, generator_stack)
+                              check_u_structure, check_unit_of_m, law_sweep, run_suite)
+from ptalgebra.irreps import block_labels
+from ptalgebra.oracle import (GeneratorIndex, SizeCapError, _family, generator_index,
+                              generator_stack)
 from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 from reference_mul_rule import reference_mul_rule
 from reference_rows import reference_irreps
+from whole_space import whole_space
 
 GRID = [(n, d) for n in (2, 3, 4, 5) for d in (1, 2, 3)]
 
 
-def _stack_ones(stack: OperatorStack) -> np.ndarray:
-    """Sorted (k, r, c) of every nonzero entry of a stack; asserts they are 1."""
-    k, r, c, values = stack.nonzeros()
+def _stack_ones(family: GeneratorIndex) -> np.ndarray:
+    """Sorted (k, r, c) of every nonzero entry of the dense stack that the
+    family's blocks scatter into; asserts they are 1."""
+    every = np.arange(len(family))[:, None]
+    k, r, c, values = family.combine(every, np.ones((len(family), 1))).nonzeros()
     assert np.all(values == 1.0)
-    return np.sort((k * stack.dim + r) * stack.dim + c)
+    return np.sort((k * family.dim + r) * family.dim + c)
 
 
 def _listed(slots: np.ndarray, pad: int, transpose: bool) -> np.ndarray:
@@ -50,10 +56,9 @@ def _listed(slots: np.ndarray, pad: int, transpose: bool) -> np.ndarray:
 @pytest.mark.parametrize("n,d", GRID + [(4, 8)])
 def test_index_form_lists_the_ones_of_the_generator_stack(n, d):
     index = generator_index(n, d)
-    stack = generator_stack(n, d, transposed=True)
-    expected = _stack_ones(stack)
-    count, dim = len(stack), stack.dim
-    assert index.dim == dim and len(index) == count
+    assert generator_stack(n, d, transposed=True) is index
+    expected = _stack_ones(index)
+    count, dim = len(index), index.dim
     assert index.rows.shape == index.cols.shape and len(index.rows) == count
     assert np.array_equal(index.rows < 0, index.cols < 0)  # pads in both
     assert np.all(index.rows >= -1) and np.all(index.cols >= -1)
@@ -332,7 +337,7 @@ def test_total_mass_catches_what_the_support_misses():
                                np.array([1, 1])).tolist() == [1.0, 1.0]
 
 
-# (4, 3) and (3, 5) are on the CSR side of the generator stack
+# V' has three ones in a row at (4, 3), and five at (3, 5)
 PROPERTY_GRID = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)] + [(3, 5)]
 
 
@@ -382,7 +387,6 @@ def test_distances_match_the_float_stack(n, d):
 
 def test_mul_rule_at_6_2_is_exact_and_never_holds_a_dense_stack():
     _family.cache_clear()
-    _generator_index.cache_clear()
     tracemalloc.start()
     try:
         report = check_mul_rule(6, 2)
@@ -415,7 +419,7 @@ def test_law_chunks_stay_within_their_bound(monkeypatch):
 
 def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
     # every power flipped: every pair fails, and the flagged pairs of a chunk
-    # share one sparse product
+    # share one entry sum of their products
     def rows_law(n, rows):
         powers, positions = law_rows(n, rows)
         return 1 - powers, positions
@@ -442,33 +446,35 @@ def test_a_law_broken_everywhere_costs_one_residual_call_per_chunk(monkeypatch):
     assert len(calls) == -(-len(index) ** 2 // index.law_chunk())
 
 
-# -- the float generators against the index form ---------------------------------
+# -- the generator families against the index form -------------------------------
 
 
-def _moved_one(stack: OperatorStack, k: int) -> OperatorStack:
-    """A copy of the stack with one of block k's ones moved within its row
-    to a free column."""
-    block, row, col, value = stack.nonzeros()
-    at = np.flatnonzero(block == k)[0]
-    taken = col[(block == k) & (row == row[at])]
-    col = col.copy()
-    col[at] = np.setdiff1d(np.arange(stack.dim), taken)[0]
-    if isinstance(stack.data, np.ndarray):
-        data = np.zeros(stack.data.shape)
-        data[block, row, col] = value
-        return OperatorStack(stack.n, stack.d, data, stack.basis)
-    import scipy.sparse as sp
-    return OperatorStack(stack.n, stack.d, sp.csr_matrix(
-        (value, (block * stack.dim + row, col)), shape=stack.data.shape), stack.basis)
+def _moved_one(family: GeneratorIndex, k: int) -> GeneratorIndex:
+    """The family with one of the ones of operator k moved within its row to
+    a free column, in its entries and every list derived from them."""
+    rows, cols = np.array(family.rows), np.array(family.cols)
+    taken = cols[k][rows[k] == rows[k, 0]]
+    cols[k, 0] = np.setdiff1d(np.arange(family.dim), taken)[0]
+    return GeneratorIndex.from_entries(family.d, rows, cols, family.dim, family.n,
+                                       family.basis)
+
+
+def _moved_in_its_rows(family: GeneratorIndex, k: int, r: int) -> GeneratorIndex:
+    """The family with the first one in row r of operator k moved to a free
+    column, in its row lists only: what a left factor gathers by."""
+    row_cols = family.row_cols.copy()
+    row_cols[0, k, r] = np.setdiff1d(np.arange(family.dim), row_cols[:, k, r])[0]
+    return dataclasses.replace(family, row_cols=row_cols)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 3), (4, 8)])
 def test_float_generators_hold_the_ones_of_the_index_form(n, d):
     index = generator_index(n, d)
-    stack = generator_stack(n, d, transposed=True)
+    every = np.arange(len(index))[:, None]
+    stack = index.combine(every, np.ones((len(index), 1)))
     line, ones = np.arange(len(index))[:, None], index.cols >= 0
     listed = ((line * index.dim + index.rows) * index.dim + index.cols)[ones]
-    assert np.array_equal(_stack_ones(stack), np.sort(listed))
+    assert np.array_equal(_stack_ones(index), np.sort(listed))
     assert index.stack_residuals(stack).tolist() == [0.0] * len(index)
 
 
@@ -484,6 +490,34 @@ def test_adjoint_check_names_a_moved_one_in_the_generator_stack(monkeypatch, n, 
     report = checks.check_adjoint_transport(n, d)
     assert report.passed is False and report.max_residual == 1.0
     assert report.details == f"worst at W{planted}^t"
+
+
+@pytest.mark.parametrize("n,d,whole", [(4, 3, False), (4, 2, True)])
+def test_a_moved_one_of_a_generator_left_factor_is_named(monkeypatch, n, d, whole):
+    # V' = W((n-1 n))^{t_n}, with d ones in a row, is a generator row of the
+    # u actions and, in M, a left factor of m e = m; combinations read its
+    # entries, which stay, and left factors its row lists, which do not.  The
+    # one moves in a row of strings whose first two digits differ: the u of
+    # alpha = (1, 1) are antisymmetric in those, and vanish on the others
+    planted = Permutation.transposition(n, n - 1, n)
+    k = int(lehmer_rank(np.array(planted.images) - 1))
+    assert k in generator_words(n)[0]
+    real = checks.generator_stack
+    with whole_space() if whole else contextlib.nullcontext():
+        family = real(n, d, True)
+        assert family.row_count[k].max() == d
+        basis = np.arange(d**n) if family.basis is None else family.basis
+        differ = basis // d**(n - 1) != basis // d**(n - 2) % d
+        r = int(np.flatnonzero((family.row_count[k] > 0) & differ)[0])
+        broken = _moved_in_its_rows(family, k, r)
+        monkeypatch.setattr(checks, "generator_stack",
+                            lambda n_, d_, transposed=False, cap=None:
+                            broken if transposed else real(n_, d_, transposed, cap))
+        reports = [check_u_structure(alpha, alpha, n, d) for alpha in block_labels(n, d)[0]]
+        reports.append(check_unit_of_m(n, d))
+    for report in reports:
+        assert report.passed is False and report.max_residual >= HOM_TOL
+        assert report.details.startswith(f"worst at {planted} * "), report.details
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 8)])

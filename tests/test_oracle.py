@@ -10,7 +10,7 @@ import pytest
 
 from ptalgebra.algebra import (AlgebraContext, AlgebraElement, mul_generators,
                                u_element)
-from ptalgebra.oracle import (CAP_ENV_VAR, DENSE_MAX_DIM, GeneratorIndex,
+from ptalgebra.oracle import (CAP_ENV_VAR, GeneratorIndex,
                               OperatorStack, SizeCapError, TensorOp,
                               element_operator, element_stack,
                               generator_stack, identity_operator,
@@ -171,8 +171,7 @@ def test_adjoint_transport():
 @pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 5)])
 def test_element_images_are_the_summed_generators_bitwise(on_the_whole_space, n, d):
     # each block is the scaled generators added in term order, one TensorOp
-    # at a time, to the last bit, on the dense side and, on the whole space,
-    # on the CSR side
+    # at a time, to the last bit, on the whole space of 8 to 125 states
     ctx = AlgebraContext(n, d)
     perms = list(Permutation.all(n))
     rng = np.random.default_rng(n)
@@ -249,7 +248,7 @@ def test_E_composition_and_independence_equivalence(on_the_whole_space):
         assert norm == pytest.approx(multiplicity_in_V(alpha, d), abs=1e-9)
 
 
-# -- storage: dense up to DENSE_MAX_DIM, CSR above -------------------------
+# -- storage: a TensorOp is dense, a family of generators index lists ------
 
 
 def _reference_operators(sigma, d):
@@ -276,27 +275,38 @@ def _reference_operators(sigma, d):
 
 @pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 5), (4, 4)])
 def test_generators_match_reference_on_both_storages(n, d):
-    dense_side = d**n <= DENSE_MAX_DIM
-    for sigma in Permutation.all(n):
+    # a Permutation gives a dense TensorOp, a batch the index lists of its ones
+    dim = d**n
+    batches = [build(image_array(n), d, n) for build in (perm_operator,
+                                                          transposed_perm_operator)]
+    for k, sigma in enumerate(Permutation.all(n)):
         plain, transposed = _reference_operators(sigma, d)
         op = perm_operator(sigma, d)
         op_t = transposed_perm_operator(sigma, d)
-        assert isinstance(op.matrix, np.ndarray) == dense_side
-        assert isinstance(op_t.matrix, np.ndarray) == dense_side
+        assert type(op.matrix) is type(op_t.matrix) is np.ndarray
         assert np.array_equal(op.dense(), plain)
         assert np.array_equal(op_t.dense(), transposed)
         assert np.array_equal(partial_transpose_last(op).dense(), transposed)
+        for batch, expected in zip(batches, (plain, transposed)):
+            ones, listed = batch.cols[k] >= 0, np.zeros((dim, dim))
+            listed[batch.rows[k][ones], batch.cols[k][ones]] = 1.0
+            assert np.array_equal(listed, expected), k
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
 def test_gram_counts_cycles_on_both_storages(on_the_whole_space, n, d):
     # tr(W(s)^T W(r)) = d^{cycles(s^-1 r)}, and the partial transpose keeps
-    # it: a trace over the whole space
+    # it: a trace over the whole space, counted on the index lists and
+    # summed on their dense stack
     perms = list(Permutation.all(n))
     expected = np.array([[d ** (s.inverse() * r).cycle_count() for r in perms]
                          for s in perms], dtype=float)
+    every = np.arange(len(perms))[:, None]
     for transposed in (False, True):
-        assert np.array_equal(generator_stack(n, d, transposed).gram(), expected)
+        family = generator_stack(n, d, transposed)
+        assert np.array_equal(family.gram(), expected)
+        dense = family.combine(every, np.ones((len(perms), 1)))
+        assert np.array_equal(dense.gram(), expected)
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
@@ -329,18 +339,12 @@ def test_size_cap_is_checked_before_the_cache():
 @pytest.mark.parametrize("build", [perm_operator, transposed_perm_operator])
 def test_block_k_of_a_batch_is_the_single_build_of_row_k(n, d, build):
     batch = image_array(n)[::-1]
-    stack = build(batch, d, n)
-    assert isinstance(stack, OperatorStack) and len(stack) == len(batch)
-    assert isinstance(stack.data, np.ndarray) == (d**n <= DENSE_MAX_DIM)
+    family = build(batch, d, n)
+    assert isinstance(family, GeneratorIndex) and len(family) == len(batch)
     for k, images in enumerate(batch):
         single = build(Permutation((images + 1).tolist()), d).matrix
-        block = stack.op(k).matrix
-        if isinstance(single, np.ndarray):
-            assert np.array_equal(block, single), k
-        else:
-            assert np.array_equal(block.indptr, single.indptr), k
-            assert np.array_equal(block.indices, single.indices), k
-            assert np.array_equal(block.data, single.data), k
+        assert type(single) is np.ndarray
+        assert np.array_equal(family.op(k).matrix, single), k
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 5)])
@@ -349,11 +353,11 @@ def test_a_batch_is_built_apart_from_the_cached_family(n, d, transposed):
     build = transposed_perm_operator if transposed else perm_operator
     family = generator_stack(n, d, transposed)
     batch = build(image_array(n), d, n, basis=sector(n, d, transposed))
-    assert batch is not family and batch.data is not family.data
-    assert np.array_equal(batch.residuals(family), np.zeros(len(family)))
-    if isinstance(batch.data, np.ndarray):
-        assert batch.data.flags.writeable and not family.data.flags.writeable
-        assert not np.shares_memory(batch.data, family.data)
+    assert batch is not family and batch.rows is not family.rows
+    assert not np.shares_memory(batch.rows, family.rows)
+    assert np.array_equal(batch.rows, family.rows)
+    assert np.array_equal(batch.cols, family.cols)
+    assert np.array_equal(family.stack_residuals(batch), np.zeros(len(family)))
 
 
 @pytest.mark.parametrize("build", [perm_operator, transposed_perm_operator])
@@ -409,13 +413,16 @@ def test_matrix_operators_E_matches_per_entry_reference():
             assert family.op(k).distance(acc) <= len(group) * np.finfo(float).eps
 
 
-def test_dense_side_never_imports_scipy_sparse():
+def test_the_oracle_never_imports_scipy():
+    # the checks of every gather and of the Gram counts at (6, 3), s = 80
+    # and 90 states, as well as the whole suite at (3, 2)
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, ptalgebra.cli\n"
-            "assert 'scipy.sparse' not in sys.modules\n"
-            "from ptalgebra.checks import run_suite\n"
+            "from ptalgebra.checks import (check_dimensions, check_matrix_operators,\n"
+            "                              check_unit_of_m, run_suite)\n"
             "assert all(r.passed for r in run_suite(3, 2, 'all'))\n"
-            "assert 'scipy.sparse' not in sys.modules\n"
+            "for check in (check_dimensions, check_unit_of_m, check_matrix_operators):\n"
+            "    assert check(6, 3).passed\n"
             # a failing law pair gets its residual without scipy too
             "import ptalgebra.checks as checks\n"
             "real = checks.law_rows\n"
@@ -427,8 +434,8 @@ def test_dense_side_never_imports_scipy_sparse():
             "checks.law_rows = law\n"
             "report = checks.check_mul_rule(3, 2)\n"
             "assert not report.passed and report.max_residual >= 1, report\n"
-            "assert 'scipy.sparse' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=str(src))
+            "assert 'scipy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

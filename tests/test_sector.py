@@ -144,17 +144,22 @@ def _rank(eigs):
 @pytest.mark.parametrize("n,d,whole,smaller", [
     (5, 2, False, True),   # s^2 = 100 < K = 120
     (3, 5, False, False),  # s^2 = 81 > K = 6
-    (4, 2, True, False),   # CSR on the whole space: 256 positions > 24
+    (4, 2, True, False),   # on the whole space: s^2 = 256 > K = 24
 ])
 def test_span_ranks_read_off_either_gram_agree(n, d, whole, smaller):
+    # both exact integer Grams of the index lists, each the product Gram of
+    # the dense stack of the same generators
     with whole_space() if whole else contextlib.nullcontext():
-        stack = generator_stack(n, d, True)
-        v = stack._vectors()
-        assert (v.shape[0] < v.shape[1]) == smaller
-        small = v @ v.T
-        small = small if isinstance(small, np.ndarray) else small.toarray()
-        ranks = {_rank(np.linalg.eigvalsh(stack.gram())), _rank(np.linalg.eigvalsh(small))}
-        assert ranks == {span_dimension(stack)}
+        family = generator_stack(n, d, True)
+        assert (family.dim**2 < len(family)) == smaller
+        every = np.arange(len(family))[:, None]
+        dense = family.combine(every, np.ones((len(family), 1)))
+        grams = [family.gram(), family.gram(by_position=True)]
+        assert [g.shape for g in grams] == [(len(family),) * 2, (family.dim**2,) * 2]
+        assert np.array_equal(grams[0], dense.gram())
+        assert np.array_equal(grams[1], dense.gram(by_position=True))
+        ranks = {_rank(np.linalg.eigvalsh(gram)) for gram in grams}
+        assert ranks == {span_dimension(family)}
 
 
 @pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (4, 3), (5, 3), (4, 4)])
@@ -165,7 +170,7 @@ def test_averaged_families_rank_the_same_built_or_through_the_plain_gram(n, d):
     plain = generator_stack(n, d)
     families = [matrix_operators_E(plain, mu) for mu in partitions_of(n)]
     built = OperatorStack.concat(families)
-    summed = sum(v.T @ v for v in (f.data.reshape(len(f), -1) for f in families))
+    summed = sum(f.gram(by_position=True) for f in families)
     weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
                               for mu in partitions_of(n)])
     expected = algebra_dimension_formula(n, d)

@@ -1,13 +1,14 @@
-"""OperatorStack: every batched operation equals the per-pair TensorOp one.
+"""Families of operators: every batched operation equals the per-pair TensorOp one.
 
-The operands have small integer entries, so both routes are exact and the
-comparisons are entry by entry, with dense generators at (5, 2) and CSR
-ones at (3, 5) and (4, 4).  The arithmetic does not depend on the basis, so
-the cached families are built on the whole space here (``whole_space``),
-where those sizes reach the CSR storage.  The storage rule, that only
-built generators are CSR, is also checked on the transposed sector of
-(6, 3), s = 80 (``STORAGE``, whose third entry says whether the test runs
-on the whole space).
+The generator families are index lists (``GeneratorIndex``) and every
+combination of them a dense ``OperatorStack``.  The operands have small
+integer entries, so both routes are exact and the comparisons are entry by
+entry, at (5, 2), (3, 5) and (4, 4).  The arithmetic does not depend on the
+basis, so the cached families are built on the whole space here
+(``whole_space``), with 32 to 256 states.  The gathers and scatters of the
+index form are also checked on the transposed sector of (6, 3), s = 80
+(``FAMILIES``, whose third entry says whether the test runs on the whole
+space).
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from ptalgebra.algebra import AlgebraContext, AlgebraElement
-from ptalgebra.oracle import (DENSE_MAX_DIM, OperatorStack, SizeCapError,
+from ptalgebra.oracle import (GeneratorIndex, OperatorStack, SizeCapError,
                               element_operator, element_stack, generator_stack,
                               identity_operator, matrix_operators_E, perm_operator,
                               transposed_perm_operator, zero_operator)
@@ -26,7 +27,7 @@ from ptalgebra.yor import SymmetricGroupIrrep
 from whole_space import whole_space
 
 SIZES = [(5, 2), (3, 5), (4, 4)]
-STORAGE = [(3, 5, True), (4, 4, True), (6, 3, False)]
+FAMILIES = [(3, 5, True), (4, 4, True), (6, 3, False)]
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +67,11 @@ def _combination(ops, index, weights):
     return out
 
 
+def _dense(family):
+    """Every block of a generator family, gathered into a dense stack."""
+    return family.combine(np.arange(len(family))[:, None], np.ones((len(family), 1)))
+
+
 def _assert_blocks(stack, ops):
     assert len(stack) == len(ops)
     for k, op in enumerate(ops):
@@ -78,12 +84,10 @@ def test_generator_stack_is_the_generator_family(n, d, transposed):
     build = transposed_perm_operator if transposed else perm_operator
     perms = list(Permutation.all(n))
     family = generator_stack(n, d, transposed)
-    dense = d**n <= DENSE_MAX_DIM
-    assert isinstance(family.data, np.ndarray) == dense
+    assert isinstance(family, GeneratorIndex)
     _assert_blocks(family, [build(p, d) for p in perms])
     assert generator_stack(n, d, transposed) is family
-    if dense:
-        assert not family.data.flags.writeable
+    assert not family.rows.flags.writeable and not family.row_cols.flags.writeable
 
 
 def test_generator_stack_checks_the_cap():
@@ -124,20 +128,19 @@ def test_combinations_match_per_pair(n, d):
 @pytest.mark.parametrize("n,d", SIZES)
 def test_a_combination_of_every_block_in_order_is_the_gathered_product(n, d):
     # float weights, so a change in how the sums are formed shows in the last bits
+    # on the dense stack of the family and on its index form
     family = generator_stack(n, d, transposed=True)
     every = np.arange(len(family))
     weights = np.random.default_rng(19).standard_normal((5, len(family)))
-    vectors = family.data.reshape(len(family), -1)
-    if not isinstance(vectors, np.ndarray):
-        vectors = vectors.tocsr()
+    vectors = _dense(family).data.reshape(len(family), -1)
     gathered = np.reshape(weights @ vectors[every], (-1, family.dim, family.dim))
+    assert np.array_equal(_dense(family).combine(every, weights).data, gathered)
     assert np.array_equal(family.combine(every, weights).data, gathered)
 
 
 def test_a_combination_of_every_block_in_order_copies_no_block():
-    family = generator_stack(5, 2)
+    family = _dense(generator_stack(5, 2))
     count, dim = len(family), family.dim
-    assert isinstance(family.data, np.ndarray)
     weights = np.ones((2, count))
     tracemalloc.start()
     try:
@@ -180,6 +183,8 @@ def test_residuals_and_gram_match_per_pair(n, d):
     gathered = family.combine(np.arange(len(ops))[:, None], np.ones((len(ops), 1)))
     assert np.array_equal(product.residuals(gathered), expected)
     assert np.array_equal(product.residuals(), [(op @ a).max_abs() for op in ops])
+    # a zero difference reads +0.0, not -0.0, in the details of a report
+    assert not np.signbit(gathered.residuals(gathered)).any()
     gram = np.array([[(x.adjoint() @ y).trace() for y in ops] for x in ops])
     assert np.array_equal(family.gram(), gram)
 
@@ -195,52 +200,47 @@ def test_adjoint_matches_per_pair(n, d):
 
 @pytest.mark.parametrize("n,d", SIZES)
 def test_action_residuals_match_per_pair(n, d):
+    # on the dense stack of the generators, with element images and with
+    # generators of the index form as left factors
     perms = list(Permutation.all(n))
     ops = [transposed_perm_operator(p, d) for p in perms]
     family = generator_stack(n, d, transposed=True)
-    left = element_stack([_integer_element(n, d, seed) for seed in range(3)])
-    lefts = [left.op(r) for r in range(len(left))]
+    elements = element_stack([_integer_element(n, d, seed) for seed in range(3)])
+    generators = family.take([len(ops) - 1, 0, 3])
     rng = np.random.default_rng(11)
-    index = rng.integers(len(ops), size=(len(lefts), len(ops), 2))
-    weights = rng.integers(-2, 3, size=(len(lefts), len(ops), 2)).astype(float)
-    # per-row claims, and one claim shared by every row, which broadcasts
-    for row_index, row_weights in ((index, weights), (index[0], weights[0])):
-        residuals = family.action_residuals(left, row_index, row_weights)
-        assert residuals.shape == (len(lefts), len(ops))
-        row_index = np.broadcast_to(row_index, index.shape)
-        row_weights = np.broadcast_to(row_weights, weights.shape)
-        for r, a in enumerate(lefts):
-            claimed = _combination(ops, row_index[r], row_weights[r])
-            expected = [(a @ op).distance(c) for op, c in zip(ops, claimed)]
-            assert np.array_equal(residuals[r], expected)
+    half = len(ops) // 2  # the blocks as a 2 x half grid, block a half + b at (a, b)
+    column = np.arange(len(ops)).reshape(2, half).T[np.arange(len(ops)) % half]
+    for left in (elements, generators):
+        lefts = [left.op(r) for r in range(len(left))]
+        index = rng.integers(len(ops), size=(len(lefts), len(ops), 2))
+        weights = rng.integers(-2, 3, size=(len(lefts), len(ops), 2)).astype(float)
+        grid = rng.integers(-2, 3, size=(len(lefts), 2, 2)).astype(float)
+        # per-row claims, one claim shared by every row, which broadcasts, and
+        # one on the first index of the grid: block (a, b) against
+        # sum_a' grid[r, a, a'] B_(a',b), whose terms are column b of the grid
+        for claim, row_index, row_weights in (
+                ((index, weights), index, weights),
+                ((index[0], weights[0]), index[0], weights[0]),
+                ((None, grid), column, grid[:, np.arange(len(ops)) // half])):
+            residuals = _dense(family).action_residuals(left, *claim)
+            assert residuals.shape == (len(lefts), len(ops))
+            row_index = np.broadcast_to(row_index, index.shape)
+            row_weights = np.broadcast_to(row_weights, weights.shape)
+            for r, a in enumerate(lefts):
+                claimed = _combination(ops, row_index[r], row_weights[r])
+                expected = [(a @ op).distance(c) for op, c in zip(ops, claimed)]
+                assert np.array_equal(residuals[r], expected)
 
 
-@pytest.mark.parametrize("n,d", [(3, 5), (4, 4)])
-def test_action_residuals_in_chunks_of_blocks_match_one_product(monkeypatch, n, d):
-    # on the CSR side a product holds PRODUCT_CHUNK_ENTRIES / D^2 blocks:
-    # here 5 of them, so the last chunk is short at n! = 6 and 24
-    import ptalgebra.oracle as oracle
-
-    family = generator_stack(n, d, transposed=True)
-    assert not isinstance(family.data, np.ndarray)
-    left = element_stack([_integer_element(n, d, seed) for seed in range(2)])
-    rng = np.random.default_rng(3)
-    index = rng.integers(len(family), size=(2, len(family), 2))
-    weights = rng.integers(-2, 3, size=(2, len(family), 2)).astype(float)
-    whole = family.action_residuals(left, index, weights)
-    monkeypatch.setattr(oracle, "PRODUCT_CHUNK_ENTRIES", 5 * family.dim**2)
-    assert np.array_equal(family.action_residuals(left, index, weights), whole)
-
-
-@pytest.mark.parametrize("n,d,whole", STORAGE)
-def test_action_residuals_of_a_csr_left_factor_on_a_dense_stack(n, d, whole):
+@pytest.mark.parametrize("n,d,whole", FAMILIES)
+def test_action_residuals_of_a_generator_left_factor_on_a_dense_stack(n, d, whole):
     # V' = W((n-1 n))^{t_n} built on its own, as the unit check builds it, is
-    # a one-row CSR stack; it multiplies the dense blocks as a dense array
+    # a one-row index family; it gathers rows of the dense blocks
     family = generator_stack(n, d, transposed=True)
     contraction = Permutation.transposition(n, n - 1, n)
     v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n,
                                        basis=family.basis)
-    assert not isinstance(v_prime.data, np.ndarray)
+    assert isinstance(v_prime, GeneratorIndex) and len(v_prime) == 1
     stack = family.right_mul(_integer_operator(n, d, seed=2))
     blocks = stack.data
     rng = np.random.default_rng(5)
@@ -253,14 +253,12 @@ def test_action_residuals_of_a_csr_left_factor_on_a_dense_stack(n, d, whole):
     assert np.array_equal(stack.action_residuals(v_prime, index, weights), [expected])
 
 
-@pytest.mark.parametrize("n,d,whole", STORAGE)
-def test_only_built_generators_are_csr(n, d, whole):
+@pytest.mark.parametrize("n,d,whole", FAMILIES)
+def test_every_result_on_a_generator_family_is_a_dense_stack(n, d, whole):
     family = generator_stack(n, d, transposed=True)
     count, dim = len(family), family.dim
-    assert dim > DENSE_MAX_DIM and not isinstance(family.data, np.ndarray)
     one = family.op(1)
-    assert not isinstance(one.matrix, np.ndarray)
-    assert not isinstance(family.adjoint().data, np.ndarray)
+    assert type(one.matrix) is np.ndarray and one.matrix.shape == (dim, dim)
     rng = np.random.default_rng(13)
     index, weights = rng.integers(count, size=(3, 2)), rng.standard_normal((3, 2))
     image = element_operator(_integer_element(n, d, seed=4))
@@ -272,13 +270,16 @@ def test_only_built_generators_are_csr(n, d, whole):
         assert type(stack.data) is np.ndarray and stack.data.shape[1:] == (dim, dim)
     ops = [identity_operator(n, d, basis=family.basis), image, one - image,
            image - one, one + image, one @ image, image @ one, one @ one, 2.0 * one]
-    for op in ops:  # arithmetic on a CSR generator is never np.matrix or CSR
+    for op in ops:  # arithmetic on a generator is never np.matrix
         assert type(op.matrix) is np.ndarray and op.matrix.shape == (dim, dim)
     assert np.array_equal((one - image).matrix, one.dense() - image.matrix)
+    adjoint = family.adjoint()
+    assert isinstance(adjoint, GeneratorIndex)
+    _assert_blocks(adjoint.take([1, 0]), [one.adjoint(), family.op(0).adjoint()])
 
 
-@pytest.mark.parametrize("n,d,whole", STORAGE)
-def test_a_per_row_combination_of_csr_generators_is_their_term_by_term_sum(n, d, whole):
+@pytest.mark.parametrize("n,d,whole", FAMILIES)
+def test_a_per_row_combination_of_generators_is_their_term_by_term_sum(n, d, whole):
     # float weights, so the order of the additions shows in the last bits
     family = generator_stack(n, d, transposed=True)
     rng = np.random.default_rng(17)

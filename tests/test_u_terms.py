@@ -69,7 +69,7 @@ def test_unit_of_m_at_n7_has_every_transposed_term():
 
 @pytest.mark.parametrize("n,d", [(5, 2), (3, 5)])
 def test_u_stack_matches_the_element_images(n, d):
-    # (5, 2) is held dense and (3, 5) as a CSR block row
+    # generators with up to two ones in a row at (5, 2), and five at (3, 5)
     ctx = AlgebraContext(n, d)
     for alpha in partitions_of(n - 2):
         stack, w = checks._u_stack(alpha, ctx, None), alpha.hook_dimension()
