@@ -30,13 +30,13 @@ of the main ideal at once as arrays; ``u_element`` is one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 import numpy as np
 
 from .dpoly import DPoly
-from .partitions import Partition
+from .partitions import LABEL_MEMO_SIZE, Partition
 from .permutations import Permutation, image_array, lehmer_rank
 from .yor import averaging_weights
 
@@ -268,17 +268,18 @@ class AlgebraElement:
         if isinstance(other, (int, float, DPoly)):
             return self.scale(other)
         self._check(other)
-        right = list(other.terms.items())
-        right_images = np.array([rho.images for rho, _c in right],
-                                dtype=np.intp).reshape(len(right), self.ctx.n) - 1
+        n = self.ctx.n
+        left, right = (np.array([perm.images for perm in elem.terms], dtype=np.intp
+                                ).reshape(len(elem.terms), n) - 1 for elem in (self, other))
+        # every (sigma, rho) pair in one call, sigma by sigma and rho by rho
+        powers, images = mul_generators(left[:, None], right[None])
+        pairs = ((c1, c2) for c1 in self.terms.values() for c2 in other.terms.values())
         terms: dict[Permutation, object] = {}
-        for sigma, c1 in self.terms.items():
-            powers, images = mul_generators(np.array(sigma.images) - 1, right_images)
-            for (_rho, c2), power, row in zip(right, powers.tolist(),
-                                              (images + 1).tolist()):
-                result = Permutation(row)
-                coeff = c1 * c2 * self.ctx.d_power(power)
-                terms[result] = terms.get(result, 0) + coeff
+        for (c1, c2), power, row in zip(pairs, powers.ravel().tolist(),
+                                        (images.reshape(-1, n) + 1).tolist()):
+            result = Permutation(row)
+            coeff = c1 * c2 * self.ctx.d_power(power)
+            terms[result] = terms.get(result, 0) + coeff
         return AlgebraElement(self.ctx, terms)
 
     def adjoint(self) -> "AlgebraElement":
@@ -330,15 +331,26 @@ class AlgebraElement:
         return " + ".join(chunks)
 
 
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
 def u_terms(alpha: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every u term of alpha as arrays over sigma_s in S(n-2), in
     ``Permutation.all`` order: u_{ij}^{ab} = sum_s weights[i-1, j-1, s]
     W(images[a-1, b-1, s]), where ``images`` (shape (n-1, n-1, (n-2)!, n))
     holds the 0-based images of (a n)(a n-1) sigma_s (b n-1) and ``weights``
     is ``averaging_weights`` over S(n-2).  The images do not depend on
-    alpha; they are the permutations that move n, each once."""
+    alpha; they are the permutations that move n, each once, one array per
+    n shared by every alpha.  Both are read-only, built once per (alpha, n)
+    and shared by every caller (at most ``LABEL_MEMO_SIZE`` labels held)."""
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
+    weights = averaging_weights(alpha)
+    weights.flags.writeable = False
+    return _u_images(n), weights
+
+
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
+def _u_images(n: int) -> np.ndarray:
+    """The images of ``u_terms``, read-only."""
     points, x = np.arange(n), np.arange(n - 1)[:, None]
 
     def swaps(y):  # row x: the 0-based transposition (x y)
@@ -347,7 +359,8 @@ def u_terms(alpha: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     left = np.take_along_axis(swaps(n - 1), swaps(n - 2), axis=1)  # (a n)(a n-1)
     sigma = np.hstack([image_array(n - 2), np.full((factorial(n - 2), 2), [n - 2, n - 1])])
     images = left[x[:, :, None, None], sigma[:, swaps(n - 2)].transpose(1, 0, 2)]
-    return images, averaging_weights(alpha)
+    images.flags.writeable = False
+    return images
 
 
 def u_element(alpha: Partition, a: int, b: int, i: int, j: int,

@@ -8,14 +8,17 @@ branch on how it stores them: a claim about left factors is one
 ``action_residuals`` call whose left factors are the blocks of a family
 the check already holds, a dense stack or generators as index lists, and
 whose right-hand sides are arrays.
-Such a claim needs no row per left factor: the left actions of the u
-family run on the n-1 generators of the algebra, and compose along the
-word of every sigma on the abstract side, and the law
-x_IJ x_KL = A_JK x_IL of the u, E and f families on 2s pivot rows of its
-s^2 left factors (``_x_claim``).  The families live on the oracle's balanced
-sectors.  Only the adjoint check (all of S(n), one batch), the unit check
-(V', one row) and the norms of the matrix operators (S(n-2) on a sector per
-weight orbit) build generators apart from the cached families.  The law and
+Such a claim needs no row per left factor.  The law x_IJ x_KL = A_JK x_IL
+of the u, E and f families runs on its 2 s^2 pivot pairs x_I0 x_0J and
+x_0J x_K0, not on all s^4 pairs (``_x_claim``, one
+``OperatorStack.law_residuals`` call); the left actions of the u family and
+the covariance of the E families run on the pivot column x_.0 only, which
+the law carries to every column.  The u left actions run on the n-1
+generators of the algebra and compose along the word of every sigma on the
+abstract side.  The families live on the oracle's balanced sectors.  Only
+the adjoint check (all of S(n), one batch), the unit check (V', one row)
+and the norms of the matrix operators (S(n-2) on a sector per weight orbit)
+build generators apart from the cached families.  The law and
 associativity are checked exactly on the oracle's integer index form,
 so their residuals are integers (0 on a pass, at least 1 on a fail) judged
 against ``ORACLE_TOL``; the adjoint check ties that form to the generator
@@ -26,6 +29,15 @@ along the words of ``generator_words`` is the premise of the induction
 that extends them to every pair.  All three read the law off whole rows
 of ``algebra.law_rows``, a flagged pair off the row of its left factor,
 so the sweep and the checks it vouches for read one law.
+
+The per-label data that several checks read is built once per process:
+Q(alpha) at d (``induced.q_matrix``), Z(alpha) (``induced.z_matrix``) and
+the u terms (``algebra.u_terms``) are memos of read-only arrays, each
+holding ``partitions.LABEL_MEMO_SIZE`` labels.  Their largest entries at
+n = 10, for alpha = (4,2,1,1) of dimension 90: Q and Z 810^2 floats, 5.2 MB
+each; the u weights 90^2 x 8! floats, 2.6 GB, beside one 261 MB array of
+u images per n that every alpha shares.  ``averaging_weights`` is not
+memoized: for a mu of n it is as large at n = 8 (2.6 GB at (8, 2)).
 """
 
 from __future__ import annotations
@@ -285,28 +297,33 @@ def _u_name(block: int, w: int, m: int) -> str:
 def _x_claim(x: OperatorStack, a_matrix: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the law x_IJ x_KL = A_JK x_IL on a stack of s^2 blocks,
-    x_IJ at block I s + J, on 2s left factors: the ``(2s,)`` blocks of the
-    left factors and their ``(2s, s^2)`` ``action_residuals``.
+    x_IJ at block I s + J, on its 2 s^2 pivot pairs: the ``(2 s^2, 2)``
+    blocks (left, right) of the pairs and their ``(2 s^2,)`` residuals, one
+    ``OperatorStack.law_residuals`` call.
 
-    The left factors are x_IJ0 for every I and x_J0J for every J, with
-    the pivot J0 = 0, each against every block; a = A_00 must be nonzero,
-    as it is for every caller (A = Q(alpha) has diagonal d, the E and f
-    families have A = 1).  These rows give the whole law:
-    x_IJ0 x_J0J = a x_IJ writes every block as a product, so
-    x_IJ x_KL = x_IJ0 (x_J0J x_KJ0) x_J0L / a^2 = A_JK x_IJ0 x_J0J0 x_J0L / a^2
-    = A_JK x_IJ0 x_J0L / a = A_JK x_IL, by the rows of x_J0J, then x_IJ0.
+    With the pivot 0, the pairs are x_I0 x_0J = a x_IJ for every I, J and
+    x_0J x_K0 = A_JK x_00 for every J, K; a = A_00 must be nonzero, as it
+    is for every caller (A = Q(alpha) has diagonal d, the E and f families
+    have A = 1).  Every block is the target of one pair of the first kind.
+    These pairs give the whole law: the first writes every block as a
+    product, x_IJ = x_I0 x_0J / a, so
+    x_IJ x_KL = x_I0 (x_0J x_K0) x_0L / a^2 = A_JK x_I0 (x_00 x_0L) / a^2
+    = A_JK x_I0 x_0L / a = A_JK x_IL, by the second kind, then the first
+    twice.  A left action W x_I0 = sum_I' L[I', I] x_I'0 on the pivot column
+    gives it on every column: W x_IJ = (W x_I0) x_0J / a
+    = sum_I' L[I', I] x_I'0 x_0J / a = sum_I' L[I', I] x_I'J.  For the u
+    family, A = Q(alpha) is the shared read-only array of the memo of
+    ``induced.q_matrix`` (5.2 MB for the largest alpha at n = 10).
     """
     s = len(a_matrix)
-    if a_matrix[0, 0] == 0:
+    a = a_matrix[0, 0]
+    if a == 0:
         raise ValueError("the law x_IJ x_KL = A_JK x_IL needs a nonzero A_00")
-    k = np.arange(s)
-    rows = np.concatenate([k * s, k])
-    i, j = np.divmod(rows, s)
-    ks, ls = np.divmod(np.arange(s * s), s)
-    index = (i[:, None] * s + ls)[..., None]
-    weights = a_matrix[j[:, None], ks][..., None]
-    left = x.take(rows)
-    return rows, x.action_residuals(left, index, weights)
+    i, j = np.divmod(np.arange(s * s), s)
+    pairs = np.concatenate([np.stack([i * s, j], axis=1), np.stack([i, j * s], axis=1)])
+    target = np.concatenate([np.arange(s * s), np.zeros(s * s, dtype=np.intp)])
+    scale = np.concatenate([np.full(s * s, a), np.ravel(a_matrix)])
+    return pairs, x.law_residuals(pairs[:, 0], pairs[:, 1], scale, target)
 
 
 def _left_action(images: np.ndarray, d: int
@@ -350,13 +367,15 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     u_ij^ab(alpha) u_kl^pq(beta) = delta_{alpha beta} Q_jk^bp u_il^aq(alpha),
     with Q_jk^bp = Q(alpha)[(b, j), (p, k)] and no delta over the cosets
     a, b: on the u stacks, held as the family x of ``reduction``, this is
-    the law of ``_x_claim`` with A = Q(alpha), on 2s left u.
+    the law of ``_x_claim`` with A = Q(alpha), on its 2 s^2 pivot pairs.
 
     Then the left actions W(sigma) x_IJ = sum_I' L_sigma[I', I] x_I'J, where
     ``_left_action`` gives the s x s map L_sigma on the left index
     I = (p, k), that is W(sigma) U = U L_sigma on the row U of the x_.J.
-    The oracle checks W(g) U = U L_g only for the n-1 generators g of
-    ``generator_words``, one ``action_residuals`` row each; the abstract
+    The oracle checks them on the pivot column x_.0, which the law carries
+    to every column (``_x_claim``), and W(g) U = U L_g only for the n-1
+    generators g of ``generator_words``, one ``action_residuals`` row each
+    on the s blocks of that column; the abstract
     side checks L_e = 1 and L_sigma = L_g L_sigma' for every other sigma,
     along its word W(sigma) = W(g) W(sigma') with power 0, and names the
     sigma with the worst residual.  Together they give the claim for every
@@ -373,13 +392,13 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     same = alpha == beta
     u_a = _u_stack(alpha, ctx, cap)
     if same:
-        rows, products = _x_claim(u_a, q_matrix(alpha, d, n))
+        pairs, products = _x_claim(u_a, q_matrix(alpha, d, n))
+        worst, (p,) = _worst(products)
+        left, right = pairs[p]
     else:
-        rows = np.arange(len(u_a))
-        products = _u_stack(beta, ctx, cap).action_residuals(
-            u_a, np.zeros(0, int), np.zeros(0))
-    worst, (s, r) = _worst(products)
-    culprit = f"{_u_name(rows[s], w, m)} * {_u_name(r, beta.hook_dimension(), m)}"
+        worst, (left, right) = _worst(_u_stack(beta, ctx, cap).action_residuals(
+            u_a, np.zeros(0, int), np.zeros(0)))
+    culprit = f"{_u_name(left, w, m)} * {_u_name(right, beta.hook_dimension(), m)}"
 
     if same:
         images = image_array(n)
@@ -393,12 +412,15 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
         maps[np.arange(len(images))[:, None], target, :, np.arange(m), :] = (
             scaled.transpose(0, 1, 3, 2))
         maps = maps.reshape(len(images), m * w, m * w)
-        # row g: W(g) x_IJ = sum_I' L_g[I', I] x_I'J, L_g^T on the index I
-        left = generator_stack(n, d, True, cap).take(generators)
-        value, (g, r) = _worst(
-            u_a.action_residuals(left, None, maps[generators].transpose(0, 2, 1)))
+        # row g: W(g) x_I0 = sum_I' L_g[I', I] x_I'0, L_g^T on the index I
+        size = m * w
+        column = u_a.take(np.arange(size) * size)
+        value, (g, r) = _worst(column.action_residuals(
+            generator_stack(n, d, True, cap).take(generators), None,
+            maps[generators].transpose(0, 2, 1)))
         if value > worst:
-            worst, culprit = value, f"{_perm(images[generators[g]])} * {_u_name(r, w, m)}"
+            worst, culprit = value, (f"{_perm(images[generators[g]])} * "
+                                     f"{_u_name(r * size, w, m)}")
         composed = np.concatenate([np.eye(m * w)[None],
                                    maps[first[1:]] @ maps[rest[1:]]])
         value, (c,) = _worst(np.abs(maps - composed).max(axis=(1, 2)))
@@ -610,8 +632,10 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     orthogonality/multiplicity relation, the composition rule, and column
     covariance.  The families E^alpha are stacks of w^2 operators E_ij,
     block (i-1) w + j-1, so the composition rule E_ij E_kl = delta_jk E_il
-    is the law of ``_x_claim`` with A = I_w, on 2w pivot rows; each other
-    claim is one product or one combination per row.
+    is the law of ``_x_claim`` with A = I_w, on its 2 w^2 pivot pairs, and
+    the covariance D(h) E_ij = sum_k phi_ki(h) E_kj is checked on the pivot
+    column E_i1, one row per h in S(n-2), which the law carries to every
+    column; each other claim is one product or one combination per row.
     """
     plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
@@ -662,19 +686,19 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
         w = phi.dim
         i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
         # E_ij E_kl = delta_jk E_il
-        rows, products = _x_claim(family, np.eye(w))
-        value, (s, r) = _worst(products)
-        s = rows[s]
+        pairs, products = _x_claim(family, np.eye(w))
+        value, (p,) = _worst(products)
         if value > worst:
-            worst, culprit = value, (f"{e_name((alpha, i[s] + 1, j[s] + 1))} "
-                                     f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
-        # D(h) E_ij = sum_k phi_ki(h) E_kj, phi(h)^T on the index i, one row
-        # per generator D(h)
-        covariance = family.action_residuals(generators, None, stack.transpose(0, 2, 1))
-        value, (h, r) = _worst(covariance)
+            left, right = pairs[p]
+            worst, culprit = value, (f"{e_name((alpha, i[left] + 1, j[left] + 1))} "
+                                     f"{e_name((alpha, i[right] + 1, j[right] + 1))}")
+        # D(h) E_i1 = sum_k phi_ki(h) E_k1, phi(h)^T on the index i, one row
+        # per D(h), on the pivot column (``_x_claim``)
+        column = family.take(np.arange(w) * w)
+        value, (h, r) = _worst(
+            column.action_residuals(generators, None, stack.transpose(0, 2, 1)))
         if value > worst:
-            worst, culprit = value, (f"D({_perm(group[h])}) "
-                                     f"{e_name((alpha, i[r] + 1, j[r] + 1))}")
+            worst, culprit = value, f"D({_perm(group[h])}) {e_name((alpha, r + 1, 1))}"
 
     return _report("matrix_operators", {"n": n, "d": d}, worst, APPC_TOL,
                    culprit=culprit)
@@ -688,8 +712,8 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
     of every y and f over its blocks as they stand.  The null y are one
     combination of the u stack, checked to vanish, and the f another,
     checked to satisfy f_sr f_tu = delta_rt f_su: the law of ``_x_claim``
-    with A = I_rank, on the 2 rank pivot rows f_s1 and f_1r.  A failure
-    names its worst null y label or f pair (1-based).
+    with A = I_rank, on its 2 rank^2 pivot pairs f_s1 f_1r and f_1r f_t1.
+    A failure names its worst null y label or f pair (1-based).
     """
     from .reduction import xa_reduce
 
@@ -717,10 +741,10 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
             worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
         units = u.combine(x, reduced.f)
         rank = reduced.rank
-        rows, products = _x_claim(units, np.eye(rank))
-        value, (left, right) = _worst(products)
+        pairs, products = _x_claim(units, np.eye(rank))
+        value, (p,) = _worst(products)
         if value > worst:
-            (s, r), (t, v) = divmod(rows[left], rank), divmod(right, rank)
+            (s, r), (t, v) = (divmod(int(k), rank) for k in pairs[p])
             worst, culprit = value, (f"{alpha}: f_({s + 1},{r + 1}) * "
                                      f"f_({t + 1},{v + 1})")
         details.append(f"{alpha}: rank {rank}")

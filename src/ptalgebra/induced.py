@@ -23,12 +23,13 @@ S(n-1), built one inversion count at a time for the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .dpoly import DPoly
-from .partitions import Partition, add_box
+from .partitions import LABEL_MEMO_SIZE, Partition, add_box
 from .permutations import Permutation, degree
 from .yor import descent_image, irrep, transposition_character_frobenius
 
@@ -84,8 +85,10 @@ class InducedRep:
         return descent_image(sigma, self._adjacent, self.block_dim)
 
 
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
 def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:
-    """Q(alpha) at numeric d.
+    """Q(alpha) at numeric d: read-only, built once per (alpha, d, n) and
+    shared by every caller (at most ``LABEL_MEMO_SIZE`` of them held).
 
     With m = n-1 the (a, b) block is phi[(a m)(a b)(b m)]; the word fixes
     m, so phi (an irrep of S(m-1)) sees its restriction.  For a = b the
@@ -103,6 +106,7 @@ def q_matrix(alpha: Partition, d: float, n: int) -> np.ndarray:
                        * Permutation.transposition(m, b, m))
                 block = phi.image(tau.restrict(m - 1))
                 out[(a - 1) * w:a * w, (b - 1) * w:b * w] = block
+    out.flags.writeable = False
     return out
 
 
@@ -185,8 +189,18 @@ def z_matrix(alpha: Partition, n: int) -> tuple[np.ndarray, list[tuple[Partition
     psi_nu(sigma).  The block sign is fixed by making the first nonzero
     entry of the leading column positive.
 
-    Returns (Z, column labels).  Z does not depend on d.
+    Returns (Z, column labels).  Z does not depend on d; it is read-only,
+    built once per (alpha, n) and shared by every caller (at most
+    ``LABEL_MEMO_SIZE`` of them held).
     """
+    z, labels = _reducing_matrix(alpha, n)
+    return z, list(labels)
+
+
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
+def _reducing_matrix(alpha: Partition, n: int
+                     ) -> tuple[np.ndarray, tuple[tuple[Partition, int], ...]]:
+    """The memo of ``z_matrix``: Z read-only, the labels a tuple."""
     if alpha.weight != n - 2:
         raise ValueError(f"alpha must have weight {n - 2}")
     m = n - 1
@@ -204,7 +218,9 @@ def z_matrix(alpha: Partition, n: int) -> tuple[np.ndarray, list[tuple[Partition
             block = -block
         blocks.append(block)
         labels.extend((nu, j) for j in range(1, psi.dim + 1))
-    return np.hstack(blocks), labels
+    z = np.hstack(blocks)
+    z.flags.writeable = False
+    return z, tuple(labels)
 
 
 @dataclass

@@ -11,6 +11,11 @@ from functools import cache, total_ordering
 from math import factorial
 from typing import Iterable
 
+# Labels that each per-label memo holds (``induced.q_matrix``,
+# ``induced.z_matrix``, ``algebra.u_terms``): every partition of n - 2 up to
+# n = 9 (p(7) = 15), so that one suite builds each of them once.
+LABEL_MEMO_SIZE = 16
+
 
 @total_ordering
 class Partition:

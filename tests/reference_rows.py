@@ -3,10 +3,11 @@ the irreps on every pair of generators.
 
 Independent references for the generator-row forms of ``ptalgebra.checks``:
 ``check_u_structure`` checks the left actions on the oracle for the n-1
-generators only, ``_x_claim`` the law x_IJ x_KL = A_JK x_IL on 2s left
-factors, and ``check_irreps`` the homomorphism on the n-1 generator rows
-and the pairs that ``law_sweep`` flags.  Here every sigma in S(n), every
-left block and every pair is its own row, with no word and no pivot.  The
+generators only, on the pivot column x_.0, ``_x_claim`` the law
+x_IJ x_KL = A_JK x_IL on its 2 s^2 pivot pairs, and ``check_irreps`` the
+homomorphism on the n-1 generator rows and the pairs that ``law_sweep``
+flags.  Here every sigma in S(n), every block and every pair is its own
+row or entry, with no word and no pivot.  The
 left action of one sigma is also written on ``Permutation`` objects, as a
 reference for the array form of ``checks._left_action``, and
 ``word_lengths`` reads the length of every word of ``generator_words``.

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_rows import word_lengths
@@ -130,6 +131,51 @@ def test_zero_pruning():
     x = gen(ctx, [(1, 3)])
     assert (x - x).is_zero()
     assert (x - x).terms == {}
+
+
+def _product_term_by_term(x, y):
+    """x y with one product of generators at a time, left term by left term
+    and right term by right term, summed in that order."""
+    terms = {}
+    for sigma, c1 in x.terms.items():
+        for rho, c2 in y.terms.items():
+            power, result = mul_generators(sigma, rho)
+            terms[result] = terms.get(result, 0) + c1 * c2 * x.ctx.d_power(power)
+    return terms
+
+
+@pytest.mark.parametrize("d", [3, None])
+def test_an_element_product_is_one_law_call_with_the_terms_of_every_pair(
+        monkeypatch, d):
+    # products that land on one permutation add up in (left, right) order,
+    # so the terms come in that order and every coefficient has the same bits
+    import ptalgebra.algebra as algebra
+
+    ctx, n = AlgebraContext(4, d), 4
+    perms = list(Permutation.all(n))
+    x = AlgebraElement(ctx, {perms[k]: c for k, c in
+                             [(23, 0.3), (5, -1.7), (17, 0.1), (0, 2.9), (11, 1 / 3)]})
+    y = AlgebraElement(ctx, {perms[k]: c for k, c in
+                             [(7, 1.1), (23, -0.7), (3, 0.45), (19, 1 / 7)]})
+    if d is None:
+        x, y = x.scale(DPoly((1, 2))), y.scale(DPoly((-1, 0, 3)))
+    calls, real = [], algebra.mul_generators
+
+    def spy(sigma, rho):
+        calls.append((np.shape(sigma), np.shape(rho)))
+        return real(sigma, rho)
+
+    monkeypatch.setattr(algebra, "mul_generators", spy)
+    product = x * y
+    assert calls == [((5, 1, n), (1, 4, n))]
+    monkeypatch.setattr(algebra, "mul_generators", real)
+    expected = _product_term_by_term(x, y)
+    assert len(expected) < 20  # some products share a permutation
+    assert list(product.terms) == list(expected)
+    for perm, coeff in expected.items():
+        assert product.terms[perm] == coeff and str(product.terms[perm]) == str(coeff)
+    assert (x * AlgebraElement.zero(ctx)).is_zero()
+    assert (AlgebraElement.zero(ctx) * y).is_zero()
 
 
 perm3 = st.sampled_from([p for p in Permutation.all(3)])

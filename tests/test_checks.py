@@ -461,9 +461,9 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
     from ptalgebra.oracle import OperatorStack, element_operator
 
     # 1.5 u^23_12 (block ((2-1) w + 0) (n-1) w + (3-1) w + 1 with w = 2)
-    # breaks every law row that reads it, as a factor or on the right-hand
-    # side; the left factors are 2s pivot rows, so the named product need
-    # not hold the planted u, but it misses by the reported residual
+    # breaks every law pair that reads it, as a factor or on the right-hand
+    # side; the named product, whichever pivot pair it is, misses by the
+    # reported residual
     n, d, alpha, block = 5, 2, Partition([2, 1]), 21
     planted_label, w = (2, 3, 1, 2), alpha.hook_dimension()
     real = checks._u_stack
@@ -492,6 +492,101 @@ def test_u_structure_names_a_product_of_the_planted_u(monkeypatch):
         pytest.approx(report.max_residual)
     # the all-pairs reference fails too
     assert reference_u_structure(alpha, n, d) >= HOM_TOL
+
+
+def _scaled_block(stack, block):
+    """A copy of an OperatorStack with one block scaled by 1.5."""
+    from ptalgebra.oracle import OperatorStack
+
+    data = stack.data.copy()
+    data[block] *= 1.5
+    return OperatorStack(stack.n, stack.d, data, stack.basis)
+
+
+@pytest.mark.parametrize("family", ["u", "E", "f"])
+def test_a_planted_off_pivot_block_is_named_by_the_pivot_pair_that_targets_it(
+        monkeypatch, family):
+    # 1.5 x_IJ with I, J != 0: no pivot pair holds x_IJ as a factor, and the
+    # left actions and the covariance read the pivot column x_.0 only, so
+    # only x_I0 x_0J = A_00 x_IJ fails, by 0.5 A_00 max |x_IJ|
+    import dataclasses
+
+    import ptalgebra.checks as checks
+    import ptalgebra.reduction as reduction
+    from ptalgebra.algebra import AlgebraContext
+    from ptalgebra.induced import q_matrix
+
+    if family == "u":  # s = 8; x_25 = u^23_12, as in the test above
+        n, d, alpha, (i, j) = 5, 2, Partition([2, 1]), (2, 5)
+        size, real = 8, checks._u_stack
+        x = real(alpha, AlgebraContext(n, d), None).data[i * size + j]
+        monkeypatch.setattr(checks, "_u_stack", lambda beta, ctx, cap: _scaled_block(
+            real(beta, ctx, cap), i * size + j))
+        report, scale = check_u_structure(alpha, alpha, n, d), d
+        pair = "u^21_11 * u^13_12"
+    elif family == "E":  # E^(3,1)_23: no phi_23(g) is +-1, so (I) misses by less
+        n, d, alpha, (i, j) = 6, 2, Partition([3, 1]), (1, 2)
+        size, real, built = 3, checks.matrix_operators_E, []
+
+        def planted(images, beta):
+            family = real(images, beta)
+            if beta != alpha or built:  # the family of the check, not a norm's
+                return family
+            built.append(family.data[i * size + j])
+            return _scaled_block(family, i * size + j)
+
+        monkeypatch.setattr(checks, "matrix_operators_E", planted)
+        report, scale = check_matrix_operators(n, d), 1
+        x, pair = built[0], "E^3,1_21 E^3,1_13"
+    else:  # f_(2,3) of alpha = (2, 1), rank 5
+        n, d, alpha, (i, j) = 5, 2, Partition([2, 1]), (1, 2)
+        real = reduction.xa_reduce
+        reduced = real(q_matrix(alpha, d, n))
+        size = reduced.rank
+        units = checks._u_stack(alpha, AlgebraContext(n, d), None).combine(
+            np.arange(len(reduced.f[0])), reduced.f)
+        x = units.data[i * size + j]
+
+        def planted(a_matrix):
+            out = real(a_matrix)
+            if not np.array_equal(a_matrix, reduced_q):
+                return out
+            f = out.f.copy()
+            f[i * size + j] *= 1.5
+            return dataclasses.replace(out, f=f)
+
+        reduced_q = q_matrix(alpha, d, n)
+        monkeypatch.setattr(reduction, "xa_reduce", planted)
+        report, scale = check_reduced_matrix_units(n, d), 1
+        pair = f"{alpha}: f_(2,1) * f_(1,3)"
+    assert report.passed is False
+    assert report.details.startswith(f"worst at {pair}")
+    assert report.max_residual == pytest.approx(0.5 * scale * np.abs(x).max())
+
+
+def test_u_structure_fails_a_planted_left_action_on_the_pivot_column(monkeypatch):
+    # every tau conjugated by c = (12) in S(n-2): L'_sigma = C L_sigma C with
+    # C = 1 (x) phi(c), still L'_1 = 1 and L'_sigma = L'_g L'_sigma', so the
+    # abstract side passes; the oracle rows of the generators fail, and they
+    # read the pivot column u^a1_i1 only
+    import ptalgebra.checks as checks
+    from ptalgebra.algebra import generator_words
+    from ptalgebra.permutations import image_array, lehmer_rank
+
+    n, d, alpha = 5, 2, Partition([2, 1])
+    real, c = checks._left_action, np.array([1, 0, 2])
+
+    def conjugated(images, d_):
+        target, scale, tau = real(images, d_)
+        return target, scale, lehmer_rank(c[image_array(n - 2)[tau][..., c]])
+
+    monkeypatch.setattr(checks, "_left_action", conjugated)
+    report = check_u_structure(alpha, alpha, n, d)
+    assert report.passed is False and report.max_residual > 0.1
+    sigma, u = report.details.removeprefix("worst at ").split(" * ")
+    perms = list(Permutation.all(n))
+    assert perms.index(Permutation.parse(sigma, n)) in generator_words(n)[0]
+    assert u[3] == u[6] == "1"  # u^a1_i1
 
 
 def test_u_structure_names_the_sigma_of_a_planted_left_action(monkeypatch):
@@ -719,8 +814,9 @@ def test_left_action_matches_the_permutation_form(n):
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("d", range(1, 4))
 def test_generator_rows_agree_with_every_row(n, d):
-    # the pivot rows of the law are rows of the all-pairs reference, bitwise,
-    # for the u, E and f families; the u verdicts agree with every sigma
+    # the pivot pairs of the law are entries of the all-pairs reference,
+    # bitwise, for the u, E and f families: x_I0 x_0J for every (I, J) and
+    # x_0J x_K0 for every (J, K); the u verdicts agree with every sigma
     import ptalgebra.checks as checks
     from ptalgebra.algebra import AlgebraContext
     from ptalgebra.induced import q_matrix
@@ -728,9 +824,12 @@ def test_generator_rows_agree_with_every_row(n, d):
     from ptalgebra.reduction import xa_reduce
 
     def same_rows(x, a_matrix):
-        rows, residuals = checks._x_claim(x, a_matrix)
-        assert len(rows) == 2 * len(a_matrix)
-        assert np.array_equal(residuals, reference_x_law(x, a_matrix)[rows])
+        s = len(a_matrix)
+        pairs, residuals = checks._x_claim(x, a_matrix)
+        i, j = np.divmod(np.arange(s * s), s)
+        assert np.array_equal(pairs, np.concatenate([np.stack([i * s, j], axis=1),
+                                                     np.stack([i, j * s], axis=1)]))
+        assert np.array_equal(residuals, reference_x_law(x, a_matrix)[tuple(pairs.T)])
 
     for alpha in block_labels(n, d)[0]:
         report = check_u_structure(alpha, alpha, n, d)
@@ -747,8 +846,10 @@ def test_generator_rows_agree_with_every_row(n, d):
 
 
 def test_claims_are_checked_on_generator_rows(monkeypatch):
-    # n-1 left factors for the u actions and 2s for each law x_IJ x_KL =
-    # A_JK x_IL, against all s^2 blocks: no check goes back to every row
+    # each law x_IJ x_KL = A_JK x_IL on its 2s^2 pivot pairs, one
+    # law_residuals call; the n-1 generator rows of the u actions and the
+    # S(n-2) rows of the covariance on the pivot column x_.0 of s blocks:
+    # no check goes back to every row or every block
     import math
 
     from ptalgebra.induced import q_matrix
@@ -756,26 +857,37 @@ def test_claims_are_checked_on_generator_rows(monkeypatch):
     from ptalgebra.reduction import xa_reduce
 
     calls, real = [], OperatorStack.action_residuals
+    laws, real_law = [], OperatorStack.law_residuals
 
     def spy(self, left, index, weights):
         calls.append((len(left), len(self)))
         return real(self, left, index, weights)
 
+    def law_spy(self, left, right, scale, target):
+        laws.append((len(left), len(self)))
+        return real_law(self, left, right, scale, target)
+
     monkeypatch.setattr(OperatorStack, "action_residuals", spy)
+    monkeypatch.setattr(OperatorStack, "law_residuals", law_spy)
     n, d = 5, 2
     alphas = block_labels(n, d)[0]
     for alpha in alphas:
         calls.clear()
+        laws.clear()
         assert check_u_structure(alpha, alpha, n, d).passed
         s = (n - 1) * alpha.hook_dimension()
-        assert calls == [(2 * s, s * s), (n - 1, s * s)]
+        assert calls == [(n - 1, s)]
+        assert laws == [(2 * s * s, s * s)]
     calls.clear()
+    laws.clear()
     assert check_reduced_matrix_units(n, d).passed
     ranks = [xa_reduce(q_matrix(alpha, d, n)).rank for alpha in alphas]
-    assert calls == [(2 * rank, rank * rank) for rank in ranks]
+    assert calls == []
+    assert laws == [(2 * rank * rank, rank * rank) for rank in ranks]
     calls.clear()
+    laws.clear()
     assert check_matrix_operators(n, d).passed
     group = math.factorial(n - 2)
-    assert calls == [row for alpha in partitions_of(n - 2)
-                     for w in [alpha.hook_dimension()]
-                     for row in ((2 * w, w * w), (group, w * w))]
+    ws = [alpha.hook_dimension() for alpha in partitions_of(n - 2)]
+    assert calls == [(group, w) for w in ws]
+    assert laws == [(2 * w * w, w * w) for w in ws]

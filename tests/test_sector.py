@@ -4,7 +4,7 @@ Every claim that is linear in the algebra holds on the balanced sector iff
 it holds on the whole space, so the checks give the same verdicts and the
 same span ranks on both.  A sector that misses a block shows as a rank
 shortfall in ``check_dimensions``.  The span rank reads the smaller of the
-two Gram forms, and verify at (7, 2) fits a tier-1 budget.
+two Gram forms, and verify at (7, 2) and at (6, 4) fit a tier-1 budget.
 """
 
 import contextlib
@@ -210,4 +210,13 @@ def test_verify_dims_at_7_2_fits_the_frontier_budget():
     code = ("from ptalgebra.cli import main\n"
             "main(['verify', '--n', '7', '--d', '2', '--suite', 'dims'])\n")
     result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=3 * 2**30, timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_verify_all_at_6_4_fits_the_frontier_budget():
+    # 3 GB of address space and 15 s, one BLAS thread: every law on its
+    # pivot pairs, every left action on the pivot column
+    code = ("from ptalgebra.cli import main\n"
+            "main(['verify', '--n', '6', '--d', '4', '--suite', 'all'])\n")
+    result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=3 * 2**30, timeout=15)
     assert result.returncode == 0, result.stdout + result.stderr

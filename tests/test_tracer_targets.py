@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import ptalgebra.algebra as algebra
+import ptalgebra.induced as induced
 from ptalgebra.cli import main
 from ptalgebra.irreps import AlgebraIrrep, all_irreps
 
@@ -44,7 +46,12 @@ def test_tracer_installs_every_target(monkeypatch):
 
 
 def _traced_metrics(monkeypatch, args):
-    """The tracer's metrics over one in-process CLI run that passes."""
+    """The tracer's metrics over one in-process CLI run that passes, from
+    cold per-label memos, as in the fresh interpreter of each benchmark pass
+    (earlier tests leave them warm)."""
+    for memo in (induced.q_matrix, induced._reducing_matrix, algebra.u_terms,
+                 algebra._u_images):
+        memo.cache_clear()
     module = _tracer_module(monkeypatch)
     with module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
         with pytest.raises(SystemExit) as exited:  # the number of failed checks

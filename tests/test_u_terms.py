@@ -78,3 +78,25 @@ def test_u_stack_matches_the_element_images(n, d):
             range(1, n), range(1, w + 1), range(1, n), range(1, w + 1))]
         expected = element_stack([u_element(alpha, *label, ctx) for label in labels])
         assert stack.residuals(expected).max() <= 1e-15, alpha
+
+
+def test_the_per_label_memos_are_bounded_and_hand_out_read_only_arrays():
+    # Q(alpha) at d, Z(alpha) and the u terms are built once per label and
+    # shared: every caller gets the same arrays, which none can write
+    import ptalgebra.algebra as algebra
+    import ptalgebra.induced as induced
+    from ptalgebra.partitions import LABEL_MEMO_SIZE
+
+    n, d, alpha = 5, 2, Partition([2, 1])
+    for memo in (induced.q_matrix, induced._reducing_matrix, algebra.u_terms,
+                 algebra._u_images):
+        assert memo.cache_info().maxsize == LABEL_MEMO_SIZE
+    q = induced.q_matrix(alpha, d, n)
+    (z, labels), (images, weights) = induced.z_matrix(alpha, n), u_terms(alpha, n)
+    assert q is induced.q_matrix(alpha, d, n) and z is induced.z_matrix(alpha, n)[0]
+    assert images is u_terms(Partition([3]), n)[0]  # one array per n
+    assert weights is u_terms(alpha, n)[1]
+    for array in (q, z, images, weights):
+        assert not array.flags.writeable
+    labels.clear()  # the labels are the caller's own list
+    assert len(induced.z_matrix(alpha, n)[1]) == len(z)
