@@ -13,16 +13,16 @@ of the u, E and f families runs on its 2 s^2 pivot pairs x_I0 x_0J and
 x_0J x_K0, not on all s^4 pairs (``_x_claim``, one
 ``OperatorStack.law_residuals`` call); the left actions of the u family and
 the covariance of the E families run on the pivot column x_.0 only, which
-the law carries to every column.  The u left actions run on the n-1
-generators of the algebra and compose along the word of every sigma on the
-abstract side.  The families live on the oracle's balanced sectors.  Only
-the adjoint check (all of S(n), one batch), the unit check (V', one row)
-and the norms of the matrix operators (S(n-2) on a sector per weight orbit)
-build generators apart from the cached families.  The law and
-associativity are checked exactly on the oracle's integer index form,
-so their residuals are integers (0 on a pass, at least 1 on a fail) judged
-against ``ORACLE_TOL``; the adjoint check ties that form to the generator
-families, as cached and as built apart.  The law on the oracle and the
+the law carries to every column.  The u left actions and the claims of
+the unit check run on the n-1 generators of the algebra; the u left
+actions compose along the word of every sigma on the abstract side.  The
+families live on the oracle's balanced sectors.  Only the adjoint check
+(all of S(n), one batch) and the norms of the matrix operators (S(n-2) on
+a sector per weight orbit) build generators apart from the cached
+families.  The law and associativity are checked exactly on the oracle's
+integer index form, so their residuals are integers (0 on a pass, at least
+1 on a fail) judged against ``ORACLE_TOL``; the adjoint check ties that
+form to the generator families, as cached and as built apart.  The law on the oracle and the
 homomorphism of every irrep run on the n-1 generator rows (g, rho) only,
 plus the pairs that ``law_sweep`` flags: its one integer sweep of the law
 along the words of ``generator_words`` is the premise of the induction
@@ -435,39 +435,41 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
 
 
 def check_unit_of_m(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """e^2 = e, em = me = m on the main ideal, and M annihilates S(1 - e).
+    """The unit e of the main ideal M, on the n-1 generator rows.
 
-    For every generator of M, W(sigma) e = W(sigma) is W(sigma) (1 - e) = 0
-    and e W(sigma) = W(sigma) its transpose (``right_mul_max``).  M is the
-    two-sided ideal generated by V' = W((n-1 n))^{t_n}, and every transposed
-    generator of M factors as W(sigma)^{t_n} =
-    W(sigma^) W((a n-1)) V' W((a n-1)) with sigma^ and (a n-1) in S(n-1),
-    by the composition law that ``check_mul_rule`` checks; S is spanned by
-    the W(s) with s in S(n-1), and W((a n-1)) W(s) (1 - e) is again one of
-    the W(s') (1 - e).  So M S(1 - e) = 0 holds iff V' W(s) (1 - e) = 0
-    for every s in S(n-1): one row, with V' built on its own as one row.
+    The claims: e^2 = e; V'(1 - e) = 0 and (1 - e)V' = 0 for
+    V' = W((n-1 n))^{t_n}; and s_k e = e s_k for k = 1 .. n-2.  The rows of
+    ``generator_words`` are densified by one ``combine``, and g(1 - e) and
+    (1 - e)g formed by ``OperatorStack.right_mul``, the second through the
+    adjoint.  A failure names the generator and the claim.
+
+    They give e m = m e = m for every m in M and M S(1 - e) = 0, by
+    induction along the word W(sigma) = W(g_1) ... W(g_k) of every sigma:
+    - e commutes with every generator (V' e = V' = e V'), so with every
+      W(sigma).  The step W(sigma) = W(g) W(sigma') on the transposed
+      generator stack rests on ``check_mul_rule`` (the law) and on
+      ``check_adjoint_transport`` (the stack is the index form), as in
+      ``check_u_structure``.
+    - A sigma in M moves n, and the s_k fix it, so its word holds V':
+      W(sigma) = A V' B, and W(sigma)(1 - e) = A V'(1 - e) B = 0 and
+      (1 - e)W(sigma) = A (1 - e)V' B = 0, as 1 - e commutes with A and B.
+    - For s in S(n-1), W(s) commutes with 1 - e, so
+      M W(s)(1 - e) = M (1 - e) W(s) = 0.
     """
     e_op = element_stack([unit_of_M(n, d)], cap).op(0)
     family = generator_stack(n, d, transposed=True, cap=cap)
-    images = image_array(n)
-    fixes_last = images[:, -1] == n - 1
-    in_m, in_s = np.flatnonzero(~fixes_last), np.flatnonzero(fixes_last)
+    generators = generator_words(n)[0]  # s_1 .. s_{n-2}, then V'
     worst, culprit = (e_op @ e_op).distance(e_op), "e * e"
     complement = identity_operator(n, d, cap, family.basis) - e_op
-    m_part = family.take(in_m)
-    for residuals, name in (
-            (m_part.adjoint().right_mul_max(complement.adjoint()), "e * {}"),
-            (m_part.right_mul_max(complement), "{} * e")):
-        value, (g,) = _worst(residuals)
-        if value > worst:
-            worst, culprit = value, name.format(_perm(images[in_m[g]]))
-    s_part = family.take(in_s).right_mul(complement)
-    contraction = Permutation.transposition(n, n - 1, n)
-    v_prime = transposed_perm_operator(np.array([contraction.images]) - 1, d, n, cap,
-                                       family.basis)
-    value, (_, r) = _worst(s_part.action_residuals(v_prime, np.zeros(0, int), np.zeros(0)))
+    rows = family.combine(generators[:, None], np.ones((len(generators), 1)))
+    right = rows.right_mul(complement)  # g (1 - e)
+    left = rows.adjoint().right_mul(complement.adjoint()).adjoint()  # (1 - e) g
+    *s_k, v = (str(_perm(image)) for image in image_array(n)[generators])
+    claims = [f"{s} * e = e * {s}" for s in s_k] + [f"{v} * (1 - e)", f"(1 - e) * {v}"]
+    value, (k,) = _worst(np.concatenate([right.residuals(left)[:-1], right.residuals()[-1:],
+                                         left.residuals()[-1:]]))
     if value > worst:
-        worst, culprit = value, f"{contraction} * {_perm(images[in_s[r]])}(1 - e)"
+        worst, culprit = value, claims[k]
     return _report("unit_of_M", {"n": n, "d": d}, worst, HOM_TOL, culprit=culprit)
 
 
@@ -759,7 +761,10 @@ def check_adjoint_transport(n: int, d: int, cap: int | None = None) -> CheckRepo
     images combine and in the family of S(n) that ``transposed_perm_operator``
     builds apart from it, must list exactly the ones of the index form on
     which ``check_mul_rule`` checks the law, one ``stack_residuals`` per
-    family; a failure names the generator.  Twenty sampled elements, with
+    family; a failure names the generator.  ``generator_index(n, d)`` is
+    the cached family itself, so the first call compares that family with
+    itself and catches only a stack served in its place; the fresh batch is
+    the independent build.  Twenty sampled elements, with
     coefficients in [-1, 1), and their products with a sampled generator are
     one element stack, and their adjoints another, whose image must be the
     conjugate transpose.

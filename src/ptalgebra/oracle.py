@@ -28,8 +28,8 @@ of S(n), in ``Permutation.all`` order.  Every other operator is a float64
 array: ``TensorOp`` one, ``OperatorStack`` K of them as one ``(K, s, s)``
 array.  Both families answer the same whole-family operations, so the
 checks never ask which they hold: combinations sum_i C[j, i] B_i (a dense
-stack), B_k A, B_k^T, a sub-family, the nonzero entries, the Gram matrix,
-and the left factors of ``OperatorStack.action_residuals``.  On the index
+stack), B_k^T, a sub-family, the nonzero entries, the Gram matrix, and the
+left factors of ``OperatorStack.action_residuals``.  On the index
 lists these are scatters and gathers: W B is at most d row gathers of B,
 and the Gram matrix counts the ones two generators share.
 
@@ -289,10 +289,6 @@ class OperatorStack:
             product -= scale[part, None, None] * self.data[target[part]]
             out[part] = self._block_max(product)
         return out
-
-    def right_mul_max(self, a: TensorOp) -> np.ndarray:
-        """max |B_k A| for every k."""
-        return self.right_mul(a).residuals()
 
     def _left_mul(self, r: int, data: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """B_r X_k into out[k] for every block X_k of ``data``: one product."""
@@ -602,33 +598,6 @@ class GeneratorIndex:
             np.add.at(out.reshape(-1), (j * self.dim + self.rows[k, at]) * self.dim
                       + self.cols[k, at], weights[j, t])
         return OperatorStack(self.n, self.d, out, self.basis)
-
-    def _row_sums(self, a: TensorOp) -> tuple[np.ndarray, np.ndarray]:
-        """Row i of W_k A sums the rows of A that row i of W_k lists: the sum
-        of every distinct list of the family, formed once, and for each row
-        i of each W_k the position of its list among them."""
-        _check(self, a)
-        lists = np.sort(np.maximum(self.row_cols, -1).reshape(len(self.row_cols), -1).T,
-                        axis=1)  # pads -1 first
-        order = np.lexsort(lists.T)
-        lists = lists[order]
-        first = np.append(True, (lists[1:] != lists[:-1]).any(axis=1))
-        at = np.empty(len(lists), dtype=np.intp)
-        at[order] = np.cumsum(first) - 1
-        padded = np.zeros((self.dim + 1, self.dim))  # a pad reads the zero row
-        padded[:self.dim] = a.matrix
-        return padded[lists[first]].sum(axis=1), at
-
-    def right_mul(self, a: TensorOp) -> OperatorStack:
-        """W_k A for every k, a dense stack of sums of rows of A."""
-        sums, at = self._row_sums(a)
-        return OperatorStack(self.n, self.d, sums[at].reshape(len(self), self.dim, self.dim),
-                             self.basis)
-
-    def right_mul_max(self, a: TensorOp) -> np.ndarray:
-        """max |W_k A| for every k, with no product held."""
-        sums, at = self._row_sums(a)
-        return np.abs(sums).max(axis=1)[at].reshape(len(self), self.dim).max(axis=1)
 
     def _left_mul(self, r: int, data: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """W_r X_k into out[k] for every block X_k of ``data``: one gather of

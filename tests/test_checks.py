@@ -617,37 +617,71 @@ def test_u_structure_names_the_sigma_of_a_planted_left_action(monkeypatch):
     assert list(np.flatnonzero(rows >= HOM_TOL)) == [perms.index(planted)]
 
 
-@pytest.mark.parametrize("side", ["left", "right", "annihilation"])
-def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
-    # W(sigma) + e R keeps e m = m but breaks m e = m, and W(sigma) + R e
-    # the other way round, so the culprit names the product that fails.
-    # Noise on the block of (12) in S(n-1) reaches no e-relation, only the
-    # annihilation row of V' = W((34))^t.
-    import numpy as np
-
+def _planted_unit_check(monkeypatch, n, d, side):
+    """``check_unit_of_m`` on the dense transposed stack of (n, d) with a
+    defect planted on a generator row: V' + eN ("right") breaks V'(1 - e)
+    = 0 and keeps (1 - e)V' = 0, V' + Ne ("left") the other way round, and
+    noise on s_1 ("commutator") breaks s_1 e = e s_1 alone."""
     import ptalgebra.checks as checks
     from ptalgebra.irreps import unit_of_M
     from ptalgebra.oracle import OperatorStack, element_operator, generator_stack
-    from ptalgebra.permutations import Permutation
 
-    n, d = 4, 2
     perms = list(Permutation.all(n))
-    planted = Permutation.from_cycles(n, [(1, 2) if side == "annihilation" else (1, 4)])
+    planted = Permutation.transposition(n, *((1, 2) if side == "commutator" else (n - 1, n)))
     e_op = element_operator(unit_of_M(n, d))
     family = generator_stack(n, d, transposed=True)
     every = np.arange(len(family))[:, None]
     data = family.combine(every, np.ones((len(family), 1))).data
     noise = np.random.default_rng(0).standard_normal(data.shape[1:])
-    k = perms.index(planted)
-    data[k] += 0.5 * {"right": e_op.matrix @ noise, "left": noise @ e_op.matrix,
-                      "annihilation": noise}[side]
+    data[perms.index(planted)] += 0.5 * {"right": e_op.matrix @ noise,
+                                         "left": noise @ e_op.matrix,
+                                         "commutator": noise}[side]
     monkeypatch.setattr(checks, "generator_stack",
                         lambda *args, **kwargs: OperatorStack(n, d, data, family.basis))
     report = check_unit_of_m(n, d)
     assert report.passed is False
-    expected = {"right": f"{planted} * e", "left": f"e * {planted}",
-                "annihilation": f"(34) * {planted}(1 - e)"}[side]
+    return planted, report
+
+
+@pytest.mark.parametrize("side", ["left", "right", "commutator"])
+def test_unit_of_m_names_the_planted_generator(monkeypatch, side):
+    planted, report = _planted_unit_check(monkeypatch, 4, 2, side)
+    expected = {"right": f"{planted} * (1 - e)", "left": f"(1 - e) * {planted}",
+                "commutator": f"{planted} * e = e * {planted}"}[side]
     assert report.details == f"worst at {expected}"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_of_m_at_n2_reads_v_prime_alone(monkeypatch, d, side):
+    # at n = 2, V' = W((12))^t is the only generator row (at d = 1 the
+    # sector holds one state and e = 1, so there is nothing to plant)
+    from ptalgebra.algebra import generator_words
+
+    assert len(generator_words(2)[0]) == 1
+    _planted, report = _planted_unit_check(monkeypatch, 2, d, side)
+    assert report.details == {"right": "worst at (12) * (1 - e)",
+                              "left": "worst at (1 - e) * (12)"}[side]
+
+
+@pytest.mark.parametrize("n,d,residual", [(4, 2, 1 / 2), (5, 2, 2 / 3), (5, 3, 1 / 6),
+                                          (6, 3, 1 / 4)])
+def test_a_unit_without_its_last_label_fails_on_v_prime(monkeypatch, n, d, residual):
+    # e minus the block unit of one label is still a central idempotent, so
+    # e^2 = e and every s_k e = e s_k hold, and only V', which has a part in
+    # every block of M, misses it; the residuals are those of the all-sigma
+    # check that this one replaced
+    import ptalgebra.irreps as irreps
+
+    real = irreps.block_labels
+    monkeypatch.setattr(irreps, "block_labels",
+                        lambda n_, d_: (real(n_, d_)[0][:-1], real(n_, d_)[1]))
+    report = check_unit_of_m(n, d)
+    v_prime = Permutation.transposition(n, n - 1, n)
+    assert report.passed is False
+    assert report.max_residual == pytest.approx(residual, abs=1e-12)
+    assert report.details in (f"worst at {v_prime} * (1 - e)",
+                              f"worst at (1 - e) * {v_prime}")
 
 
 def test_matrix_operators_names_the_planted_generator(monkeypatch):
@@ -750,13 +784,12 @@ def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
     assert report.passed is False and report.max_residual == pytest.approx(1e-3)
 
 
-def test_suite_builds_single_generators_only_for_adjoint_v_prime_and_trace_sectors(
-        monkeypatch):
+def test_suite_builds_single_generators_only_for_adjoint_and_trace_sectors(monkeypatch):
     # every other claim takes its left factors from a stack that it holds;
     # the cached families are built before the spy, so it sees fresh builds
-    # only: the S(5) batch of the adjoint check, the S(3) images of the
+    # only: the S(5) batch of the adjoint check and the S(3) images of the
     # trace claim on one plain weight sector per orbit, (5, 0), (4, 1) and
-    # (3, 2), and the one row of V'
+    # (3, 2)
     import ptalgebra.oracle as oracle
     from ptalgebra.oracle import generator_stack, sector
 
@@ -773,13 +806,14 @@ def test_suite_builds_single_generators_only_for_adjoint_v_prime_and_trace_secto
     assert all(report.passed for report in run_suite(n, d, "all"))
     s = len(sector(n, d, True))
     assert built == [((120, n), True, s), ((6, n), False, 1), ((6, n), False, 5),
-                     ((6, n), False, 10), ((1, n), True, s)]
+                     ((6, n), False, 10)]
 
 
 def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(
         monkeypatch):
-    # the u actions read only the generator blocks of the transposed stack;
-    # every other block is tied to the index form by adjoint_transport
+    # the u actions and the unit check read only the generator blocks of
+    # the transposed stack; every other block is tied to the index form by
+    # adjoint_transport
     from ptalgebra.algebra import generator_words
 
     n, d = 4, 2
@@ -791,6 +825,7 @@ def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(
     assert adjoint.passed is False and adjoint.max_residual == 0.5
     assert adjoint.details == f"worst at W{planted}^t"
     assert reports["u_structure"].passed
+    assert reports["unit_of_M"].passed
 
 
 # -- generator rows ------------------------------------------------------------

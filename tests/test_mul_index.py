@@ -22,7 +22,7 @@ import ptalgebra.checks as checks
 import ptalgebra.oracle as oracle
 from ptalgebra.algebra import generator_words, law_rows, mul_generators
 from ptalgebra.checks import (HOM_TOL, ORACLE_TOL, check_irreps, check_mul_rule,
-                              check_u_structure, check_unit_of_m, law_sweep, run_suite)
+                              check_u_structure, law_sweep, run_suite)
 from ptalgebra.irreps import block_labels
 from ptalgebra.oracle import (GeneratorIndex, SizeCapError, _family, generator_index,
                               generator_stack)
@@ -495,10 +495,10 @@ def test_adjoint_check_names_a_moved_one_in_the_generator_stack(monkeypatch, n, 
 @pytest.mark.parametrize("n,d,whole", [(4, 3, False), (4, 2, True)])
 def test_a_moved_one_of_a_generator_left_factor_is_named(monkeypatch, n, d, whole):
     # V' = W((n-1 n))^{t_n}, with d ones in a row, is a generator row of the
-    # u actions and, in M, a left factor of m e = m; combinations read its
-    # entries, which stay, and left factors its row lists, which do not.  The
-    # one moves in a row of strings whose first two digits differ: the u of
-    # alpha = (1, 1) are antisymmetric in those, and vanish on the others
+    # u actions; combinations read its entries, which stay, and left factors
+    # its row lists, which do not.  The one moves in a row of strings whose
+    # first two digits differ: the u of alpha = (1, 1) are antisymmetric in
+    # those, and vanish on the others
     planted = Permutation.transposition(n, n - 1, n)
     k = int(lehmer_rank(np.array(planted.images) - 1))
     assert k in generator_words(n)[0]
@@ -514,7 +514,6 @@ def test_a_moved_one_of_a_generator_left_factor_is_named(monkeypatch, n, d, whol
                             lambda n_, d_, transposed=False, cap=None:
                             broken if transposed else real(n_, d_, transposed, cap))
         reports = [check_u_structure(alpha, alpha, n, d) for alpha in block_labels(n, d)[0]]
-        reports.append(check_unit_of_m(n, d))
     for report in reports:
         assert report.passed is False and report.max_residual >= HOM_TOL
         assert report.details.startswith(f"worst at {planted} * "), report.details

@@ -220,3 +220,13 @@ def test_verify_all_at_6_4_fits_the_frontier_budget():
             "main(['verify', '--n', '6', '--d', '4', '--suite', 'all'])\n")
     result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=3 * 2**30, timeout=15)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_unit_of_m_at_7_3_fits_the_frontier_budget():
+    # 512 MB of address space and 10 s, one BLAS thread: e on the n-1
+    # generator rows, with no stack of every sigma
+    code = ("from ptalgebra.checks import check_unit_of_m\n"
+            "report = check_unit_of_m(7, 3)\n"
+            "assert report.passed, report\n")
+    result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=2**29, timeout=10)
+    assert result.returncode == 0, result.stdout + result.stderr
