@@ -8,27 +8,25 @@ branch on how it stores them: a claim about left factors is one
 ``action_residuals`` call whose left factors are the blocks of a family
 the check already holds, a dense stack or generators as index lists, and
 whose right-hand sides are arrays.
-Such a claim needs no row per left factor.  The law x_IJ x_KL = A_JK x_IL
-of the u, E and f families runs on its 2 s^2 pivot pairs x_I0 x_0J and
-x_0J x_K0, not on all s^4 pairs (``_x_claim``, one
-``OperatorStack.law_residuals`` call); the left actions of the u family and
-the covariance of the E families run on the pivot column x_.0 only, which
-the law carries to every column.  The u left actions and the claims of
-the unit check run on the n-1 generators of the algebra; the u left
-actions compose along the word of every sigma on the abstract side.  The
-families live on the oracle's balanced sectors.  Only the adjoint check
-(all of S(n), one batch) and the norms of the matrix operators (S(n-2) on
-a sector per weight orbit) build generators apart from the cached
-families.  The law and associativity are checked exactly on the oracle's
-integer index form, so their residuals are integers (0 on a pass, at least
-1 on a fail) judged against ``ORACLE_TOL``; the adjoint check ties that
-form to the generator families, as cached and as built apart.  The law on the oracle and the
-homomorphism of every irrep run on the n-1 generator rows (g, rho) only,
-plus the pairs that ``law_sweep`` flags: its one integer sweep of the law
-along the words of ``generator_words`` is the premise of the induction
-that extends them to every pair.  All three read the law off whole rows
-of ``algebra.law_rows``, a flagged pair off the row of its left factor,
-so the sweep and the checks it vouches for read one law.
+Such a claim needs no row per left factor.  A law on a dense stack is one
+``law_residuals`` call: the x_IJ x_KL = A_JK x_IL of the u, E and f
+families on its 2 s^2 pivot pairs x_I0 x_0J and x_0J x_K0 (``_x_claim``),
+and the homomorphism of an irrep on its image stack.  The left actions of
+the u family and the covariance of the E families run on the pivot column
+x_.0 only, which the law carries to every column.  The u left actions and
+the claims of the unit check run on the n-1 generators of the algebra.
+The families live on the oracle's balanced sectors.  Only the adjoint
+check (all of S(n), one batch) and the norms of the matrix operators (the
+exact Gram of S(n-2) on a sector per weight orbit) build generators apart
+from the cached families.  The law and associativity are checked exactly
+on the oracle's integer index form, so their residuals are integers (0 on
+a pass, at least 1 on a fail) judged against ``ORACLE_TOL``; the adjoint
+check ties that form to the generator families.  The law on the oracle
+and the homomorphism of every irrep run on one pair set (``_law_pairs``):
+the n-1 generator rows (g, rho) and the pairs that ``law_sweep`` flags,
+whose integer sweep of the law along the words of ``generator_words`` is
+the premise of the induction that extends them to every pair.  All three
+read the law off whole rows of ``algebra.law_rows``: one law.
 
 The per-label data that several checks read is built once per process:
 Q(alpha) at d (``induced.q_matrix``), Z(alpha) (``induced.z_matrix``) and
@@ -43,7 +41,7 @@ memoized: for a mu of n it is as large at n = 8 (2.6 GB at (8, 2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 import numpy as np
@@ -211,12 +209,49 @@ def _law_at(n: int, pairs: np.ndarray
     return left, right, powers, taus
 
 
+def _law_pairs(n: int, rows, columns=()) -> np.ndarray:
+    """The sorted positions sigma n! + rho of the pairs on which a law is
+    checked: the rows of the n-1 generators of ``generator_words`` and of
+    ``rows``, the columns ``columns``, and the pairs that ``law_sweep`` flags."""
+    everyone = np.arange(factorial(n))
+    rows = np.append(generator_words(n)[0], np.asarray(rows, dtype=np.intp))
+    columns = np.asarray(columns, dtype=np.intp)
+    return _union(np.ravel(rows[:, None] * len(everyone) + everyone),
+                  np.ravel(everyone[:, None] * len(everyone) + columns), law_sweep(n, law_rows))
+
+
+def law_residuals(data: np.ndarray, left, right, scale, target) -> np.ndarray:
+    """The ``(R, C)`` max |B[left[r]] B[right[r, c]] - scale[r, c] B[target[r, c]]|
+    of a law on a ``(K, D, D)`` float array B, in rows; ``right`` is
+    ``(R, C)``, or ``(C,)`` shared by every row, and a shared ``arange(K)``
+    is read as views of B.  One product per claim, in chunks of rows and
+    columns of at most ``LAW_CHUNK_ENTRIES`` product entries (one claim when
+    a block holds more), through two buffers that every chunk reuses."""
+    whole = np.ndim(right) == 1 and np.array_equal(right, np.arange(len(data)))
+    right, scale = (np.broadcast_to(a, target.shape) for a in (right, scale))
+    (rows, cols), size = target.shape, data.shape[1:]
+    step = max(1, LAW_CHUNK_ENTRIES // data[0].size)
+    height, width = max(1, min(rows, step // cols)), min(cols, step)
+    buffers, out = [np.empty((height * width,) + size) for _ in range(2)], np.empty(target.shape)
+    for r in range(0, rows, height):
+        factor = data[left[r:r + height], None]
+        for c in range(0, cols, width):
+            part = np.s_[r:r + height, c:c + width]
+            chunk = target[part]
+            product, claim = (b[:chunk.size].reshape(chunk.shape + size) for b in buffers)
+            np.matmul(factor, data[c:c + width] if whole else data[right[part]], out=product)
+            np.take(data, chunk, axis=0, out=claim, mode="wrap")  # unbuffered
+            claim *= scale[part][..., None, None]
+            product -= claim
+            out[part] = np.abs(product, out=product).max(axis=(2, 3))
+    return out
+
+
 def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     """The composition law on the oracle, on the generator rows.
 
-    The pairs are the n-1 generator rows (g, rho) of ``generator_words``
-    and the pairs that ``law_sweep`` flags, with the identity row when
-    W(1) is not the identity on the index form; by the induction of
+    The pairs are those of ``_law_pairs``, with the identity row when W(1)
+    is not the identity on the index form; by the induction of
     ``law_sweep`` they give W(sigma) W(rho) = d^p W(tau) for every pair.
     Those rows read the row lists of a left factor for the generators
     only, so the row and the column of every sigma whose lists are not
@@ -231,14 +266,9 @@ def check_mul_rule(n: int, d: int, cap: int | None = None) -> CheckReport:
     """
     index = generator_index(n, d, cap)  # first: above the cap, build no S(n)
     images = image_array(n)
-    count = len(images)
-    rows, everyone = generator_words(n)[0], np.arange(count)
-    if not ((index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()):
-        rows = np.append(rows, 0)
     stray = np.flatnonzero(~index.derived())
-    rows = _union(rows, stray)
-    pairs = _union(np.append(rows[:, None] * count + everyone,
-                             everyone[:, None] * count + stray), law_sweep(n, law_rows))
+    unit = (index.rows[0] == index.cols[0]).all() and (index.row_count[0] == 1).all()
+    pairs = _law_pairs(n, stray if unit else np.append(stray, 0), stray)
     worst, culprit, chunk = 0.0, "", index.law_chunk()
     for start in range(0, len(pairs), chunk):
         left, right, powers, tau = _law_at(n, pairs[start:start + chunk])
@@ -299,7 +329,7 @@ def _x_claim(x: OperatorStack, a_matrix: np.ndarray
     """Residuals of the law x_IJ x_KL = A_JK x_IL on a stack of s^2 blocks,
     x_IJ at block I s + J, on its 2 s^2 pivot pairs: the ``(2 s^2, 2)``
     blocks (left, right) of the pairs and their ``(2 s^2,)`` residuals, one
-    ``OperatorStack.law_residuals`` call.
+    ``law_residuals`` call on 2 s rows of s pairs, row I then row J.
 
     With the pivot 0, the pairs are x_I0 x_0J = a x_IJ for every I, J and
     x_0J x_K0 = A_JK x_00 for every J, K; a = A_00 must be nonzero, as it
@@ -319,11 +349,13 @@ def _x_claim(x: OperatorStack, a_matrix: np.ndarray
     a = a_matrix[0, 0]
     if a == 0:
         raise ValueError("the law x_IJ x_KL = A_JK x_IL needs a nonzero A_00")
-    i, j = np.divmod(np.arange(s * s), s)
-    pairs = np.concatenate([np.stack([i * s, j], axis=1), np.stack([i, j * s], axis=1)])
-    target = np.concatenate([np.arange(s * s), np.zeros(s * s, dtype=np.intp)])
-    scale = np.concatenate([np.full(s * s, a), np.ravel(a_matrix)])
-    return pairs, x.law_residuals(pairs[:, 0], pairs[:, 1], scale, target)
+    pivots = np.arange(s)
+    left = np.append(pivots * s, pivots)
+    right = np.repeat([pivots, pivots * s], s, axis=0)
+    target = np.append(np.arange(s * s), np.zeros(s * s, dtype=np.intp)).reshape(2 * s, s)
+    scale = np.concatenate([np.full((s, s), a), a_matrix])
+    pairs = np.stack([np.repeat(left, s), right.ravel()], axis=1)
+    return pairs, law_residuals(x.data, left, right, scale, target).ravel()
 
 
 def _left_action(images: np.ndarray, d: int
@@ -519,37 +551,33 @@ def check_irreps(n: int, d: int) -> CheckReport:
 
     Each irrep's generator images are one batch ``image`` of all of S(n),
     in ``Permutation.all`` order, held while that irrep is checked.
-    psi(sigma) psi(rho) = d^p psi(tau), with (p, tau) read off the
-    rows of ``law_rows``, is checked on the rows (g, rho) of the n-1
-    generators g of ``generator_words``, one batched matmul per row, and
-    on the pairs that ``law_sweep`` flags, in blocks of n! pairs; the
-    identity row joins them when psi(1) is not exactly the identity.  By
-    the induction of ``law_sweep`` that is every pair.
-    A failure names the irrep and the pair of the worst residual.
+    psi(sigma) psi(rho) = d^p psi(tau) is checked on the pairs of
+    ``_law_pairs``, with the identity row when psi(1) is not exactly the
+    identity, and (p, tau) read off ``law_rows`` by ``_law_at``: the full
+    rows, every rho a view of the stack, and the other pairs, one a row, are
+    two ``law_residuals`` calls.  A failure names the irrep and the pair of
+    the worst residual.
     """
-    images = image_array(n)
-    count = len(images)
+    images, count = image_array(n), factorial(n)
     transposed = images[:, -1] != n - 1
-    everyone = np.arange(count)
 
-    def generator_rows(generators):  # one left factor, and every rho on the right
-        return [(g, slice(None), (d**p)[:, None, None], tau)
-                for g, p, tau in zip(generators, *law_rows(n, generators))]
+    @cache
+    def claims(unit):  # (left, right, scale, tau) of the full rows, then of the rest
+        left, right, powers, tau = _law_at(n, _law_pairs(n, [] if unit else [0]))
+        full, scale = np.bincount(left)[left] == count, d**powers
+        return [(left[full][::count], np.arange(count), scale[full].reshape(-1, count),
+                 tau[full].reshape(-1, count)),
+                (left[~full], right[~full, None], scale[~full, None], tau[~full, None])]
 
-    rows = generator_rows(generator_words(n)[0])
-    left, right, powers, tau = _law_at(n, law_sweep(n, law_rows))
-    rows += [(left[s:s + count], right[s:s + count],
-              (d**powers[s:s + count])[:, None, None], tau[s:s + count])
-             for s in range(0, len(left), count)]
     reps = all_irreps(n, d)
     worst, culprit = 0.0, ""
     for rep in reps:
         stack = rep.image(images)
-        if rep.kind == "S" and stack[transposed].any():
-            first = np.flatnonzero(transposed & stack.any(axis=(1, 2)))[0]
+        moved = np.flatnonzero(transposed & stack.any(axis=(1, 2))) if rep.kind == "S" else []
+        if len(moved):
             return CheckReport("irreps", {"n": n, "d": d}, False, 1.0,
                                f"kind-S block {rep.label} not exactly zero on M, "
-                               f"first at W{_perm(images[first])}^t", HOM_TOL)
+                               f"first at W{_perm(images[moved[0]])}^t", HOM_TOL)
         if rep.kind == "M":
             expected = rank_of_q(rep.label, d, n)
             if rep.dimension != expected:
@@ -557,14 +585,11 @@ def check_irreps(n: int, d: int) -> CheckReport:
                                    f"dimension {rep.dimension} != rank {expected}",
                                    HOM_TOL)
         unit = np.array_equal(stack[0], np.eye(rep.dimension))
-        for left, right, scale, tau in rows if unit else generator_rows([0]) + rows:
-            residual = stack[left] @ stack[right]  # stack[:] is a view, not a copy
-            residual -= scale * stack[tau]
-            value, (k,) = _worst(np.abs(residual).max(axis=(1, 2)))
+        for left, right, scale, tau in claims(unit):
+            value, (r, c) = _worst(law_residuals(stack, left, right, scale, tau))
             if value > worst:
-                sigma, rho = (_perm(images[np.broadcast_to(x, len(residual))[k]])
-                              for x in (left, everyone[right]))
-                worst, culprit = value, f"{rep.kind}:{rep.label} {sigma} * {rho}"
+                sigma, rho = images[left[r]], images[np.broadcast_to(right, tau.shape)[r, c]]
+                worst, culprit = value, f"{rep.kind}:{rep.label} {_perm(sigma)} * {_perm(rho)}"
         del stack  # before the next irrep builds its own
     details = [f"{rep.kind}:{rep.label}(dim {rep.dimension})" for rep in reps]
     return _report("irreps", {"n": n, "d": d}, worst, HOM_TOL, "; ".join(details),
@@ -642,21 +667,17 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     plain = generator_stack(n, d, cap=cap)  # first: above the cap, build no S(n-2)
     m = n - 2
     group = image_array(m)  # embedded in S(n), fixing n-1 and n
-    ranks = lehmer_rank(np.concatenate([group, np.broadcast_to([m, m + 1], (len(group), 2))],
-                                       axis=1))
+    embedded = np.concatenate([group, np.broadcast_to([m, m + 1], (len(group), 2))], axis=1)
+    ranks = lehmer_rank(embedded)
     generators, every = plain.take(ranks), np.arange(len(group))[:, None]
     images = generators.combine(every, np.ones(every.shape))
     alphas = list(partitions_of(m))
     families = [matrix_operators_E(images, alpha) for alpha in alphas]
     phis = [sym_irrep(alpha) for alpha in alphas]
     stacks = [phi.image(group) for phi in phis]  # [g, i, j] = phi_ij(g)
-    # (alpha, i, j) of every block of the concatenated families, 1-based
-    labels = [(alpha, i, j) for alpha, phi in zip(alphas, phis)
+    # the name E^alpha_ij of every block of the concatenated families, 1-based
+    labels = [f"E^{alpha}_{i}{j}" for alpha, phi in zip(alphas, phis)
               for i in range(1, phi.dim + 1) for j in range(1, phi.dim + 1)]
-
-    def e_name(label):
-        alpha, i, j = label
-        return f"E^{alpha}_{i}{j}"
 
     # (I) D(g) = sum phi_ij(g) E_ij, over every family at once
     everything = OperatorStack.concat(families)
@@ -668,39 +689,36 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     # (II) orthogonality with the multiplicity as norm; here D restricted to
     # S(n-2) contains each alpha with multiplicity d^2 * (its multiplicity
     # in the action on n-2 factors).  The norm is a trace over the whole
-    # space: the Gram of one plain weight sector per S(d)-orbit (a partition
-    # mu of n), times the orbit size, as relabelling digits commutes with D.
+    # space, C G C^T, with G the exact Gram of D on one plain weight sector
+    # per S(d)-orbit (a partition mu of n) times its size, as relabelling
+    # digits commutes with D, and C the averaging weights.
     mults = [multiplicity_in_V(alpha, d) for alpha in alphas]  # 0 above d rows
     norms = np.repeat(d * d * np.array(mults, float), [phi.dim**2 for phi in phis])
-    gram = 0.0
-    for weight in (tuple(mu) + (0,) * (d - mu.height) for mu in partitions_of(n)
-                   if mu.height <= d):
-        orbit = factorial(d) // prod(factorial(weight.count(v)) for v in set(weight))
-        on_sector = perm_operator(image_array(n)[ranks], d, n, cap,
-                                  sector(n, d, weight=weight)).combine(every, np.ones(every.shape))
-        gram = gram + orbit * OperatorStack.concat(
-            [matrix_operators_E(on_sector, alpha) for alpha in alphas]).gram()
-    value, (r, c) = _worst(np.abs(gram - np.diag(norms)))
+    orbits = [tuple(mu) + (0,) * (d - mu.height) for mu in partitions_of(n) if mu.height <= d]
+    gram = sum(factorial(d) // prod(factorial(w.count(v)) for v in set(w))
+               * perm_operator(embedded, d, n, cap, sector(n, d, weight=w)).gram() for w in orbits)
+    averaging = np.concatenate([averaging_weights(alpha).reshape(-1, len(group))
+                                for alpha in alphas])
+    value, (r, c) = _worst(np.abs(averaging @ gram @ averaging.T - np.diag(norms)))
     if value > worst:
-        worst, culprit = value, f"<{e_name(labels[r])}, {e_name(labels[c])}>"
+        worst, culprit = value, f"<{labels[r]}, {labels[c]}>"
 
-    for alpha, phi, stack, family in zip(alphas, phis, stacks, families):
+    offset = 0  # of the family's first block in ``labels``
+    for phi, stack, family in zip(phis, stacks, families):
         w = phi.dim
-        i, j = np.divmod(np.arange(w * w), w)  # 0-based (i, j) of each block
         # E_ij E_kl = delta_jk E_il
         pairs, products = _x_claim(family, np.eye(w))
         value, (p,) = _worst(products)
         if value > worst:
-            left, right = pairs[p]
-            worst, culprit = value, (f"{e_name((alpha, i[left] + 1, j[left] + 1))} "
-                                     f"{e_name((alpha, i[right] + 1, j[right] + 1))}")
+            worst, culprit = value, " ".join(labels[offset + k] for k in pairs[p])
         # D(h) E_i1 = sum_k phi_ki(h) E_k1, phi(h)^T on the index i, one row
         # per D(h), on the pivot column (``_x_claim``)
         column = family.take(np.arange(w) * w)
         value, (h, r) = _worst(
             column.action_residuals(generators, None, stack.transpose(0, 2, 1)))
         if value > worst:
-            worst, culprit = value, f"D({_perm(group[h])}) {e_name((alpha, r + 1, 1))}"
+            worst, culprit = value, f"D({_perm(group[h])}) {labels[offset + r * w]}"
+        offset += w * w
 
     return _report("matrix_operators", {"n": n, "d": d}, worst, APPC_TOL,
                    culprit=culprit)

@@ -38,13 +38,10 @@ W(sigma) W(rho) = d^p W(tau) and the associativity of sampled triples
 exactly, in integers, in chunks of at most ``LAW_CHUNK_ENTRIES`` listed
 ones.  One routine, ``_largest_sums``, gives every exact entry difference
 on it: of a failing law pair, of two bracketings, and in
-``stack_residuals`` of a family given apart.  A dense stack checks the law
-x_IJ x_KL = A_JK x_IL of the u, E and f families of ``checks`` on its
-pivot pairs x_I0 x_0J = A_00 x_IJ and x_0J x_K0 = A_JK x_00, which give
-every pair (``checks._x_claim``): ``OperatorStack.law_residuals``, one
-batched product per chunk of pairs with at most ``LAW_CHUNK_ENTRIES``
-product entries.  Claims linear in a left factor, the u left actions and
-the covariance of the E families, run on the pivot column x_.0 only.
+``stack_residuals`` of a family given apart.  ``checks.law_residuals``
+checks a law on a dense stack's array.  Claims linear in a left factor,
+the u left actions and the covariance of the E families, run on the pivot
+column x_.0 only.
 The Q(alpha), Z(alpha) and u terms that build and judge those families
 are per-label memos of read-only arrays outside the oracle (``induced``,
 ``algebra``); at n = 10 their largest entries are 5.2 MB (Q, Z) and 2.6 GB
@@ -274,22 +271,6 @@ class OperatorStack:
             out[r] = self._block_max(product)
         return out
 
-    def law_residuals(self, left, right, scale, target) -> np.ndarray:
-        """max |B[left[p]] B[right[p]] - scale[p] B[target[p]]| for each pair
-        p, as ``GeneratorIndex.law_residuals`` gives it on the index form:
-        one batched product per chunk of pairs whose products hold at most
-        ``LAW_CHUNK_ENTRIES`` entries (one pair when a block holds more)."""
-        left, right, target = (np.asarray(a, dtype=np.intp) for a in (left, right, target))
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), left.shape)
-        out = np.empty(len(left))
-        step = max(1, LAW_CHUNK_ENTRIES // self.dim**2)
-        for start in range(0, len(left), step):
-            part = slice(start, start + step)
-            product = self.data[left[part]] @ self.data[right[part]]
-            product -= scale[part, None, None] * self.data[target[part]]
-            out[part] = self._block_max(product)
-        return out
-
     def _left_mul(self, r: int, data: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """B_r X_k into out[k] for every block X_k of ``data``: one product."""
         np.matmul(self.data[r], data, out=out)
@@ -461,13 +442,13 @@ def generator_stack(n: int, d: int, transposed: bool = False,
 
 # Listed ones (pairs times the width of ``GeneratorIndex.rows``) that
 # ``GeneratorIndex.law_mismatches`` examines per call: under 8 MB of
-# temporaries at d = 2; ``law_residuals`` sorts at most d + 1 entries per
+# temporaries at d = 2; its ``law_residuals`` sorts at most d + 1 entries per
 # listed one.  ``checks.law_sweep`` and ``checks._law_at`` read it as pairs
 # (sigma, rho): their ``algebra.law_rows`` temporaries are a few numbers
 # per pair, and the sweep's peak is 33 MB at n = 7 (tracemalloc).
 # ``GeneratorIndex.gram`` counts shared ones, and the per-row
 # ``GeneratorIndex.combine`` scatters listed ones, in chunks of about as many;
-# ``OperatorStack.law_residuals`` forms as many product entries per chunk.
+# ``checks.law_residuals`` forms as many product entries per chunk.
 LAW_CHUNK_ENTRIES = 2**18
 
 

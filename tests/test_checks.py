@@ -846,6 +846,45 @@ def test_left_action_matches_the_permutation_form(n):
             assert tau[s_, p - 1] == lehmer_rank(np.array(want_tau.images) - 1)
 
 
+class _Reads(np.ndarray):
+    """An array that records the keys it is read with."""
+
+    keys: list = []
+
+    def __getitem__(self, key):
+        _Reads.keys.append(key)
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("budget", [1, 20, 63, 2**18])
+def test_law_residuals_agree_with_every_pair_in_any_chunks(monkeypatch, budget):
+    # 9 entries a product: a budget of 20 splits a full row into columns
+    # and packs two rows of width 1, 63 packs two rows of 3 columns, and
+    # 2^18 takes every row at once; each pair is bitwise its own product
+    import ptalgebra.checks as checks
+
+    monkeypatch.setattr(checks, "LAW_CHUNK_ENTRIES", budget)
+    noise = np.random.default_rng(4)
+    data = noise.standard_normal((6, 3, 3))
+
+    def pairs(rows, cols, right):
+        left, target = noise.integers(6, size=rows), noise.integers(6, size=(rows, cols))
+        return left, right, noise.standard_normal((rows, cols)), target
+
+    for left, right, scale, target in [
+            pairs(3, 6, np.arange(6)),  # full rows, every right factor a view
+            pairs(5, 1, noise.integers(6, size=(5, 1))),  # one flagged pair a row
+            pairs(4, 3, noise.integers(6, size=(4, 3)))]:
+        _Reads.keys = []
+        got = checks.law_residuals(data.view(_Reads), left, right, scale, target)
+        every = np.broadcast_to(right, target.shape)
+        assert np.array_equal(got, [[np.abs(data[a] @ data[b] - c * data[t]).max()
+                                     for b, c, t in zip(*row)]
+                                    for a, *row in zip(left, every, scale, target)])
+        views = [key for key in _Reads.keys if isinstance(key, slice)]
+        assert bool(views) == (np.ndim(right) == 1)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("d", range(1, 4))
 def test_generator_rows_agree_with_every_row(n, d):
@@ -882,28 +921,30 @@ def test_generator_rows_agree_with_every_row(n, d):
 
 def test_claims_are_checked_on_generator_rows(monkeypatch):
     # each law x_IJ x_KL = A_JK x_IL on its 2s^2 pivot pairs, one
-    # law_residuals call; the n-1 generator rows of the u actions and the
-    # S(n-2) rows of the covariance on the pivot column x_.0 of s blocks:
-    # no check goes back to every row or every block
+    # law_residuals call on 2s rows of s pairs; the n-1 generator rows of
+    # the u actions and the S(n-2) rows of the covariance on the pivot
+    # column x_.0 of s blocks: no check goes back to every row or every block
     import math
 
+    import ptalgebra.checks as checks
     from ptalgebra.induced import q_matrix
     from ptalgebra.oracle import OperatorStack
     from ptalgebra.reduction import xa_reduce
 
     calls, real = [], OperatorStack.action_residuals
-    laws, real_law = [], OperatorStack.law_residuals
+    laws, real_law = [], checks.law_residuals
 
     def spy(self, left, index, weights):
         calls.append((len(left), len(self)))
         return real(self, left, index, weights)
 
-    def law_spy(self, left, right, scale, target):
-        laws.append((len(left), len(self)))
-        return real_law(self, left, right, scale, target)
+    def law_spy(data, left, right, scale, target):
+        assert np.shape(target) == (len(left), len(left) // 2)
+        laws.append((np.size(target), len(data)))
+        return real_law(data, left, right, scale, target)
 
     monkeypatch.setattr(OperatorStack, "action_residuals", spy)
-    monkeypatch.setattr(OperatorStack, "law_residuals", law_spy)
+    monkeypatch.setattr(checks, "law_residuals", law_spy)
     n, d = 5, 2
     alphas = block_labels(n, d)[0]
     for alpha in alphas:

@@ -222,6 +222,16 @@ def test_verify_all_at_6_4_fits_the_frontier_budget():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_verify_irreps_at_7_3_fits_the_frontier_budget():
+    # 232 MB of address space and 30 s, one BLAS thread: every law claim in
+    # chunks of products, with no (n!, D, D) product per generator row; the
+    # peak is 191 MB, and 275 MB with such a product
+    code = ("from ptalgebra.cli import main\n"
+            "main(['verify', '--n', '7', '--d', '3', '--suite', 'irreps'])\n")
+    result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=232 * 2**20, timeout=30)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_unit_of_m_at_7_3_fits_the_frontier_budget():
     # 512 MB of address space and 10 s, one BLAS thread: e on the n-1
     # generator rows, with no stack of every sigma
