@@ -35,7 +35,9 @@ holding ``partitions.LABEL_MEMO_SIZE`` labels.  Their largest entries at
 n = 10, for alpha = (4,2,1,1) of dimension 90: Q and Z 810^2 floats, 5.2 MB
 each; the u weights 90^2 x 8! floats, 2.6 GB, beside one 261 MB array of
 u images per n that every alpha shares.  ``averaging_weights`` is not
-memoized: for a mu of n it is as large at n = 8 (2.6 GB at (8, 2)).
+memoized, and the suite reads it for the alpha of n-2 only: the averaged
+families of the mu of n in ``check_dimensions`` rest on checked premises
+and build nothing of S(n).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .induced import (InducedRep, eigenvalues_closed_form, q_matrix,
 from .irreps import (algebra_dimension_formula, all_irreps, block_labels, direct_sum,
                      rank_of_q, structure_report, unit_of_M)
 from .oracle import (LAW_CHUNK_ENTRIES, OperatorStack, SizeCapError, element_stack,
-                     generator_index, generator_stack, gram_rank, identity_operator,
+                     generator_index, generator_stack, identity_operator,
                      matrix_operators_E, perm_operator, sector, span_dimension,
                      transposed_perm_operator)
 from .partitions import Partition, partitions_of
@@ -555,19 +557,21 @@ def check_irreps(n: int, d: int) -> CheckReport:
     ``_law_pairs``, with the identity row when psi(1) is not exactly the
     identity, and (p, tau) read off ``law_rows`` by ``_law_at``: the full
     rows, every rho a view of the stack, and the other pairs, one a row, are
-    two ``law_residuals`` calls.  A failure names the irrep and the pair of
+    two ``law_residuals`` calls, the second only when ``law_sweep`` flags a
+    pair outside those rows.  A failure names the irrep and the pair of
     the worst residual.
     """
     images, count = image_array(n), factorial(n)
     transposed = images[:, -1] != n - 1
 
     @cache
-    def claims(unit):  # (left, right, scale, tau) of the full rows, then of the rest
+    def claims(unit):  # (left, right, scale, tau) of the full rows, then of any rest
         left, right, powers, tau = _law_at(n, _law_pairs(n, [] if unit else [0]))
         full, scale = np.bincount(left)[left] == count, d**powers
-        return [(left[full][::count], np.arange(count), scale[full].reshape(-1, count),
-                 tau[full].reshape(-1, count)),
-                (left[~full], right[~full, None], scale[~full, None], tau[~full, None])]
+        groups = [(left[full][::count], np.arange(count), scale[full].reshape(-1, count),
+                   tau[full].reshape(-1, count)),
+                  (left[~full], right[~full, None], scale[~full, None], tau[~full, None])]
+        return [group for group in groups if len(group[0])]
 
     reps = all_irreps(n, d)
     worst, culprit = 0.0, ""
@@ -599,22 +603,48 @@ def check_irreps(n: int, d: int) -> CheckReport:
 # -- dimensions --------------------------------------------------------------
 
 
+def _averaged_premise(n: int) -> str:
+    """Empty when the premises of the averaged span of ``check_dimensions``
+    hold at n, else the first that fails: the Coxeter relations on the adjacent
+    images of ``yor.irrep(mu)`` for every mu of n, within ``HOM_TOL``, then
+    sum_mu (dim mu)^2 = n! in integers."""
+    irreps = [sym_irrep(mu) for mu in partitions_of(n)]
+    for phi in irreps:
+        residual, relation = phi.coxeter_residual()
+        if not residual < HOM_TOL:
+            return f"psi_({phi.label}) fails {relation}"
+    squares = sum(phi.dim**2 for phi in irreps)
+    return "" if squares == factorial(n) else f"sum of (dim mu)^2 is {squares}, not {n}!"
+
+
 def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     """Block inventory vs the partition-sum formula, and the measured span.
 
     The one place that compares the sum of squared block sizes of
     ``structure_report`` with ``algebra_dimension_formula``; a mismatch
     reads ``blocks M+S != formula F``.  When the oracle fits under the cap
-    this also measures the transposed and plain spans, and confirms that the
-    group-averaged operator families span exactly what the permutation
-    operators span, so one family is linearly independent iff the other is.
-    Those families are C times the K = n! plain blocks; they are built only
-    when their K s^2 entries are fewer than the K^2 of their Gram C G C^T,
-    and then their span is the rank of V V^T, with V their blocks as
-    columns: a sum of one s^2 x s^2 product per family, built one at a time.
-    On the sectors of the stacks, a rank equal to the formula proves the
-    restriction faithful, and a shortfall is named.  Above the cap the
-    oracle part is skipped and said so in the details.
+    this also measures the transposed and plain spans.  On the sectors of
+    the stacks, a rank equal to the formula proves the restriction
+    faithful, and a shortfall is named.  Above the cap the oracle part is
+    skipped and said so in the details.
+
+    With the spans it confirms that the group-averaged families
+    E^mu_ij = sum_g (dim mu / n!) phi^mu_ji(g^-1) W(g), mu of n, span what
+    the W(g) span, so one family is linearly independent iff the other is.
+    They are C W, with C the weights, one row per (mu, i, j) and one column
+    per g.  Neither the families nor C are built: ``_averaged_premise``
+    checks the premises, and the rest follows by theorem.
+    - The Coxeter relations make each phi^mu an orthogonal representation
+      of S(n), since S(n) is presented by them; ``yor.descent_image``,
+      a product of adjacent images along a word, is that homomorphism.
+    - Young's theorem makes the phi^mu, Young's orthogonal forms,
+      irreducible and pairwise inequivalent (James and Kerber, The
+      Representation Theory of the Symmetric Group, 1981, ch. 3).
+    - Schur orthogonality then gives C C^T = diag(dim mu / n!) (Serre,
+      Linear Representations of Finite Groups, ch. 2), and C is square as
+      sum_mu (dim mu)^2 = n!.  So C is invertible, the averaged span is
+      the plain span, and the details report the plain rank for it.
+    A failed premise fails the check and names mu and the relation.
     """
     report = structure_report(n, d)
     expected = algebra_dimension_formula(n, d)
@@ -629,20 +659,11 @@ def check_dimensions(n: int, d: int, cap: int | None = None) -> CheckReport:
     else:
         measured_t = span_dimension(transposed)
         plain_dim = span_dimension(plain)
-        if plain.dim**2 < len(plain):
-            every = np.arange(len(plain))[:, None]
-            images = plain.combine(every, np.ones(every.shape))  # once for every family
-            e_span = gram_rank(sum(matrix_operators_E(images, mu).gram(by_position=True)
-                                   for mu in partitions_of(n)))
-        else:
-            weights = np.concatenate([averaging_weights(mu).reshape(-1, len(plain))
-                                      for mu in partitions_of(n)])
-            e_span = gram_rank(weights @ plain.gram() @ weights.T)
-        passed = (passed and measured_t == expected and plain_dim == expected
-                  and e_span == expected)
-        details += (f"; oracle transposed {measured_t}, plain {plain_dim}, "
-                    f"averaged families {e_span}")
-        shortfall = expected - min(measured_t, plain_dim, e_span)
+        failed = _averaged_premise(n)
+        passed = passed and measured_t == expected == plain_dim and not failed
+        details += (f"; oracle transposed {measured_t}, plain {plain_dim}, averaged families"
+                    + (f": {failed}" if failed else f" {plain_dim}"))
+        shortfall = expected - min(measured_t, plain_dim)
         if shortfall > 0:
             details += f"; rank short of the formula by {shortfall}"
     return CheckReport("dimensions", {"n": n, "d": d}, passed,

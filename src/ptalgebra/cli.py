@@ -120,13 +120,6 @@ def _distinct_floats(stack: np.ndarray, render) -> tuple[list[str], np.ndarray]:
     return [render(float(x)) for x in distinct.view(float)], codes.reshape(stack.shape)
 
 
-def _cell_texts(table: dict, render) -> list[str]:
-    """``render(coeff, k)`` of each of the 2 n! distinct cells, indexed by
-    the cell codes."""
-    size = len(table["order"])
-    return [render(c, k) for c in table["coeffs"] for k in range(size)]
-
-
 def _coded(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
     """Rows of strings as texts and codes, each cell its own text."""
     texts = [cell for row in rows for cell in row]
@@ -231,15 +224,17 @@ def cmd_mul_table(n: int, d: int | None, symbolic: bool, fmt: str):
             "table would exceed 720x720; restrict n or query products directly")
     table = build_mul_table(n, None if symbolic else d)
     if fmt == "json":  # the bytes of json.dumps of the record with its entries
-        texts = _cell_texts(table, lambda c, k: json.dumps(
-            {"coeff": list(c.coeffs) if symbolic else c, "perm": table["order"][k]}))
+        coeffs = [json.dumps(list(c.coeffs) if symbolic else c) for c in table["coeffs"]]
+        perms = [json.dumps(order) for order in table["order"]]
+        # each cell as json.dumps({"coeff": ..., "perm": ...}) writes it
+        texts = [f'{{"coeff": {c}, "perm": {p}}}' for c in coeffs for p in perms]
         head = {key: table[key] for key in ("n", "d", "order")} | {"entries": []}
         rows = _gather(texts, table["cells"])
         _write(_json_pieces(head, (("[", ", ".join(row), "]") for row in rows)))
         return
     perms = list(Permutation.all(n))
     labels = [_perm_label(p) for p in perms]
-    texts = _cell_texts(table, lambda coeff, k: _cell_text(coeff, perms[k]))
+    texts = [_cell_text(coeff, perm) for coeff in table["coeffs"] for perm in perms]
     emit = _emit_csv if fmt == "csv" else _print_grid
     emit(["*"] + labels, *_labelled(labels, texts, table["cells"]))
 

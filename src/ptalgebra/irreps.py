@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import AlgebraContext, AlgebraElement, u_terms
 from .induced import InducedRep, SpectralQ, q_matrix, spectral_q, zero_condition
 from .partitions import Partition, partitions_of
-from .permutations import Permutation, degree, image_array, lehmer_rank
+from .permutations import Permutation, cycle_name, degree, image_array, lehmer_rank
 from .yor import SymmetricGroupIrrep, irrep as sym_irrep
 
 
@@ -92,10 +92,10 @@ class AlgebraIrrep:
                 "d": self.d, "dimension": self.dimension, "basis_tag": self.basis_tag}
 
     def named_images(self) -> tuple[list[str], np.ndarray]:
-        """The cycle names of ``Permutation.all(n)`` and the stack of their
-        images, read as one batch, in that order."""
-        return ([sigma.cycle_string() for sigma in Permutation.all(self.n)],
-                self.image(image_array(self.n)))
+        """The cycle names of the rows of ``image_array(n)`` and the stack of
+        their images, read as one batch, in that order."""
+        images = image_array(self.n)
+        return [cycle_name(row) for row in images.tolist()], self.image(images)
 
     def to_dict(self) -> dict:
         names, stack = self.named_images()

@@ -159,11 +159,7 @@ class Permutation:
         return -1 if (self.degree - self.cycle_count()) % 2 else 1
 
     def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        sep = "" if self.degree < 10 else " "
-        return "".join("(" + sep.join(str(p) for p in c) + ")" for c in cycles)
+        return cycle_name([j - 1 for j in self.images])
 
     def one_line_string(self) -> str:
         return ",".join(str(j) for j in self.images)
@@ -189,6 +185,25 @@ class Permutation:
         if any(self(i) != i for i in range(m + 1, self.degree + 1)):
             raise ValueError(f"{self!r} moves a point above {m}")
         return Permutation(self.images[:m])
+
+
+def cycle_name(images: Sequence[int]) -> str:
+    """Cycle notation of the permutation with 0-based ``images``, like
+    ``(132)``: the cycles that move a point, each from its least point, in
+    1-based points, which a space separates at degree 10 and above; ``()``
+    for the identity.  The one printer of cycle notation."""
+    seen, cycles = [False] * len(images), []
+    sep = "" if len(images) < 10 else " "
+    for start, image in enumerate(images):
+        if seen[start] or image == start:
+            continue
+        cycle, point = [], start
+        while not seen[point]:
+            seen[point] = True
+            cycle.append(str(point + 1))
+            point = images[point]
+        cycles.append("(" + sep.join(cycle) + ")")
+    return "".join(cycles) or "()"
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

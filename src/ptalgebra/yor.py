@@ -96,6 +96,23 @@ class SymmetricGroupIrrep:
             raise ValueError(f"degree {m} != weight {self.m}")
         return descent_image(p, self._adjacent, self.dim)
 
+    def coxeter_residual(self) -> tuple[float, str]:
+        """The largest residual of the Coxeter presentation of S(m) on the
+        adjacent images s_k, and the first relation that has it: each s_k
+        is a symmetric involution, (s_k s_{k+1})^3 = 1, and s_i s_j = s_j s_i
+        for |i - j| >= 2.  Read off the m - 1 adjacent images only, never
+        off a stack of all of S(m); (0.0, "") when m < 2."""
+        s, eye = self._adjacent, np.eye(self.dim)
+        claims = [(f"s_{k + 1} = s_{k + 1}^T", s[k] - s[k].T) for k in range(len(s))]
+        claims += [(f"s_{k + 1}^2 = 1", s[k] @ s[k] - eye) for k in range(len(s))]
+        claims += [(f"(s_{k + 1} s_{k + 2})^3 = 1",
+                    np.linalg.matrix_power(s[k] @ s[k + 1], 3) - eye)
+                   for k in range(len(s) - 1)]
+        claims += [(f"s_{i + 1} s_{j + 1} = s_{j + 1} s_{i + 1}", s[i] @ s[j] - s[j] @ s[i])
+                   for i in range(len(s)) for j in range(i + 2, len(s))]
+        return max(((float(np.abs(x).max()), name) for name, x in claims),
+                   key=lambda claim: claim[0], default=(0.0, ""))
+
 
 def descent_image(p: Permutation | np.ndarray, adjacent: list[np.ndarray],
                   dim: int) -> np.ndarray:

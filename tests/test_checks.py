@@ -828,6 +828,102 @@ def test_a_planted_non_generator_block_fails_the_suite_by_adjoint_transport(
     assert reports["unit_of_M"].passed
 
 
+# -- the averaged families of check_dimensions -----------------------------------
+
+
+def _planted_irrep(monkeypatch, label, plant):
+    """Serve check_dimensions a fresh irrep of ``label``, changed by ``plant``,
+    in place of the cached one."""
+    import ptalgebra.checks as checks
+    from ptalgebra.yor import SymmetricGroupIrrep
+
+    def served(mu):
+        if mu != label:
+            return sym_irrep(mu)
+        phi = SymmetricGroupIrrep(mu)
+        plant(phi)
+        return phi
+
+    monkeypatch.setattr(checks, "sym_irrep", served)
+
+
+def test_a_broken_adjacent_image_fails_the_averaged_families_by_name(monkeypatch):
+    # 1.5 times one diagonal entry of psi_(3,2)(s_2): s_2 stays symmetric,
+    # but neither an involution nor a braid with s_1 or s_3; the cube of
+    # s_1 s_2 moves most, and the ranks do not see the plant
+    def plant(phi):
+        phi._adjacent[1][0, 0] *= 1.5
+
+    _planted_irrep(monkeypatch, Partition([3, 2]), plant)
+    report = check_dimensions(5, 2)
+    assert report.passed is False and report.max_residual == 1.0 and report.tol is None
+    assert report.details == ("blocks 41+1 = formula 42; oracle transposed 42, plain 42, "
+                              "averaged families: psi_(3,2) fails (s_1 s_2)^3 = 1")
+
+
+def test_a_reducible_image_fails_the_averaged_families_by_its_sum_of_squares(
+        monkeypatch):
+    # psi_(5) doubled, 1 + 1 on every s_k: every relation holds, and only the
+    # sum of (dim mu)^2, 120 - 1 + 4 and not 5! = 120, shows that C is not
+    # square
+    def plant(phi):
+        phi.dim, phi._adjacent = 2, [np.eye(2)] * 4
+
+    _planted_irrep(monkeypatch, Partition([5]), plant)
+    report = check_dimensions(5, 2)
+    assert report.passed is False
+    assert report.details.endswith("averaged families: sum of (dim mu)^2 is 123, not 5!")
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (3, 5)])  # s^2 = 100 < 5!, s^2 = 81 > 3!
+def test_check_dimensions_builds_no_averaged_family(monkeypatch, n, d):
+    # on either side of the old size-chosen fork: no averaging weights, no
+    # averaged family, and no image of all of S(n)
+    import ptalgebra.checks as checks
+    import ptalgebra.oracle as oracle
+    import ptalgebra.yor as yor
+    from ptalgebra.permutations import degree
+
+    calls, image = [], yor.SymmetricGroupIrrep.image
+    for module in (checks, oracle, yor):
+        monkeypatch.setattr(module, "averaging_weights",
+                            lambda *args: calls.append("averaging_weights"))
+    for module in (checks, oracle):
+        monkeypatch.setattr(module, "matrix_operators_E",
+                            lambda *args: calls.append("matrix_operators_E"))
+
+    def spy(self, p):
+        if degree(p) == n:
+            calls.append(f"image of S({n})")
+        return image(self, p)
+
+    monkeypatch.setattr(yor.SymmetricGroupIrrep, "image", spy)
+    report = check_dimensions(n, d)
+    assert report.passed and "averaged families" in report.details
+    assert calls == []
+
+
+def test_a_planted_averaging_weight_fails_the_suite_by_matrix_operators(monkeypatch):
+    # check_dimensions reads no weights; the families E^alpha of S(n-2) do,
+    # in their recovery, norms, law and covariance
+    import ptalgebra.checks as checks
+    import ptalgebra.oracle as oracle
+    from ptalgebra.yor import averaging_weights
+
+    planted = Partition([2, 1])
+
+    def weights(alpha):
+        out = averaging_weights(alpha)
+        if alpha == planted:
+            out[0, 0, 0] += 0.1
+        return out
+
+    for module in (checks, oracle):
+        monkeypatch.setattr(module, "averaging_weights", weights)
+    reports = run_suite(5, 2, "all")
+    assert [r.check for r in reports if not r.passed] == ["matrix_operators"]
+
+
 # -- generator rows ------------------------------------------------------------
 
 
