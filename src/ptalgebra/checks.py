@@ -9,12 +9,12 @@ branch on how it stores them: a claim about left factors is one
 the check already holds, a dense stack or generators as index lists, and
 whose right-hand sides are arrays.
 Such a claim needs no row per left factor.  A law on a dense stack is one
-``law_residuals`` call: the x_IJ x_KL = A_JK x_IL of the u, E and f
-families on its 2 s^2 pivot pairs x_I0 x_0J and x_0J x_K0 (``_x_claim``),
-and the homomorphism of an irrep on its image stack.  The left actions of
-the u family and the covariance of the E families run on the pivot column
-x_.0 only, which the law carries to every column.  The u left actions and
-the claims of the unit check run on the n-1 generators of the algebra.
+``law_residuals`` call: the x_IJ x_KL = A_JK x_IL of the u and E families
+and of the f coefficients on its 2 s^2 pivot pairs x_I0 x_0J and x_0J x_K0
+(``_x_claim``), and the homomorphism of an irrep on its image stack.  The
+left actions of the u family and the covariance of the E families run on
+the pivot column x_.0 only, which the law carries to every column.  The u
+left actions and the claims of the unit check run on the n-1 generators.
 The families live on the oracle's balanced sectors.  Only the adjoint
 check (all of S(n), one batch) and the norms of the matrix operators (the
 exact Gram of S(n-2) on a sector per weight orbit) build generators apart
@@ -222,9 +222,11 @@ def _law_pairs(n: int, rows, columns=()) -> np.ndarray:
                   np.ravel(everyone[:, None] * len(everyone) + columns), law_sweep(n, law_rows))
 
 
-def law_residuals(data: np.ndarray, left, right, scale, target) -> np.ndarray:
-    """The ``(R, C)`` max |B[left[r]] B[right[r, c]] - scale[r, c] B[target[r, c]]|
-    of a law on a ``(K, D, D)`` float array B, in rows; ``right`` is
+def law_residuals(data: np.ndarray, left, right, scale, target,
+                  factors: np.ndarray | None = None) -> np.ndarray:
+    """The ``(R, C)`` max |F[left[r]] B[right[r, c]] - scale[r, c] B[target[r, c]]|
+    of a law on a ``(K, D, D)`` float array B, in rows, with the left
+    factors F read from ``factors`` (B when None); ``right`` is
     ``(R, C)``, or ``(C,)`` shared by every row, and a shared ``arange(K)``
     is read as views of B.  One product per claim, in chunks of rows and
     columns of at most ``LAW_CHUNK_ENTRIES`` product entries (one claim when
@@ -236,7 +238,7 @@ def law_residuals(data: np.ndarray, left, right, scale, target) -> np.ndarray:
     height, width = max(1, min(rows, step // cols)), min(cols, step)
     buffers, out = [np.empty((height * width,) + size) for _ in range(2)], np.empty(target.shape)
     for r in range(0, rows, height):
-        factor = data[left[r:r + height], None]
+        factor = (data if factors is None else factors)[left[r:r + height], None]
         for c in range(0, cols, width):
             part = np.s_[r:r + height, c:c + width]
             chunk = target[part]
@@ -307,38 +309,44 @@ def check_associativity(n: int, d: int, cap: int | None = None) -> CheckReport:
     return _report("associativity", params, worst, ORACLE_TOL, culprit=culprit)
 
 
-def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None) -> OperatorStack:
-    """The u operators of alpha, one ``combine`` of the ``u_terms``, as the
-    family x of ``reduction``: x_IJ = u_ij^ab at block I s + J, with
-    I = (a-1) w + i-1, J = (b-1) w + j-1 and s = (n-1) w."""
+def _u_stack(alpha: Partition, ctx: AlgebraContext, cap: int | None,
+             blocks: np.ndarray | None = None) -> OperatorStack:
+    """The u operators of alpha at ``blocks`` (all when None), one ``combine``
+    of the ``u_terms``: the family x of ``reduction``, laid out by ``_u_label``."""
     images, weights = u_terms(alpha, ctx.n)
-    m, w, count = len(images), len(weights), weights.shape[-1]
-    shape = (m, w, m, w, count)
-    index = np.broadcast_to(lehmer_rank(images)[:, None, :, None], shape)
-    return generator_stack(ctx.n, ctx.d, True, cap).combine(
-        index.reshape(-1, count),
-        np.broadcast_to(weights[None, :, None], shape).reshape(-1, count))
+    m, w = len(images), len(weights)
+    a, i, b, j = _u_label(np.arange((m * w)**2) if blocks is None else blocks, w, m)
+    return generator_stack(ctx.n, ctx.d, True, cap).combine(lehmer_rank(images)[a, b],
+                                                            weights[i, j])
+
+
+def _u_label(blocks, w: int, m: int) -> tuple:
+    """The 0-based (a-1, i-1, b-1, j-1) of x_IJ = u_ij^ab at each block I s + J
+    of a u stack, with I = (a-1) w + i-1, J = (b-1) w + j-1 and s = m w."""
+    (a, i), (b, j) = (np.divmod(x, w) for x in np.divmod(blocks, m * w))
+    return a, i, b, j
 
 
 def _u_name(block: int, w: int, m: int) -> str:
-    """The 1-based label u^ab_ij of a block of a u stack (see ``_u_stack``)."""
-    (a, i), (b, j) = (divmod(x, w) for x in divmod(int(block), m * w))
-    return f"u^{a + 1}{b + 1}_{i + 1}{j + 1}"
+    """The 1-based label u^ab_ij of a block of a u stack."""
+    a, i, b, j = (int(x) + 1 for x in _u_label(block, w, m))
+    return f"u^{a}{b}_{i}{j}"
 
 
-def _x_claim(x: OperatorStack, a_matrix: np.ndarray
+def _x_claim(x: np.ndarray, a_matrix: np.ndarray, factors: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the law x_IJ x_KL = A_JK x_IL on a stack of s^2 blocks,
-    x_IJ at block I s + J, on its 2 s^2 pivot pairs: the ``(2 s^2, 2)``
-    blocks (left, right) of the pairs and their ``(2 s^2,)`` residuals, one
-    ``law_residuals`` call on 2 s rows of s pairs, row I then row J.
+    """Residuals of the law x_IJ x_KL = A_JK x_IL on a ``(s^2, D, D)``
+    array of blocks, x_IJ at block I s + J, on its 2 s^2 pivot pairs: the
+    ``(2 s^2, 2)`` blocks (left, right) of the pairs and their ``(2 s^2,)``
+    residuals, one ``law_residuals`` call on 2 s rows of s pairs, row I then
+    row J, whose left factors are read from ``factors`` (x when None).
 
     With the pivot 0, the pairs are x_I0 x_0J = a x_IJ for every I, J and
     x_0J x_K0 = A_JK x_00 for every J, K; a = A_00 must be nonzero, as it
-    is for every caller (A = Q(alpha) has diagonal d, the E and f families
-    have A = 1).  Every block is the target of one pair of the first kind.
-    These pairs give the whole law: the first writes every block as a
-    product, x_IJ = x_I0 x_0J / a, so
+    is for every caller (A = Q(alpha) has diagonal d, the E units and the f
+    coefficients have A = 1).  Every block is the target of one pair of the
+    first kind.  These pairs give the whole law: the first writes every
+    block as a product, x_IJ = x_I0 x_0J / a, so
     x_IJ x_KL = x_I0 (x_0J x_K0) x_0L / a^2 = A_JK x_I0 (x_00 x_0L) / a^2
     = A_JK x_I0 x_0L / a = A_JK x_IL, by the second kind, then the first
     twice.  A left action W x_I0 = sum_I' L[I', I] x_I'0 on the pivot column
@@ -357,7 +365,7 @@ def _x_claim(x: OperatorStack, a_matrix: np.ndarray
     target = np.append(np.arange(s * s), np.zeros(s * s, dtype=np.intp)).reshape(2 * s, s)
     scale = np.concatenate([np.full((s, s), a), a_matrix])
     pairs = np.stack([np.repeat(left, s), right.ravel()], axis=1)
-    return pairs, law_residuals(x.data, left, right, scale, target).ravel()
+    return pairs, law_residuals(x, left, right, scale, target, factors).ravel()
 
 
 def _left_action(images: np.ndarray, d: int
@@ -419,14 +427,14 @@ def check_u_structure(alpha: Partition, beta: Partition, n: int, d: int,
     transposed generator stack rests on ``check_mul_rule``, which checks the
     composition law on the integer index form, and on
     ``check_adjoint_transport``, which ties every block of the stack to that
-    form; ``run_suite`` runs both before this check.
+    form; ``run_suite`` runs both before this check in the ``all`` suite only.
     """
     ctx = AlgebraContext(n, d)
     m, w = n - 1, alpha.hook_dimension()
     same = alpha == beta
     u_a = _u_stack(alpha, ctx, cap)
     if same:
-        pairs, products = _x_claim(u_a, q_matrix(alpha, d, n))
+        pairs, products = _x_claim(u_a.data, q_matrix(alpha, d, n))
         worst, (p,) = _worst(products)
         left, right = pairs[p]
     else:
@@ -728,7 +736,7 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
     for phi, stack, family in zip(phis, stacks, families):
         w = phi.dim
         # E_ij E_kl = delta_jk E_il
-        pairs, products = _x_claim(family, np.eye(w))
+        pairs, products = _x_claim(family.data, np.eye(w))
         value, (p,) = _worst(products)
         if value > worst:
             worst, culprit = value, " ".join(labels[offset + k] for k in pairs[p])
@@ -746,15 +754,24 @@ def check_matrix_operators(n: int, d: int, cap: int | None = None) -> CheckRepor
 
 
 def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckReport:
-    """Matrix units for every main-ideal block, through the oracle.
+    """Matrix units for every main-ideal block, read off the u law.
 
-    The u stack of alpha is the family x_IJ = u_ij^ab of ``reduction``, with
-    x_IJ x_KL = Q_JK x_IL, so ``xa_reduce(Q(alpha))`` gives the coefficients
-    of every y and f over its blocks as they stand.  The null y are one
-    combination of the u stack, checked to vanish, and the f another,
-    checked to satisfy f_sr f_tu = delta_rt f_su: the law of ``_x_claim``
-    with A = I_rank, on its 2 rank^2 pivot pairs f_s1 f_1r and f_1r f_t1.
-    A failure names its worst null y label or f pair (1-based).
+    The u stack of alpha is the family x_IJ = u_ij^ab of ``reduction``, and
+    the premise is its law x_IJ x_KL = Q_JK x_IL on the oracle, which
+    ``check_u_structure`` checks (``run_suite`` runs it first).  With Z and
+    the rank from ``xa_reduce(Q(alpha))``, S = (n-1) w and a = Q_00 = d != 0:
+    - The null y vanish.  The law gives x_IJ = x_I0 x_0J / a, so
+      y_sr = sum_IJ Z_Is Z_Jr x_IJ = v_s h_r / a, with v_s = sum_I Z_Is x_I0
+      and h_r = sum_J Z_Jr x_0J.  The oracle checks v_s = 0 and h_r = 0 for
+      every null s and r on the 2 S blocks of the pivot column and row of
+      the u family, as one ``combine`` with the null columns of Z.
+    - The f are matrix units.  Read row (s, r) of ``reduced.f`` as an S x S
+      matrix M_sr.  The law gives f_sr f_tu = sum_IL (M_sr Q M_tu)_IL x_IL,
+      so M_sr Q M_tu = delta_rt M_su gives f_sr f_tu = delta_rt f_su on the
+      oracle.  P o R = P Q R is associative, so ``_x_claim`` checks this on
+      its 2 rank^2 pivot pairs: left factors M Q, right factors and targets M.
+    A failure names its worst null y_(s,*) (of v_s) or y_(*,r) (of h_r), f
+    pair (1-based), or the corner of an absent label that does not vanish.
     """
     from .reduction import xa_reduce
 
@@ -771,18 +788,19 @@ def check_reduced_matrix_units(n: int, d: int, cap: int | None = None) -> CheckR
                 worst, culprit = value, f"{alpha}: u^{(1, m)[k]}{(1, m)[k]}_11"
             details.append(f"{alpha}: absent (vanishing family, norm {value:.1e})")
             continue
-        w = alpha.hook_dimension()
-        size = m * w
-        u, x = _u_stack(alpha, ctx, cap), np.arange(size * size)
-        reduced = xa_reduce(q_matrix(alpha, d, n))
-        nulls = reduced.null_rows
-        value, (k,) = _worst(u.combine(x, reduced.y[nulls]).residuals())
-        if value > worst:
-            s, r = np.divmod(nulls[k], size)
-            worst, culprit = value, f"{alpha}: y_({s + 1},{r + 1})"
-        units = u.combine(x, reduced.f)
+        q, size = q_matrix(alpha, d, n), m * alpha.hook_dimension()
+        reduced, pivots = xa_reduce(q), np.arange(size)
         rank = reduced.rank
-        pairs, products = _x_claim(units, np.eye(rank))
+        # v_s of the null s on the pivot column x_I0, then h_r on the row x_0J
+        ends = _u_stack(alpha, ctx, cap, np.append(pivots * size, pivots))
+        nulls = np.kron(np.eye(2), reduced.z[:, rank:].T)
+        value, (k,) = _worst(ends.combine(np.arange(2 * size), nulls).residuals())
+        if value > worst:
+            side, s = divmod(k, size - rank)
+            label = f"*,{rank + s + 1}" if side else f"{rank + s + 1},*"
+            worst, culprit = value, f"{alpha}: y_({label})"
+        units = reduced.f.reshape(rank * rank, size, size)  # M_sr
+        pairs, products = _x_claim(units, np.eye(rank), units @ q)
         value, (p,) = _worst(products)
         if value > worst:
             (s, r), (t, v) = (divmod(int(k), rank) for k in pairs[p])
@@ -854,9 +872,9 @@ def run_suite(n: int, d: int, suite: str = "all",
         reports.append(check_dimensions(n, d, cap=cap))
     if want("appc"):
         reports.append(check_matrix_operators(n, d, cap))
+        for alpha in block_labels(n, d)[0]:  # the premise of the next check
+            reports.append(check_u_structure(alpha, alpha, n, d, cap))
         reports.append(check_reduced_matrix_units(n, d, cap))
     if suite == "all":
-        for alpha in block_labels(n, d)[0]:
-            reports.append(check_u_structure(alpha, alpha, n, d, cap))
         reports.append(check_unit_of_m(n, d, cap))
     return reports

@@ -36,29 +36,19 @@ from click.core import ParameterSource
 # checks that its tracer wraps the name where this module binds it.
 from .algebra import AlgebraContext, law_rows, mul_generators  # noqa: F401
 from .checks import SUITES, run_suite
-from .dpoly import DPoly
 from .induced import spectral_q
 from .irreps import irrep_M_e, irrep_M_f, irrep_S, structure_report
 from .oracle import (CAP_ENV_VAR, SizeCapError, generator_stack, size_cap,
                      span_dimension)
 from .partitions import Partition
-from .permutations import Permutation, image_array
+from .permutations import cycle_name, image_array
 
 
-def _perm_label(perm: Permutation) -> str:
-    if perm.is_identity():
-        return "1"
-    name = perm.cycle_string()
-    return name if perm.fixes_last() else name + "^t"
-
-
-def _cell_text(coeff, perm: Permutation) -> str:
-    """A table cell like ``d(23)^t``, ``2(13)^t`` or ``1``; coeff is d^0 or d^1,
-    so a fixed d prints as the exact integer."""
-    coeff = str(coeff) if isinstance(coeff, DPoly) else str(int(coeff))
-    if perm.is_identity():
-        return coeff
-    return ("" if coeff == "1" else coeff) + _perm_label(perm)
+def _perm_label(images: list[int]) -> str:
+    """``1``, or the cycle name of the 0-based ``images``, with ``^t`` when
+    the permutation moves n, like ``(23)^t``."""
+    name = cycle_name(images)
+    return "1" if name == "()" else name + ("" if images[-1] == len(images) - 1 else "^t")
 
 
 def _number_text(x: float) -> str:
@@ -232,9 +222,11 @@ def cmd_mul_table(n: int, d: int | None, symbolic: bool, fmt: str):
         rows = _gather(texts, table["cells"])
         _write(_json_pieces(head, (("[", ", ".join(row), "]") for row in rows)))
         return
-    perms = list(Permutation.all(n))
-    labels = [_perm_label(p) for p in perms]
-    texts = [_cell_text(coeff, perm) for coeff in table["coeffs"] for perm in perms]
+    labels = [_perm_label(images) for images in image_array(n).tolist()]
+    # cells like d(23)^t, 2(13)^t or 1; at a fixed d, d^0 and d^1 print as integers
+    coeffs = [str(c) if symbolic else str(int(c)) for c in table["coeffs"]]
+    texts = [c if label == "1" else ("" if c == "1" else c) + label
+             for c in coeffs for label in labels]
     emit = _emit_csv if fmt == "csv" else _print_grid
     emit(["*"] + labels, *_labelled(labels, texts, table["cells"]))
 

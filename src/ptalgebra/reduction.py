@@ -4,8 +4,8 @@ Diagonalizing A = Z diag(lambda_1..lambda_p, 0..0) Z^T and passing to
 y_sr = sum_ij Z_is Z_jr x_ij kills every index touching the null space,
 leaves y_ij y_kl = lambda_j delta_jk y_il on the survivors, and the
 rescaled f_ij = y_ij / sqrt(lambda_i lambda_j) are matrix units.  The
-reduction is linear algebra on A alone: it returns the coefficients of
-every y and f over the family x, and the caller applies them, with
+reduction is linear algebra on A alone: it returns Z, and the coefficients
+of every f over the family x, which the caller applies, with
 ``OperatorStack.combine`` on the oracle or ``np.tensordot`` on arrays.
 The averaged generators of the main ideal are such a family, with
 x_{(a,i),(b,j)} = u_ij^ab and A = Q(alpha); the averaged matrix operators
@@ -28,25 +28,17 @@ NULL_RTOL = 1e-7
 
 @dataclass
 class ReducedBasis:
-    """Coefficients of the reduced families over x_ij.
+    """The eigenvectors of A and the coefficients of the f over x_ij.
 
-    Every index is 0-based: label (s, r) is row s * size + r of ``y`` (and
-    s * rank + r of ``f``), and x_ij is column i * size + j of both, so
-    y_sr = sum_ij y[s * size + r, i * size + j] x_ij.
+    Every index is 0-based: label (s, r) is row s * rank + r of ``f``, and
+    x_ij is column i * size + j, with size = len(z), so
+    f_sr = sum_ij f[s * rank + r, i * size + j] x_ij.
     """
 
-    size: int
     rank: int
     eigenvalues: np.ndarray  # survivors first, descending; nulls last
     z: np.ndarray            # columns are eigenvectors, in the same order
-    y: np.ndarray            # (size^2, size^2): y[(s, r), (i, j)] = Z_is Z_jr
-    f: np.ndarray            # (rank^2, size^2): surviving y / sqrt(lambda_s lambda_r)
-
-    @property
-    def null_rows(self) -> np.ndarray:
-        """The rows of ``y`` whose label (s, r) touches the null space."""
-        s, r = np.divmod(np.arange(self.size**2), self.size)
-        return np.flatnonzero((s >= self.rank) | (r >= self.rank))
+    f: np.ndarray            # (rank^2, size^2): Z_is Z_jr / sqrt(lambda_s lambda_r)
 
 
 def xa_reduce(a_matrix: np.ndarray) -> ReducedBasis:
@@ -76,10 +68,7 @@ def xa_reduce(a_matrix: np.ndarray) -> ReducedBasis:
     eigenvalues, z = eigenvalues[order], z[:, order]
     rank = int((~nulls).sum())
 
-    square = size * size
-    y = np.einsum("is,jr->srij", z, z).reshape(square, square)
-    root = np.sqrt(eigenvalues[:rank])
-    f = (y.reshape(size, size, square)[:rank, :rank]
-         / np.multiply.outer(root, root)[:, :, None]).reshape(rank * rank, square)
-    return ReducedBasis(size=size, rank=rank, eigenvalues=eigenvalues, z=z,
-                        y=y, f=f)
+    survivors, root = z[:, :rank], np.sqrt(eigenvalues[:rank])
+    f = (np.einsum("is,jr->srij", survivors, survivors)
+         / np.multiply.outer(root, root)[:, :, None, None]).reshape(rank * rank, size * size)
+    return ReducedBasis(rank=rank, eigenvalues=eigenvalues, z=z, f=f)

@@ -4,12 +4,12 @@ the irreps on every pair of generators.
 Independent references for the generator-row forms of ``ptalgebra.checks``:
 ``check_u_structure`` checks the left actions on the oracle for the n-1
 generators only, on the pivot column x_.0, ``_x_claim`` the law
-x_IJ x_KL = A_JK x_IL on its 2 s^2 pivot pairs, and ``check_irreps`` the
-homomorphism on the n-1 generator rows and the pairs that ``law_sweep``
-flags.  Here every sigma in S(n), every block and every pair is its own
-row or entry, with no word and no pivot.  The
-left action of one sigma is also written on ``Permutation`` objects, as a
-reference for the array form of ``checks._left_action``, and
+x_IJ x_KL = A_JK x_IL on its 2 s^2 pivot pairs, of operators or of
+coefficients, and ``check_irreps`` the homomorphism on the n-1 generator
+rows and the pairs that ``law_sweep`` flags.  Here every sigma in S(n),
+every block and every pair is its own row or entry, with no word and no
+pivot.  The left action of one sigma is also written on ``Permutation``
+objects, as a reference for the array form of ``checks._left_action``, and
 ``word_lengths`` reads the length of every word of ``generator_words``.
 """
 
@@ -18,19 +18,25 @@ import numpy as np
 from ptalgebra import checks
 from ptalgebra.algebra import AlgebraContext, mul_generators
 from ptalgebra.induced import q_matrix
-from ptalgebra.oracle import OperatorStack, generator_stack
+from ptalgebra.oracle import generator_stack
 from ptalgebra.partitions import Partition
 from ptalgebra.permutations import Permutation, image_array, lehmer_rank
 from ptalgebra.yor import irrep
 
 
-def reference_x_law(x: OperatorStack, a_matrix: np.ndarray) -> np.ndarray:
-    """The ``(s^2, s^2)`` residuals of x_IJ x_KL = A_JK x_IL, row I s + J
-    and column K s + L, with every block of ``x`` as a left factor."""
+def reference_x_law(x: np.ndarray, a_matrix: np.ndarray,
+                    factors: np.ndarray | None = None) -> np.ndarray:
+    """The ``(s^2, s^2)`` residuals of x_IJ x_KL = A_JK x_IL on a
+    ``(s^2, D, D)`` array x, row I s + J and column K s + L, with every
+    block of ``factors`` (x when None) as a left factor: one product a row."""
+    factors = x if factors is None else factors
     s = len(a_matrix)
     i, j = np.divmod(np.arange(s * s), s)
-    return x.action_residuals(x, (i[:, None] * s + j)[..., None],
-                              a_matrix[j[:, None], i][..., None])
+    out = np.empty((s * s, s * s))
+    for row in range(s * s):
+        claim = a_matrix[j[row], i][:, None, None] * x[i[row] * s + j]
+        out[row] = np.abs(factors[row] @ x - claim).max(axis=(1, 2))
+    return out
 
 
 def reference_left_action(sigma: Permutation, p: int, d: int
@@ -82,7 +88,7 @@ def reference_u_structure(alpha: Partition, n: int, d: int) -> float:
     """The largest residual of the u products over every pair and of the
     left actions over every sigma."""
     u = checks._u_stack(alpha, AlgebraContext(n, d), None)
-    products = reference_x_law(u, q_matrix(alpha, d, n))
+    products = reference_x_law(u.data, q_matrix(alpha, d, n))
     return float(max(products.max(), reference_left_actions(alpha, n, d).max()))
 
 

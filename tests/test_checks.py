@@ -66,8 +66,8 @@ def test_run_suite_subset():
 def test_run_suite_n2():
     # n = 2 runs the general construction: alpha = () and Q(()) = [[d]]
     names = ["mul_rule", "associativity", "adjoint_transport", "spectra", "irreps",
-             "dimensions", "matrix_operators", "reduced_matrix_units",
-             "u_structure", "unit_of_M"]
+             "dimensions", "matrix_operators", "u_structure", "reduced_matrix_units",
+             "unit_of_M"]
     for d in range(1, 5):
         reports = run_suite(2, d, "all")
         assert [r.check for r in reports] == names
@@ -538,14 +538,11 @@ def test_a_planted_off_pivot_block_is_named_by_the_pivot_pair_that_targets_it(
         monkeypatch.setattr(checks, "matrix_operators_E", planted)
         report, scale = check_matrix_operators(n, d), 1
         x, pair = built[0], "E^3,1_21 E^3,1_13"
-    else:  # f_(2,3) of alpha = (2, 1), rank 5
+    else:  # f_(2,3) of alpha = (2, 1), rank 5, as its coefficients over the u
         n, d, alpha, (i, j) = 5, 2, Partition([2, 1]), (1, 2)
-        real = reduction.xa_reduce
-        reduced = real(q_matrix(alpha, d, n))
-        size = reduced.rank
-        units = checks._u_stack(alpha, AlgebraContext(n, d), None).combine(
-            np.arange(len(reduced.f[0])), reduced.f)
-        x = units.data[i * size + j]
+        real, reduced_q = reduction.xa_reduce, q_matrix(alpha, d, n)
+        size = real(reduced_q).rank
+        x = real(reduced_q).f[i * size + j]
 
         def planted(a_matrix):
             out = real(a_matrix)
@@ -555,7 +552,6 @@ def test_a_planted_off_pivot_block_is_named_by_the_pivot_pair_that_targets_it(
             f[i * size + j] *= 1.5
             return dataclasses.replace(out, f=f)
 
-        reduced_q = q_matrix(alpha, d, n)
         monkeypatch.setattr(reduction, "xa_reduce", planted)
         report, scale = check_reduced_matrix_units(n, d), 1
         pair = f"{alpha}: f_(2,1) * f_(1,3)"
@@ -711,11 +707,13 @@ def test_matrix_operators_names_the_planted_generator(monkeypatch):
 
 @pytest.mark.parametrize("direction", ["null", "unit"])
 def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
-    # Adding Z_Is Z_Jr N to every x_IJ = u^ab_ij changes y_sr alone (Z is
-    # orthogonal): a null (s, r) breaks "y_sr = 0", a surviving one breaks
-    # the products of f_sr.  A small N keeps those products linear in N, and
-    # the law is checked on 2 rank pivot rows, where f_sr can stand on the
-    # right-hand side, so the named pair need not hold f_sr.
+    # "null": adding Z_Is N to the pivot column x_I0 = u^a1_i1 along a null
+    # column s of Z changes v_s = sum_I Z_Is x_I0 alone (Z is orthogonal),
+    # which must vanish, so the check names y_(s,*) and misses by max |N|.
+    # "unit": adding Z_I1 Z_J2 N to every x_IJ changes y_12 alone, a
+    # surviving label.  The check reads the f law off the u law in
+    # coefficient space, so this plant reaches it only through its premise:
+    # the u law fails, and the suite fails at u_structure.
     import numpy as np
 
     import ptalgebra.checks as checks
@@ -724,40 +722,36 @@ def test_reduced_matrix_units_names_the_planted_label(monkeypatch, direction):
     from ptalgebra.reduction import xa_reduce
 
     n, d, alpha = 5, 2, Partition([2, 1])
-    m, w = n - 1, alpha.hook_dimension()
+    size = (n - 1) * alpha.hook_dimension()
     reduced = xa_reduce(q_matrix(alpha, d, n))
-    s, r = (reduced.rank, 0) if direction == "null" else (0, 1)
+    s, r = (reduced.rank, None) if direction == "null" else (0, 1)
     dim = checks.generator_stack(n, d, True).dim  # the sector of the u stacks
     noise = 1e-3 * np.random.default_rng(1).standard_normal((dim, dim))
     real = checks._u_stack
 
-    def planted(beta, ctx, cap):
-        stack = real(beta, ctx, cap)
+    def planted(beta, ctx, cap, blocks=None):
+        stack = real(beta, ctx, cap, blocks)
         if beta != alpha:
             return stack
-        # x_IJ is block I (n-1) w + J
-        rows, cols = np.divmod(np.arange(len(stack)), m * w)
-        scale = reduced.z[rows, s] * reduced.z[cols, r]
+        # x_IJ is block I size + J
+        rows, cols = np.divmod(np.arange(size**2) if blocks is None else blocks, size)
+        if r is None:
+            scale = np.where(cols == 0, reduced.z[rows, s], 0.0)
+        else:
+            scale = reduced.z[rows, s] * reduced.z[cols, r]
         return OperatorStack(n, d, stack.data + scale[:, None, None] * noise, stack.basis)
 
     monkeypatch.setattr(checks, "_u_stack", planted)
-    report = check_reduced_matrix_units(n, d)
-    assert report.passed is False
     if direction == "null":
-        assert report.details.startswith(f"worst at {alpha}: y_({s + 1},{r + 1}); ")
+        report = check_reduced_matrix_units(n, d)
+        assert report.passed is False
+        assert report.details.startswith(f"worst at {alpha}: y_({s + 1},*); ")
         assert report.max_residual == pytest.approx(np.abs(noise).max())
         return
-    # the named f pair misses by the reported residual
-    culprit = report.details.split("; ")[0]
-    assert culprit.startswith(f"worst at {alpha}: f_(")
-    (s1, r1), (t1, u1) = [tuple(int(x) - 1 for x in part.split(")")[0].split(","))
-                          for part in culprit.split("f_(")[1:]]
-    units = planted(alpha, checks.AlgebraContext(n, d), None)
-    f = np.tensordot(reduced.f, units.data, axes=1)
-    rank = reduced.rank
-    product = f[s1 * rank + r1] @ f[t1 * rank + u1]
-    expected = f[s1 * rank + u1] if r1 == t1 else 0.0
-    assert np.abs(product - expected).max() == pytest.approx(report.max_residual)
+    reports = run_suite(n, d, "appc")
+    failed = [(report.check, report.params.get("alpha")) for report in reports
+              if not report.passed]
+    assert failed == [("u_structure", str(alpha))]
 
 
 def test_adjoint_transport_sees_a_planted_asymmetry(monkeypatch):
@@ -985,21 +979,24 @@ def test_law_residuals_agree_with_every_pair_in_any_chunks(monkeypatch, budget):
 @pytest.mark.parametrize("d", range(1, 4))
 def test_generator_rows_agree_with_every_row(n, d):
     # the pivot pairs of the law are entries of the all-pairs reference,
-    # bitwise, for the u, E and f families: x_I0 x_0J for every (I, J) and
-    # x_0J x_K0 for every (J, K); the u verdicts agree with every sigma
+    # bitwise, for the u and E families and the coefficients of the f:
+    # x_I0 x_0J for every (I, J) and x_0J x_K0 for every (J, K); the u
+    # verdicts agree with every sigma, and the f law holds on every pair
     import ptalgebra.checks as checks
     from ptalgebra.algebra import AlgebraContext
     from ptalgebra.induced import q_matrix
     from ptalgebra.oracle import generator_stack, matrix_operators_E
     from ptalgebra.reduction import xa_reduce
 
-    def same_rows(x, a_matrix):
+    def same_rows(x, a_matrix, factors=None):
         s = len(a_matrix)
-        pairs, residuals = checks._x_claim(x, a_matrix)
+        pairs, residuals = checks._x_claim(x, a_matrix, factors)
         i, j = np.divmod(np.arange(s * s), s)
         assert np.array_equal(pairs, np.concatenate([np.stack([i * s, j], axis=1),
                                                      np.stack([i, j * s], axis=1)]))
-        assert np.array_equal(residuals, reference_x_law(x, a_matrix)[tuple(pairs.T)])
+        every = reference_x_law(x, a_matrix, factors)
+        assert np.array_equal(residuals, every[tuple(pairs.T)])
+        return every.max()
 
     for alpha in block_labels(n, d)[0]:
         report = check_u_structure(alpha, alpha, n, d)
@@ -1007,12 +1004,15 @@ def test_generator_rows_agree_with_every_row(n, d):
         assert report.passed
         u = checks._u_stack(alpha, AlgebraContext(n, d), None)
         q = q_matrix(alpha, d, n)
-        same_rows(u, q)
+        same_rows(u.data, q)
         reduced = xa_reduce(q)
-        same_rows(u.combine(np.arange(len(u)), reduced.f), np.eye(reduced.rank))
+        # the f law on the coefficients M_sr: M_sr Q M_tu = delta_rt M_su
+        size = len(q)
+        units = reduced.f.reshape(-1, size, size)
+        assert same_rows(units, np.eye(reduced.rank), units @ q) < HOM_TOL
     for mu in partitions_of(n):
         family = matrix_operators_E(generator_stack(n, d), mu)
-        same_rows(family, np.eye(mu.hook_dimension()))
+        same_rows(family.data, np.eye(mu.hook_dimension()))
 
 
 def test_claims_are_checked_on_generator_rows(monkeypatch):
@@ -1034,10 +1034,10 @@ def test_claims_are_checked_on_generator_rows(monkeypatch):
         calls.append((len(left), len(self)))
         return real(self, left, index, weights)
 
-    def law_spy(data, left, right, scale, target):
+    def law_spy(data, left, right, scale, target, factors=None):
         assert np.shape(target) == (len(left), len(left) // 2)
         laws.append((np.size(target), len(data)))
-        return real_law(data, left, right, scale, target)
+        return real_law(data, left, right, scale, target, factors)
 
     monkeypatch.setattr(OperatorStack, "action_residuals", spy)
     monkeypatch.setattr(checks, "law_residuals", law_spy)

@@ -38,8 +38,8 @@ def test_singular_q_detects_null_direction():
     survivors = reduced.eigenvalues[:2]
     assert survivors.tolist() == pytest.approx([3.0, 3.0])
     assert abs(reduced.eigenvalues[2]) < 1e-10
-    # every label touching index 3 is null: 9 - 2^2 of them
-    assert reduced.null_rows.tolist() == [2, 5, 6, 7, 8]
+    # the null direction is the last column of Z; the f are the 2^2 survivors
+    assert np.abs(q @ reduced.z[:, 2]).max() < 1e-10
     assert reduced.f.shape == (4, 9)
 
 
@@ -71,10 +71,13 @@ def test_averaged_generators_reduce_to_matrix_units(n, d, alpha):
                             for b in range(1, n) for j in range(1, w + 1)])
     reduced = xa_reduce(q_matrix(alpha, d, n))
     blocks = np.arange(size * size)
-    y = family.combine(blocks, reduced.y)
+    # y_sr = sum_ij Z_is Z_jr x_ij, at block s size + r
+    z = reduced.z
+    y = family.combine(blocks, np.einsum("is,jr->srij", z, z).reshape(size**2, size**2))
     rank = reduced.rank
     # null rows/columns vanish as operators
-    assert y.residuals()[reduced.null_rows].max(initial=0.0) < 1e-9
+    s, r = np.divmod(blocks, size)
+    assert y.residuals()[(s >= rank) | (r >= rank)].max(initial=0.0) < 1e-9
     # survivors obey y_ij y_kl = lambda_j delta_jk y_il
     for s, r, t, u in np.ndindex(rank, rank, rank, rank):
         product = y.op(s * size + r) @ y.op(t * size + u)

@@ -243,3 +243,14 @@ def test_unit_of_m_at_7_3_fits_the_frontier_budget():
             "assert report.passed, report\n")
     result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=2**29, timeout=10)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_reduced_matrix_units_at_7_3_fits_the_frontier_budget():
+    # 384 MiB of address space and 10 s, one BLAS thread: the null y on the
+    # pivot column and row alone, and the f law in coefficient space; the
+    # peak is 264 MiB, and 1.2 GiB with the whole u stack and the f units
+    code = ("from ptalgebra.checks import check_reduced_matrix_units\n"
+            "report = check_reduced_matrix_units(7, 3)\n"
+            "assert report.passed, report\n")
+    result = _run(code, env={"OPENBLAS_NUM_THREADS": "1"}, limit=384 * 2**20, timeout=10)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -78,6 +78,10 @@ def test_u_stack_matches_the_element_images(n, d):
             range(1, n), range(1, w + 1), range(1, n), range(1, w + 1))]
         expected = element_stack([u_element(alpha, *label, ctx) for label in labels])
         assert stack.residuals(expected).max() <= 1e-15, alpha
+        # the pivot column x_I0 and row x_0J alone are the same blocks
+        size = (n - 1) * w
+        ends = np.append(np.arange(size) * size, np.arange(size))
+        assert np.array_equal(checks._u_stack(alpha, ctx, None, ends).data, stack.data[ends])
 
 
 def test_the_per_label_memos_are_bounded_and_hand_out_read_only_arrays():
